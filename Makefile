@@ -20,8 +20,9 @@
 #                           HOSTHARTS harts (default 4); the committed
 #                           scaling floor binds when this host has >= that
 #                           many cores
-#   make race-engine      - race detector x2 on the parallel engine and the
-#                           bench harness (the multi-core CI race lane)
+#   make race-engine      - race detector x2 on the parallel engine (at
+#                           -cpu 1,2,4) and the bench harness (the
+#                           multi-core CI race lane)
 #   make smoke-monitor    - run a guest with the live monitor endpoint armed and
 #                           self-scrape /metrics, /healthz and /profile
 #   make smoke-serving    - short sustained-serving run (deterministic rerun
@@ -49,9 +50,11 @@ race: build
 # race detector twice over: -count=2 reruns every test in a process whose
 # heap/goroutine layout the first pass already perturbed, which is where
 # barrier/outbox ordering bugs that a single pristine run misses tend to
-# show up.
+# show up. The engine also runs at GOMAXPROCS 1, 2 and 4, so harts that
+# finish or post in the same epoch meet in both orders.
 race-engine:
-	$(GO) test -race -count=2 ./internal/platform/... ./internal/bench/...
+	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/platform/...
+	$(GO) test -race -count=2 ./internal/bench/...
 
 # lint prefers golangci-lint (.golangci.yml enables govet, staticcheck,
 # errcheck, ineffassign) but degrades to plain 'go vet' so 'make check'

@@ -123,7 +123,6 @@ func main() {
 	hostdiv := flag.Int("hostdiv", 1, "divide host-bench workload scales (faster, noisier)")
 	hostharts := flag.Int("hostharts", 4, "harts for the parallel host-throughput section (0 = skip)")
 	quantum := flag.Uint64("quantum", 0, "fixed barrier quantum in simulated cycles for the parallel section (0 = adaptive)")
-	engineMode := flag.String("engine", "block", "parallel engine mode: block (deterministic) or free (fast unordered)")
 	hostgate := flag.String("hostgate", "", "gate the fresh host benchmark against baseline JSON FILE; exit nonzero on fingerprint drift or >20% speedup regression")
 	profileOut := flag.String("profile", "", "arm the cycle-domain sampling profiler and write folded stacks to FILE (flamegraph/speedscope input)")
 	profPeriod := flag.Uint64("profperiod", telemetry.DefaultProfilePeriod, "profiler sampling period in simulated cycles")
@@ -456,18 +455,10 @@ func main() {
 			fail("host", err)
 		}
 		if *hostharts > 0 {
-			// The multi-hart section doubles as a determinism check: in
-			// block mode it errors out unless the parallel run's per-hart
-			// fingerprints are bit-identical to the sequential reference.
-			bc := bench.ParallelBenchConfig{Quantum: *quantum}
-			switch *engineMode {
-			case "block":
-			case "free":
-				bc.Free = true
-			default:
-				fail("host", fmt.Errorf("unknown -engine %q (valid: block, free)", *engineMode))
-			}
-			p, err := bench.RunParallelHost(*hostdiv, *hostharts, bc)
+			// The multi-hart section doubles as a determinism check: it
+			// errors out unless the parallel run's per-hart fingerprints
+			// are bit-identical to the sequential reference.
+			p, err := bench.RunParallelHost(*hostdiv, *hostharts, bench.ParallelBenchConfig{Quantum: *quantum})
 			if err != nil {
 				fail("host", err)
 			}

@@ -115,7 +115,6 @@ func FlushTelemetry() {
 				MinQuantum:     st.MinQuantum,
 				MaxQuantum:     st.MaxQuantum,
 				Adaptive:       st.Adaptive,
-				Free:           st.Mode == platform.EngineFree,
 			})
 		}
 	}

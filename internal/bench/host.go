@@ -135,8 +135,8 @@ func (r HostResult) Format() []string {
 		if !p.Adaptive {
 			q = fmt.Sprintf("quantum=%d", p.Quantum)
 		}
-		out = append(out, fmt.Sprintf("parallel: %s x%d harts on %d host cores [%s engine, %s]: %.2f -> %.2f MIPS (%.2fx, deterministic=%v)",
-			p.Workload, p.Harts, p.HostCores, p.Engine, q, p.SeqMIPS, p.ParMIPS, p.Speedup, p.Deterministic))
+		out = append(out, fmt.Sprintf("parallel: %s x%d harts on %d host cores [%s]: %.2f -> %.2f MIPS (%.2fx, deterministic=%v)",
+			p.Workload, p.Harts, p.HostCores, q, p.SeqMIPS, p.ParMIPS, p.Speedup, p.Deterministic))
 		for _, s := range p.Scaling {
 			out = append(out, fmt.Sprintf("  %d hart(s): %6.3fs seq / %6.3fs par = %.2fx  (%d epochs, %d cross-ops, quantum %d after +%d/-%d resizes)",
 				s.Harts, s.SeqSeconds, s.ParSeconds, s.Speedup,
@@ -212,10 +212,7 @@ func CheckHostRegression(baseline, current HostResult) error {
 			a.OpsPerCompiledPage, a.BreakEvenOps)
 	}
 	if p := current.Parallel; p != nil {
-		// Bit-identity is mandatory for the deterministic engine; the
-		// opt-in free mode documents a relaxed replay contract and is
-		// exempt (it still benchmarks, it just cannot carry the gate).
-		if !p.Deterministic && p.Engine != "free" {
+		if !p.Deterministic {
 			return fmt.Errorf("host gate: parallel engine non-deterministic")
 		}
 		bp := baseline.Parallel
@@ -226,15 +223,14 @@ func CheckHostRegression(baseline, current HostResult) error {
 		// at least as many cores as harts — a 1-core container can neither
 		// prove nor disprove 4-hart scaling, so it neither passes nor
 		// fails the floor; the multi-core CI lane is where it binds.
-		if bp != nil && bp.ScalingFloor > 0 && p.Engine != "free" &&
+		if bp != nil && bp.ScalingFloor > 0 &&
 			p.HostCores >= p.Harts && p.Speedup < bp.ScalingFloor {
 			return fmt.Errorf("host gate: parallel speedup %.2fx at %d harts below the recorded %.2fx floor (on %d cores)",
 				p.Speedup, p.Harts, bp.ScalingFloor, p.HostCores)
 		}
 		// Relative regression vs the baseline ratio: only meaningful when
-		// both sides ran the same engine mode and both were measured on
-		// hosts with enough cores to scale.
-		if bp != nil && bp.Speedup > 0 && p.Engine == bp.Engine &&
+		// both sides were measured on hosts with enough cores to scale.
+		if bp != nil && bp.Speedup > 0 &&
 			p.HostCores >= p.Harts && bp.HostCores >= bp.Harts &&
 			p.Speedup < bp.Speedup*0.8 {
 			return fmt.Errorf("host gate: parallel speedup regressed >20%%: %.2fx vs baseline %.2fx (on %d cores)",

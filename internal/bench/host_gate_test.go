@@ -12,8 +12,8 @@ func gateBaseline() HostResult {
 	return HostResult{
 		Parallel: &ParallelHostResult{
 			Workload: "aes", Harts: 4, HostCores: 4,
-			Engine: "block", Adaptive: true,
-			Speedup: 2.9, Deterministic: true,
+			Adaptive: true,
+			Speedup:  2.9, Deterministic: true,
 			ScalingFloor: DefaultScalingFloor,
 		},
 	}
@@ -85,24 +85,5 @@ func TestScalingGateRelativeCheck(t *testing.T) {
 	err := CheckHostRegression(base, cur)
 	if err == nil || !strings.Contains(err.Error(), "floor") {
 		t.Errorf("recorded floor ignored when baseline host was small: %v", err)
-	}
-}
-
-// TestGateFreeModeExemptions: the opt-in free engine records benchmark
-// numbers but cannot carry the determinism bit or the scaling floor.
-func TestGateFreeModeExemptions(t *testing.T) {
-	base := gateBaseline()
-	cur := gateBaseline()
-	cur.Parallel.Engine = "free"
-	cur.Parallel.Deterministic = false
-	cur.Parallel.Speedup = 1.0
-	if err := CheckHostRegression(base, cur); err != nil {
-		t.Errorf("free-mode run hit block-mode gates: %v", err)
-	}
-
-	// Block mode without the determinism bit is a hard failure.
-	cur.Parallel.Engine = "block"
-	if err := CheckHostRegression(base, cur); err == nil {
-		t.Error("non-deterministic block-mode run passed the gate")
 	}
 }

@@ -160,23 +160,16 @@ type HartScalingRow struct {
 }
 
 // ParallelBenchConfig selects the engine configuration of the parallel
-// host-throughput section (zionbench -quantum / -engine).
+// host-throughput section (zionbench -quantum).
 type ParallelBenchConfig struct {
 	// Quantum fixes the barrier period in simulated cycles; 0 selects
 	// adaptive sizing seeded at platform.DefaultQuantum.
 	Quantum uint64
-	// Free selects the fast-unordered EngineFree mode. The deterministic
-	// EngineBlock mode is the default and the only one whose bit-identity
-	// the gate enforces.
-	Free bool
 }
 
 // engineConfig expands the bench-level selection into an EngineConfig.
 func (bc ParallelBenchConfig) engineConfig() platform.EngineConfig {
 	cfg := platform.EngineConfig{Quantum: bc.Quantum}
-	if bc.Free {
-		cfg.Mode = platform.EngineFree
-	}
 	if bc.Quantum == 0 {
 		cfg.Adaptive = true
 		cfg.Quantum = platform.DefaultQuantum
@@ -196,7 +189,6 @@ type ParallelHostResult struct {
 	Workload      string  `json:"workload"`
 	Harts         int     `json:"harts"`
 	HostCores     int     `json:"host_cores"`
-	Engine        string  `json:"engine"`
 	Adaptive      bool    `json:"adaptive"`
 	Quantum       uint64  `json:"quantum,omitempty"` // fixed quantum; 0 = adaptive
 	Instructions  uint64  `json:"instructions"`
@@ -207,8 +199,8 @@ type ParallelHostResult struct {
 	ParMIPS       float64 `json:"par_mips"`
 	Speedup       float64 `json:"speedup"`
 	Deterministic bool    `json:"deterministic"`
-	// ScalingFloor is the minimum Speedup required of a deterministic
-	// EngineBlock run on a host with >= Harts cores. The committed
+	// ScalingFloor is the minimum Speedup required of a run on a host
+	// with >= Harts cores. The committed
 	// baseline's value is what the CI gate enforces.
 	ScalingFloor float64          `json:"scaling_floor,omitempty"`
 	Scaling      []HartScalingRow `json:"scaling,omitempty"`
@@ -233,11 +225,8 @@ func scalingHartCounts(harts int) []int {
 // RunParallelHost measures host throughput of the quantum-barrier engine
 // on the aes workload across a hart-count sweep (one private workload
 // copy per hart, sequential vs parallel at each point), and cross-checks
-// the determinism contract while doing so: in EngineBlock mode the
-// per-hart fingerprints of both runs must be bit-identical or the
-// benchmark errors. In EngineFree mode fingerprints are still compared
-// and recorded (private copies must agree architecturally) but the
-// Deterministic bit documents the mode's relaxed replay contract.
+// the determinism contract while doing so: the per-hart fingerprints of
+// both runs must be bit-identical or the benchmark errors.
 func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostResult, error) {
 	if scaleDiv < 1 {
 		scaleDiv = 1
@@ -260,7 +249,6 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 		Workload:  k.Name,
 		Harts:     harts,
 		HostCores: runtime.NumCPU(),
-		Engine:    cfg.Mode.String(),
 		Adaptive:  cfg.Adaptive,
 		Quantum:   bc.Quantum,
 	}
@@ -286,11 +274,9 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 		for i := range seqFP {
 			if !seqFP[i].Equal(parFP[i]) {
 				row.Deterministic = false
-				if !bc.Free {
-					res.Scaling = append(res.Scaling, row)
-					return res, fmt.Errorf("bench: %d harts, hart %d sequential/parallel divergence: %v vs %v",
-						n, i, seqFP[i], parFP[i])
-				}
+				res.Scaling = append(res.Scaling, row)
+				return res, fmt.Errorf("bench: %d harts, hart %d sequential/parallel divergence: %v vs %v",
+					n, i, seqFP[i], parFP[i])
 			}
 			instr += seqFP[i].Instret
 			cycles += seqFP[i].Cycles
@@ -319,8 +305,6 @@ func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostR
 			}
 		}
 	}
-	if !bc.Free {
-		res.ScalingFloor = DefaultScalingFloor
-	}
+	res.ScalingFloor = DefaultScalingFloor
 	return res, nil
 }

@@ -169,30 +169,6 @@ func TestConcurrentCVMCreation(t *testing.T) {
 	}
 }
 
-// TestFreeModeWorkloadEquivalence drives the full guest stack (CVM
-// creation, SM, hypervisor, fast-path execution) under EngineFree and
-// requires the same per-hart fingerprints as EngineBlock: private
-// workload copies exchange no state, so the relaxed delivery order must
-// not change anything architectural end to end.
-func TestFreeModeWorkloadEquivalence(t *testing.T) {
-	k := lockstepKernels()[0] // aes
-	block := platform.EngineConfig{Quantum: 4096}
-	ref, _, err := RunWorkloadCopies(k, 16, 2, &block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := platform.EngineConfig{Quantum: 4096, Mode: platform.EngineFree}
-	got, _, err := RunWorkloadCopies(k, 16, 2, &free)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if !ref[i].Equal(got[i]) {
-			t.Errorf("hart %d free/block divergence:\n  block %v\n  free  %v", i, ref[i], got[i])
-		}
-	}
-}
-
 // TestScalingHartCounts pins the sweep points RunParallelHost measures.
 func TestScalingHartCounts(t *testing.T) {
 	for _, tc := range []struct {

@@ -33,7 +33,8 @@ func (h *Hart) Step() Event {
 	if h.Prof != nil && h.Cycles >= h.Prof.Next {
 		h.Prof.Sample(h.PC, h.Mode.String(), telemetry.ProfTierSlow, h.Cycles)
 	}
-	return h.execute(isa.Decode(raw))
+	h.inst = isa.Decode(raw)
+	return h.execute(&h.inst)
 }
 
 // RunBatch executes up to max Step-equivalents back-to-back on the fast
@@ -71,192 +72,40 @@ func (h *Hart) RunBatch(deadline uint64, armed bool, max uint64) (uint64, Event,
 }
 
 // execute retires one decoded instruction: the shared back half of Step.
-func (h *Hart) execute(in isa.Inst) Event {
+// Register/PC-only ops run their opTable handler; the cases below are the
+// ops that reach memory, can trap, or touch privileged state.
+func (h *Hart) execute(in *isa.Inst) Event {
 	raw := in.Raw
 	if in.Op == isa.OpInvalid {
 		return h.exception(trapInfo{cause: isa.ExcIllegalInst, tval: uint64(raw)})
 	}
-
+	oi := &opTable[in.Op]
 	h.Instret++
-	h.Cycles += h.Cost.Base
-	next := h.PC + 4
+	h.Cycles += h.Cost.retire(oi.cls)
+	if oi.fn != nil {
+		if oi.fn(h, in) {
+			h.Cycles += h.Cost.Branch
+		} else {
+			h.PC += 4
+		}
+		return Event{Kind: EvNone}
+	}
 
-	x := &h.X
-	rs1 := x[in.Rs1]
-	rs2 := x[in.Rs2]
+	rs1 := h.X[in.Rs1]
+	rs2 := h.X[in.Rs2]
+	width := int(oi.width)
 
 	switch in.Op {
-	case isa.OpLUI:
-		h.SetReg(in.Rd, uint64(in.Imm))
-	case isa.OpAUIPC:
-		h.SetReg(in.Rd, h.PC+uint64(in.Imm))
-	case isa.OpJAL:
-		h.SetReg(in.Rd, next)
-		next = h.PC + uint64(in.Imm)
-		h.Cycles += h.Cost.Branch
-	case isa.OpJALR:
-		t := (rs1 + uint64(in.Imm)) &^ 1
-		h.SetReg(in.Rd, next)
-		next = t
-		h.Cycles += h.Cost.Branch
-
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		taken := false
-		switch in.Op {
-		case isa.OpBEQ:
-			taken = rs1 == rs2
-		case isa.OpBNE:
-			taken = rs1 != rs2
-		case isa.OpBLT:
-			taken = int64(rs1) < int64(rs2)
-		case isa.OpBGE:
-			taken = int64(rs1) >= int64(rs2)
-		case isa.OpBLTU:
-			taken = rs1 < rs2
-		case isa.OpBGEU:
-			taken = rs1 >= rs2
-		}
-		if taken {
-			next = h.PC + uint64(in.Imm)
-			h.Cycles += h.Cost.Branch
-		}
-
-	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLD, isa.OpLBU, isa.OpLHU, isa.OpLWU:
-		va := rs1 + uint64(in.Imm)
-		v, aerr := h.MemAccess(va, in.MemBytes(), false, 0, raw)
-		if aerr != nil {
-			return h.exception(*aerr)
-		}
-		switch in.Op {
-		case isa.OpLB:
-			v = uint64(int64(int8(v)))
-		case isa.OpLH:
-			v = uint64(int64(int16(v)))
-		case isa.OpLW:
-			v = uint64(int64(int32(v)))
-		}
-		h.SetReg(in.Rd, v)
-
-	case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
-		va := rs1 + uint64(in.Imm)
-		if _, aerr := h.MemAccess(va, in.MemBytes(), true, rs2, raw); aerr != nil {
-			return h.exception(*aerr)
-		}
-
-	case isa.OpADDI:
-		h.SetReg(in.Rd, rs1+uint64(in.Imm))
-	case isa.OpSLTI:
-		h.SetReg(in.Rd, b2u(int64(rs1) < in.Imm))
-	case isa.OpSLTIU:
-		h.SetReg(in.Rd, b2u(rs1 < uint64(in.Imm)))
-	case isa.OpXORI:
-		h.SetReg(in.Rd, rs1^uint64(in.Imm))
-	case isa.OpORI:
-		h.SetReg(in.Rd, rs1|uint64(in.Imm))
-	case isa.OpANDI:
-		h.SetReg(in.Rd, rs1&uint64(in.Imm))
-	case isa.OpSLLI:
-		h.SetReg(in.Rd, rs1<<uint(in.Imm))
-	case isa.OpSRLI:
-		h.SetReg(in.Rd, rs1>>uint(in.Imm))
-	case isa.OpSRAI:
-		h.SetReg(in.Rd, uint64(int64(rs1)>>uint(in.Imm)))
-
-	case isa.OpADD:
-		h.SetReg(in.Rd, rs1+rs2)
-	case isa.OpSUB:
-		h.SetReg(in.Rd, rs1-rs2)
-	case isa.OpSLL:
-		h.SetReg(in.Rd, rs1<<(rs2&63))
-	case isa.OpSLT:
-		h.SetReg(in.Rd, b2u(int64(rs1) < int64(rs2)))
-	case isa.OpSLTU:
-		h.SetReg(in.Rd, b2u(rs1 < rs2))
-	case isa.OpXOR:
-		h.SetReg(in.Rd, rs1^rs2)
-	case isa.OpSRL:
-		h.SetReg(in.Rd, rs1>>(rs2&63))
-	case isa.OpSRA:
-		h.SetReg(in.Rd, uint64(int64(rs1)>>(rs2&63)))
-	case isa.OpOR:
-		h.SetReg(in.Rd, rs1|rs2)
-	case isa.OpAND:
-		h.SetReg(in.Rd, rs1&rs2)
-
-	case isa.OpADDIW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)+uint32(in.Imm)))
-	case isa.OpSLLIW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)<<uint(in.Imm&31)))
-	case isa.OpSRLIW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)>>uint(in.Imm&31)))
-	case isa.OpSRAIW:
-		h.SetReg(in.Rd, uint64(int64(int32(rs1)>>uint(in.Imm&31))))
-	case isa.OpADDW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)+uint32(rs2)))
-	case isa.OpSUBW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)-uint32(rs2)))
-	case isa.OpSLLW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)<<(rs2&31)))
-	case isa.OpSRLW:
-		h.SetReg(in.Rd, sext32(uint32(rs1)>>(rs2&31)))
-	case isa.OpSRAW:
-		h.SetReg(in.Rd, uint64(int64(int32(rs1)>>(rs2&31))))
-
-	case isa.OpMUL:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, rs1*rs2)
-	case isa.OpMULH:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, mulh(int64(rs1), int64(rs2)))
-	case isa.OpMULHU:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, mulhu(rs1, rs2))
-	case isa.OpMULHSU:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, mulhsu(int64(rs1), rs2))
-	case isa.OpDIV:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, divS(int64(rs1), int64(rs2)))
-	case isa.OpDIVU:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, divU(rs1, rs2))
-	case isa.OpREM:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, remS(int64(rs1), int64(rs2)))
-	case isa.OpREMU:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, remU(rs1, rs2))
-	case isa.OpMULW:
-		h.Cycles += h.Cost.Mul
-		h.SetReg(in.Rd, sext32(uint32(rs1)*uint32(rs2)))
-	case isa.OpDIVW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(divS(int64(int32(rs1)), int64(int32(rs2))))))
-	case isa.OpDIVUW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(divU(uint64(uint32(rs1)), uint64(uint32(rs2))))))
-	case isa.OpREMW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(remS(int64(int32(rs1)), int64(int32(rs2))))))
-	case isa.OpREMUW:
-		h.Cycles += h.Cost.Div
-		h.SetReg(in.Rd, sext32(uint32(remU(uint64(uint32(rs1)), uint64(uint32(rs2))))))
-
 	case isa.OpLRW, isa.OpLRD:
-		h.Cycles += h.Cost.Amo - h.Cost.Base
-		v, aerr := h.MemAccess(rs1, in.MemBytes(), false, 0, raw)
+		v, aerr := h.MemAccess(rs1, width, false, 0, raw)
 		if aerr != nil {
 			return h.exception(*aerr)
-		}
-		if in.Op == isa.OpLRW {
-			v = sext32(uint32(v))
 		}
 		h.resValid, h.resAddr = true, rs1
-		h.SetReg(in.Rd, v)
+		h.SetReg(in.Rd, oi.value(v))
 	case isa.OpSCW, isa.OpSCD:
-		h.Cycles += h.Cost.Amo - h.Cost.Base
 		if h.resValid && h.resAddr == rs1 {
-			if _, aerr := h.MemAccess(rs1, in.MemBytes(), true, rs2, raw); aerr != nil {
+			if _, aerr := h.MemAccess(rs1, width, true, rs2, raw); aerr != nil {
 				return h.exception(*aerr)
 			}
 			h.SetReg(in.Rd, 0)
@@ -267,8 +116,7 @@ func (h *Hart) execute(in isa.Inst) Event {
 
 	case isa.OpAMOSWAPW, isa.OpAMOADDW, isa.OpAMOXORW, isa.OpAMOANDW, isa.OpAMOORW,
 		isa.OpAMOSWAPD, isa.OpAMOADDD, isa.OpAMOXORD, isa.OpAMOANDD, isa.OpAMOORD:
-		h.Cycles += h.Cost.Amo - h.Cost.Base
-		old, aerr := h.MemAccess(rs1, in.MemBytes(), false, 0, raw)
+		old, aerr := h.MemAccess(rs1, width, false, 0, raw)
 		if aerr != nil {
 			return h.exception(*aerr)
 		}
@@ -285,19 +133,12 @@ func (h *Hart) execute(in isa.Inst) Event {
 		case isa.OpAMOORW, isa.OpAMOORD:
 			nw = old | rs2
 		}
-		if _, aerr := h.MemAccess(rs1, in.MemBytes(), true, nw, raw); aerr != nil {
+		if _, aerr := h.MemAccess(rs1, width, true, nw, raw); aerr != nil {
 			return h.exception(*aerr)
 		}
-		if in.MemBytes() == 4 {
-			old = sext32(uint32(old))
-		}
-		h.SetReg(in.Rd, old)
-
-	case isa.OpFENCE, isa.OpFENCEI:
-		h.Cycles += h.Cost.Fence
+		h.SetReg(in.Rd, oi.value(old))
 
 	case isa.OpCSRRW, isa.OpCSRRS, isa.OpCSRRC, isa.OpCSRRWI, isa.OpCSRRSI, isa.OpCSRRCI:
-		h.Cycles += h.Cost.CSRAccess
 		if ev, done := h.execCSR(in, rs1); done {
 			return ev
 		}
@@ -339,7 +180,7 @@ func (h *Hart) execute(in isa.Inst) Event {
 		return Event{Kind: EvNone}
 
 	case isa.OpWFI:
-		h.PC = next
+		h.PC += 4
 		return Event{Kind: EvWFI}
 
 	case isa.OpSFENCEVMA:
@@ -358,11 +199,22 @@ func (h *Hart) execute(in isa.Inst) Event {
 		h.Cycles += h.Cost.TLBFlushAll
 		h.TLB.FlushAll() // conservative over-flush for hfence
 
-	default:
-		return h.exception(trapInfo{cause: isa.ExcIllegalInst, tval: uint64(raw)})
+	default: // plain loads and stores
+		va := rs1 + uint64(in.Imm)
+		if oi.cls == clsStore {
+			if _, aerr := h.MemAccess(va, width, true, rs2, raw); aerr != nil {
+				return h.exception(*aerr)
+			}
+			break
+		}
+		v, aerr := h.MemAccess(va, width, false, 0, raw)
+		if aerr != nil {
+			return h.exception(*aerr)
+		}
+		h.SetReg(in.Rd, oi.value(v))
 	}
 
-	h.PC = next
+	h.PC += 4
 	return Event{Kind: EvNone}
 }
 
@@ -373,7 +225,7 @@ func (h *Hart) exception(ti trapInfo) Event {
 }
 
 // execCSR handles the Zicsr operations. done=true means a trap was taken.
-func (h *Hart) execCSR(in isa.Inst, rs1 uint64) (Event, bool) {
+func (h *Hart) execCSR(in *isa.Inst, rs1 uint64) (Event, bool) {
 	var src uint64
 	if in.Op == isa.OpCSRRWI || in.Op == isa.OpCSRRSI || in.Op == isa.OpCSRRCI {
 		src = uint64(in.Imm)
@@ -421,7 +273,7 @@ func (h *Hart) execCSR(in isa.Inst, rs1 uint64) (Event, bool) {
 	return Event{}, false
 }
 
-func (h *Hart) csrTrap(e csrErr, in isa.Inst) Event {
+func (h *Hart) csrTrap(e csrErr, in *isa.Inst) Event {
 	cause := uint64(isa.ExcIllegalInst)
 	if e == csrVirtual {
 		cause = isa.ExcVirtualInst
@@ -430,7 +282,7 @@ func (h *Hart) csrTrap(e csrErr, in isa.Inst) Event {
 }
 
 // flushSfence implements sfence.vma rs1 (va), rs2 (asid).
-func (h *Hart) flushSfence(in isa.Inst, va, asid uint64) {
+func (h *Hart) flushSfence(in *isa.Inst, va, asid uint64) {
 	vmid := uint16(0)
 	if h.Mode.Virtualized() {
 		vmid = h.vmid()
@@ -446,88 +298,4 @@ func (h *Hart) flushSfence(in isa.Inst, va, asid uint64) {
 		h.TLB.FlushPage(va, uint16(asid), vmid)
 		h.Cycles += h.Cost.TLBFlushAll / 4
 	}
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func sext32(v uint32) uint64 { return uint64(int64(int32(v))) }
-
-func mulhu(a, b uint64) uint64 {
-	aLo, aHi := a&0xFFFFFFFF, a>>32
-	bLo, bHi := b&0xFFFFFFFF, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := aLo*bHi + t&0xFFFFFFFF
-	return aHi*bHi + t>>32 + w1>>32
-}
-
-func mulh(a, b int64) uint64 {
-	neg := (a < 0) != (b < 0)
-	ua, ub := uint64(a), uint64(b)
-	if a < 0 {
-		ua = uint64(-a)
-	}
-	if b < 0 {
-		ub = uint64(-b)
-	}
-	hi, lo := mulhu(ua, ub), ua*ub
-	if neg {
-		hi = ^hi
-		if lo == 0 {
-			hi++
-		}
-	}
-	return hi
-}
-
-func mulhsu(a int64, b uint64) uint64 {
-	if a >= 0 {
-		return mulhu(uint64(a), b)
-	}
-	hi, lo := mulhu(uint64(-a), b), uint64(-a)*b
-	hi = ^hi
-	if lo == 0 {
-		hi++
-	}
-	return hi
-}
-
-func divS(a, b int64) uint64 {
-	switch {
-	case b == 0:
-		return ^uint64(0)
-	case a == -1<<63 && b == -1:
-		return uint64(a)
-	default:
-		return uint64(a / b)
-	}
-}
-
-func divU(a, b uint64) uint64 {
-	if b == 0 {
-		return ^uint64(0)
-	}
-	return a / b
-}
-
-func remS(a, b int64) uint64 {
-	switch {
-	case b == 0:
-		return uint64(a)
-	case a == -1<<63 && b == -1:
-		return 0
-	default:
-		return uint64(a % b)
-	}
-}
-
-func remU(a, b uint64) uint64 {
-	if b == 0 {
-		return a
-	}
-	return a % b
 }

@@ -165,17 +165,6 @@ type fastPath struct {
 	sb bool
 	tc bool
 
-	// Trace-dispatch scratch: the generation snapshot taken once per trace
-	// entry (see trace.go for the soundness argument) plus the PC of the
-	// op being dispatched, for the profiler hook. Owner-goroutine only.
-	tcMode   isa.PrivMode
-	tcTLBGen uint64
-	tcPMPGen uint64
-	tcMMUGen uint64
-	tcBare   bool
-	tcTidx   int
-	tcPC     uint64
-
 	// Optional per-tier dispatch-length histograms (SetDispatchHists):
 	// instructions retired per superblock entry by the generic loop and by
 	// the compiled trace. Nil when the observability plane is dark. The
@@ -280,14 +269,25 @@ func (e *fastPath) InvalidateCodePage(paPage uint64) {
 	}
 }
 
-// valid reports whether ent still answers for vaPage under the hart's
-// current translation context.
-func (e *fastPath) valid(h *Hart, ent *mtlbEntry, vaPage uint64) bool {
-	if ent.page == nil || ent.vaPage != vaPage || ent.mode != h.Mode ||
-		ent.mmuGen != h.mmuGen || ent.pmpGen != h.PMP.Gen() {
+// epochs is a translation context: the privilege mode plus the MMU, PMP
+// and TLB generations micro-TLB entries are stamped with.
+type epochs struct {
+	mode          isa.PrivMode
+	mmu, pmp, tlb uint64
+}
+
+// epochs returns the hart's current translation context.
+func (h *Hart) epochs() epochs {
+	return epochs{mode: h.Mode, mmu: h.mmuGen, pmp: h.PMP.Gen(), tlb: h.TLB.Gen()}
+}
+
+// valid reports whether ent still answers for vaPage under ep.
+func (ent *mtlbEntry) valid(vaPage uint64, ep *epochs) bool {
+	if ent.page == nil || ent.vaPage != vaPage || ent.mode != ep.mode ||
+		ent.mmuGen != ep.mmu || ent.pmpGen != ep.pmp {
 		return false
 	}
-	return ent.bare || ent.tlbGen == h.TLB.Gen()
+	return ent.bare || ent.tlbGen == ep.tlb
 }
 
 // fill tries to establish a micro-TLB entry for the page-aligned va. It is
@@ -402,7 +402,7 @@ func (e *fastPath) step(h *Hart) (Event, bool) {
 	}
 	vaPage := pc >> isa.PageShift
 	ent := &e.fetch[vaPage&mtlbMask]
-	if !e.valid(h, ent, vaPage) {
+	if ep := h.epochs(); !ent.valid(vaPage, &ep) {
 		e.stats.FetchMisses++
 		if !e.fill(h, ent, pc&^uint64(isa.PageSize-1), ptw.AccessFetch) {
 			return Event{}, false
@@ -424,7 +424,7 @@ func (e *fastPath) step(h *Hart) (Event, bool) {
 	if h.Prof != nil && h.Cycles >= h.Prof.Next {
 		h.Prof.Sample(pc, h.Mode.String(), telemetry.ProfTierFast, h.Cycles)
 	}
-	return h.execute(dp.insts[(pc&(isa.PageSize-1))>>2]), true
+	return h.execute(&dp.insts[(pc&(isa.PageSize-1))>>2]), true
 }
 
 // decodePageLocked builds (or returns) the decoded block for a physical
@@ -444,37 +444,35 @@ func (e *fastPath) decodePageLocked(paPage uint64, page []byte) *decodedPage {
 	return dp
 }
 
-// access performs a load or store through the micro-TLB, or reports
-// ok=false for the slow path (page-straddling access, odd width, miss
-// that can't fill, or a store into a decoded code page — the slow path's
-// mem.WriteUint triggers the block invalidation those need).
-func (e *fastPath) access(h *Hart, va uint64, size int, write bool, val uint64) (uint64, bool) {
+// slot resolves the micro-TLB entry and host bytes for a size-byte data
+// access at va under translation context ep without charging anything, or
+// returns nil when the access must take the slow path: odd width,
+// page-straddling access, a miss that can't fill, or a store into a
+// decoded code page (the slow path's mem.WriteUint triggers the block
+// invalidation those need).
+func (e *fastPath) slot(h *Hart, ep *epochs, va uint64, size int, write bool) (*mtlbEntry, []byte) {
 	switch size {
 	case 1, 2, 4, 8:
 	default:
-		return 0, false
+		return nil, nil
 	}
 	off := va & (isa.PageSize - 1)
 	if off+uint64(size) > isa.PageSize {
-		return 0, false
+		return nil, nil
 	}
 	vaPage := va >> isa.PageShift
-	var ent *mtlbEntry
+	ent, acc := &e.read[vaPage&mtlbMask], ptw.AccessRead
 	if write {
-		ent = &e.write[vaPage&mtlbMask]
-	} else {
-		ent = &e.read[vaPage&mtlbMask]
+		ent, acc = &e.write[vaPage&mtlbMask], ptw.AccessWrite
 	}
-	if !e.valid(h, ent, vaPage) {
-		acc := ptw.AccessRead
+	if !ent.valid(vaPage, ep) {
 		if write {
 			e.stats.WriteMisses++
-			acc = ptw.AccessWrite
 		} else {
 			e.stats.ReadMisses++
 		}
 		if !e.fill(h, ent, va&^uint64(isa.PageSize-1), acc) {
-			return 0, false
+			return nil, nil
 		}
 	}
 	if write {
@@ -483,35 +481,27 @@ func (e *fastPath) access(h *Hart, va uint64, size int, write bool, val uint64) 
 			ent.memGen = e.mem.CodeGen()
 		}
 		if ent.code {
-			return 0, false
+			return nil, nil
 		}
+	}
+	return ent, ent.page[off:]
+}
+
+// access performs a load or store through the micro-TLB, or reports
+// ok=false for the slow path (see slot).
+func (e *fastPath) access(h *Hart, va uint64, size int, write bool, val uint64) (uint64, bool) {
+	ep := h.epochs()
+	ent, p := e.slot(h, &ep, va, size, write)
+	if p == nil {
+		return 0, false
 	}
 	e.hitAccounting(h, ent)
 	h.Cycles += h.Cost.Mem
-	p := ent.page[off:]
 	if write {
 		e.stats.WriteHits++
-		switch size {
-		case 1:
-			p[0] = byte(val)
-		case 2:
-			binary.LittleEndian.PutUint16(p, uint16(val))
-		case 4:
-			binary.LittleEndian.PutUint32(p, uint32(val))
-		default:
-			binary.LittleEndian.PutUint64(p, val)
-		}
+		storeLE(p, size, val)
 		return 0, true
 	}
 	e.stats.ReadHits++
-	switch size {
-	case 1:
-		return uint64(p[0]), true
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(p)), true
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(p)), true
-	default:
-		return binary.LittleEndian.Uint64(p), true
-	}
+	return loadLE(p, size), true
 }

@@ -2,6 +2,9 @@ package hart
 
 import (
 	"encoding/binary"
+	"math"
+	"math/big"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -42,17 +45,49 @@ var aluOps = []aluOp{
 	{"mul", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.MUL(rd, rs1, rs2) },
 		func(a, b uint64, _ int64) uint64 { return a * b }},
 	{"mulhu", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.MULHU(rd, rs1, rs2) },
-		func(a, b uint64, _ int64) uint64 { return mulhu(a, b) }},
+		func(a, b uint64, _ int64) uint64 { hi, _ := bits.Mul64(a, b); return hi }},
 	{"mulh", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.MULH(rd, rs1, rs2) },
-		func(a, b uint64, _ int64) uint64 { return mulh(int64(a), int64(b)) }},
+		func(a, b uint64, _ int64) uint64 { return bigHigh(big.NewInt(int64(a)), big.NewInt(int64(b))) }},
+	{"mulhsu", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) {
+		p.DW(isa.EncodeR(0x33, 2, 0x01, rd, rs1, rs2))
+	}, func(a, b uint64, _ int64) uint64 { return bigHigh(big.NewInt(int64(a)), new(big.Int).SetUint64(b)) }},
+	// The division oracles spell out the spec's special cases: division by
+	// zero gives all ones (remainder: the dividend), signed overflow gives
+	// the dividend (remainder: zero).
 	{"div", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.DIV(rd, rs1, rs2) },
-		func(a, b uint64, _ int64) uint64 { return divS(int64(a), int64(b)) }},
+		func(a, b uint64, _ int64) uint64 {
+			switch {
+			case b == 0:
+				return math.MaxUint64
+			case int64(a) == math.MinInt64 && int64(b) == -1:
+				return a
+			}
+			return uint64(int64(a) / int64(b))
+		}},
 	{"divu", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.DIVU(rd, rs1, rs2) },
-		func(a, b uint64, _ int64) uint64 { return divU(a, b) }},
+		func(a, b uint64, _ int64) uint64 {
+			if b == 0 {
+				return math.MaxUint64
+			}
+			return a / b
+		}},
 	{"rem", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.REM(rd, rs1, rs2) },
-		func(a, b uint64, _ int64) uint64 { return remS(int64(a), int64(b)) }},
+		func(a, b uint64, _ int64) uint64 {
+			switch {
+			case b == 0:
+				return a
+			case int64(a) == math.MinInt64 && int64(b) == -1:
+				return 0
+			}
+			return uint64(int64(a) % int64(b))
+		}},
 	{"remu", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.REMU(rd, rs1, rs2) },
-		func(a, b uint64, _ int64) uint64 { return remU(a, b) }},
+		func(a, b uint64, _ int64) uint64 {
+			if b == 0 {
+				return a
+			}
+			return a % b
+		}},
 	{"slt", func(p *asm.Program, rd, rs1, rs2 asm.Reg, _ int64) { p.SLT(rd, rs1, rs2) },
 		func(a, b uint64, _ int64) uint64 {
 			if int64(a) < int64(b) {
@@ -81,6 +116,12 @@ var aluOps = []aluOp{
 		func(a, _ uint64, imm int64) uint64 { return a & uint64(imm) }},
 	{"ori", func(p *asm.Program, rd, rs1, _ asm.Reg, imm int64) { p.ORI(rd, rs1, imm) },
 		func(a, _ uint64, imm int64) uint64 { return a | uint64(imm) }},
+}
+
+// bigHigh returns the high 64 bits of the 128-bit two's-complement
+// product a*b.
+func bigHigh(a, b *big.Int) uint64 {
+	return uint64(new(big.Int).Rsh(new(big.Int).Mul(a, b), 64).Int64())
 }
 
 func TestDifferentialALUFuzz(t *testing.T) {
@@ -213,7 +254,7 @@ const dataOff = 1 << 20 // data region offset within RAM used by fuzz programs
 // emitSMCStore writes a pre-encoded instruction into the given slot label —
 // a store into the instruction stream the fast path must notice.
 func emitSMCStore(p *asm.Program, word uint32, slot string) {
-	p.LA(28, slot)      // t3
+	p.LA(28, slot)        // t3
 	p.LI(29, int64(word)) // t4
 	p.SW(29, 28, 0)
 }

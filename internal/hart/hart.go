@@ -97,6 +97,10 @@ type Hart struct {
 	// are deferred to quantum barriers by the parallel engine.
 	asyncGen uint64
 
+	// inst holds the slow path's decoded instruction: execute() hands it
+	// to opTable handlers by pointer, which would move a local to the heap.
+	inst isa.Inst
+
 	// LR/SC reservation.
 	resValid bool
 	resAddr  uint64

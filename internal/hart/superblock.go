@@ -53,23 +53,6 @@ import (
 // headroom, never correctness.
 const sbMaxWalkSteps = 64
 
-// sbBoundary reports whether op terminates a straight-line run: every
-// instruction after which the per-step engines could observe changed
-// interrupt, translation, or privilege state, plus unconditional control
-// transfers (which always leave the line anyway).
-func sbBoundary(op isa.Op) bool {
-	switch op {
-	case isa.OpJAL, isa.OpJALR,
-		isa.OpCSRRW, isa.OpCSRRS, isa.OpCSRRC,
-		isa.OpCSRRWI, isa.OpCSRRSI, isa.OpCSRRCI,
-		isa.OpECALL, isa.OpEBREAK, isa.OpSRET, isa.OpMRET, isa.OpWFI,
-		isa.OpSFENCEVMA, isa.OpHFENCEVVMA, isa.OpHFENCEGVMA,
-		isa.OpInvalid:
-		return true
-	}
-	return false
-}
-
 // sbWorstCycles returns the worst-case simulated cycles one retired
 // (non-trapping) mid-block instruction can charge. Trap paths need no
 // bound: a trap ends the block, so no hoisted boundary check follows it.
@@ -78,26 +61,16 @@ func sbWorstCycles(c *Costs, op isa.Op) uint64 {
 	// memory cost (the fast path charges TLBHit+Mem; the slow path charges
 	// one of TLBHit or Steps*WalkStep, plus Mem).
 	mem := c.TLBHit + sbMaxWalkSteps*c.WalkStep + c.Mem
-	switch op {
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
+	switch cls := opTable[op].cls; cls {
+	case clsBranch:
 		return c.Base + c.Branch
-	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLD, isa.OpLBU, isa.OpLHU, isa.OpLWU,
-		isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
-		return c.Base + mem
-	case isa.OpLRW, isa.OpLRD, isa.OpSCW, isa.OpSCD:
-		return c.Amo + mem
-	case isa.OpAMOSWAPW, isa.OpAMOADDW, isa.OpAMOXORW, isa.OpAMOANDW, isa.OpAMOORW,
-		isa.OpAMOSWAPD, isa.OpAMOADDD, isa.OpAMOXORD, isa.OpAMOANDD, isa.OpAMOORD:
-		return c.Amo + 2*mem
-	case isa.OpMUL, isa.OpMULH, isa.OpMULHSU, isa.OpMULHU, isa.OpMULW:
-		return c.Base + c.Mul
-	case isa.OpDIV, isa.OpDIVU, isa.OpREM, isa.OpREMU,
-		isa.OpDIVW, isa.OpDIVUW, isa.OpREMW, isa.OpREMUW:
-		return c.Base + c.Div
-	case isa.OpFENCE, isa.OpFENCEI:
-		return c.Base + c.Fence
+	case clsLoad, clsStore, clsLRSC:
+		return c.retire(cls) + mem
+	case clsAMO:
+		return c.retire(cls) + 2*mem
+	default:
+		return c.retire(cls)
 	}
-	return c.Base
 }
 
 // buildSuperblocks computes the straight-line run length and worst-case
@@ -109,7 +82,7 @@ func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
 	n := len(dp.insts)
 	for i := n - 1; i >= 0; i-- {
 		op := dp.insts[i].Op
-		if sbBoundary(op) || i == n-1 {
+		if opTable[op].ends || i == n-1 {
 			dp.sbLen[i] = 1
 			dp.sbWorst[i] = 0
 			continue
@@ -147,7 +120,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 		}
 		vaPage := pc >> isa.PageShift
 		ent := &e.fetch[vaPage&mtlbMask]
-		if !e.valid(h, ent, vaPage) {
+		if ep := h.epochs(); !ent.valid(vaPage, &ep) {
 			e.stats.FetchMisses++
 			if !e.fill(h, ent, pc&^uint64(isa.PageSize-1), ptw.AccessFetch) {
 				return n, Event{}, false
@@ -189,7 +162,6 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 
 		bare := ent.bare
 		tgen := ent.tlbGen
-		tidx := int(ent.tlbIdx)
 		g0 := h.asyncGen
 		want := pc
 		var i uint64
@@ -202,8 +174,8 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 			if !dp.tcReady.Load() {
 				e.compileTraces(h, dp, ent.paPage)
 			}
-			if tops := dp.tcOps; tops != nil {
-				i = e.runTrace(h, tops, idx, blen, pc, bare, tidx)
+			if dp.tcOps != nil {
+				i = e.runTrace(h, dp, idx, blen, pc, ent)
 				want = pc + 4*i
 				if e.tcHist != nil && i > 0 {
 					e.tcLen.Observe(i)
@@ -233,11 +205,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 				}
 			}
 			// Per-fetch accounting, replayed exactly as fp.step does.
-			if !bare {
-				h.TLB.Touch(tidx)
-				h.Cycles += h.Cost.TLBHit
-			}
-			h.PMP.NoteCheck()
+			e.hitAccounting(h, ent)
 			want += 4
 			if h.Prof != nil && h.Cycles >= h.Prof.Next {
 				tier := telemetry.ProfTierFast
@@ -246,7 +214,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 				}
 				h.Prof.Sample(pc+4*i, h.Mode.String(), tier, h.Cycles)
 			}
-			ev := h.execute(dp.insts[idx+i])
+			ev := h.execute(&dp.insts[idx+i])
 			if ev.Kind != EvNone {
 				e.stats.FetchHits += i + 1
 				return n + i + 1, ev, true

@@ -1,48 +1,39 @@
 package hart
 
 import (
-	"encoding/binary"
 	"time"
 
 	"zion/internal/isa"
-	"zion/internal/ptw"
 	"zion/internal/telemetry"
 )
 
 // Trace-compilation tier: the fourth execution engine. Where the
-// superblock loop (superblock.go) still funnels every instruction of a
-// straight-line run through the generic execute() switch — re-extracting
-// decode fields, re-looking-up cycle costs, and re-checking dispatch
-// premises per instruction — this tier compiles each decoded page once
-// into a direct-threaded table of pre-bound operations: one specialized
-// handler per slot with register indices, immediates, and the summed
-// per-op cycle cost extracted at compile time.
+// superblock loop (superblock.go) funnels every instruction of a
+// straight-line run through execute() — re-deriving the op's class and
+// cycle cost and re-checking the run's dispatch premises per instruction —
+// this tier binds each decoded page once into a table of pre-bound
+// operations: the op's opTable entry plus its retire cost, pre-summed.
+// The handlers are opTable's, the same ones execute() runs, so the tiers
+// share one definition of every instruction's semantics.
 //
-// Soundness of the once-per-entry generation check, spelled out:
+// Why the generic loop's per-instruction premise re-checks may be skipped,
+// and one translation-context snapshot taken at trace entry validates
+// every data slot of the trace: a traced op never touches the bus (data
+// slots only fill for RAM pages, so asyncGen is stable and mtimecmp/msip
+// cannot be rearmed mid-trace), never inserts into or flushes the TLB
+// (slot refills translate via TLB.Peek), never writes a CSR or PMP
+// register, never changes privilege, and never stores into a registered
+// code page (the store path refuses those, so the decoded page stays
+// live). Every op that could — CSR access, sfence/hfence, AMO/LR/SC,
+// ecall/ebreak/xRET, wfi, anything that can trap — has no handler and no
+// memory path, and stops the trace before it.
 //
-//  1. At trace entry the fetch micro-TLB entry has just been validated, so
-//     tlb.gen, pmp.gen, mmuGen, and the privilege mode are known. runTrace
-//     snapshots them into the engine scratch (tcMode/tcTLBGen/tcPMPGen/
-//     tcMMUGen) — the only generation reads of the whole dispatch.
-//  2. No specialized handler can move any of those epochs: handlers never
-//     touch the bus (so asyncGen is stable and mtimecmp/msip cannot be
-//     rearmed mid-trace), never insert into or flush the TLB (data-slot
-//     refills use fill(), which translates via TLB.Peek and probes PMP
-//     side-effect-free), never write a CSR or PMP register, and refuse
-//     stores into registered code pages (so codeGen and decoded-page
-//     liveness are stable too). Every instruction that could move an
-//     epoch — CSR access, sfence/hfence, AMO/LR/SC, ecall/ebreak/*ret,
-//     wfi, anything that can trap — compiles to a nil handler.
-//  3. Therefore a micro-TLB slot that matches the entry snapshot is
-//     exactly as valid as one that matches the live generations, and a
-//     slot refilled mid-trace carries epochs equal to the snapshot.
-//
-// Any operation that cannot complete under those rules aborts WITHOUT
-// retiring — no cycles, no Instret, no stats — and dispatch falls through
-// to the superblock generic loop, which re-checks its premises per
-// instruction and shares execute() with the slow path, so every hard case
-// (traps, MMIO, page-straddling access, SMC store, CSR side effects)
-// inherits bit-identity by construction.
+// Any operation that cannot complete under those rules stops the trace
+// WITHOUT retiring — no cycles, no Instret, no stats — and dispatch falls
+// through to the superblock generic loop, which re-checks its premises
+// per instruction and runs execute(), so every hard case (traps, MMIO,
+// page-straddling access, SMC store, CSR side effects) takes the path the
+// other tiers take.
 //
 // The event-horizon interrupt proof carries over unchanged: runTrace is
 // only entered for a superblock that already passed the
@@ -50,10 +41,8 @@ import (
 // generic loop would, and it dispatches at most the same run.
 //
 // Dispatch is allocation-free after warm-up: compilation allocates the
-// per-page table once (traceOp handlers are package-level funcs, so
-// binding them is pointer assignment, not closure capture), and the
-// dispatch loop itself performs no allocation (TestTraceDispatchAllocs
-// pins this to 0 allocs/op).
+// per-page table once, and the dispatch loop itself performs no
+// allocation (TestTraceDispatchAllocs pins this to 0 allocs/op).
 
 // DefaultTraces controls whether the superblock engine additionally
 // compiles decoded pages into pre-bound trace tables and dispatches
@@ -76,22 +65,12 @@ const tcDemoteThreshold = 4
 
 const tracePageSlots = isa.PageSize / 4
 
-// traceFn executes one pre-bound operation. It either retires the
-// instruction completely — accounting, cycles, Instret, architectural
-// effect, PC update — or returns false having changed nothing at all.
-type traceFn func(h *Hart, e *fastPath, op *traceOp) bool
-
-// traceOp is one compiled slot: the specialized handler plus every decode
-// field it needs, pre-extracted. cost is the op's full retire cost
-// pre-summed (Base plus the class surcharge: Mul, Div, Fence, Mem for
-// memory ops, Branch for unconditional jumps); taken conditional branches
-// add Cost.Branch at run time, exactly as execute() does.
+// traceOp is one compiled slot: the op's opTable entry and its full
+// retire cost pre-summed (Cost.retire of its class, plus Mem for loads and
+// stores); taken branches add Cost.Branch at run time, exactly as
+// execute() does. A nil entry marks an op execute() owns alone.
 type traceOp struct {
-	fn   traceFn
-	rd   uint8
-	rs1  uint8
-	rs2  uint8
-	imm  int64
+	oi   *opInfo
 	cost uint64
 }
 
@@ -160,7 +139,7 @@ func (e *fastPath) compileTraces(h *Hart, dp *decodedPage, paPage uint64) {
 	tops := new([tracePageSlots]traceOp)
 	c := h.Cost
 	for i := range dp.insts {
-		compileTraceOp(c, &dp.insts[i], &tops[i])
+		compileTraceOp(c, dp.insts[i].Op, &tops[i])
 	}
 	dp.tcOps = tops // published before tcReady flips (atomic release)
 	dp.tcReady.Store(true)
@@ -197,7 +176,7 @@ func TraceCompileCost(iters int) float64 {
 	for n := 0; n < iters; n++ {
 		tops := new([tracePageSlots]traceOp)
 		for i := range dp.insts {
-			compileTraceOp(c, &dp.insts[i], &tops[i])
+			compileTraceOp(c, dp.insts[i].Op, &tops[i])
 		}
 		traceCompileSink = tops
 	}
@@ -207,173 +186,81 @@ func TraceCompileCost(iters int) float64 {
 // traceCompileSink keeps the compiler from eliding the microbenchmark body.
 var traceCompileSink *[tracePageSlots]traceOp
 
-// compileTraceOp specializes one decoded instruction. Everything that can
-// trap, touch a CSR, reach the bus through the slow path, or move a
-// generation epoch compiles to fn == nil and is owned by the generic
-// superblock loop.
-func compileTraceOp(c *Costs, in *isa.Inst, op *traceOp) {
-	*op = traceOp{rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: in.Imm, cost: c.Base}
-	switch in.Op {
-	case isa.OpLUI:
-		op.fn = tcLUI
-	case isa.OpAUIPC:
-		op.fn = tcAUIPC
-	case isa.OpJAL:
-		op.fn, op.cost = tcJAL, c.Base+c.Branch
-	case isa.OpJALR:
-		op.fn, op.cost = tcJALR, c.Base+c.Branch
-	case isa.OpBEQ:
-		op.fn = tcBEQ
-	case isa.OpBNE:
-		op.fn = tcBNE
-	case isa.OpBLT:
-		op.fn = tcBLT
-	case isa.OpBGE:
-		op.fn = tcBGE
-	case isa.OpBLTU:
-		op.fn = tcBLTU
-	case isa.OpBGEU:
-		op.fn = tcBGEU
-	case isa.OpLB:
-		op.fn, op.cost = tcLB, c.Base+c.Mem
-	case isa.OpLH:
-		op.fn, op.cost = tcLH, c.Base+c.Mem
-	case isa.OpLW:
-		op.fn, op.cost = tcLW, c.Base+c.Mem
-	case isa.OpLD:
-		op.fn, op.cost = tcLD, c.Base+c.Mem
-	case isa.OpLBU:
-		op.fn, op.cost = tcLBU, c.Base+c.Mem
-	case isa.OpLHU:
-		op.fn, op.cost = tcLHU, c.Base+c.Mem
-	case isa.OpLWU:
-		op.fn, op.cost = tcLWU, c.Base+c.Mem
-	case isa.OpSB:
-		op.fn, op.cost = tcSB, c.Base+c.Mem
-	case isa.OpSH:
-		op.fn, op.cost = tcSH, c.Base+c.Mem
-	case isa.OpSW:
-		op.fn, op.cost = tcSW, c.Base+c.Mem
-	case isa.OpSD:
-		op.fn, op.cost = tcSD, c.Base+c.Mem
-	case isa.OpADDI:
-		op.fn = tcADDI
-	case isa.OpSLTI:
-		op.fn = tcSLTI
-	case isa.OpSLTIU:
-		op.fn = tcSLTIU
-	case isa.OpXORI:
-		op.fn = tcXORI
-	case isa.OpORI:
-		op.fn = tcORI
-	case isa.OpANDI:
-		op.fn = tcANDI
-	case isa.OpSLLI:
-		op.fn = tcSLLI
-	case isa.OpSRLI:
-		op.fn = tcSRLI
-	case isa.OpSRAI:
-		op.fn = tcSRAI
-	case isa.OpADD:
-		op.fn = tcADD
-	case isa.OpSUB:
-		op.fn = tcSUB
-	case isa.OpSLL:
-		op.fn = tcSLL
-	case isa.OpSLT:
-		op.fn = tcSLT
-	case isa.OpSLTU:
-		op.fn = tcSLTU
-	case isa.OpXOR:
-		op.fn = tcXOR
-	case isa.OpSRL:
-		op.fn = tcSRL
-	case isa.OpSRA:
-		op.fn = tcSRA
-	case isa.OpOR:
-		op.fn = tcOR
-	case isa.OpAND:
-		op.fn = tcAND
-	case isa.OpADDIW:
-		op.fn = tcADDIW
-	case isa.OpSLLIW:
-		op.fn = tcSLLIW
-	case isa.OpSRLIW:
-		op.fn = tcSRLIW
-	case isa.OpSRAIW:
-		op.fn = tcSRAIW
-	case isa.OpADDW:
-		op.fn = tcADDW
-	case isa.OpSUBW:
-		op.fn = tcSUBW
-	case isa.OpSLLW:
-		op.fn = tcSLLW
-	case isa.OpSRLW:
-		op.fn = tcSRLW
-	case isa.OpSRAW:
-		op.fn = tcSRAW
-	case isa.OpMUL:
-		op.fn, op.cost = tcMUL, c.Base+c.Mul
-	case isa.OpMULH:
-		op.fn, op.cost = tcMULH, c.Base+c.Mul
-	case isa.OpMULHU:
-		op.fn, op.cost = tcMULHU, c.Base+c.Mul
-	case isa.OpMULHSU:
-		op.fn, op.cost = tcMULHSU, c.Base+c.Mul
-	case isa.OpMULW:
-		op.fn, op.cost = tcMULW, c.Base+c.Mul
-	case isa.OpDIV:
-		op.fn, op.cost = tcDIV, c.Base+c.Div
-	case isa.OpDIVU:
-		op.fn, op.cost = tcDIVU, c.Base+c.Div
-	case isa.OpREM:
-		op.fn, op.cost = tcREM, c.Base+c.Div
-	case isa.OpREMU:
-		op.fn, op.cost = tcREMU, c.Base+c.Div
-	case isa.OpDIVW:
-		op.fn, op.cost = tcDIVW, c.Base+c.Div
-	case isa.OpDIVUW:
-		op.fn, op.cost = tcDIVUW, c.Base+c.Div
-	case isa.OpREMW:
-		op.fn, op.cost = tcREMW, c.Base+c.Div
-	case isa.OpREMUW:
-		op.fn, op.cost = tcREMUW, c.Base+c.Div
-	case isa.OpFENCE, isa.OpFENCEI:
-		op.fn, op.cost = tcFENCE, c.Base+c.Fence
+// compileTraceOp binds one decoded op to its slot: register/PC-only ops
+// and plain loads and stores get their opTable entry; everything else is
+// left nil and owned by the generic superblock loop.
+func compileTraceOp(c *Costs, op isa.Op, t *traceOp) {
+	oi := &opTable[op]
+	switch {
+	case oi.fn != nil:
+		*t = traceOp{oi: oi, cost: c.retire(oi.cls)}
+	case oi.cls == clsLoad || oi.cls == clsStore:
+		*t = traceOp{oi: oi, cost: c.retire(oi.cls) + c.Mem}
 	default:
-		// CSR, AMO, LR/SC, ecall/ebreak/sret/mret/wfi, fences of
-		// translation state, invalid encodings: generic loop only.
-		op.fn = nil
+		*t = traceOp{}
 	}
 }
 
-// runTrace dispatches up to blen pre-bound operations starting at slot
-// idx. It returns how many instructions retired; the caller detects a
-// side exit (taken branch/jump) by comparing h.PC against the straight
-// line, exactly as the generic loop does. An abort (nil handler, stale
-// unfillable slot, MMIO, code-page store) leaves the aborting instruction
-// unretired for the generic loop to execute.
-func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, pc uint64, bare bool, tidx int) uint64 {
+// runTrace dispatches up to blen pre-bound operations of page dp starting
+// at slot idx, fetched through the micro-TLB entry fetch. It returns how
+// many instructions retired; the caller detects a side exit (taken
+// branch/jump) by comparing h.PC against the straight line, exactly as the
+// generic loop does. A stop (op without a slot, unfillable data slot,
+// MMIO, code-page store) leaves the stopping instruction unretired for
+// the generic loop to execute.
+//
+// Each op retires the way the outer engines charge around execute():
+// fetch accounting against the page's fetch entry, the profiler hook at
+// the same cycle point the per-step engines sample it, then Instret and
+// the pre-summed cost. A load or store resolves its data slot before
+// that, so a stop leaves nothing retired, and replays the data-side hit
+// after it, so the TLB's tick/LRU sequence — fetch entry touched, then
+// data entry — matches the other tiers bit for bit.
+func (e *fastPath) runTrace(h *Hart, dp *decodedPage, idx, blen, pc uint64, fetch *mtlbEntry) uint64 {
 	e.stats.TCEntries++
-	// The once-per-entry generation snapshot (see the package comment for
-	// why it stays valid across the whole dispatch).
-	e.tcMode = h.Mode
-	e.tcTLBGen = h.TLB.Gen()
-	e.tcPMPGen = h.PMP.Gen()
-	e.tcMMUGen = h.mmuGen
-	e.tcBare = bare
-	e.tcTidx = tidx
+	// Traced ops cannot move the translation context (see the package
+	// comment), so one snapshot validates every data slot of the trace.
+	ep := h.epochs()
+	tops := dp.tcOps
 	want := pc
 	var i uint64
-	for i = 0; i < blen; i++ {
+	for ; i < blen; i++ {
 		op := &tops[idx+i]
-		if op.fn == nil {
+		oi := op.oi
+		if oi == nil {
 			break
 		}
-		e.tcPC = want
-		if !op.fn(h, e, op) {
-			e.stats.TCBailouts++
-			break
+		in := &dp.insts[idx+i]
+		var data *mtlbEntry
+		var p []byte
+		if oi.fn == nil {
+			data, p = e.slot(h, &ep, h.X[in.Rs1]+uint64(in.Imm), int(oi.width), oi.cls == clsStore)
+			if p == nil {
+				e.stats.TCBailouts++
+				break
+			}
+		}
+		e.hitAccounting(h, fetch)
+		if h.Prof != nil && h.Cycles >= h.Prof.Next {
+			h.Prof.Sample(want, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
+		}
+		h.Instret++
+		h.Cycles += op.cost
+		switch {
+		case oi.fn == nil:
+			e.hitAccounting(h, data)
+			if oi.cls == clsStore {
+				e.stats.WriteHits++
+				storeLE(p, int(oi.width), h.X[in.Rs2])
+			} else {
+				e.stats.ReadHits++
+				h.SetReg(in.Rd, oi.value(loadLE(p, int(oi.width))))
+			}
+			h.PC += 4
+		case oi.fn(h, in):
+			h.Cycles += h.Cost.Branch
+		default:
+			h.PC += 4
 		}
 		want += 4
 		if h.PC != want {
@@ -383,623 +270,4 @@ func (e *fastPath) runTrace(h *Hart, tops *[tracePageSlots]traceOp, idx, blen, p
 	}
 	e.stats.TCOps += i
 	return i
-}
-
-// tcRetire replays the per-instruction state the outer engines charge
-// before and during execute(): fetch accounting against the page's fetch
-// micro-TLB slot (TLB touch + TLBHit cycles unless the translation was
-// bare, plus the PMP check count), the profiler hook at the same cycle
-// point the per-step engines sample it, then retirement (Instret and the
-// pre-summed op cost).
-func tcRetire(h *Hart, e *fastPath, cost uint64) {
-	if !e.tcBare {
-		h.TLB.Touch(e.tcTidx)
-		h.Cycles += h.Cost.TLBHit
-	}
-	h.PMP.NoteCheck()
-	if h.Prof != nil && h.Cycles >= h.Prof.Next {
-		h.Prof.Sample(e.tcPC, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
-	}
-	h.Instret++
-	h.Cycles += cost
-}
-
-// tcValid is valid() against the entry snapshot instead of the live
-// generations — register compares only, no method calls on the hot path.
-func (e *fastPath) tcValid(ent *mtlbEntry, vaPage uint64) bool {
-	if ent.page == nil || ent.vaPage != vaPage || ent.mode != e.tcMode ||
-		ent.mmuGen != e.tcMMUGen || ent.pmpGen != e.tcPMPGen {
-		return false
-	}
-	return ent.bare || ent.tlbGen == e.tcTLBGen
-}
-
-// tcRefill re-establishes a data slot mid-trace. fill() is side-effect
-// free (TLB.Peek, PMP.Probe), so it cannot move any epoch the entry
-// snapshot depends on, and a fresh entry's epochs equal the snapshot
-// because nothing in the trace has bumped them since entry.
-func (e *fastPath) tcRefill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access, write bool) bool {
-	if write {
-		e.stats.WriteMisses++
-	} else {
-		e.stats.ReadMisses++
-	}
-	return e.fill(h, ent, va&^uint64(isa.PageSize-1), acc)
-}
-
-// tcReadSlot resolves a load's micro-TLB slot and bytes, or nil to abort
-// (page straddle, unfillable slot, MMIO). Resolution only — no accounting:
-// the handler retires the fetch side first so the TLB's tick/LRU sequence
-// (fetch entry touched, then data entry) matches the slow path bit for
-// bit, then replays the data-side hit via hitAccounting on the returned
-// entry. The Mem cycles are pre-summed in op.cost.
-func (e *fastPath) tcReadSlot(h *Hart, va, size uint64) (*mtlbEntry, []byte) {
-	off := va & (isa.PageSize - 1)
-	if off+size > isa.PageSize {
-		return nil, nil
-	}
-	vaPage := va >> isa.PageShift
-	ent := &e.read[vaPage&mtlbMask]
-	if !e.tcValid(ent, vaPage) {
-		if !e.tcRefill(h, ent, va, ptw.AccessRead, false) {
-			return nil, nil
-		}
-	}
-	return ent, ent.page[off:]
-}
-
-// tcWriteSlot is tcReadSlot for stores, additionally refusing code pages —
-// the slow path's mem.WriteUint owns the decode invalidation those need.
-func (e *fastPath) tcWriteSlot(h *Hart, va, size uint64) (*mtlbEntry, []byte) {
-	off := va & (isa.PageSize - 1)
-	if off+size > isa.PageSize {
-		return nil, nil
-	}
-	vaPage := va >> isa.PageShift
-	ent := &e.write[vaPage&mtlbMask]
-	if !e.tcValid(ent, vaPage) {
-		if !e.tcRefill(h, ent, va, ptw.AccessWrite, true) {
-			return nil, nil
-		}
-	}
-	if ent.memGen != e.mem.CodeGen() {
-		ent.code = e.mem.IsCodePage(ent.paPage)
-		ent.memGen = e.mem.CodeGen()
-	}
-	if ent.code {
-		return nil, nil
-	}
-	return ent, ent.page[off:]
-}
-
-// tcLoad resolves, retires, and accounts one load. Resolution comes first
-// so an abort leaves nothing retired; then the fetch side retires
-// (tcRetire) before the data-side hit replays, so the TLB's tick/LRU
-// sequence — fetch entry touched, then data entry — matches the slow path
-// bit for bit.
-func (e *fastPath) tcLoad(h *Hart, op *traceOp, size uint64) []byte {
-	ent, p := e.tcReadSlot(h, h.X[op.rs1]+uint64(op.imm), size)
-	if p == nil {
-		return nil
-	}
-	tcRetire(h, e, op.cost)
-	e.hitAccounting(h, ent)
-	e.stats.ReadHits++
-	return p
-}
-
-// tcStore is tcLoad for stores.
-func (e *fastPath) tcStore(h *Hart, op *traceOp, size uint64) []byte {
-	ent, p := e.tcWriteSlot(h, h.X[op.rs1]+uint64(op.imm), size)
-	if p == nil {
-		return nil
-	}
-	tcRetire(h, e, op.cost)
-	e.hitAccounting(h, ent)
-	e.stats.WriteHits++
-	return p
-}
-
-// --- Specialized handlers -------------------------------------------------
-//
-// Each mirrors one execute() case with its fields pre-bound. Handlers
-// must retire completely or return false having changed nothing; the
-// memory handlers therefore resolve their slot before tcRetire runs.
-
-func tcLUI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcAUIPC(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.PC+uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcJAL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.PC+4)
-	h.PC += uint64(op.imm)
-	return true
-}
-
-func tcJALR(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	t := (h.X[op.rs1] + uint64(op.imm)) &^ 1
-	h.SetReg(op.rd, h.PC+4)
-	h.PC = t
-	return true
-}
-
-func tcBEQ(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] == h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBNE(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] != h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBLT(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if int64(h.X[op.rs1]) < int64(h.X[op.rs2]) {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBGE(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if int64(h.X[op.rs1]) >= int64(h.X[op.rs2]) {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBLTU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] < h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcBGEU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	if h.X[op.rs1] >= h.X[op.rs2] {
-		h.PC += uint64(op.imm)
-		h.Cycles += h.Cost.Branch
-	} else {
-		h.PC += 4
-	}
-	return true
-}
-
-func tcLB(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 1)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, uint64(int64(int8(p[0]))))
-	h.PC += 4
-	return true
-}
-
-func tcLBU(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 1)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, uint64(p[0]))
-	h.PC += 4
-	return true
-}
-
-func tcLH(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 2)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, uint64(int64(int16(binary.LittleEndian.Uint16(p)))))
-	h.PC += 4
-	return true
-}
-
-func tcLHU(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 2)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, uint64(binary.LittleEndian.Uint16(p)))
-	h.PC += 4
-	return true
-}
-
-func tcLW(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 4)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, uint64(int64(int32(binary.LittleEndian.Uint32(p)))))
-	h.PC += 4
-	return true
-}
-
-func tcLWU(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 4)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, uint64(binary.LittleEndian.Uint32(p)))
-	h.PC += 4
-	return true
-}
-
-func tcLD(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcLoad(h, op, 8)
-	if p == nil {
-		return false
-	}
-	h.SetReg(op.rd, binary.LittleEndian.Uint64(p))
-	h.PC += 4
-	return true
-}
-
-func tcSB(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcStore(h, op, 1)
-	if p == nil {
-		return false
-	}
-	p[0] = byte(h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSH(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcStore(h, op, 2)
-	if p == nil {
-		return false
-	}
-	binary.LittleEndian.PutUint16(p, uint16(h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcSW(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcStore(h, op, 4)
-	if p == nil {
-		return false
-	}
-	binary.LittleEndian.PutUint32(p, uint32(h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcSD(h *Hart, e *fastPath, op *traceOp) bool {
-	p := e.tcStore(h, op, 8)
-	if p == nil {
-		return false
-	}
-	binary.LittleEndian.PutUint64(p, h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcADDI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]+uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSLTI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(int64(h.X[op.rs1]) < op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSLTIU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(h.X[op.rs1] < uint64(op.imm)))
-	h.PC += 4
-	return true
-}
-
-func tcXORI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]^uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcORI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]|uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcANDI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]&uint64(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSLLI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]<<uint(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSRLI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]>>uint(op.imm))
-	h.PC += 4
-	return true
-}
-
-func tcSRAI(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(h.X[op.rs1])>>uint(op.imm)))
-	h.PC += 4
-	return true
-}
-
-func tcADD(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]+h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSUB(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]-h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSLL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]<<(h.X[op.rs2]&63))
-	h.PC += 4
-	return true
-}
-
-func tcSLT(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(int64(h.X[op.rs1]) < int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcSLTU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, b2u(h.X[op.rs1] < h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcXOR(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]^h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcSRL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]>>(h.X[op.rs2]&63))
-	h.PC += 4
-	return true
-}
-
-func tcSRA(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(h.X[op.rs1])>>(h.X[op.rs2]&63)))
-	h.PC += 4
-	return true
-}
-
-func tcOR(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]|h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcAND(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]&h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcADDIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])+uint32(op.imm)))
-	h.PC += 4
-	return true
-}
-
-func tcSLLIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])<<uint(op.imm&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRLIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])>>uint(op.imm&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRAIW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(int32(h.X[op.rs1])>>uint(op.imm&31))))
-	h.PC += 4
-	return true
-}
-
-func tcADDW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])+uint32(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcSUBW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])-uint32(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcSLLW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])<<(h.X[op.rs2]&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRLW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])>>(h.X[op.rs2]&31)))
-	h.PC += 4
-	return true
-}
-
-func tcSRAW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, uint64(int64(int32(h.X[op.rs1])>>(h.X[op.rs2]&31))))
-	h.PC += 4
-	return true
-}
-
-func tcMUL(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, h.X[op.rs1]*h.X[op.rs2])
-	h.PC += 4
-	return true
-}
-
-func tcMULH(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, mulh(int64(h.X[op.rs1]), int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcMULHU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, mulhu(h.X[op.rs1], h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcMULHSU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, mulhsu(int64(h.X[op.rs1]), h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcMULW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(h.X[op.rs1])*uint32(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcDIV(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, divS(int64(h.X[op.rs1]), int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcDIVU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, divU(h.X[op.rs1], h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcREM(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, remS(int64(h.X[op.rs1]), int64(h.X[op.rs2])))
-	h.PC += 4
-	return true
-}
-
-func tcREMU(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, remU(h.X[op.rs1], h.X[op.rs2]))
-	h.PC += 4
-	return true
-}
-
-func tcDIVW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(divS(int64(int32(h.X[op.rs1])), int64(int32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcDIVUW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(divU(uint64(uint32(h.X[op.rs1])), uint64(uint32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcREMW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(remS(int64(int32(h.X[op.rs1])), int64(int32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcREMUW(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.SetReg(op.rd, sext32(uint32(remU(uint64(uint32(h.X[op.rs1])), uint64(uint32(h.X[op.rs2]))))))
-	h.PC += 4
-	return true
-}
-
-func tcFENCE(h *Hart, e *fastPath, op *traceOp) bool {
-	tcRetire(h, e, op.cost)
-	h.PC += 4
-	return true
 }

@@ -10,7 +10,7 @@
 // the barrier, then applied on the destination's own goroutine when it
 // is released into the next epoch.
 //
-// Determinism model (EngineBlock, the default):
+// Determinism model:
 //
 //   - A hart's own instruction stream, cycle accounting, and trap mix
 //     depend only on its architectural state at each quantum boundary,
@@ -41,15 +41,6 @@
 // posted in depends only on simulated state — the resize schedule, and
 // with it every deadline and delivery epoch, is identical across reruns
 // and across free-running/Ordered modes. Seeded runs stay bit-identical.
-//
-// EngineFree is the opt-in fast-unordered mode for throughput runs:
-// cross-hart ops still ride outboxes and apply only on the destination
-// goroutine (memory safety is unchanged), but delivery skips the epoch
-// filter and the (epoch, src, seq) sort — ops land in host arrival
-// order, as early as the next release. Per-source FIFO order is still
-// preserved. The architectural end state of commutative workloads is
-// unchanged; the interleaving, and therefore cycle-exact replay, is
-// not. EngineBlock remains the default and the lockstep reference.
 package platform
 
 import (
@@ -77,39 +68,11 @@ const (
 	DefaultMaxQuantum = 1 << 20
 )
 
-// EngineMode selects the cross-hart effect delivery discipline.
-type EngineMode int
-
-const (
-	// EngineBlock is the deterministic quantum-barrier mode: ops posted
-	// in epoch G apply at the target's release into G+1, sorted by
-	// (epoch, source, sequence). The default, and the only mode the
-	// bit-identity contract covers.
-	EngineBlock EngineMode = iota
-	// EngineFree is the fast-unordered throughput mode: ops still apply
-	// on the destination's goroutine at a barrier release, but without
-	// the epoch filter or the sorted merge — host arrival order decides.
-	// Same architectural result for commutative workloads, relaxed
-	// interleaving; not covered by the replay guarantee.
-	EngineFree
-)
-
-// String names the mode the way the bench JSON records it.
-func (m EngineMode) String() string {
-	if m == EngineFree {
-		return "free"
-	}
-	return "block"
-}
-
 // EngineConfig configures RunParallel.
 type EngineConfig struct {
 	// Quantum is the barrier period in simulated cycles (0 = DefaultQuantum).
 	// With Adaptive set it is only the starting value.
 	Quantum uint64
-	// Mode selects deterministic (EngineBlock, default) or fast-unordered
-	// (EngineFree) cross-hart delivery.
-	Mode EngineMode
 	// Ordered releases harts one at a time in ascending hart-ID order
 	// within each epoch instead of letting them run concurrently. It is
 	// the reference interleaving the free-running mode is validated
@@ -139,14 +102,13 @@ type EngineConfig struct {
 // EngineStats summarizes one RunParallel invocation: the barrier and
 // adaptive-quantum bookkeeping the bench scaling rows and the
 // "engine/*" telemetry gauges are built from. All counts are in the
-// simulated domain and therefore deterministic for a seeded EngineBlock
-// run.
+// simulated domain and therefore deterministic for a seeded run.
 type EngineStats struct {
-	Mode     EngineMode
 	Adaptive bool
 	// Epochs is the number of quantum barriers crossed.
 	Epochs uint64
-	// CrossOps is the total number of cross-hart ops delivered;
+	// CrossOps is the total number of cross-hart ops delivered (an op
+	// whose target finished first is never delivered);
 	// MergedBatches counts the outbox→inbox merge operations that
 	// carried them (the locked sections per-op posting used to pay).
 	CrossOps      uint64
@@ -191,7 +153,6 @@ type engine struct {
 	minQ     uint64
 	maxQ     uint64
 	adaptive bool
-	free     bool
 	ordered  bool
 	onEpoch  func(epoch uint64)
 
@@ -205,7 +166,7 @@ type engine struct {
 	turn     int      // Ordered mode: hart currently released (-1 = none)
 	deadline uint64   // cycle deadline of the current epoch
 	halted   bool     // every active hart idle: global halt
-	epochOps uint64   // ops merged during the current epoch (adaptive input)
+	epochOps uint64   // ops posted during the current epoch (adaptive input)
 	idle     []bool   // per-hart: cannot make progress without peer help
 	done     []bool   // per-hart: runner returned
 	inbox    [][]xop  // per-hart pending cross-hart ops (epoch-nondecreasing)
@@ -266,10 +227,14 @@ func (e *engine) barrier(src int, idle bool) bool {
 // each op with the current epoch. Called with e.mu held, always on
 // src's own goroutine (barrier arrival or finish), always while e.gen
 // still names the epoch the ops were posted in — gen cannot advance
-// until every active hart has arrived, and src has not yet. Ops to
-// finished harts are dropped: the target's architectural state is
-// frozen, and because a hart's finishing epoch is itself deterministic,
-// the drop/deliver outcome is identical across engine modes.
+// until every active hart has arrived, and src has not yet.
+//
+// An op for a hart that finishes in the posting epoch is never applied,
+// but whether the target had finished before src took the lock (the op
+// is dropped here) or finishes after (finish discards its inbox) is
+// host scheduling. So every post counts toward epochOps whatever its
+// fate, and CrossOps counts deliveries in takeReadyLocked: both then
+// depend on simulated state only.
 func (e *engine) mergeLocked(src int) {
 	out := e.outbox[src]
 	if len(out) == 0 {
@@ -277,12 +242,11 @@ func (e *engine) mergeLocked(src int) {
 	}
 	e.stats.MergedBatches++
 	for i, op := range out {
+		e.epochOps++
 		if !e.done[op.dst] && !e.halted {
 			e.seq[src]++
 			e.inbox[op.dst] = append(e.inbox[op.dst],
 				xop{src: src, seq: e.seq[src], epoch: e.gen, fn: op.fn})
-			e.epochOps++
-			e.stats.CrossOps++
 		}
 		out[i] = outOp{} // release the closure
 	}
@@ -372,9 +336,7 @@ func (e *engine) nextTurnLocked(prev int) int {
 }
 
 // takeReadyLocked removes and returns the ops visible to hart src in the
-// current epoch.
-//
-// EngineBlock: exactly those posted in earlier epochs. Same-epoch ops
+// current epoch: exactly those posted in earlier epochs. Same-epoch ops
 // stay queued (in Ordered mode a lower-ID hart may post before a
 // higher-ID hart is released into the same epoch; free-running mode
 // could never deliver those early, so neither may Ordered mode). Merges
@@ -383,17 +345,10 @@ func (e *engine) nextTurnLocked(prev int) int {
 // without copying the remainder. The (epoch, src, seq) sort then makes
 // application order independent of the host-level interleaving of
 // merges from different harts.
-//
-// EngineFree: everything pending, in arrival order, no sort — the
-// fast-unordered contract.
 func (e *engine) takeReadyLocked(dst int) []xop {
 	q := e.inbox[dst]
 	if len(q) == 0 {
 		return nil
-	}
-	if e.free {
-		e.inbox[dst] = nil
-		return q
 	}
 	cut := len(q)
 	for i, op := range q {
@@ -407,6 +362,7 @@ func (e *engine) takeReadyLocked(dst int) []xop {
 	}
 	ready := q[:cut]
 	e.inbox[dst] = q[cut:]
+	e.stats.CrossOps += uint64(cut)
 	sort.Slice(ready, func(i, j int) bool {
 		a, b := ready[i], ready[j]
 		if a.epoch != b.epoch {
@@ -431,8 +387,8 @@ func (e *engine) post(src, dst int, fn func()) {
 }
 
 // finish retires hart src from the barrier after its runner returns,
-// merging any ops it posted in its final partial quantum. Pending ops
-// *for* it are dropped at merge time (see mergeLocked); if it was the
+// merging any ops it posted in its final partial quantum. Ops still
+// pending *for* it are never applied (see mergeLocked); if it was the
 // last hart the others were waiting for, the next epoch begins without
 // it.
 func (e *engine) finish(src int) {
@@ -487,7 +443,7 @@ func (m *Machine) Epoch() uint64 {
 
 // EngineStats returns the barrier/quantum bookkeeping of the most
 // recent completed RunParallel (zero value if none ran). Deterministic
-// for a seeded EngineBlock run; exported as "engine/*" telemetry gauges
+// for a seeded run; exported as "engine/*" telemetry gauges
 // by the bench harness.
 func (m *Machine) EngineStats() EngineStats { return m.lastEngine }
 
@@ -521,15 +477,14 @@ func (m *Machine) RunParallel(cfg EngineConfig, runners []HartRunner) error {
 	}
 	e := &engine{
 		m: m, quantum: q, minQ: minQ, maxQ: maxQ,
-		adaptive: cfg.Adaptive, free: cfg.Mode == EngineFree,
-		ordered: cfg.Ordered, onEpoch: cfg.OnEpoch,
+		adaptive: cfg.Adaptive, ordered: cfg.Ordered, onEpoch: cfg.OnEpoch,
 		nActive: n, turn: -1,
 		outbox: make([][]outOp, n),
 		idle:   make([]bool, n), done: make([]bool, n),
 		inbox: make([][]xop, n), seq: make([]uint64, n),
 	}
 	e.stats = EngineStats{
-		Mode: cfg.Mode, Adaptive: cfg.Adaptive,
+		Adaptive:   cfg.Adaptive,
 		MinQuantum: q, MaxQuantum: q, FinalQuantum: q,
 	}
 	e.cond = sync.NewCond(&e.mu)

@@ -23,9 +23,8 @@ type EngineGauges struct {
 	FinalQuantum   uint64
 	MinQuantum     uint64
 	MaxQuantum     uint64
-	// Adaptive and Free record the engine configuration (exported as 0/1).
+	// Adaptive records the engine configuration (exported as 0/1).
 	Adaptive bool
-	Free     bool
 }
 
 // PublishEngine sets the "engine/..." gauges from one run's bookkeeping.
@@ -50,5 +49,4 @@ func (sc *Scope) PublishEngine(g EngineGauges) {
 	sc.Gauge("engine/quantum_min").Set(g.MinQuantum)
 	sc.Gauge("engine/quantum_max").Set(g.MaxQuantum)
 	sc.Gauge("engine/adaptive").Set(b2u(g.Adaptive))
-	sc.Gauge("engine/free").Set(b2u(g.Free))
 }

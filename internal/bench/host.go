@@ -1,279 +1,192 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"testing"
+	"runtime"
+	"slices"
+	"sort"
 	"time"
 
 	"zion/internal/hart"
 	"zion/internal/hv"
-	"zion/internal/mem"
-	"zion/internal/platform"
 	"zion/internal/sm"
 	"zion/internal/telemetry"
 	"zion/internal/workloads"
 )
 
-// HostRow compares host-side throughput for one guest workload executed
-// with each engine: "trace" (compiled-trace dispatch on top of
-// superblocks), "block" (superblock + event-horizon batching), "fast"
-// (per-instruction fast path), and the pure slow path. Simulated cycles
-// are included because they must match exactly across all four — the
-// host benchmark doubles as an end-to-end bit-identity check. The Block*
-// and Trace* fields are absent in files written before those engines
-// existed.
-type HostRow struct {
-	Name         string  `json:"name"`
-	Instructions uint64  `json:"instructions"`
-	Cycles       uint64  `json:"simulated_cycles"`
-	TraceSeconds float64 `json:"trace_seconds,omitempty"`
-	BlockSeconds float64 `json:"block_seconds,omitempty"`
-	FastSeconds  float64 `json:"fast_seconds"`
-	SlowSeconds  float64 `json:"slow_seconds"`
-	TraceMIPS    float64 `json:"trace_mips,omitempty"`
-	BlockMIPS    float64 `json:"block_mips,omitempty"`
-	FastMIPS     float64 `json:"fast_mips"`
-	SlowMIPS     float64 `json:"slow_mips"`
-	// Speedup is fast/slow MIPS; BlockSpeedup is block/slow MIPS;
-	// TraceSpeedup is trace/slow MIPS. TraceOverBlock is trace/block MIPS —
-	// the tier-over-tier ratio the trace floor gates.
-	Speedup        float64 `json:"speedup"`
-	BlockSpeedup   float64 `json:"block_speedup,omitempty"`
-	TraceSpeedup   float64 `json:"trace_speedup,omitempty"`
-	TraceOverBlock float64 `json:"trace_over_block,omitempty"`
+// Row is one entry of the host benchmark ledger (BENCH_host*.json).
+// Timed rows hold the median and inter-quartile spread of Rounds
+// interleaved samples; simulation-domain rows (Better == Exact) hold a
+// single fingerprint value that must reproduce bit for bit on any host.
+type Row struct {
+	Name   string  `json:"name"`
+	Layer  string  `json:"layer"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Median float64 `json:"median"`
+	Spread float64 `json:"spread"`
+	N      int     `json:"n"`
+	// Floor, when set, is the absolute bound the median must clear on
+	// the Better side. The code that produces the row stamps it.
+	Floor float64 `json:"floor,omitempty"`
 }
 
-// HostResult is the payload of BENCH_host.json: the perf trajectory the
-// repository tracks from this PR onward.
+// Row.Better values.
+const (
+	Higher = "higher"
+	Lower  = "lower"
+	Exact  = "exact"
+)
+
+// HostResult is the payload of BENCH_host.json: the measuring host's
+// stamp and the ledger rows.
 type HostResult struct {
-	Rows []HostRow `json:"workloads"`
-	// Allocations per operation on the scalar memory hot path; the
-	// regression target is exactly 0.
-	ScalarReadAllocs  float64 `json:"scalar_read_allocs_per_op"`
-	ScalarWriteAllocs float64 `json:"scalar_write_allocs_per_op"`
-	MinSpeedup        float64 `json:"min_speedup"`
-	// MinBlockSpeedup is the worst block-engine speedup over slow across
-	// the workloads (0 in files predating the superblock engine);
-	// MinTraceSpeedup and MinTraceOverBlock are the trace-tier analogues.
-	MinBlockSpeedup   float64 `json:"min_block_speedup,omitempty"`
-	MinTraceSpeedup   float64 `json:"min_trace_speedup,omitempty"`
-	MinTraceOverBlock float64 `json:"min_trace_over_block,omitempty"`
-	// TraceAmort is the trace-compilation amortization record (absent in
-	// files predating the trace tier).
-	TraceAmort *TraceAmortResult `json:"trace_amortization,omitempty"`
-	// Parallel is the multi-hart quantum-barrier throughput section
-	// (absent in files written before the parallel engine existed).
-	Parallel *ParallelHostResult `json:"parallel,omitempty"`
-	// Observability is the armed-vs-off overhead of the observability
-	// plane (absent in files predating it).
-	Observability *ObsOverheadResult `json:"observability,omitempty"`
-	// Serving is the sustained-serving virtio data-plane section (absent
-	// in files written before the batched data plane existed).
-	Serving *ServingBenchResult `json:"serving,omitempty"`
+	HostCores  int    `json:"host_cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Rows       []Row  `json:"rows"`
 }
 
-// ObsOverheadResult measures what arming the observability plane — the
-// cycle-domain sampling profiler at its default period, attribution, and
-// the always-on flight recorder — costs in host throughput, and re-proves
-// that an armed run is bit-identical to an unarmed one.
-type ObsOverheadResult struct {
-	Workload      string  `json:"workload"`
-	Engine        string  `json:"engine"`
-	ProfilePeriod uint64  `json:"profile_period"`
-	OffMIPS       float64 `json:"off_mips"`
-	ArmedMIPS     float64 `json:"armed_mips"`
-	// OverheadPct is (off-armed)/off*100: positive = armed is slower.
-	OverheadPct  float64 `json:"overhead_pct"`
-	BitIdentical bool    `json:"bit_identical"`
-}
+// Rounds is how many interleaved rounds every timed measurement takes.
+const Rounds = 5
 
-// TraceAmortResult records whether trace compilation pays for itself on
-// the measured workloads: the one-time host cost of compiling a page's
-// pre-bound table versus the per-instruction saving of dispatching
-// through it instead of the generic superblock loop. The gate rejects
-// compile-heavy pathology — workloads that compile pages they never
-// amortize.
-type TraceAmortResult struct {
-	// CompiledPages / Demotions / Recompiles across the trace-engine runs.
-	CompiledPages uint64 `json:"compiled_pages"`
-	Demotions     uint64 `json:"demotions"`
-	Recompiles    uint64 `json:"recompiles"`
-	// DispatchEntries and TraceOps: trace entries and instructions retired
-	// by pre-bound handlers across the trace-engine runs.
-	DispatchEntries uint64 `json:"dispatch_entries"`
-	TraceOps        uint64 `json:"trace_ops"`
-	// CompileNsPerPage is the microbenchmarked host cost of compiling one
-	// page table; SavedNsPerOp is the measured per-instruction host-time
-	// saving of the trace engine over the superblock engine.
-	CompileNsPerPage float64 `json:"compile_ns_per_page"`
-	SavedNsPerOp     float64 `json:"saved_ns_per_op"`
-	// BreakEvenOps is CompileNsPerPage/SavedNsPerOp: trace-dispatched
-	// instructions a compiled page must retire to pay for its compile.
-	// OpsPerCompiledPage is what the workloads actually achieved; the gate
-	// requires it to clear BreakEvenOps.
-	BreakEvenOps       float64 `json:"break_even_ops"`
-	OpsPerCompiledPage float64 `json:"ops_per_compiled_page"`
-}
+// ratioBound is how far below its baseline median (above, for a Lower
+// row) a ratio row without a floor may fall.
+const ratioBound = 0.2
 
-// Format renders a human summary.
+// MinTraceOverBlockFloor is the floor on the trace tier's per-workload
+// speedup over the superblock engine. The measured full-scale ratios
+// (BENCH_host.json) leave clear headroom over it.
+const MinTraceOverBlockFloor = 1.5
+
+// MaxObservabilityOverheadPct is the host-throughput budget of the armed
+// observability plane on the superblock engine, the tier it was
+// calibrated on.
+const MaxObservabilityOverheadPct = 3.0
+
+// Format renders the ledger as a table.
 func (r HostResult) Format() []string {
-	out := []string{fmt.Sprintf("%-10s %12s %11s %11s %10s %10s %8s %8s %8s %9s",
-		"workload", "instructions", "trace MIPS", "block MIPS", "fast MIPS", "slow MIPS", "trace", "block", "fast", "trc/blk")}
+	out := []string{
+		fmt.Sprintf("host: %d cores, GOMAXPROCS %d, %s; timed rows are the median and inter-quartile spread of %d rounds",
+			r.HostCores, r.GOMAXPROCS, r.GoVersion, Rounds),
+		fmt.Sprintf("%-34s %-9s %16s %10s %-7s %s", "row", "layer", "median", "spread", "unit", "floor"),
+	}
 	for _, row := range r.Rows {
-		out = append(out, fmt.Sprintf("%-10s %12d %11.2f %11.2f %10.2f %10.2f %7.2fx %7.2fx %7.2fx %8.2fx",
-			row.Name, row.Instructions, row.TraceMIPS, row.BlockMIPS, row.FastMIPS, row.SlowMIPS,
-			row.TraceSpeedup, row.BlockSpeedup, row.Speedup, row.TraceOverBlock))
-	}
-	out = append(out, fmt.Sprintf("scalar mem path: %.2f allocs/op read, %.2f allocs/op write",
-		r.ScalarReadAllocs, r.ScalarWriteAllocs))
-	if a := r.TraceAmort; a != nil {
-		out = append(out, fmt.Sprintf("trace amortization: %d pages compiled (%d demoted, %d recompiles), %.0f ns/page compile, %.2f ns/op saved: break-even %.0f ops, achieved %.0f ops/page",
-			a.CompiledPages, a.Demotions, a.Recompiles, a.CompileNsPerPage, a.SavedNsPerOp, a.BreakEvenOps, a.OpsPerCompiledPage))
-	}
-	if p := r.Parallel; p != nil {
-		q := "adaptive"
-		if !p.Adaptive {
-			q = fmt.Sprintf("quantum=%d", p.Quantum)
+		floor := ""
+		if row.Floor != 0 {
+			floor = fmt.Sprintf("%.2f", row.Floor)
 		}
-		out = append(out, fmt.Sprintf("parallel: %s x%d harts on %d host cores [%s]: %.2f -> %.2f MIPS (%.2fx, deterministic=%v)",
-			p.Workload, p.Harts, p.HostCores, q, p.SeqMIPS, p.ParMIPS, p.Speedup, p.Deterministic))
-		for _, s := range p.Scaling {
-			out = append(out, fmt.Sprintf("  %d hart(s): %6.3fs seq / %6.3fs par = %.2fx  (%d epochs, %d cross-ops, quantum %d after +%d/-%d resizes)",
-				s.Harts, s.SeqSeconds, s.ParSeconds, s.Speedup,
-				s.Epochs, s.CrossOps, s.FinalQuantum, s.QuantumGrows, s.QuantumShrinks))
-		}
-	}
-	if o := r.Observability; o != nil {
-		out = append(out, fmt.Sprintf("observability overhead: %s/%s armed@%d: %.2f -> %.2f MIPS (%+.2f%%, bit-identical=%v)",
-			o.Workload, o.Engine, o.ProfilePeriod, o.OffMIPS, o.ArmedMIPS, o.OverheadPct, o.BitIdentical))
-	}
-	if s := r.Serving; s != nil {
-		out = append(out, fmt.Sprintf("serving: %d requests x%d CVMs x%d queues depth %d coalesce %d: %d cycles vs %d baseline (%.2fx, floor %.2fx, deterministic=%v)",
-			s.Requests, s.CVMs, s.Queues, s.Depth, s.Coalesce, s.Cycles, s.BaselineCycles, s.Speedup, s.SpeedupFloor, s.Deterministic))
-		out = append(out, fmt.Sprintf("  latency p50 %d / p99 %d / mean %.0f cycles; %d doorbells, %d IRQs (%d suppressed), pool HWM %d/%d",
-			s.P50, s.P99, s.MeanCycles, s.DoorbellExits, s.IRQsFired, s.IRQsSuppressed, s.PoolHWM, s.PoolSlots))
+		out = append(out, fmt.Sprintf("%-34s %-9s %16.2f %10.2f %-7s %s",
+			row.Name, row.Layer, row.Median, row.Spread, row.Unit, floor))
 	}
 	return out
 }
 
-// CheckHostRegression gates a freshly measured HostResult against the
-// committed baseline. Two classes of check:
+// CheckHostRegression gates a fresh measurement against the committed
+// baseline of the same scale, matching rows by name:
 //
-//   - Bit-identity: instructions and simulated cycles per workload must
-//     match the baseline exactly — any drift means the simulation changed
-//     behaviour, which is a correctness failure, not a perf one. The
-//     parallel section must report Deterministic.
-//   - Throughput: per-workload fast-path speedup (fast/slow MIPS, a
-//     machine-relative ratio) must not regress more than 20% below the
-//     baseline ratio. Absolute MIPS is deliberately not gated — CI runners
-//     differ — and the parallel speedup is gated only when the host has
-//     enough cores for the baseline ratio to be reproducible.
-func CheckHostRegression(baseline, current HostResult) error {
-	base := make(map[string]HostRow, len(baseline.Rows))
-	for _, r := range baseline.Rows {
-		base[r.Name] = r
+//   - Exact rows (simulated instructions, cycles, latency and exit
+//     counts) must equal the baseline. Drift means the simulation changed
+//     behaviour: a correctness failure, not a perf one.
+//   - A row with a Floor must have its median on the Better side of it.
+//   - A ratio row (unit "x") without a floor must stay within 20% of the
+//     baseline median. Both arms of a ratio are timed in one process,
+//     interleaved, so ratios port across hosts where absolute seconds,
+//     MIPS and req/s (recorded, never gated) do not.
+//
+// A baseline row missing from the measurement is a violation unless
+// this host has too few cores to measure it; those rows are returned as
+// skipped. The error names every violating row.
+func CheckHostRegression(baseline, current HostResult) (skipped []string, err error) {
+	skipped = coreBoundRows(current.HostCores)
+	base := make(map[string]Row, len(baseline.Rows))
+	for _, b := range baseline.Rows {
+		base[b.Name] = b
 	}
+	cur := make(map[string]bool, len(current.Rows))
+	var errs []error
 	for _, r := range current.Rows {
+		cur[r.Name] = true
 		b, ok := base[r.Name]
-		if !ok {
-			continue // new workload: nothing to compare against yet
-		}
-		if r.Instructions != b.Instructions || r.Cycles != b.Cycles {
-			return fmt.Errorf("host gate: %s simulation fingerprint diverged: instructions %d vs baseline %d, cycles %d vs baseline %d",
-				r.Name, r.Instructions, b.Instructions, r.Cycles, b.Cycles)
-		}
-		if b.Speedup > 0 && r.Speedup < b.Speedup*0.8 {
-			return fmt.Errorf("host gate: %s fast-path speedup regressed >20%%: %.2fx vs baseline %.2fx",
-				r.Name, r.Speedup, b.Speedup)
-		}
-		if b.BlockSpeedup > 0 && r.BlockSpeedup < b.BlockSpeedup*0.8 {
-			return fmt.Errorf("host gate: %s superblock speedup regressed >20%%: %.2fx vs baseline %.2fx",
-				r.Name, r.BlockSpeedup, b.BlockSpeedup)
-		}
-		if b.TraceSpeedup > 0 && r.TraceSpeedup < b.TraceSpeedup*0.8 {
-			return fmt.Errorf("host gate: %s trace speedup regressed >20%%: %.2fx vs baseline %.2fx",
-				r.Name, r.TraceSpeedup, b.TraceSpeedup)
-		}
-		// Absolute floor, independent of the baseline: the trace tier must
-		// beat the superblock engine by the minimum ratio on every measured
-		// workload. Ratios are machine-relative (both sides timed on the
-		// same host in the same process), so the floor is portable where
-		// absolute MIPS is not.
-		if r.TraceOverBlock > 0 && r.TraceOverBlock < MinTraceOverBlockFloor {
-			return fmt.Errorf("host gate: %s trace tier only %.2fx over the superblock engine (floor %.2fx)",
-				r.Name, r.TraceOverBlock, MinTraceOverBlockFloor)
-		}
-	}
-	if a := current.TraceAmort; a != nil && a.BreakEvenOps > 0 &&
-		a.OpsPerCompiledPage < a.BreakEvenOps {
-		// Compile-heavy pathology: pages are being compiled faster than
-		// their dispatch savings can pay for them.
-		return fmt.Errorf("host gate: trace compilation not amortized: %.0f ops/compiled page vs break-even %.0f",
-			a.OpsPerCompiledPage, a.BreakEvenOps)
-	}
-	if p := current.Parallel; p != nil {
-		if !p.Deterministic {
-			return fmt.Errorf("host gate: parallel engine non-deterministic")
-		}
-		bp := baseline.Parallel
-		// Scaling floor: the minimum absolute speedup comes from the
-		// *recorded baseline*, not a compile-time constant, so the gate a
-		// measurement must clear is the one committed next to the numbers
-		// it was recorded with. Enforced only when the measuring host has
-		// at least as many cores as harts — a 1-core container can neither
-		// prove nor disprove 4-hart scaling, so it neither passes nor
-		// fails the floor; the multi-core CI lane is where it binds.
-		if bp != nil && bp.ScalingFloor > 0 &&
-			p.HostCores >= p.Harts && p.Speedup < bp.ScalingFloor {
-			return fmt.Errorf("host gate: parallel speedup %.2fx at %d harts below the recorded %.2fx floor (on %d cores)",
-				p.Speedup, p.Harts, bp.ScalingFloor, p.HostCores)
-		}
-		// Relative regression vs the baseline ratio: only meaningful when
-		// both sides were measured on hosts with enough cores to scale.
-		if bp != nil && bp.Speedup > 0 &&
-			p.HostCores >= p.Harts && bp.HostCores >= bp.Harts &&
-			p.Speedup < bp.Speedup*0.8 {
-			return fmt.Errorf("host gate: parallel speedup regressed >20%%: %.2fx vs baseline %.2fx (on %d cores)",
-				p.Speedup, bp.Speedup, p.HostCores)
-		}
-	}
-	if s := current.Serving; s != nil {
-		// The serving section is gated entirely in the simulation domain,
-		// so its checks are absolute and exact on any host.
-		if !s.Deterministic {
-			return fmt.Errorf("host gate: serving benchmark non-deterministic: repeated optimized runs diverged")
-		}
-		floor := MinServingSpeedupFloor
-		if s.SpeedupFloor > floor {
-			floor = s.SpeedupFloor
-		}
-		if s.Speedup < floor {
-			return fmt.Errorf("host gate: serving data-plane speedup %.2fx below the %.2fx floor (%d vs %d baseline cycles)",
-				s.Speedup, floor, s.Cycles, s.BaselineCycles)
-		}
-		if bs := baseline.Serving; bs != nil && bs.SameConfig(s) {
-			// Same config as the committed baseline: the simulated numbers
-			// are fingerprints and must match bit for bit.
-			if s.Cycles != bs.Cycles || s.HistCount != bs.HistCount || s.HistSum != bs.HistSum {
-				return fmt.Errorf("host gate: serving fingerprint diverged: cycles %d vs baseline %d, hist (%d,%d) vs (%d,%d)",
-					s.Cycles, bs.Cycles, s.HistCount, s.HistSum, bs.HistCount, bs.HistSum)
+		switch {
+		case r.Better == Exact:
+			if ok && r.Median != b.Median {
+				errs = append(errs, fmt.Errorf("%s: %.0f %s, baseline %.0f: simulation fingerprint diverged",
+					r.Name, r.Median, r.Unit, b.Median))
+			}
+		case r.Floor != 0:
+			if worse(r.Better, r.Median, r.Floor) {
+				errs = append(errs, fmt.Errorf("%s: %.2f%s (spread %.2f) beyond the %.2f%s floor",
+					r.Name, r.Median, r.Unit, r.Spread, r.Floor, r.Unit))
+			}
+		case r.Unit == "x" && ok:
+			limit := b.Median * (1 - ratioBound)
+			if r.Better == Lower {
+				limit = b.Median * (1 + ratioBound)
+			}
+			if worse(r.Better, r.Median, limit) {
+				errs = append(errs, fmt.Errorf("%s: %.2fx (spread %.2f) regressed >20%% from baseline %.2fx",
+					r.Name, r.Median, r.Spread, b.Median))
 			}
 		}
 	}
-	if o := current.Observability; o != nil {
-		// Absolute gates on the fresh measurement, independent of the
-		// baseline: arming the plane must never change simulated results,
-		// and its throughput tax at the default sampling period must stay
-		// under 3% — the budget the plane was designed to.
-		if !o.BitIdentical {
-			return fmt.Errorf("host gate: observability-armed run diverged from unarmed run")
-		}
-		if o.OverheadPct > 3.0 {
-			return fmt.Errorf("host gate: observability overhead %.2f%% exceeds the 3%% budget (%.2f -> %.2f MIPS)",
-				o.OverheadPct, o.OffMIPS, o.ArmedMIPS)
+	for _, b := range baseline.Rows {
+		if !cur[b.Name] && !slices.Contains(skipped, b.Name) {
+			errs = append(errs, fmt.Errorf("%s: in the baseline but not measured", b.Name))
 		}
 	}
-	return nil
+	return skipped, errors.Join(errs...)
+}
+
+// worse reports whether v lies on the wrong side of limit for better.
+func worse(better string, v, limit float64) bool {
+	if better == Lower {
+		return v > limit
+	}
+	return v < limit
+}
+
+// sampleRounds runs round Rounds times. Each call times every arm of a
+// comparison once, so the arms interleave and share whatever else the
+// host is doing; round reports one value per metric through add. The
+// result holds each metric's per-round values.
+func sampleRounds(round func(add func(metric string, v float64)) error) (map[string][]float64, error) {
+	vals := map[string][]float64{}
+	add := func(metric string, v float64) { vals[metric] = append(vals[metric], v) }
+	for i := 0; i < Rounds; i++ {
+		if err := round(add); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
+}
+
+// quartiles returns the median of xs and its inter-quartile distance,
+// quartiles interpolated between closest ranks.
+func quartiles(xs []float64) (median, spread float64) {
+	s := slices.Clone(xs)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		i := p * float64(len(s)-1)
+		lo := int(i)
+		if lo == len(s)-1 {
+			return s[lo]
+		}
+		return s[lo] + (i-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return q(0.5), q(0.75) - q(0.25)
+}
+
+// timed summarises per-round samples as a row.
+func timed(name, layer, unit, better string, xs []float64) Row {
+	median, spread := quartiles(xs)
+	return Row{Name: name, Layer: layer, Unit: unit, Better: better, Median: median, Spread: spread, N: len(xs)}
+}
+
+// exact records a simulation-domain fingerprint value.
+func exact(name, layer, unit string, v uint64) Row {
+	return Row{Name: name, Layer: layer, Unit: unit, Better: Exact, Median: float64(v), N: 1}
 }
 
 type hostSample struct {
@@ -290,11 +203,6 @@ const (
 	EngineBlock = "block" // superblock dispatch with event-horizon batching (PR 5)
 	EngineTrace = "trace" // compiled-trace dispatch on top of superblocks (PR 8)
 )
-
-// MinTraceOverBlockFloor is the CheckHostRegression floor on the trace
-// tier's per-workload speedup over the superblock engine. The measured
-// full-scale ratios (BENCH_host.json) leave clear headroom over it.
-const MinTraceOverBlockFloor = 1.5
 
 // runHostOnce boots a fresh stack with the selected engine and drives the
 // kernel to completion inside a CVM, timing only the guest run.
@@ -314,6 +222,10 @@ func runHostOnce(k workloads.Kernel, scale int, engine string) (hostSample, erro
 		return hostSample{}, err
 	}
 	i0 := e.H.Instret
+	// Finish collecting now: a cycle the boot's allocations start (the
+	// armed observability sink's rings especially) otherwise runs on
+	// into the timed region of whichever arm triggered it.
+	runtime.GC()
 	t0 := time.Now()
 	if _, _, err := e.RunCVMToCompletion(cvm); err != nil {
 		return hostSample{}, err
@@ -326,211 +238,156 @@ func runHostOnce(k workloads.Kernel, scale int, engine string) (hostSample, erro
 	}, nil
 }
 
-// scalarAllocs measures allocations per operation on the non-straddling
-// scalar accessors — the interpreter's per-instruction memory path.
-func scalarAllocs() (read, write float64) {
-	m := mem.NewPhysMemory(platform.RAMBase, 1<<20)
-	addr := uint64(platform.RAMBase + 0x100)
-	if err := m.WriteUint(addr, 0x0123_4567_89AB_CDEF, 8); err != nil {
-		panic(err)
-	}
-	read = testing.AllocsPerRun(1000, func() {
-		if _, err := m.ReadUint(addr, 8); err != nil {
-			panic(err)
-		}
-	})
-	write = testing.AllocsPerRun(1000, func() {
-		if err := m.WriteUint(addr, 42, 8); err != nil {
-			panic(err)
-		}
-	})
-	return read, write
-}
-
-// RunHost measures host instructions/second on the T1 aes and E4 CoreMark
-// CVM drivers under all four engines: compiled trace, superblock,
-// per-instruction fast path, and pure slow path. scaleDiv divides workload scales like the
-// other experiments (1 = full paper scale). It errors if any workload's
-// simulated cycle or instruction count differs between any two engines —
-// the bit-identity guarantee, enforced where the numbers are produced.
-func RunHost(scaleDiv int) (HostResult, error) {
-	if scaleDiv < 1 {
-		scaleDiv = 1
-	}
-	// The host benchmark measures steady-state throughput, so runs must be
-	// long enough to amortise one-time work (stage-2 demand faults, page
-	// decodes). aes's paper-table scale retires only ~3.5M instructions;
-	// stretch it — the simulated-cycle cross-check still applies at the
-	// stretched scale, so bit-identity is enforced regardless.
-	type hostKernel struct {
-		workloads.Kernel
-		mult int
-	}
-	kernels := []hostKernel{}
+// hostAES returns the T1 aes kernel and its host-benchmark scale: the
+// paper-table scale retires only ~3.5M instructions, so it is stretched
+// 8x to amortise one-time work (stage-2 demand faults, page decodes).
+func hostAES(scaleDiv int) (workloads.Kernel, int) {
 	for _, k := range workloads.RV8() {
 		if k.Name == "aes" {
-			kernels = append(kernels, hostKernel{k, 8})
+			return k, hostScale(k.DefaultScale*8, scaleDiv)
 		}
 	}
-	kernels = append(kernels, hostKernel{workloads.Coremark(), 1})
+	panic("bench: RV8 suite has no aes kernel")
+}
 
-	res := HostResult{MinSpeedup: 0}
-	amort := TraceAmortResult{}
-	var savedSeconds float64
-	var savedOps uint64
-	for i, k := range kernels {
-		scale := k.DefaultScale * k.mult / scaleDiv
-		if scale < 8 {
-			scale = 8
-		}
-		trace, err := runHostOnce(k.Kernel, scale, EngineTrace)
+// hostScale divides a workload scale like the other experiments
+// (scaleDiv 1 = full paper scale), never below 8.
+func hostScale(scale, scaleDiv int) int {
+	return max(scale/max(scaleDiv, 1), 8)
+}
+
+// RunHost measures the host benchmark ledger at 1/scaleDiv scale: the
+// engine tiers, trace amortization, the observability plane, the
+// multi-hart sweep and the serving data plane. Each producer errors on
+// any simulated divergence between the arms it compares — the
+// bit-identity guarantee, enforced where the numbers are produced.
+func RunHost(scaleDiv int) (HostResult, error) {
+	res := HostResult{HostCores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	for _, part := range []func(int) ([]Row, error){engineRows, observabilityRows, parallelRows, servingRows} {
+		rows, err := part(scaleDiv)
 		if err != nil {
-			return res, fmt.Errorf("%s trace: %w", k.Name, err)
+			return res, err
 		}
-		block, err := runHostOnce(k.Kernel, scale, EngineBlock)
-		if err != nil {
-			return res, fmt.Errorf("%s block: %w", k.Name, err)
-		}
-		fast, err := runHostOnce(k.Kernel, scale, EngineFast)
-		if err != nil {
-			return res, fmt.Errorf("%s fast: %w", k.Name, err)
-		}
-		slow, err := runHostOnce(k.Kernel, scale, EngineSlow)
-		if err != nil {
-			return res, fmt.Errorf("%s slow: %w", k.Name, err)
-		}
-		for _, s := range []hostSample{trace, block, fast} {
-			if s.cycles != slow.cycles || s.instr != slow.instr {
-				return res, fmt.Errorf("%s: engine divergence from slow path: cycles %d vs %d, instret %d vs %d",
-					k.Name, s.cycles, slow.cycles, s.instr, slow.instr)
-			}
-		}
-		row := HostRow{
-			Name:         k.Name,
-			Instructions: fast.instr,
-			Cycles:       fast.cycles,
-			TraceSeconds: trace.seconds,
-			BlockSeconds: block.seconds,
-			FastSeconds:  fast.seconds,
-			SlowSeconds:  slow.seconds,
-			TraceMIPS:    float64(trace.instr) / trace.seconds / 1e6,
-			BlockMIPS:    float64(block.instr) / block.seconds / 1e6,
-			FastMIPS:     float64(fast.instr) / fast.seconds / 1e6,
-			SlowMIPS:     float64(slow.instr) / slow.seconds / 1e6,
-		}
-		if row.SlowMIPS > 0 {
-			row.Speedup = row.FastMIPS / row.SlowMIPS
-			row.BlockSpeedup = row.BlockMIPS / row.SlowMIPS
-			row.TraceSpeedup = row.TraceMIPS / row.SlowMIPS
-		}
-		if row.BlockMIPS > 0 {
-			row.TraceOverBlock = row.TraceMIPS / row.BlockMIPS
-		}
-		res.Rows = append(res.Rows, row)
-		if i == 0 || row.Speedup < res.MinSpeedup {
-			res.MinSpeedup = row.Speedup
-		}
-		if i == 0 || row.BlockSpeedup < res.MinBlockSpeedup {
-			res.MinBlockSpeedup = row.BlockSpeedup
-		}
-		if i == 0 || row.TraceSpeedup < res.MinTraceSpeedup {
-			res.MinTraceSpeedup = row.TraceSpeedup
-		}
-		if i == 0 || row.TraceOverBlock < res.MinTraceOverBlock {
-			res.MinTraceOverBlock = row.TraceOverBlock
-		}
-		amort.CompiledPages += trace.fp.TCCompiles
-		amort.Demotions += trace.fp.TCDemotions
-		amort.Recompiles += trace.fp.TCRecompiles
-		amort.DispatchEntries += trace.fp.TCEntries
-		amort.TraceOps += trace.fp.TCOps
-		savedSeconds += block.seconds - trace.seconds
-		savedOps += trace.fp.TCOps
+		res.Rows = append(res.Rows, rows...)
 	}
-	amort.CompileNsPerPage = hart.TraceCompileCost(256)
-	if savedOps > 0 {
-		amort.SavedNsPerOp = savedSeconds * 1e9 / float64(savedOps)
-	}
-	if amort.SavedNsPerOp > 0 {
-		amort.BreakEvenOps = amort.CompileNsPerPage / amort.SavedNsPerOp
-	}
-	if amort.CompiledPages > 0 {
-		amort.OpsPerCompiledPage = float64(amort.TraceOps) / float64(amort.CompiledPages)
-	}
-	res.TraceAmort = &amort
-	res.ScalarReadAllocs, res.ScalarWriteAllocs = scalarAllocs()
-	obs, err := RunObservabilityOverhead(scaleDiv)
-	if err != nil {
-		return res, fmt.Errorf("observability overhead: %w", err)
-	}
-	res.Observability = &obs
-	serving, err := RunServingBench(scaleDiv)
-	if err != nil {
-		return res, fmt.Errorf("serving: %w", err)
-	}
-	res.Serving = serving
 	return res, nil
 }
 
-// RunObservabilityOverhead measures the observability plane's host-MIPS
-// tax: the same seeded aes run with the plane off and with the sampling
-// profiler armed at its default period (attribution and the flight
-// recorder ride along — they are on whenever a sink is). Three
-// interleaved pairs are timed and the fastest of each side kept, so the
-// <3% CheckHostRegression gate judges steady-state cost, not scheduler
-// noise. Bit-identity of cycle and instret fingerprints is checked here,
-// where the numbers are produced.
-func RunObservabilityOverhead(scaleDiv int) (ObsOverheadResult, error) {
-	if scaleDiv < 1 {
-		scaleDiv = 1
-	}
-	var k workloads.Kernel
-	for _, c := range workloads.RV8() {
-		if c.Name == "aes" {
-			k = c
+// hostEngines is the order a round times the engines in.
+var hostEngines = []string{EngineTrace, EngineBlock, EngineFast, EngineSlow}
+
+// engineRows times the T1 aes and E4 CoreMark CVM drivers under all four
+// engines, and records whether trace compilation pays for itself: the
+// ops each compiled page retires must clear the break-even of its
+// one-time compile cost against the per-op saving over the superblock
+// engine, or the workloads compile pages they never amortize.
+func engineRows(scaleDiv int) ([]Row, error) {
+	aes, aesScale := hostAES(scaleDiv)
+	cm := workloads.Coremark()
+	kernels := []struct {
+		workloads.Kernel
+		scale int
+	}{{aes, aesScale}, {cm, hostScale(cm.DefaultScale, scaleDiv)}}
+
+	var rows []Row
+	var compiled, traceOps uint64
+	var savedSeconds float64
+	for _, k := range kernels {
+		var ref *hostSample
+		var tc hart.FastPathStats
+		vals, err := sampleRounds(func(add func(string, float64)) error {
+			secs := map[string]float64{}
+			for _, engine := range hostEngines {
+				s, err := runHostOnce(k.Kernel, k.scale, engine)
+				if err != nil {
+					return fmt.Errorf("%s %s: %w", k.Name, engine, err)
+				}
+				if ref == nil {
+					ref = &s
+				} else if s.cycles != ref.cycles || s.instr != ref.instr {
+					return fmt.Errorf("%s: %s engine diverged: cycles %d vs %d, instret %d vs %d",
+						k.Name, engine, s.cycles, ref.cycles, s.instr, ref.instr)
+				}
+				if engine == EngineTrace {
+					tc = s.fp
+				}
+				secs[engine] = s.seconds
+				add(engine+"_mips", float64(s.instr)/s.seconds/1e6)
+			}
+			add("fast_speedup", secs[EngineSlow]/secs[EngineFast])
+			add("block_speedup", secs[EngineSlow]/secs[EngineBlock])
+			add("trace_speedup", secs[EngineSlow]/secs[EngineTrace])
+			add("trace_over_block", secs[EngineBlock]/secs[EngineTrace])
+			add("saved_seconds", secs[EngineBlock]-secs[EngineTrace])
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		p := k.Name + "."
+		rows = append(rows,
+			exact(p+"instructions", "hart", "instr", ref.instr),
+			exact(p+"cycles", "hart", "cycles", ref.cycles))
+		for _, engine := range hostEngines {
+			rows = append(rows, timed(p+engine+"_mips", "hart", "MIPS", Higher, vals[engine+"_mips"]))
+		}
+		for _, m := range []string{"fast_speedup", "block_speedup", "trace_speedup"} {
+			rows = append(rows, timed(p+m, "hart", "x", Higher, vals[m]))
+		}
+		tob := timed(p+"trace_over_block", "hart", "x", Higher, vals["trace_over_block"])
+		tob.Floor = MinTraceOverBlockFloor
+		rows = append(rows, tob)
+		compiled += tc.TCCompiles
+		traceOps += tc.TCOps
+		saved, _ := quartiles(vals["saved_seconds"])
+		savedSeconds += saved
 	}
-	scale := k.DefaultScale * 8 / scaleDiv
-	if scale < 8 {
-		scale = 8
+	if compiled > 0 {
+		amort := Row{Name: "trace.ops_per_compiled_page", Layer: "hart", Unit: "ops", Better: Higher,
+			Median: float64(traceOps) / float64(compiled), N: 1}
+		if savedNsPerOp := savedSeconds * 1e9 / float64(traceOps); savedNsPerOp > 0 {
+			amort.Floor = hart.TraceCompileCost(256) / savedNsPerOp
+		}
+		rows = append(rows, amort)
 	}
-	res := ObsOverheadResult{
-		Workload:      k.Name,
-		Engine:        EngineBlock,
-		ProfilePeriod: telemetry.DefaultProfilePeriod,
-		BitIdentical:  true,
-	}
+	return rows, nil
+}
+
+// observabilityRows measures what arming the observability plane — the
+// cycle-domain sampling profiler at its default period, attribution and
+// the flight recorder, which ride along whenever a sink is armed — costs
+// in host throughput on the seeded aes run, and re-proves that an armed
+// run is bit-identical to an unarmed one.
+func observabilityRows(scaleDiv int) ([]Row, error) {
+	k, scale := hostAES(scaleDiv)
 	// The measurement flips the shared bench sink; restore the caller's
 	// arming (zionbench may be exporting a trace or profile of the run).
 	savedSink, savedEnvs := benchSink, telEnvs
 	defer func() { benchSink, telEnvs = savedSink, savedEnvs }()
-	var off, armed hostSample
-	for i := 0; i < 3; i++ {
+	vals, err := sampleRounds(func(add func(string, float64)) error {
 		SetTelemetry(nil)
-		o, err := runHostOnce(k, scale, EngineBlock)
+		off, err := runHostOnce(k, scale, EngineBlock)
 		if err != nil {
-			return res, fmt.Errorf("off: %w", err)
+			return fmt.Errorf("observability off: %w", err)
 		}
 		SetTelemetry(telemetry.New(telemetry.Config{ProfilePeriod: telemetry.DefaultProfilePeriod}))
-		a, err := runHostOnce(k, scale, EngineBlock)
+		armed, err := runHostOnce(k, scale, EngineBlock)
 		SetTelemetry(nil)
 		if err != nil {
-			return res, fmt.Errorf("armed: %w", err)
+			return fmt.Errorf("observability armed: %w", err)
 		}
-		if a.cycles != o.cycles || a.instr != o.instr {
-			res.BitIdentical = false
-			return res, fmt.Errorf("armed run diverged: cycles %d vs %d, instret %d vs %d",
-				a.cycles, o.cycles, a.instr, o.instr)
+		if armed.cycles != off.cycles || armed.instr != off.instr {
+			return fmt.Errorf("observability-armed run diverged: cycles %d vs %d, instret %d vs %d",
+				armed.cycles, off.cycles, armed.instr, off.instr)
 		}
-		if i == 0 || o.seconds < off.seconds {
-			off = o
-		}
-		if i == 0 || a.seconds < armed.seconds {
-			armed = a
-		}
+		// Positive = armed is slower.
+		add("overhead_pct", (1-off.seconds/armed.seconds)*100)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.OffMIPS = float64(off.instr) / off.seconds / 1e6
-	res.ArmedMIPS = float64(armed.instr) / armed.seconds / 1e6
-	res.OverheadPct = pct(res.OffMIPS, res.ArmedMIPS) * -1
-	return res, nil
+	r := timed("observability.overhead_pct", "telemetry", "%", Lower, vals["overhead_pct"])
+	r.Floor = MaxObservabilityOverheadPct
+	return []Row{r}, nil
 }

@@ -3,87 +3,140 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"zion/internal/telemetry"
+	"zion/internal/workloads"
 )
 
-// gateBaseline builds a baseline HostResult whose parallel section was
-// recorded on a 4-core host at the default scaling floor — the shape the
-// multi-core CI lane commits.
-func gateBaseline() HostResult {
-	return HostResult{
-		Parallel: &ParallelHostResult{
-			Workload: "aes", Harts: 4, HostCores: 4,
-			Adaptive: true,
-			Speedup:  2.9, Deterministic: true,
-			ScalingFloor: DefaultScalingFloor,
-		},
+// Ledger rows in the shapes the producers emit.
+func fingerprintRow(v uint64) Row { return exact("aes.cycles", "hart", "cycles", v) }
+func mipsRow(v float64) Row {
+	return Row{Name: "aes.trace_mips", Unit: "MIPS", Better: Higher, Median: v, N: 5}
+}
+func ratioRow(v float64) Row {
+	return Row{Name: "aes.trace_speedup", Unit: "x", Better: Higher, Median: v, N: 5}
+}
+func tobRow(v float64) Row {
+	return Row{Name: "aes.trace_over_block", Unit: "x", Better: Higher, Median: v, N: 5, Floor: MinTraceOverBlockFloor}
+}
+func overheadRow(v float64) Row {
+	return Row{Name: "observability.overhead_pct", Unit: "%", Better: Lower, Median: v, N: 5, Floor: MaxObservabilityOverheadPct}
+}
+func scalingRow(v, floor float64) Row {
+	return Row{Name: sweepRow(ParallelHarts, "speedup"), Unit: "x", Better: Higher, Median: v, N: 5, Floor: floor}
+}
+
+func onHost(cores int, rows ...Row) HostResult { return HostResult{HostCores: cores, Rows: rows} }
+
+// TestHostGateRules drives CheckHostRegression through its three rules
+// (exact, floor, 20% ratio bound) and the core-count rule. Floors come
+// from the fresh row, never from the baseline, and bind only where the
+// producer emitted the row — a host with fewer cores than harts does not
+// emit the sweep's speedup row, so it can neither pass nor fail its floor.
+func TestHostGateRules(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		base, cur HostResult
+		fail      []string // rows the error must name; nil = pass
+		skipped   []string
+	}{
+		{name: "exact row equal",
+			base: onHost(4, fingerprintRow(5163770)), cur: onHost(4, fingerprintRow(5163770))},
+		{name: "exact row diverged",
+			base: onHost(4, fingerprintRow(5163770)), cur: onHost(4, fingerprintRow(5163771)),
+			fail: []string{"aes.cycles"}},
+		{name: "exact row new to the ledger",
+			base: onHost(4), cur: onHost(4, fingerprintRow(1))},
+		{name: "absolute rows are never gated",
+			base: onHost(4, mipsRow(100)), cur: onHost(4, mipsRow(10))},
+		{name: "higher row above its floor",
+			base: onHost(4), cur: onHost(4, tobRow(1.6))},
+		{name: "higher row below its floor",
+			base: onHost(4, tobRow(2.3)), cur: onHost(4, tobRow(1.43)),
+			fail: []string{"aes.trace_over_block"}},
+		{name: "lower row under its floor",
+			base: onHost(4), cur: onHost(4, overheadRow(2.9))},
+		{name: "lower row over its floor",
+			base: onHost(4, overheadRow(0.8)), cur: onHost(4, overheadRow(15.2)),
+			fail: []string{"observability.overhead_pct"}},
+		{name: "ratio within 20% of baseline",
+			base: onHost(4, ratioRow(11.4)), cur: onHost(4, ratioRow(9.2))},
+		{name: "ratio regressed more than 20%",
+			base: onHost(4, ratioRow(11.4)), cur: onHost(4, ratioRow(7.2)),
+			fail: []string{"aes.trace_speedup"}},
+		{name: "ratio without a baseline row",
+			base: onHost(4), cur: onHost(4, ratioRow(0.5))},
+		{name: "baseline row not measured",
+			base: onHost(4, ratioRow(11.4), fingerprintRow(5163770)), cur: onHost(4, ratioRow(11.4)),
+			fail: []string{"aes.cycles"}},
+		{name: "4-core run below the scaling floor",
+			base: onHost(4, scalingRow(2.9, DefaultScalingFloor)), cur: onHost(4, scalingRow(1.3, DefaultScalingFloor)),
+			fail: []string{"parallel.4h.speedup"}},
+		{name: "4-core run clearing the scaling floor",
+			base: onHost(4, scalingRow(2.9, DefaultScalingFloor)), cur: onHost(4, scalingRow(2.6, DefaultScalingFloor))},
+		{name: "within 20% of baseline and above the floor",
+			base: onHost(4, scalingRow(2.9, DefaultScalingFloor)), cur: onHost(4, scalingRow(2.55, DefaultScalingFloor))},
+		{name: ">20% regressed and below the floor",
+			base: onHost(4, scalingRow(2.9, DefaultScalingFloor)), cur: onHost(4, scalingRow(2.9*0.75, DefaultScalingFloor)),
+			fail: []string{"parallel.4h.speedup"}},
+		{name: "floorless baseline row does not lift the fresh row's floor",
+			base: onHost(4, scalingRow(0.95, 0)), cur: onHost(4, scalingRow(1.1, DefaultScalingFloor)),
+			fail: []string{"parallel.4h.speedup"}},
+		{name: "baseline from a smaller host does not anchor the floor",
+			base: onHost(1), cur: onHost(4, scalingRow(0.9, DefaultScalingFloor)),
+			fail: []string{"parallel.4h.speedup"}},
+		{name: "host with fewer cores than harts skips the floor",
+			base: onHost(4, scalingRow(2.9, DefaultScalingFloor)), cur: onHost(2),
+			skipped: []string{"parallel.4h.speedup"}},
+		{name: "1-core host skips every multi-hart speedup",
+			base: onHost(2), cur: onHost(1),
+			skipped: []string{"parallel.2h.speedup", "parallel.4h.speedup"}},
+		{name: "multi-row failure names every row",
+			base: onHost(4, fingerprintRow(5163770), ratioRow(11.4), tobRow(2.3), overheadRow(0.8)),
+			cur:  onHost(4, fingerprintRow(1), ratioRow(7.2), tobRow(1.43), overheadRow(15.2)),
+			fail: []string{"aes.cycles", "aes.trace_speedup", "aes.trace_over_block", "observability.overhead_pct"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			skipped, err := CheckHostRegression(tc.base, tc.cur)
+			if strings.Join(skipped, ",") != strings.Join(tc.skipped, ",") {
+				t.Errorf("skipped %v, want %v", skipped, tc.skipped)
+			}
+			if tc.fail == nil {
+				if err != nil {
+					t.Errorf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("passed, want failures on %v", tc.fail)
+			}
+			msg := err.Error()
+			if got := strings.Count(msg, "\n") + 1; got != len(tc.fail) {
+				t.Errorf("%d violations reported, want %d:\n%s", got, len(tc.fail), msg)
+			}
+			for _, name := range tc.fail {
+				if !strings.Contains(msg, name) {
+					t.Errorf("error does not name %s:\n%s", name, msg)
+				}
+			}
+		})
 	}
 }
 
-// TestScalingFloorFromBaseline: the absolute parallel-speedup floor the
-// gate enforces is the one recorded in the baseline JSON, and it binds
-// only when the measuring host has at least as many cores as harts — a
-// 1-core container can neither pass nor fail a 4-hart scaling claim.
-func TestScalingFloorFromBaseline(t *testing.T) {
-	base := gateBaseline()
-
-	// 4-core measurement below the recorded floor: rejected, naming it.
-	cur := gateBaseline()
-	cur.Parallel.Speedup = 1.3
-	err := CheckHostRegression(base, cur)
-	if err == nil || !strings.Contains(err.Error(), "floor") {
-		t.Errorf("sub-floor 4-core run not rejected: %v", err)
+// TestCheckServingRerunCatchesP99: the serving rerun check compares the
+// whole fingerprint, so a divergence in the latency tail alone fails it.
+func TestCheckServingRerunCatchesP99(t *testing.T) {
+	run := func(p99 uint64) *workloads.ServingStats {
+		h := telemetry.NewHistogram()
+		h.Observe(11772)
+		return &workloads.ServingStats{Cycles: 128715744, P50: 11772, P99: p99, Hist: h,
+			DoorbellExits: 7816, IRQAckExits: 7816, IRQsFired: 7816, IRQsSuppressed: 8}
 	}
-
-	// Same sub-floor number on a 1-core host: the floor must not bind.
-	cur.Parallel.HostCores = 1
-	if err := CheckHostRegression(base, cur); err != nil {
-		t.Errorf("1-core run spuriously failed the 4-core floor: %v", err)
+	if err := CheckServingRerun(run(18386), run(18386)); err != nil {
+		t.Errorf("identical runs rejected: %v", err)
 	}
-
-	// 4-core measurement clearing the floor passes.
-	cur = gateBaseline()
-	cur.Parallel.Speedup = 2.6
-	if err := CheckHostRegression(base, cur); err != nil {
-		t.Errorf("above-floor run rejected: %v", err)
-	}
-
-	// A baseline without a recorded floor (predating this gate) imposes
-	// no absolute requirement even on capable hosts.
-	base.Parallel.ScalingFloor = 0
-	base.Parallel.HostCores = 1 // and recorded on a 1-core host:
-	base.Parallel.Speedup = 0.95
-	cur = gateBaseline()
-	cur.Parallel.Speedup = 1.1
-	if err := CheckHostRegression(base, cur); err != nil {
-		t.Errorf("floorless baseline enforced a floor: %v", err)
-	}
-}
-
-// TestScalingGateRelativeCheck: the 20% relative regression check only
-// compares measurements when both baseline and current were taken on
-// hosts with enough cores — a baseline recorded in a 1-core container
-// must never anchor the ratio for a real 4-core run.
-func TestScalingGateRelativeCheck(t *testing.T) {
-	base := gateBaseline()
-	cur := gateBaseline()
-	cur.Parallel.Speedup = 2.55 // above the 2.5 floor, within 20% of 2.9
-	if err := CheckHostRegression(base, cur); err != nil {
-		t.Errorf("within-20%% run rejected: %v", err)
-	}
-	cur.Parallel.Speedup = 2.9 * 0.75 // above nothing: 2.18 < floor and >20% below
-	if err := CheckHostRegression(base, cur); err == nil {
-		t.Error(">20%-regressed sub-floor run passed the gate")
-	}
-
-	// Baseline measured on 1 core: its 0.95x "speedup" is meaningless
-	// for a 4-core run and must not trigger the relative check either
-	// way — and with no recorded floor carried over, a modest 4-core
-	// result passes.
-	base.Parallel.HostCores = 1
-	base.Parallel.Speedup = 0.95
-	cur.Parallel.Speedup = 0.9 // below baseline*0.8? 0.9 > 0.76 anyway; floor applies though
-	err := CheckHostRegression(base, cur)
-	if err == nil || !strings.Contains(err.Error(), "floor") {
-		t.Errorf("recorded floor ignored when baseline host was small: %v", err)
+	err := CheckServingRerun(run(18386), run(18387))
+	if err == nil || !strings.Contains(err.Error(), "serving.p99_cycles") || strings.Contains(err.Error(), "\n") {
+		t.Errorf("p99-only divergence not reported as exactly that row: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"zion/internal/hart"
@@ -100,29 +101,22 @@ func (e *Env) cvmRunner(k workloads.Kernel, scale int) platform.HartRunner {
 // otherwise. It returns each hart's fingerprint plus the host wall-clock
 // seconds spent executing guests.
 func RunWorkloadCopies(k workloads.Kernel, scale, n int, cfg *platform.EngineConfig) ([]HartFingerprint, float64, error) {
-	fps, sec, _, err := runWorkloadCopiesStats(k, scale, n, cfg)
-	return fps, sec, err
-}
-
-// runWorkloadCopiesStats is RunWorkloadCopies plus the engine's barrier
-// bookkeeping (zero value for sequential runs) — the scaling rows
-// record it.
-func runWorkloadCopiesStats(k workloads.Kernel, scale, n int, cfg *platform.EngineConfig) ([]HartFingerprint, float64, platform.EngineStats, error) {
 	e := NewEnv(EnvConfig{Harts: n, SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
 	runners := make([]platform.HartRunner, n)
 	for i := 0; i < n; i++ {
 		runners[i] = e.cvmRunner(k, scale)
 	}
+	runtime.GC() // keep the boot's collection out of the timed region
 	t0 := time.Now()
 	if cfg == nil {
 		for i, r := range runners {
 			if err := r(e.M.Harts[i]); err != nil {
-				return nil, 0, platform.EngineStats{}, fmt.Errorf("bench: sequential hart %d: %w", i, err)
+				return nil, 0, fmt.Errorf("bench: sequential hart %d: %w", i, err)
 			}
 		}
 	} else {
 		if err := e.M.RunParallel(*cfg, runners); err != nil {
-			return nil, 0, platform.EngineStats{}, fmt.Errorf("bench: parallel run: %w", err)
+			return nil, 0, fmt.Errorf("bench: parallel run: %w", err)
 		}
 	}
 	sec := time.Since(t0).Seconds()
@@ -130,87 +124,18 @@ func runWorkloadCopiesStats(k workloads.Kernel, scale, n int, cfg *platform.Engi
 	for i, h := range e.M.Harts {
 		fps[i] = Fingerprint(h)
 	}
-	return fps, sec, e.M.EngineStats(), nil
+	return fps, sec, nil
 }
 
-// DefaultScalingFloor is the parallel speedup the 4-hart deterministic
-// EngineBlock workload must reach on a host with at least as many cores
-// as harts. RunParallelHost stamps it into the result so the committed
-// baseline JSON carries the floor, and CheckHostRegression enforces the
-// *baseline's* recorded floor — never this constant directly — so a
-// stale binary can't silently move the gate (see the scaling gate in
-// host.go). 2.5x at 4 harts leaves headroom below ideal linear scaling
-// for barrier cost and shared-host noise on CI runners.
+// ParallelHarts is the largest machine of the multi-hart sweep.
+const ParallelHarts = 4
+
+// DefaultScalingFloor is the parallel speedup the 4-hart aes workload
+// must reach under the adaptive quantum-barrier engine. It leaves
+// headroom below ideal linear scaling for barrier cost and shared-host
+// noise on CI runners. No host with 4 or more cores has recorded the
+// 4-hart row yet, so the floor is unverified.
 const DefaultScalingFloor = 2.5
-
-// HartScalingRow is one point of the hart-count scaling sweep: the same
-// per-hart workload at n harts, sequential vs parallel, plus the
-// engine's barrier/adaptive-quantum bookkeeping for the parallel run.
-type HartScalingRow struct {
-	Harts          int     `json:"harts"`
-	SeqSeconds     float64 `json:"seq_seconds"`
-	ParSeconds     float64 `json:"par_seconds"`
-	Speedup        float64 `json:"speedup"`
-	Deterministic  bool    `json:"deterministic"`
-	Epochs         uint64  `json:"epochs"`
-	CrossOps       uint64  `json:"cross_ops"`
-	QuantumGrows   uint64  `json:"quantum_grows"`
-	QuantumShrinks uint64  `json:"quantum_shrinks"`
-	FinalQuantum   uint64  `json:"final_quantum"`
-}
-
-// ParallelBenchConfig selects the engine configuration of the parallel
-// host-throughput section (zionbench -quantum).
-type ParallelBenchConfig struct {
-	// Quantum fixes the barrier period in simulated cycles; 0 selects
-	// adaptive sizing seeded at platform.DefaultQuantum.
-	Quantum uint64
-}
-
-// engineConfig expands the bench-level selection into an EngineConfig.
-func (bc ParallelBenchConfig) engineConfig() platform.EngineConfig {
-	cfg := platform.EngineConfig{Quantum: bc.Quantum}
-	if bc.Quantum == 0 {
-		cfg.Adaptive = true
-		cfg.Quantum = platform.DefaultQuantum
-	}
-	return cfg
-}
-
-// ParallelHostResult is the multi-hart host-throughput section of
-// BENCH_host.json. Speedup is wall-clock sequential/parallel for the same
-// n-hart workload; it approaches min(n, host cores) on an idle machine and
-// 1.0 on a single-core host — which is why the CI gate activates the
-// scaling floor only when the measuring host has at least Harts cores,
-// and why HostCores is recorded alongside it. Scaling is the hart-count
-// sweep (1, 2, 4, … up to Harts); the top-level fields are the sweep's
-// last row plus the summed instruction/cycle fingerprints.
-type ParallelHostResult struct {
-	Workload      string  `json:"workload"`
-	Harts         int     `json:"harts"`
-	HostCores     int     `json:"host_cores"`
-	Adaptive      bool    `json:"adaptive"`
-	Quantum       uint64  `json:"quantum,omitempty"` // fixed quantum; 0 = adaptive
-	Instructions  uint64  `json:"instructions"`
-	Cycles        uint64  `json:"simulated_cycles"`
-	SeqSeconds    float64 `json:"seq_seconds"`
-	ParSeconds    float64 `json:"par_seconds"`
-	SeqMIPS       float64 `json:"seq_mips"`
-	ParMIPS       float64 `json:"par_mips"`
-	Speedup       float64 `json:"speedup"`
-	Deterministic bool    `json:"deterministic"`
-	// ScalingFloor is the minimum Speedup required of a run on a host
-	// with >= Harts cores. The committed
-	// baseline's value is what the CI gate enforces.
-	ScalingFloor float64          `json:"scaling_floor,omitempty"`
-	Scaling      []HartScalingRow `json:"scaling,omitempty"`
-	// Engine bookkeeping of the headline parallel run.
-	Epochs         uint64 `json:"epochs,omitempty"`
-	CrossOps       uint64 `json:"cross_ops,omitempty"`
-	QuantumGrows   uint64 `json:"quantum_grows,omitempty"`
-	QuantumShrinks uint64 `json:"quantum_shrinks,omitempty"`
-	FinalQuantum   uint64 `json:"final_quantum,omitempty"`
-}
 
 // scalingHartCounts returns the sweep points: powers of two up to and
 // including harts, plus harts itself when it is not a power of two.
@@ -222,89 +147,70 @@ func scalingHartCounts(harts int) []int {
 	return append(ns, harts)
 }
 
-// RunParallelHost measures host throughput of the quantum-barrier engine
-// on the aes workload across a hart-count sweep (one private workload
-// copy per hart, sequential vs parallel at each point), and cross-checks
-// the determinism contract while doing so: the per-hart fingerprints of
-// both runs must be bit-identical or the benchmark errors.
-func RunParallelHost(scaleDiv, harts int, bc ParallelBenchConfig) (ParallelHostResult, error) {
-	if scaleDiv < 1 {
-		scaleDiv = 1
-	}
-	if harts < 1 {
-		harts = 4
-	}
-	var k workloads.Kernel
-	for _, c := range workloads.RV8() {
-		if c.Name == "aes" {
-			k = c
+// sweepRow names a row of the sweep point at n harts.
+func sweepRow(n int, metric string) string { return fmt.Sprintf("parallel.%dh.%s", n, metric) }
+
+// coreBoundRows names the rows a host with the given core count does not
+// measure: the speedup at n harts approaches min(n, cores), so it can
+// neither prove nor disprove scaling past the host's cores.
+func coreBoundRows(cores int) []string {
+	var names []string
+	for _, n := range scalingHartCounts(ParallelHarts) {
+		if n > cores {
+			names = append(names, sweepRow(n, "speedup"))
 		}
 	}
-	scale := k.DefaultScale * 8 / scaleDiv
-	if scale < 8 {
-		scale = 8
-	}
-	cfg := bc.engineConfig()
-	res := ParallelHostResult{
-		Workload:  k.Name,
-		Harts:     harts,
-		HostCores: runtime.NumCPU(),
-		Adaptive:  cfg.Adaptive,
-		Quantum:   bc.Quantum,
-	}
-	for _, n := range scalingHartCounts(harts) {
-		seqFP, seqSec, _, err := runWorkloadCopiesStats(k, scale, n, nil)
-		if err != nil {
-			return res, err
-		}
-		parFP, parSec, st, err := runWorkloadCopiesStats(k, scale, n, &cfg)
-		if err != nil {
-			return res, err
-		}
-		row := HartScalingRow{
-			Harts: n, SeqSeconds: seqSec, ParSeconds: parSec,
-			Deterministic:  true,
-			Epochs:         st.Epochs,
-			CrossOps:       st.CrossOps,
-			QuantumGrows:   st.QuantumGrows,
-			QuantumShrinks: st.QuantumShrinks,
-			FinalQuantum:   st.FinalQuantum,
-		}
+	return names
+}
+
+// parallelRows measures host throughput of the adaptive quantum-barrier
+// engine on the aes workload across the hart-count sweep (one private
+// workload copy per hart, sequential vs parallel at each point), and
+// cross-checks the determinism contract while doing so: the per-hart
+// fingerprints of both runs must be bit-identical or the benchmark
+// errors. The summed fingerprints are exact rows at every point; the
+// speedup row only where the host has the cores for it.
+func parallelRows(scaleDiv int) ([]Row, error) {
+	k, scale := hostAES(scaleDiv)
+	cfg := platform.EngineConfig{Adaptive: true, Quantum: platform.DefaultQuantum}
+	skip := coreBoundRows(runtime.NumCPU())
+	var rows []Row
+	for _, n := range scalingHartCounts(ParallelHarts) {
 		var instr, cycles uint64
-		for i := range seqFP {
-			if !seqFP[i].Equal(parFP[i]) {
-				row.Deterministic = false
-				res.Scaling = append(res.Scaling, row)
-				return res, fmt.Errorf("bench: %d harts, hart %d sequential/parallel divergence: %v vs %v",
-					n, i, seqFP[i], parFP[i])
+		vals, err := sampleRounds(func(add func(string, float64)) error {
+			seqFP, seqSec, err := RunWorkloadCopies(k, scale, n, nil)
+			if err != nil {
+				return err
 			}
-			instr += seqFP[i].Instret
-			cycles += seqFP[i].Cycles
+			parFP, parSec, err := RunWorkloadCopies(k, scale, n, &cfg)
+			if err != nil {
+				return err
+			}
+			instr, cycles = 0, 0
+			for i := range seqFP {
+				if !seqFP[i].Equal(parFP[i]) {
+					return fmt.Errorf("bench: %d harts, hart %d sequential/parallel divergence: %v vs %v",
+						n, i, seqFP[i], parFP[i])
+				}
+				instr += seqFP[i].Instret
+				cycles += seqFP[i].Cycles
+			}
+			add("speedup", seqSec/parSec)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if parSec > 0 {
-			row.Speedup = seqSec / parSec
-		}
-		res.Scaling = append(res.Scaling, row)
-		if n == harts {
-			res.Instructions = instr
-			res.Cycles = cycles
-			res.SeqSeconds = seqSec
-			res.ParSeconds = parSec
-			res.Speedup = row.Speedup
-			res.Deterministic = row.Deterministic
-			res.Epochs = st.Epochs
-			res.CrossOps = st.CrossOps
-			res.QuantumGrows = st.QuantumGrows
-			res.QuantumShrinks = st.QuantumShrinks
-			res.FinalQuantum = st.FinalQuantum
-			if seqSec > 0 {
-				res.SeqMIPS = float64(instr) / seqSec / 1e6
+		rows = append(rows,
+			exact(sweepRow(n, "instructions"), "platform", "instr", instr),
+			exact(sweepRow(n, "cycles"), "platform", "cycles", cycles))
+		if name := sweepRow(n, "speedup"); !slices.Contains(skip, name) {
+			r := timed(name, "platform", "x", Higher, vals["speedup"])
+			if n == ParallelHarts {
+				r.Floor = DefaultScalingFloor
 			}
-			if parSec > 0 {
-				res.ParMIPS = float64(instr) / parSec / 1e6
-			}
+			rows = append(rows, r)
 		}
 	}
-	res.ScalingFloor = DefaultScalingFloor
-	return res, nil
+	return rows, nil
 }

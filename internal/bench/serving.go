@@ -13,62 +13,8 @@ import (
 // Cycle ratios are simulation-domain, so the floor is exact on any host.
 const MinServingSpeedupFloor = 2.0
 
-// ServingBenchResult is the `serving` section of BENCH_host.json: the
-// sustained-serving data-plane benchmark (ISSUE 10). Cycles, the latency
-// quantiles and HistCount/HistSum are simulation-domain fingerprints —
-// bit-identical across hosts for a given config — which is why the gate
-// can compare them exactly.
-type ServingBenchResult struct {
-	// Config echo, so the gate knows when baseline and current measured
-	// the same experiment.
-	Requests uint64 `json:"requests"`
-	CVMs     int    `json:"cvms"`
-	Queues   int    `json:"queues_per_cvm"`
-	Depth    int    `json:"depth"`
-	Coalesce int    `json:"coalesce"`
-	ReqBytes int    `json:"req_bytes"`
-	Seed     uint64 `json:"seed"`
-
-	// Optimized data plane (multi-queue, batched, coalesced).
-	Cycles         uint64  `json:"simulated_cycles"`
-	P50            uint64  `json:"p50_cycles"`
-	P99            uint64  `json:"p99_cycles"`
-	MeanCycles     float64 `json:"mean_cycles"`
-	DoorbellExits  uint64  `json:"doorbell_exits"`
-	IRQAckExits    uint64  `json:"irq_ack_exits"`
-	IRQsFired      uint64  `json:"irqs_fired"`
-	IRQsSuppressed uint64  `json:"irqs_suppressed"`
-	PoolHWM        int     `json:"pool_hwm"`
-	PoolSlots      int     `json:"pool_slots"`
-	HistCount      uint64  `json:"hist_count"`
-	HistSum        uint64  `json:"hist_sum"`
-
-	// Single-queue, depth-1, uncoalesced baseline on the same seed and
-	// request count; Speedup is BaselineCycles/Cycles.
-	BaselineCycles uint64  `json:"baseline_cycles"`
-	BaselineIRQs   uint64  `json:"baseline_irqs_fired"`
-	Speedup        float64 `json:"speedup"`
-	SpeedupFloor   float64 `json:"speedup_floor"`
-
-	// Deterministic records that two fresh optimized runs produced
-	// identical cycle counts, exit accounting and latency histograms.
-	Deterministic bool `json:"deterministic"`
-
-	// Host-side throughput (requests per wall second) — informational
-	// only, never gated: CI runners differ.
-	HostRPS float64 `json:"host_rps,omitempty"`
-}
-
-// SameConfig reports whether two serving results measured the same
-// experiment, i.e. their fingerprints are comparable.
-func (r *ServingBenchResult) SameConfig(o *ServingBenchResult) bool {
-	return r.Requests == o.Requests && r.CVMs == o.CVMs && r.Queues == o.Queues &&
-		r.Depth == o.Depth && r.Coalesce == o.Coalesce &&
-		r.ReqBytes == o.ReqBytes && r.Seed == o.Seed
-}
-
-// ServingBenchConfig is the canonical optimized configuration the `serving`
-// row records: the full-scale run is 1M requests spread over 8 CVMs with
+// ServingBenchConfig is the canonical optimized configuration the
+// `serving.*` rows record: the full-scale run is 1M requests spread over 8 CVMs with
 // two queues each, depth 16, coalescing every 16 completions.
 func ServingBenchConfig(requests uint64) workloads.ServingConfig {
 	return workloads.ServingConfig{
@@ -87,96 +33,69 @@ func ServingBenchConfig(requests uint64) workloads.ServingConfig {
 // RunServingOnce boots a fresh stack and drives one serving run with the
 // given configuration — the zionbench `serving` experiment entry point.
 func RunServingOnce(cfg workloads.ServingConfig) (*workloads.ServingStats, error) {
-	st, _, err := runServingOnce(cfg)
-	return st, err
-}
-
-// runServingOnce boots a fresh stack and drives one serving run.
-func runServingOnce(cfg workloads.ServingConfig) (*workloads.ServingStats, float64, error) {
 	e := NewEnv(EnvConfig{})
-	st, err := workloads.RunServing(e.HV, e.H, e.Tel, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	rps := 0.0
-	if st.HostSeconds > 0 {
-		rps = float64(st.Requests) / st.HostSeconds
-	}
-	return st, rps, nil
+	return workloads.RunServing(e.HV, e.H, e.Tel, cfg)
 }
 
-// RunServingBench measures the sustained-serving data plane: the
-// optimized configuration twice (fresh stacks — the second run re-proves
-// bit-identity), then the single-queue unbatched baseline on the same
-// seed and request stream. scaleDiv divides the 1M-request full scale
-// like the other experiments; the request count never drops below 4000
-// so the coalescing and batching regimes stay exercised.
-func RunServingBench(scaleDiv int) (*ServingBenchResult, error) {
-	if scaleDiv < 1 {
-		scaleDiv = 1
+// servingFingerprint is the simulation-domain outcome of one serving
+// run: bit-identical for a given configuration on any host.
+func servingFingerprint(st *workloads.ServingStats) []Row {
+	return []Row{
+		exact("serving.cycles", "virtio", "cycles", st.Cycles),
+		exact("serving.p50_cycles", "virtio", "cycles", st.P50),
+		exact("serving.p99_cycles", "virtio", "cycles", st.P99),
+		exact("serving.hist_count", "virtio", "count", st.Hist.Count()),
+		exact("serving.hist_sum", "virtio", "cycles", st.Hist.Sum()),
+		exact("serving.doorbell_exits", "virtio", "count", st.DoorbellExits),
+		exact("serving.irq_ack_exits", "virtio", "count", st.IRQAckExits),
+		exact("serving.irqs_fired", "virtio", "count", st.IRQsFired),
+		exact("serving.irqs_suppressed", "virtio", "count", st.IRQsSuppressed),
 	}
-	requests := uint64(1_000_000) / uint64(scaleDiv)
-	if requests < 4000 {
-		requests = 4000
-	}
-	cfg := ServingBenchConfig(requests)
+}
 
-	opt, rps, err := runServingOnce(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("serving optimized: %w", err)
-	}
-	opt2, _, err := runServingOnce(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("serving rerun: %w", err)
-	}
+// CheckServingRerun applies the gate's exact rule to two runs of one
+// serving configuration, naming every fingerprint row on which they
+// differ.
+func CheckServingRerun(a, b *workloads.ServingStats) error {
+	_, err := CheckHostRegression(HostResult{Rows: servingFingerprint(a)}, HostResult{Rows: servingFingerprint(b)})
+	return err
+}
 
+// servingRows measures the sustained-serving data plane: the optimized
+// configuration once per round on a fresh stack (every rerun must
+// reproduce the first run's fingerprint), then the single-queue
+// unbatched baseline on the same seed and request stream. The request
+// count (1M at full scale) never drops below 4000, so the coalescing and
+// batching regimes stay exercised.
+func servingRows(scaleDiv int) ([]Row, error) {
+	requests := uint64(1_000_000) / uint64(max(scaleDiv, 1))
+	cfg := ServingBenchConfig(max(requests, 4000))
+	var first *workloads.ServingStats
+	vals, err := sampleRounds(func(add func(string, float64)) error {
+		st, err := RunServingOnce(cfg)
+		if err != nil {
+			return fmt.Errorf("serving optimized: %w", err)
+		}
+		if first == nil {
+			first = st
+		} else if err := CheckServingRerun(first, st); err != nil {
+			return fmt.Errorf("serving rerun diverged: %w", err)
+		}
+		add("host_rps", float64(st.Requests)/st.HostSeconds)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	base := cfg
-	base.Queues = 1
-	base.Depth = 1
-	base.Coalesce = 1
-	bst, _, err := runServingOnce(base)
+	base.Queues, base.Depth, base.Coalesce = 1, 1, 1
+	bst, err := RunServingOnce(base)
 	if err != nil {
 		return nil, fmt.Errorf("serving baseline: %w", err)
 	}
-
-	res := &ServingBenchResult{
-		Requests: cfg.Requests,
-		CVMs:     cfg.CVMs,
-		Queues:   cfg.Queues,
-		Depth:    cfg.Depth,
-		Coalesce: cfg.Coalesce,
-		ReqBytes: cfg.ReqBytes,
-		Seed:     cfg.Seed,
-
-		Cycles:         opt.Cycles,
-		P50:            opt.P50,
-		P99:            opt.P99,
-		MeanCycles:     opt.Mean,
-		DoorbellExits:  opt.DoorbellExits,
-		IRQAckExits:    opt.IRQAckExits,
-		IRQsFired:      opt.IRQsFired,
-		IRQsSuppressed: opt.IRQsSuppressed,
-		PoolHWM:        opt.PoolHWM,
-		PoolSlots:      opt.PoolSlots,
-		HistCount:      opt.Hist.Count(),
-		HistSum:        opt.Hist.Sum(),
-
-		BaselineCycles: bst.Cycles,
-		BaselineIRQs:   bst.IRQsFired,
-		SpeedupFloor:   MinServingSpeedupFloor,
-		HostRPS:        rps,
-
-		Deterministic: opt.Cycles == opt2.Cycles &&
-			opt.Hist.Count() == opt2.Hist.Count() &&
-			opt.Hist.Sum() == opt2.Hist.Sum() &&
-			opt.DoorbellExits == opt2.DoorbellExits &&
-			opt.IRQAckExits == opt2.IRQAckExits &&
-			opt.IRQsFired == opt2.IRQsFired &&
-			opt.IRQsSuppressed == opt2.IRQsSuppressed &&
-			opt.P50 == opt2.P50 && opt.P99 == opt2.P99,
-	}
-	if opt.Cycles > 0 {
-		res.Speedup = float64(bst.Cycles) / float64(opt.Cycles)
-	}
-	return res, nil
+	return append(servingFingerprint(first),
+		exact("serving.baseline_cycles", "virtio", "cycles", bst.Cycles),
+		Row{Name: "serving.speedup", Layer: "virtio", Unit: "x", Better: Higher,
+			Median: float64(bst.Cycles) / float64(first.Cycles), N: 1, Floor: MinServingSpeedupFloor},
+		timed("serving.host_rps", "virtio", "req/s", Higher, vals["host_rps"])), nil
 }

@@ -28,10 +28,12 @@ func TestScalarAccessorsZeroAllocs(t *testing.T) {
 		{"ReadUint16", func() { _, _ = m.ReadUint(addr, 2) }},
 		{"ReadUint32", func() { _, _ = m.ReadUint32(addr) }},
 		{"ReadUint64", func() { _, _ = m.ReadUint64(addr) }},
+		{"ReadUint(8)", func() { _, _ = m.ReadUint(addr, 8) }},
 		{"WriteUint8", func() { _ = m.WriteUint(addr, 0x5A, 1) }},
 		{"WriteUint16", func() { _ = m.WriteUint(addr, 0x5A5A, 2) }},
 		{"WriteUint32", func() { _ = m.WriteUint(addr, 0x5A5A_5A5A, 4) }},
 		{"WriteUint64", func() { _ = m.WriteUint64(addr, 0x5A5A_5A5A_5A5A_5A5A) }},
+		{"WriteUint(8)", func() { _ = m.WriteUint(addr, 42, 8) }},
 		// Untouched pages read back as zero without allocating a frame.
 		{"ReadUntouched", func() { _, _ = m.ReadUint64(allocBase + allocSize - 0x1000) }},
 	}

@@ -27,12 +27,13 @@
 #   make smoke-serving    - short sustained-serving run (deterministic rerun
 #                           checked inside zionbench); writes the latency
 #                           histogram artifact serving_hist.json
-#   make test-allocs      - pin the zero-allocation contract of the superblock
-#                           and compiled-trace dispatch loops
+#   make test-allocs      - pin the zero-allocation contract of Hart.Run over
+#                           the superblock and compiled-trace dispatch loops
+#   make fuzz             - run the native fuzz target FuzzLockstep for 60s
 
 GO ?= go
 
-.PHONY: build test check race race-engine lint smoke smoke-compromise smoke-monitor smoke-serving test-allocs bench bench-host bench-host-short bench-gate
+.PHONY: build test check race race-engine lint smoke smoke-compromise smoke-monitor smoke-serving test-allocs fuzz bench bench-host bench-host-short bench-gate
 
 build:
 	$(GO) build ./...
@@ -101,12 +102,20 @@ smoke-monitor:
 smoke-serving:
 	$(GO) run ./cmd/zionbench -e serving -servrequests 20000 -servhist serving_hist.json
 
-# test-allocs is the hot-loop allocation gate: the superblock and
-# compiled-trace dispatch loops must run allocation-free once warm. The
-# suite runs these anyway; the dedicated target gives CI a cheap job whose
-# failure names the regression directly.
+# test-allocs is the hot-loop allocation gate: Hart.Run over the
+# superblock and compiled-trace dispatch loops must run allocation-free
+# once warm. The suite runs these anyway; the dedicated target gives CI a
+# cheap job whose failure names the regression directly.
 test-allocs:
 	$(GO) test ./internal/hart -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs' -count=1 -v
+
+# fuzz runs the native fuzz target FuzzLockstep for a bounded 60 s: it
+# compares Hart.Run on the trace tier against Step alone over fuzzer-chosen
+# instruction words. A failing input is written under the package's
+# testdata/fuzz directory; check it in and it becomes a permanent seed that
+# plain 'go test' replays.
+fuzz:
+	$(GO) test ./internal/hart -run '^$$' -fuzz '^FuzzLockstep$$' -fuzztime 60s
 
 bench:
 	$(GO) run ./cmd/zionbench

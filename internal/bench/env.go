@@ -37,6 +37,12 @@ type Env struct {
 // its own Scope (distinct PID) so their harts and CVM ids stay apart.
 var benchSink *telemetry.Sink
 
+// envEngine is the engine tier (see selectEngine) NewEnv puts every hart
+// it boots on; "" leaves them on the default trace tier. Only the
+// cross-tier bit-identity tests set it, around harness runs that boot
+// their own environments.
+var envEngine string
+
 // telEnvs tracks the environments wired to benchSink, for FlushTelemetry.
 var telEnvs []*Env
 
@@ -158,6 +164,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	h := m.Harts[0]
 	for _, hh := range m.Harts {
 		hh.Mode = isa.ModeS
+		selectEngine(hh, envEngine)
 	}
 	if sc != nil {
 		k.SetTelemetry(sc)

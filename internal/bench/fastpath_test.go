@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"zion/internal/hart"
 	"zion/internal/telemetry"
 )
 
@@ -16,26 +15,13 @@ import (
 // semantic change.
 func runBothWays[T any](t *testing.T, name string, run func() (T, error)) {
 	t.Helper()
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-
-	engines := []struct {
-		name         string
-		fast, sb, tc bool
-	}{
-		{"trace", true, true, true},
-		{"block", true, true, false},
-		{"fast", true, false, false},
-		{"slow", false, false, false},
-	}
 	var ref T
-	for i, e := range engines {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-		got, err := run()
+	for i, e := range engineGrid {
+		var got T
+		var err error
+		onEngine(e, func() { got, err = run() })
 		if err != nil {
-			t.Fatalf("%s (%s): %v", name, e.name, err)
+			t.Fatalf("%s (%s): %v", name, e, err)
 		}
 		if i == 0 {
 			ref = got
@@ -43,9 +29,17 @@ func runBothWays[T any](t *testing.T, name string, run func() (T, error)) {
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("%s: %s engine result differs from %s\n%s: %+v\n%s: %+v",
-				name, engines[0].name, e.name, engines[0].name, ref, e.name, got)
+				name, engineGrid[0], e, engineGrid[0], ref, e, got)
 		}
 	}
+}
+
+// onEngine runs fn with every environment NewEnv boots on the named
+// engine tier.
+func onEngine(engine string, fn func()) {
+	defer func(old string) { envEngine = old }(envEngine)
+	envEngine = engine
+	fn()
 }
 
 func TestFastPathBitIdenticalMicro(t *testing.T) {

@@ -204,18 +204,24 @@ const (
 	EngineTrace = "trace" // compiled-trace dispatch on top of superblocks (PR 8)
 )
 
+// selectEngine puts h on the named engine tier; harts boot on the trace
+// tier, so EngineTrace (or "") leaves h as it is.
+func selectEngine(h *hart.Hart, engine string) {
+	switch engine {
+	case EngineSlow:
+		h.DisableFastPath()
+	case EngineFast:
+		h.SetSuperblocks(false) // the trace tier rides on superblocks
+	case EngineBlock:
+		h.SetTraces(false)
+	}
+}
+
 // runHostOnce boots a fresh stack with the selected engine and drives the
 // kernel to completion inside a CVM, timing only the guest run.
 func runHostOnce(k workloads.Kernel, scale int, engine string) (hostSample, error) {
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	hart.DefaultFastPath = engine != EngineSlow
-	hart.DefaultSuperblocks = engine == EngineBlock || engine == EngineTrace
-	hart.DefaultTraces = engine == EngineTrace
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-
 	e := NewEnv(EnvConfig{SM: sm.Config{SchedQuantum: rv8TickQuantum()}})
+	selectEngine(e.H, engine)
 	img := workloads.Program(k, scale)
 	cvm, err := e.HV.CreateCVM(e.H, k.Name, img, hv.GuestRAMBase)
 	if err != nil {

@@ -61,15 +61,7 @@ func TestLockstepPaperWorkloads(t *testing.T) {
 
 // engineGrid is the full engine matrix: compiled trace, superblock,
 // per-instruction fast path, pure slow path.
-var engineGrid = []struct {
-	name         string
-	fast, sb, tc bool
-}{
-	{"trace", true, true, true},
-	{"block", true, true, false},
-	{"fast", true, false, false},
-	{"slow", false, false, false},
-}
+var engineGrid = []string{EngineTrace, EngineBlock, EngineFast, EngineSlow}
 
 // TestParallelQuadEngineBitIdentity closes the engine/scheduling matrix:
 // the same two-hart quantum-barrier run must produce bit-identical
@@ -79,18 +71,15 @@ var engineGrid = []struct {
 // TestQuadEngineLockstepPaperWorkloads (all nine tables), this pins every
 // cell of the slow/fast/block/trace × sequential/parallel grid.
 func TestParallelQuadEngineBitIdentity(t *testing.T) {
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
 	k := lockstepKernels()[0] // aes
 	cfg := platform.EngineConfig{Quantum: 4096}
 	var ref []HartFingerprint
 	for i, e := range engineGrid {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-		fps, _, err := RunWorkloadCopies(k, 32, 2, &cfg)
+		var fps []HartFingerprint
+		var err error
+		onEngine(e, func() { fps, _, err = RunWorkloadCopies(k, 32, 2, &cfg) })
 		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("%s: %v", e, err)
 		}
 		if i == 0 {
 			ref = fps
@@ -99,7 +88,7 @@ func TestParallelQuadEngineBitIdentity(t *testing.T) {
 		for h := range ref {
 			if !ref[h].Equal(fps[h]) {
 				t.Errorf("hart %d: %s vs %s divergence:\n  %v\n  %v",
-					h, engineGrid[0].name, e.name, ref[h], fps[h])
+					h, engineGrid[0], e, ref[h], fps[h])
 			}
 		}
 	}
@@ -112,19 +101,16 @@ func TestParallelQuadEngineBitIdentity(t *testing.T) {
 // counters). This is the trace tier's end-to-end contract on the exact
 // code the evaluation tables are built from.
 func TestQuadEngineLockstepPaperWorkloads(t *testing.T) {
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
 	for _, k := range lockstepKernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			var ref []HartFingerprint
 			for i, e := range engineGrid {
-				hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-				fps, _, err := RunWorkloadCopies(k, 32, 1, nil)
+				var fps []HartFingerprint
+				var err error
+				onEngine(e, func() { fps, _, err = RunWorkloadCopies(k, 32, 1, nil) })
 				if err != nil {
-					t.Fatalf("%s: %v", e.name, err)
+					t.Fatalf("%s: %v", e, err)
 				}
 				if i == 0 {
 					ref = fps
@@ -133,7 +119,7 @@ func TestQuadEngineLockstepPaperWorkloads(t *testing.T) {
 				for h := range ref {
 					if !ref[h].Equal(fps[h]) {
 						t.Errorf("hart %d: %s vs %s divergence:\n  %v\n  %v",
-							h, engineGrid[0].name, e.name, ref[h], fps[h])
+							h, engineGrid[0], e, ref[h], fps[h])
 					}
 				}
 			}

@@ -60,17 +60,13 @@ func blkMQProgram(l DMALayout) []byte {
 	return p.MustAssemble()
 }
 
-// runBlkMQOnce boots a fresh stack with the selected engine tier and
-// runs the MQ program in a CVM, returning the simulation fingerprint.
-func runBlkMQOnce(t *testing.T, fastpath, superblocks, traces bool) (cycles, instret uint64, blk *virtio.Blk) {
+// runBlkMQOnce boots a fresh stack, puts its hart on an engine tier with
+// tier, and runs the MQ program in a CVM, returning the simulation
+// fingerprint.
+func runBlkMQOnce(t *testing.T, tier func(h *hart.Hart)) (cycles, instret uint64, blk *virtio.Blk) {
 	t.Helper()
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = fastpath, superblocks, traces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
-
 	k, h := newStack(t, sm.Config{})
+	tier(h)
 	l := LayoutFor(true)
 	vm, err := k.CreateCVM(h, "cvm-mq", blkMQProgram(l), hv.GuestRAMBase)
 	if err != nil {
@@ -96,17 +92,17 @@ func runBlkMQOnce(t *testing.T, fastpath, superblocks, traces bool) (cycles, ins
 // fingerprint — the MQ data path must not perturb engine equivalence.
 func TestCVMBlkMQLockstep(t *testing.T) {
 	engines := []struct {
-		name             string
-		fast, super, trc bool
+		name string
+		set  func(h *hart.Hart)
 	}{
-		{"slow", false, false, false},
-		{"fast", true, false, false},
-		{"block", true, true, false},
-		{"trace", true, true, true},
+		{"slow", func(h *hart.Hart) { h.DisableFastPath() }},
+		{"fast", func(h *hart.Hart) { h.SetSuperblocks(false) }},
+		{"block", func(h *hart.Hart) { h.SetTraces(false) }},
+		{"trace", func(*hart.Hart) {}},
 	}
 	var refCycles, refInstret uint64
 	for i, e := range engines {
-		cycles, instret, blk := runBlkMQOnce(t, e.fast, e.super, e.trc)
+		cycles, instret, blk := runBlkMQOnce(t, e.set)
 		if blk.Writes != 1 || blk.Reads != 1 {
 			t.Fatalf("%s: blk ops %d writes %d reads", e.name, blk.Writes, blk.Reads)
 		}

@@ -8,14 +8,13 @@ import (
 )
 
 // The superblock dispatch loop is the hottest code in the simulator: once
-// the decoded page and micro-TLB entries are warm, driving RunBatch over
+// the decoded page and micro-TLB entries are warm, driving Run over
 // straight-line code must not allocate at all. A single allocation per
 // block would dominate the event-horizon win the engine exists for.
 func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	h := newHart(t)
-	if !h.SuperblocksEnabled() {
-		t.Skip("superblocks disabled by default in this build")
-	}
+	h.SetTraces(false) // the generic superblock loop; TestTraceDispatchAllocs pins the trace tier
+	clk := &fakeCLINT{h: h}
 
 	// An infinite loop of straight-line ALU and memory work: long blocks
 	// separated by one JAL boundary, no traps (TrapCount is a map and its
@@ -36,16 +35,16 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 
 	// Warm up: decode the page, build its superblock metadata, and fill
 	// the fetch/read/write micro-TLB entries.
-	if n, _, _ := h.RunBatch(0, false, 20000); n == 0 {
-		t.Fatal("warm-up batch made no progress")
+	if n, _ := h.Run(clk, 20000); n == 0 {
+		t.Fatal("warm-up run made no progress")
 	}
 	if st := h.FastPathStats(); st.SBHits == 0 || st.SBBuilds == 0 {
 		t.Fatalf("superblock engine not engaged: %+v", st)
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
-		if n, _, _ := h.RunBatch(0, false, 4096); n != 4096 {
-			t.Fatalf("batch stalled at %d steps (pc=%#x)", n, h.PC)
+		if n, _ := h.Run(clk, 4096); n != 4096 {
+			t.Fatalf("run stalled at %d steps (pc=%#x)", n, h.PC)
 		}
 	})
 	if allocs != 0 {
@@ -54,11 +53,11 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 
 	// The armed-deadline variant exercises the horizon arithmetic on every
 	// block entry; it must be just as allocation-free.
-	deadline := h.Cycles + isa.PageSize // far enough to never cut off
+	clk.mtimecmp, clk.armed = h.Cycles+isa.PageSize, true // far enough to never cut off
 	allocs = testing.AllocsPerRun(50, func() {
-		deadline += 1 << 20
-		if n, _, _ := h.RunBatch(deadline, true, 4096); n != 4096 {
-			t.Fatalf("armed batch stalled at %d steps (pc=%#x)", n, h.PC)
+		clk.mtimecmp += 1 << 20
+		if n, _ := h.Run(clk, 4096); n != 4096 {
+			t.Fatalf("armed run stalled at %d steps (pc=%#x)", n, h.PC)
 		}
 	})
 	if allocs != 0 {

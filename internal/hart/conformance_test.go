@@ -438,9 +438,9 @@ var confPrograms = []confProgram{
 	},
 }
 
-// runConformance runs p under one tier the way the platform loop drives a
-// hart — RunBatch, falling back to one Step when the batch declines —
-// until the terminating M-mode ecall, and returns the hart.
+// runConformance runs p under one tier through Run, the way the platform
+// loop drives a hart, until the terminating M-mode ecall, and returns the
+// hart.
 func runConformance(t *testing.T, tier confTier, code []byte) *Hart {
 	t.Helper()
 	h := newHart(t)
@@ -451,15 +451,8 @@ func runConformance(t *testing.T, tier confTier, code []byte) *Hart {
 	}
 	h.PC = ramBase
 	for steps := uint64(0); steps < 10000; {
-		n, ev, ok := h.RunBatch(0, false, 1024)
+		n, ev := h.Run(noTimer{}, 1024)
 		steps += n
-		if !ok {
-			if n > 0 {
-				continue
-			}
-			ev = h.Step()
-			steps++
-		}
 		if ev.Kind == EvTrap && ev.Trap.Cause == isa.ExcEcallM {
 			return h
 		}

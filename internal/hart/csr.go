@@ -188,6 +188,12 @@ func (h *Hart) writeCSR(addr uint16, v uint64) csrErr {
 		cur := f.raw(isa.CSRHvip)
 		f.setRaw(isa.CSRHvip, cur&^deleg|(v<<1)&deleg)
 		return csrOK
+	case isa.CSRMip:
+		// MSIP, MTIP and MEIP are driven by the platform (CLINT, external
+		// lines) and read-only to software.
+		const ro = 1<<isa.IntMSoft | 1<<isa.IntMTimer | 1<<isa.IntMExt
+		f.setRaw(addr, f.raw(addr)&ro|v&^ro)
+		return csrOK
 	case isa.CSRMisa, isa.CSRMhartid:
 		return csrOK // WARL: ignore writes
 	case isa.CSRMedeleg:

@@ -140,3 +140,15 @@ func TestSatpModeWARL(t *testing.T) {
 		t.Error("satp rejected Sv39")
 	}
 }
+
+// The machine-level pending bits are wires from the platform: software
+// writes to mip leave MSIP, MTIP and MEIP as they were, while the
+// supervisor bits stay writable.
+func TestMipPlatformBitsReadOnly(t *testing.T) {
+	h := newHart(t)
+	h.SetPending(isa.IntMSoft)
+	h.SetCSR(isa.CSRMip, 1<<isa.IntMTimer|1<<isa.IntMExt|1<<isa.IntSSoft)
+	if got, want := h.CSR(isa.CSRMip), uint64(1<<isa.IntMSoft|1<<isa.IntSSoft); got != want {
+		t.Fatalf("mip = %#x, want %#x", got, want)
+	}
+}

@@ -8,24 +8,16 @@ import (
 // Step executes one instruction at PC in the hart's current mode and
 // returns the resulting event: EvNone for a retired instruction, EvTrap
 // when a trap entry occurred (including interrupts detected before the
-// fetch), and EvWFI when the hart idles.
+// fetch), and EvWFI when the hart idles. Step is the reference
+// interpreter: fetch, decode, execute, with no instruction caching. Run
+// is the guest run loop; it drives the fast path and falls back to Step
+// whenever the fast path declines.
 func (h *Hart) Step() Event {
 	// Interrupts are sampled at instruction boundaries.
 	if cause, ok := h.PendingInterrupt(); ok {
 		t := h.TakeTrap(trapInfo{cause: cause})
 		return Event{Kind: EvTrap, Trap: t}
 	}
-
-	// The fast path replaces fetch+decode with a micro-TLB hit into a
-	// pre-decoded page; on any miss it declines and the slow path below
-	// runs unchanged. Both feed the same execute(), so semantics and cycle
-	// accounting are shared by construction.
-	if h.fp != nil {
-		if ev, ok := h.fp.step(h); ok {
-			return ev
-		}
-	}
-
 	raw, aerr := h.Fetch()
 	if aerr != nil {
 		return Event{Kind: EvTrap, Trap: h.TakeTrap(*aerr)}
@@ -37,38 +29,78 @@ func (h *Hart) Step() Event {
 	return h.execute(&h.inst)
 }
 
-// RunBatch executes up to max Step-equivalents back-to-back on the fast
-// path. Boundary semantics are identical to the per-step run loops: the
-// timer comparator is checked against h.Cycles, MTIP is cleared while the
-// timer has not fired (mirroring tickTimer's else branch), and pending
-// interrupts are sampled — but the superblock engine performs those
-// checks once per straight-line run instead of once per instruction,
-// under an event-horizon proof (superblock.go) that no check inside the
-// run could have fired. A fired timer ends the batch so the caller can
-// refresh MTIP and take the interrupt through its normal per-step path.
+// Clock is the timer a run loop samples: the hart's next machine-timer
+// deadline and whether it is armed. platform.CLINT implements it.
+type Clock interface {
+	NextDeadline(hart int) (deadline uint64, armed bool)
+}
+
+// Run executes instructions until one raises an event the caller must
+// handle, or until budget Step-equivalents have been performed. It
+// returns the number performed and the event: EvTrap, EvWFI, EvHalt, or
+// EvNone when the budget ran out. Run is the only owner of the run-loop
+// protocol, one iteration of which is:
 //
-// Returns the number of Step-equivalents performed and, when ok is true,
-// the terminating event (trap, WFI) which counts as the final step —
-// identical to what the same sequence of per-step calls would produce.
-// ok=false means the batch stopped without an event: timer fired,
-// fast-path miss, budget exhausted, or the guest touched a device (a bus
-// access can rearm the hart's own CLINT comparator, making the caller's
-// deadline stale). In every ok=false case the caller should run one
-// ordinary tick+Step iteration — which re-samples the timer — before
-// retrying.
-func (h *Hart) RunBatch(deadline uint64, armed bool, max uint64) (uint64, Event, bool) {
-	if h.fp == nil {
-		return 0, Event{}, false
+//  1. park at the quantum barrier (CheckYield); global halt is EvHalt;
+//  2. sample clock's deadline, clamp it to the quantum deadline, and run
+//     a batch on the fast path (superblock.go), which re-checks the
+//     deadline, clears MTIP and samples interrupts at every boundary the
+//     per-step loop would;
+//  3. when the batch stops without an event (deadline reached, fast-path
+//     miss, or a device access that may have rearmed the timer), set
+//     MTIP iff the timer is armed and Cycles has reached it, then take
+//     one Step.
+//
+// The result is bit-identical to refreshing MTIP and calling Step once
+// per instruction: the fast path replays the slow path's accounting and
+// both feed the same execute().
+func (h *Hart) Run(clock Clock, budget uint64) (uint64, Event) {
+	var steps uint64
+	for steps < budget {
+		if !h.CheckYield() {
+			return steps, Event{Kind: EvHalt}
+		}
+		if h.fp != nil {
+			dl, armed := h.batchDeadline(clock.NextDeadline(h.ID))
+			n, ev, ok := h.fp.runBatch(h, dl, armed, budget-steps)
+			steps += n
+			if ok {
+				return steps, ev
+			}
+			if steps >= budget {
+				break
+			}
+		}
+		h.SyncTimer(clock)
+		steps++
+		if ev := h.Step(); ev.Kind != EvNone {
+			return steps, ev
+		}
 	}
-	// Quantum clamp: no batch may run past the barrier deadline, even if
-	// a run loop passed a raw timer deadline without merging it through
-	// BatchDeadline. Adaptive quantum sizing (internal/platform) moves
-	// QuantumDeadline between epochs, so the clamp is re-derived here on
-	// every batch rather than trusted to the caller's sample.
-	if h.Yield != nil && (!armed || h.QuantumDeadline < deadline) {
-		deadline, armed = h.QuantumDeadline, true
+	return steps, Event{}
+}
+
+// SyncTimer refreshes the machine-timer pending bit from clock: set when
+// the timer is armed and Cycles has reached its deadline, clear otherwise.
+func (h *Hart) SyncTimer(clock Clock) {
+	if dl, armed := clock.NextDeadline(h.ID); armed && h.Cycles >= dl {
+		h.SetPending(isa.IntMTimer)
+	} else {
+		h.ClearPending(isa.IntMTimer)
 	}
-	return h.fp.runBatch(h, deadline, armed, max)
+}
+
+// IdleUntilTimer fast-forwards a hart that retired WFI to clock's armed
+// deadline and charges the wake-up. It returns false, leaving the hart
+// untouched, when no deadline lies ahead: nothing will ever wake it.
+func (h *Hart) IdleUntilTimer(clock Clock) bool {
+	dl, armed := clock.NextDeadline(h.ID)
+	if !armed || dl <= h.Cycles {
+		return false
+	}
+	h.Cycles = dl
+	h.Advance(h.Cost.WFIWake)
+	return true
 }
 
 // execute retires one decoded instruction: the shared back half of Step.

@@ -12,22 +12,6 @@ import (
 	"zion/internal/telemetry"
 )
 
-// DefaultFastPath controls whether New wires a fast-path engine into each
-// hart. On by default; comparison tests and the host benchmark flip it to
-// measure the slow path. The engine is an accelerator, not a semantic
-// layer: every simulated cycle count, TLB/PMP/PTW statistic, and trap is
-// bit-identical with it on or off (docs/PERF.md explains why).
-var DefaultFastPath = true
-
-// DefaultSuperblocks controls whether the fast path additionally chains
-// decoded instructions into superblocks (superblock.go) and lets RunBatch
-// hoist the per-instruction timer/interrupt re-sampling out of straight-
-// line runs under an event-horizon proof. Off, RunBatch degrades to the
-// per-instruction fast path (PR 3 behaviour); the three engines —
-// slow, per-instruction fast, superblock — are asserted bit-identical on
-// every paper table.
-var DefaultSuperblocks = true
-
 const (
 	mtlbSize = 64 // direct-mapped entries per access type
 	mtlbMask = mtlbSize - 1
@@ -158,10 +142,9 @@ type fastPath struct {
 	blacklist map[uint64]bool
 	stats     FastPathStats
 
-	// sb enables the superblock dispatch loop (DefaultSuperblocks at
-	// construction; flipped by SetSuperblocks for engine comparisons); tc
-	// additionally enables the compiled-trace tier on top of it
-	// (DefaultTraces at construction; flipped by SetTraces).
+	// sb enables the superblock dispatch loop; tc additionally enables
+	// the compiled-trace tier on top of it. Both start on; SetSuperblocks
+	// and SetTraces flip them for engine comparisons.
 	sb bool
 	tc bool
 
@@ -186,18 +169,11 @@ func newFastPath(h *Hart) *fastPath {
 		pages:     make(map[uint64]*decodedPage),
 		invCount:  make(map[uint64]uint32),
 		blacklist: make(map[uint64]bool),
-		sb:        DefaultSuperblocks,
-		tc:        DefaultTraces,
+		sb:        true,
+		tc:        true,
 	}
 	h.Mem.AddCodeWatcher(e)
 	return e
-}
-
-// EnableFastPath attaches a fast-path engine to the hart (idempotent).
-func (h *Hart) EnableFastPath() {
-	if h.fp == nil {
-		h.fp = newFastPath(h)
-	}
 }
 
 // DisableFastPath detaches the engine, dropping its caches and code-page
@@ -221,16 +197,13 @@ func (h *Hart) FastPathEnabled() bool { return h.fp != nil }
 
 // SetSuperblocks toggles the superblock dispatch loop on an attached
 // engine (no-op when the fast path is disabled). Turning it off degrades
-// RunBatch to the per-instruction fast path; cached metadata stays valid
-// and is simply ignored.
+// Run's batches to the per-instruction fast path; cached metadata stays
+// valid and is simply ignored.
 func (h *Hart) SetSuperblocks(on bool) {
 	if h.fp != nil {
 		h.fp.sb = on
 	}
 }
-
-// SuperblocksEnabled reports whether the superblock loop is active.
-func (h *Hart) SuperblocksEnabled() bool { return h.fp != nil && h.fp.sb }
 
 // FastPathStats returns the engine counters (zero value when disabled).
 func (h *Hart) FastPathStats() FastPathStats {
@@ -391,40 +364,6 @@ func (e *fastPath) hitAccounting(h *Hart, ent *mtlbEntry) {
 		h.Cycles += h.Cost.TLBHit
 	}
 	h.PMP.NoteCheck()
-}
-
-// step executes one instruction through the fast path, or reports ok=false
-// to let Step's slow path run. Called after the interrupt sample.
-func (e *fastPath) step(h *Hart) (Event, bool) {
-	pc := h.PC
-	if pc&3 != 0 {
-		return Event{}, false // misaligned PC: slow path owns the fault
-	}
-	vaPage := pc >> isa.PageShift
-	ent := &e.fetch[vaPage&mtlbMask]
-	if ep := h.epochs(); !ent.valid(vaPage, &ep) {
-		e.stats.FetchMisses++
-		if !e.fill(h, ent, pc&^uint64(isa.PageSize-1), ptw.AccessFetch) {
-			return Event{}, false
-		}
-	}
-	dp := ent.dp
-	if dp == nil || !dp.live.Load() {
-		e.mu.Lock()
-		if e.blacklist[ent.paPage] {
-			e.mu.Unlock()
-			return Event{}, false // write-hot page: decode per fetch instead
-		}
-		dp = e.decodePageLocked(ent.paPage, ent.page)
-		e.mu.Unlock()
-		ent.dp = dp
-	}
-	e.stats.FetchHits++
-	e.hitAccounting(h, ent)
-	if h.Prof != nil && h.Cycles >= h.Prof.Next {
-		h.Prof.Sample(pc, h.Mode.String(), telemetry.ProfTierFast, h.Cycles)
-	}
-	return h.execute(&dp.insts[(pc&(isa.PageSize-1))>>2]), true
 }
 
 // decodePageLocked builds (or returns) the decoded block for a physical

@@ -7,14 +7,25 @@ import (
 	"zion/internal/isa"
 )
 
-// stepN retires n EvNone steps, failing on any event.
+// stepN retires n instructions through Run, one per call, failing on any
+// event.
 func stepN(t *testing.T, h *Hart, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if ev := h.Step(); ev.Kind != EvNone {
+		if _, ev := h.Run(noTimer{}, 1); ev.Kind != EvNone {
 			t.Fatalf("step %d: unexpected event %v at pc=%#x", i, ev.Kind, h.PC)
 		}
 	}
+}
+
+// runFast runs h through Run until an event, with a step limit.
+func runFast(t *testing.T, h *Hart, maxSteps uint64) Event {
+	t.Helper()
+	_, ev := h.Run(noTimer{}, maxSteps)
+	if ev.Kind == EvNone {
+		t.Fatalf("no event after %d steps at pc=%#x", maxSteps, h.PC)
+	}
+	return ev
 }
 
 // A store into the executed page must invalidate the decoded block and the
@@ -33,9 +44,8 @@ func TestFastPathSMCInvalidation(t *testing.T) {
 	p.ECALL()
 
 	h := newHart(t)
-	h.EnableFastPath()
 	load(t, h, ramBase, p)
-	ev := run(t, h, 100)
+	ev := runFast(t, h, 100)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
 		t.Fatalf("unexpected end event: %+v", ev)
 	}
@@ -61,7 +71,6 @@ func TestFastPathEpochInvalidation(t *testing.T) {
 		}
 		p.ECALL()
 		h := newHart(t)
-		h.EnableFastPath()
 		load(t, h, ramBase, p)
 		stepN(t, h, 4) // warm: entry filled, hits flowing
 		return h
@@ -118,9 +127,8 @@ func TestFastPathBlacklist(t *testing.T) {
 	p.ECALL()
 
 	h := newHart(t)
-	h.EnableFastPath()
 	load(t, h, ramBase, p)
-	ev := run(t, h, 10000)
+	ev := runFast(t, h, 10000)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
 		t.Fatalf("unexpected end event: %+v", ev)
 	}
@@ -142,7 +150,6 @@ func TestFastPathDisableCleansUp(t *testing.T) {
 	}
 	p.ECALL()
 	h := newHart(t)
-	h.EnableFastPath()
 	load(t, h, ramBase, p)
 	stepN(t, h, 4)
 	if !h.Mem.IsCodePage(ramBase) {
@@ -183,5 +190,30 @@ func TestFastPathAccessAccounting(t *testing.T) {
 	st := fast.FastPathStats()
 	if st.ReadHits == 0 || st.WriteHits == 0 {
 		t.Fatalf("data micro-TLB never hit: %+v", st)
+	}
+}
+
+// A fetch the fast path cannot serve is counted once. The batch misses
+// the fetch micro-TLB and its fill fails, because the simulated TLB holds
+// no entry for the page yet; the Step that follows walks the page table
+// without consulting the fast path a second time.
+func TestFastPathFetchMissCountedOnce(t *testing.T) {
+	p := asm.New(ramBase)
+	p.NOP()
+	p.ECALL()
+	h := newHart(t)
+	load(t, h, ramBase, p)
+	enterSv39(t, h)
+	if h.Mode != isa.ModeS {
+		t.Fatalf("mode = %v, want S", h.Mode)
+	}
+	stepN(t, h, 1)
+	st := h.FastPathStats()
+	if st.FetchMisses != 1 || st.Fills != 1 || st.FillFails != 1 {
+		t.Fatalf("fetch misses/fills/fill failures = %d/%d/%d, want 1/1/1",
+			st.FetchMisses, st.Fills, st.FillFails)
+	}
+	if h.WalkStats.Walks != 1 {
+		t.Fatalf("walks = %d, want 1", h.WalkStats.Walks)
 	}
 }

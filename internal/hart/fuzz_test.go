@@ -2,6 +2,7 @@ package hart
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
@@ -176,13 +177,13 @@ func TestDifferentialALUFuzz(t *testing.T) {
 // --- Lockstep differential fuzzer ----------------------------------------
 //
 // Two harts execute the same randomly generated program from identical
-// initial state: one with the fast-path engine, one on the pure slow path.
-// After every single step the full architectural state — registers, PC,
-// mode, Cycles, Instret, and the event kind/cause — must match, and at the
-// end the TLB/PMP/walker statistics and trap counts must match too. The
-// programs deliberately interleave the events that invalidate fast-path
-// caches: PMP reprogramming, satp Bare<->Sv39 toggles, sfence.vma
-// variants, and stores into the instruction stream.
+// initial state: one through Run with the fast-path engine, one on the
+// pure slow path. After every single step the full architectural state —
+// registers, PC, mode, Cycles, Instret, and the event kind/cause — must
+// match, and at the end the TLB/PMP/walker statistics and trap counts must
+// match too. The programs deliberately interleave the events that
+// invalidate fast-path caches: PMP reprogramming, satp Bare<->Sv39
+// toggles, sfence.vma variants, and stores into the instruction stream.
 
 // instrWord assembles a single instruction and returns its encoding.
 func instrWord(t *testing.T, build func(p *asm.Program)) uint32 {
@@ -193,60 +194,115 @@ func instrWord(t *testing.T, build func(p *asm.Program)) uint32 {
 }
 
 // lockstep drives both harts one instruction at a time until the program's
-// terminating ecall, failing on the first divergence.
+// terminating ecall, failing on the first divergence: the fast hart through
+// Run with a one-step budget, the slow hart through Step.
 func lockstep(t *testing.T, tag string, pi int, fast, slow *Hart, wantCause uint64) {
 	t.Helper()
 	const maxSteps = 50000
 	for s := 0; s < maxSteps; s++ {
-		ef := fast.Step()
+		_, ef := fast.Run(noTimer{}, 1)
 		es := slow.Step()
-		if ef.Kind != es.Kind {
-			t.Fatalf("%s program %d step %d: event kind fast=%v slow=%v", tag, pi, s, ef.Kind, es.Kind)
-		}
-		if ef.Kind == EvTrap && ef.Trap.Cause != es.Trap.Cause {
-			t.Fatalf("%s program %d step %d: trap cause fast=%s slow=%s",
-				tag, pi, s, isa.CauseName(ef.Trap.Cause), isa.CauseName(es.Trap.Cause))
-		}
-		if fast.PC != slow.PC || fast.Mode != slow.Mode ||
-			fast.Cycles != slow.Cycles || fast.Instret != slow.Instret {
-			t.Fatalf("%s program %d step %d: pc %#x/%#x mode %v/%v cycles %d/%d instret %d/%d",
-				tag, pi, s, fast.PC, slow.PC, fast.Mode, slow.Mode,
-				fast.Cycles, slow.Cycles, fast.Instret, slow.Instret)
-		}
-		if fast.X != slow.X {
-			t.Fatalf("%s program %d step %d: register files diverge", tag, pi, s)
-		}
+		here := at{tag, pi, uint64(s)}
+		sameEvent(t, here, ef, es)
+		sameState(t, here, fast, slow, ef.Kind == EvTrap)
 		if ef.Kind == EvTrap {
 			if ef.Trap.Cause != wantCause {
 				t.Fatalf("%s program %d: unexpected trap %s at pc=%#x",
 					tag, pi, isa.CauseName(ef.Trap.Cause), ef.Trap.PC)
 			}
-			// Terminal: compare the accounting the paper tables are built from.
-			if fast.TLB.Stats() != slow.TLB.Stats() {
-				t.Fatalf("%s program %d: TLB stats fast=%+v slow=%+v", tag, pi, fast.TLB.Stats(), slow.TLB.Stats())
-			}
-			if fast.PMP.Stats() != slow.PMP.Stats() {
-				t.Fatalf("%s program %d: PMP stats fast=%+v slow=%+v", tag, pi, fast.PMP.Stats(), slow.PMP.Stats())
-			}
-			if fast.WalkStats != slow.WalkStats {
-				t.Fatalf("%s program %d: walk stats fast=%+v slow=%+v", tag, pi, fast.WalkStats, slow.WalkStats)
-			}
-			if !reflect.DeepEqual(fast.TrapCount, slow.TrapCount) {
-				t.Fatalf("%s program %d: trap counts fast=%v slow=%v", tag, pi, fast.TrapCount, slow.TrapCount)
-			}
-			// And the data region itself.
-			fb, err1 := fast.Mem.Read(ramBase+dataOff, 2*isa.PageSize)
-			sb, err2 := slow.Mem.Read(ramBase+dataOff, 2*isa.PageSize)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s program %d: data readback: %v / %v", tag, pi, err1, err2)
-			}
-			if !reflect.DeepEqual(fb, sb) {
-				t.Fatalf("%s program %d: data memory diverges", tag, pi)
-			}
 			return
 		}
 	}
 	t.Fatalf("%s program %d: no terminating event after %d steps (pc=%#x)", tag, pi, maxSteps, fast.PC)
+}
+
+// at names a point of a lockstep run in failure messages.
+type at struct {
+	tag  string
+	prog int
+	step uint64
+}
+
+func (a at) String() string { return fmt.Sprintf("%s program %d step %d", a.tag, a.prog, a.step) }
+
+// lockstepCSRs are the CSRs sameState compares at every boundary.
+var lockstepCSRs = []uint16{isa.CSRMstatus, isa.CSRMie, isa.CSRMip, isa.CSRMepc,
+	isa.CSRMcause, isa.CSRMtval, isa.CSRMtvec}
+
+// sameEvent fails unless the fast and slow harts returned the same event.
+func sameEvent(t *testing.T, here at, ef, es Event) {
+	t.Helper()
+	if ef.Kind != es.Kind {
+		t.Fatalf("%v: event kind fast=%v slow=%v", here, ef.Kind, es.Kind)
+	}
+	if ef.Kind == EvTrap && ef.Trap != es.Trap {
+		t.Fatalf("%v: trap fast=%s %+v slow=%s %+v", here,
+			isa.CauseName(ef.Trap.Cause), ef.Trap, isa.CauseName(es.Trap.Cause), es.Trap)
+	}
+}
+
+// sameState fails unless the fast and slow harts agree on PC, mode,
+// Cycles, Instret, the register file and lockstepCSRs. With accounting set
+// it also compares what the paper tables are built from (TLB, PMP and
+// page-walk statistics and the trap counts) and the bytes of the first code
+// page and of the data region the fuzz programs store to.
+func sameState(t *testing.T, here at, fast, slow *Hart, accounting bool) {
+	t.Helper()
+	if fast.PC != slow.PC || fast.Mode != slow.Mode ||
+		fast.Cycles != slow.Cycles || fast.Instret != slow.Instret {
+		t.Fatalf("%v: pc %#x/%#x mode %v/%v cycles %d/%d instret %d/%d",
+			here, fast.PC, slow.PC, fast.Mode, slow.Mode,
+			fast.Cycles, slow.Cycles, fast.Instret, slow.Instret)
+	}
+	if fast.X != slow.X {
+		t.Fatalf("%v: register files diverge:\nfast %#x\nslow %#x", here, fast.X, slow.X)
+	}
+	for _, c := range lockstepCSRs {
+		if fast.CSR(c) != slow.CSR(c) {
+			t.Fatalf("%v: csr %#x fast=%#x slow=%#x", here, c, fast.CSR(c), slow.CSR(c))
+		}
+	}
+	if !accounting {
+		return
+	}
+	if fast.TLB.Stats() != slow.TLB.Stats() {
+		t.Fatalf("%v: TLB stats fast=%+v slow=%+v", here, fast.TLB.Stats(), slow.TLB.Stats())
+	}
+	if fast.PMP.Stats() != slow.PMP.Stats() {
+		t.Fatalf("%v: PMP stats fast=%+v slow=%+v", here, fast.PMP.Stats(), slow.PMP.Stats())
+	}
+	if fast.WalkStats != slow.WalkStats {
+		t.Fatalf("%v: walk stats fast=%+v slow=%+v", here, fast.WalkStats, slow.WalkStats)
+	}
+	if !reflect.DeepEqual(fast.TrapCount, slow.TrapCount) {
+		t.Fatalf("%v: trap counts fast=%v slow=%v", here, fast.TrapCount, slow.TrapCount)
+	}
+	for _, r := range [][2]uint64{{ramBase, isa.PageSize}, {ramBase + dataOff, 2 * isa.PageSize}} {
+		fb, err1 := fast.Mem.Read(r[0], r[1])
+		sb, err2 := slow.Mem.Read(r[0], r[1])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%v: readback of %#x: %v / %v", here, r[0], err1, err2)
+		}
+		if !reflect.DeepEqual(fb, sb) {
+			t.Fatalf("%v: memory at %#x diverges", here, r[0])
+		}
+	}
+}
+
+// catchUp advances the slow hart n instructions with step, behind a Run of
+// the fast hart that retired n and returned ev, and returns the slow hart's
+// last event. Only the last step may raise an event, and only when ev is
+// one: an earlier one means the fast path hoisted a check it should not
+// have.
+func catchUp(t *testing.T, here at, n uint64, ev Event, step func() Event) Event {
+	t.Helper()
+	var es Event
+	for j := uint64(0); j < n; j++ {
+		if es = step(); es.Kind != EvNone && (ev.Kind == EvNone || j != n-1) {
+			t.Fatalf("%v: slow hart raised %v after %d of %d catch-up steps", here, es.Kind, j+1, n)
+		}
+	}
+	return es
 }
 
 const dataOff = 1 << 20 // data region offset within RAM used by fuzz programs
@@ -313,7 +369,6 @@ func newLockstepPair(t *testing.T) (*Hart, *Hart) {
 	t.Helper()
 	fast := newHart(t)
 	slow := newHart(t)
-	fast.EnableFastPath()
 	slow.DisableFastPath()
 	return fast, slow
 }
@@ -382,30 +437,40 @@ func TestLockstepFuzzMachineMode(t *testing.T) {
 	}
 }
 
+// enterSv39 opens PMP, maps RAM with an identity 1 GiB Sv39 superpage
+// (tables in high RAM), and drops h to S-mode at ramBase under that
+// mapping. It returns the satp value.
+func enterSv39(t *testing.T, h *Hart) uint64 {
+	t.Helper()
+	openPMP(t, h)
+	next := uint64(ramBase + 48<<20)
+	b := &ptw.Builder{Mem: h.Mem, Alloc: func() (uint64, error) {
+		f := next
+		next += isa.PageSize
+		return f, nil
+	}}
+	root, err := b.NewRoot(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Map(root, ramBase, ramBase,
+		isa.PTERead|isa.PTEWrite|isa.PTEExec|isa.PTEAccess|isa.PTEDirty, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
+	h.SetCSR(isa.CSRSatp, sv39)
+	h.SetCSR(isa.CSRMstatus,
+		h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
+	h.SetCSR(isa.CSRMepc, ramBase)
+	h.MRet()
+	return sv39
+}
+
 // TestLockstepFuzzSupervisorSv39 runs S-mode programs under an identity
 // Sv39 mapping, toggling satp between Bare and Sv39 and issuing sfence.vma
 // variants between memory traffic.
 func TestLockstepFuzzSupervisorSv39(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5339_AB42))
-
-	// Identity 1 GiB superpage over RAM, tables in high RAM.
-	buildRoot := func(h *Hart) uint64 {
-		next := uint64(ramBase + 48<<20)
-		b := &ptw.Builder{Mem: h.Mem, Alloc: func() (uint64, error) {
-			f := next
-			next += isa.PageSize
-			return f, nil
-		}}
-		root, err := b.NewRoot(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Map(root, ramBase, ramBase,
-			isa.PTERead|isa.PTEWrite|isa.PTEExec|isa.PTEAccess|isa.PTEDirty, 2, false); err != nil {
-			t.Fatal(err)
-		}
-		return root
-	}
 
 	for pi := 0; pi < 25; pi++ {
 		p := asm.New(ramBase)
@@ -436,18 +501,10 @@ func TestLockstepFuzzSupervisorSv39(t *testing.T) {
 		fast, slow := newLockstepPair(t)
 		for _, h := range []*Hart{fast, slow} {
 			load(t, h, ramBase, p)
-			openPMP(t, h)
-			root := buildRoot(h)
-			sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
-			h.SetCSR(isa.CSRSatp, sv39)
+			sv39 := enterSv39(t, h)
 			h.SetReg(21, 0)
 			h.SetReg(22, 0) // Bare
 			h.SetReg(23, sv39)
-			// Drop to S-mode at the program start.
-			h.SetCSR(isa.CSRMstatus,
-				h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
-			h.SetCSR(isa.CSRMepc, ramBase)
-			h.MRet()
 		}
 		lockstep(t, "S", pi, fast, slow, isa.ExcEcallS)
 	}
@@ -473,18 +530,19 @@ func TestLockstepFastPathNotVacuous(t *testing.T) {
 
 // --- Batch lockstep: superblocks vs per-step under async events ----------
 //
-// The fuzzers above compare Step against Step. The superblock engine makes
-// a stronger claim: RunBatch may hoist the timer and interrupt checks over
-// a whole straight-line run, and the trace must still be bit-identical to
-// per-step execution — including WHEN an interrupt is delivered. These
-// drivers run the fast hart through RunBatch exactly as the platform loop
-// does (deadline sample, batch, tick+Step fallback) while the slow hart is
-// advanced one Step at a time behind it, with a CLINT-shaped bus device so
-// guest code can rearm its own mtimecmp and raise self-IPIs mid-run.
+// The fuzzers above compare one instruction at a time. The superblock
+// engine makes a stronger claim: a batch may hoist the timer and interrupt
+// checks over a whole straight-line run, and the trace must still be
+// bit-identical to per-step execution — including WHEN an interrupt is
+// delivered. These drivers run the fast hart through Run with a multi-
+// instruction budget while the slow hart is advanced one instruction at a
+// time behind it, with a CLINT-shaped bus device so guest code can rearm
+// its own mtimecmp and raise self-IPIs mid-run.
 
 // fakeCLINT is a single-hart CLINT on the hart.Bus interface: msip at +0,
 // mtimecmp at +0x4000, mtime at +0xBFF8 reading the hart's own cycle
-// counter (per-hart virtual time, as in platform.CLINT).
+// counter (per-hart virtual time, as in platform.CLINT). It is also the
+// hart's Clock.
 type fakeCLINT struct {
 	h        *Hart
 	mtimecmp uint64
@@ -528,14 +586,8 @@ func (c *fakeCLINT) Access(_ int, pa uint64, size int, write bool, val uint64) (
 	return 0, false
 }
 
-// tick mirrors platform.Machine.tickTimer.
-func (c *fakeCLINT) tick() {
-	if c.armed && c.h.Cycles >= c.mtimecmp {
-		c.h.SetPending(isa.IntMTimer)
-	} else {
-		c.h.ClearPending(isa.IntMTimer)
-	}
-}
+// NextDeadline implements Clock.
+func (c *fakeCLINT) NextDeadline(int) (uint64, bool) { return c.mtimecmp, c.armed }
 
 // emitIRQProlog emits a jump over an M-mode interrupt handler that disarms
 // the timer, clears msip, counts the interrupt in x27, and returns; then
@@ -561,101 +613,36 @@ func emitIRQProlog(p *asm.Program) {
 	p.LI(27, 0)
 }
 
-// batchLockstep drives the fast hart through RunBatch the way the platform
-// loop does, advances the slow hart Step by Step behind it, and compares
-// full architectural state at every batch boundary. maxPerBatch=1 turns it
-// into a per-instruction comparison through the same dispatch path.
+// batchLockstep drives the fast hart through Run, advances the slow hart
+// (fast path detached, so each one-step Run is a timer refresh and a Step)
+// one instruction at a time behind it, and compares full architectural
+// state whenever Run returns. maxPerBatch caps the Run budget (0: no cap);
+// 1 turns it into a per-instruction comparison.
 func batchLockstep(t *testing.T, tag string, pi int, fast, slow *Hart, fc, sc *fakeCLINT, wantCause uint64, maxPerBatch uint64) {
 	t.Helper()
 	const maxSteps = 200000
-	csrs := []uint16{isa.CSRMstatus, isa.CSRMie, isa.CSRMip, isa.CSRMepc,
-		isa.CSRMcause, isa.CSRMtval, isa.CSRMtvec}
-	compare := func(steps uint64) {
-		t.Helper()
-		if fast.PC != slow.PC || fast.Mode != slow.Mode ||
-			fast.Cycles != slow.Cycles || fast.Instret != slow.Instret {
-			t.Fatalf("%s program %d step %d: pc %#x/%#x mode %v/%v cycles %d/%d instret %d/%d",
-				tag, pi, steps, fast.PC, slow.PC, fast.Mode, slow.Mode,
-				fast.Cycles, slow.Cycles, fast.Instret, slow.Instret)
-		}
-		if fast.X != slow.X {
-			t.Fatalf("%s program %d step %d: register files diverge", tag, pi, steps)
-		}
-		for _, c := range csrs {
-			if fast.CSR(c) != slow.CSR(c) {
-				t.Fatalf("%s program %d step %d: csr %#x fast=%#x slow=%#x",
-					tag, pi, steps, c, fast.CSR(c), slow.CSR(c))
-			}
-		}
-	}
+	slowStep := func() Event { _, e := slow.Run(sc, 1); return e }
 	var steps uint64
 	for steps < maxSteps {
 		budget := uint64(maxSteps) - steps
 		if maxPerBatch > 0 && budget > maxPerBatch {
 			budget = maxPerBatch
 		}
-		dl, armed := fc.mtimecmp, fc.armed
-		n, ev, haveEv := fast.RunBatch(dl, armed, budget)
-		if !haveEv && n == 0 {
-			// The platform fallback: refresh MTIP, take one slow step.
-			fc.tick()
-			ev = fast.Step()
-			n, haveEv = 1, true
-		}
-		var es Event
-		for j := uint64(0); j < n; j++ {
-			sc.tick()
-			es = slow.Step()
-			if es.Kind != EvNone && (!haveEv || j != n-1) {
-				t.Fatalf("%s program %d: slow path raised %v after %d of %d catch-up steps — fast path hoisted a check it should not have",
-					tag, pi, es.Kind, j+1, n)
-			}
-		}
+		n, ev := fast.Run(fc, budget)
+		es := catchUp(t, at{tag, pi, steps}, n, ev, slowStep)
 		steps += n
-		compare(steps)
-		if !haveEv {
-			continue
-		}
-		if ev.Kind != es.Kind {
-			t.Fatalf("%s program %d step %d: event kind fast=%v slow=%v", tag, pi, steps, ev.Kind, es.Kind)
-		}
-		if ev.Kind == EvNone {
-			// Fallback Step with the interrupt masked (e.g. inside the
-			// handler): an ordinary retirement on both paths.
-			continue
-		}
-		if ev.Kind != EvTrap {
-			t.Fatalf("%s program %d step %d: unexpected event %v", tag, pi, steps, ev.Kind)
-		}
-		if ev.Trap.Cause != es.Trap.Cause {
-			t.Fatalf("%s program %d step %d: trap cause fast=%s slow=%s",
-				tag, pi, steps, isa.CauseName(ev.Trap.Cause), isa.CauseName(es.Trap.Cause))
-		}
-		if ev.Trap.Cause == wantCause {
-			// Terminal: accounting and data-region identity, as lockstep().
-			if fast.TLB.Stats() != slow.TLB.Stats() {
-				t.Fatalf("%s program %d: TLB stats fast=%+v slow=%+v", tag, pi, fast.TLB.Stats(), slow.TLB.Stats())
-			}
-			if fast.PMP.Stats() != slow.PMP.Stats() {
-				t.Fatalf("%s program %d: PMP stats fast=%+v slow=%+v", tag, pi, fast.PMP.Stats(), slow.PMP.Stats())
-			}
-			if fast.WalkStats != slow.WalkStats {
-				t.Fatalf("%s program %d: walk stats fast=%+v slow=%+v", tag, pi, fast.WalkStats, slow.WalkStats)
-			}
-			if !reflect.DeepEqual(fast.TrapCount, slow.TrapCount) {
-				t.Fatalf("%s program %d: trap counts fast=%v slow=%v", tag, pi, fast.TrapCount, slow.TrapCount)
-			}
-			fb, err1 := fast.Mem.Read(ramBase+dataOff, 2*isa.PageSize)
-			sb, err2 := slow.Mem.Read(ramBase+dataOff, 2*isa.PageSize)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s program %d: data readback: %v / %v", tag, pi, err1, err2)
-			}
-			if !reflect.DeepEqual(fb, sb) {
-				t.Fatalf("%s program %d: data memory diverges", tag, pi)
-			}
+		here := at{tag, pi, steps}
+		terminal := ev.Kind == EvTrap && ev.Trap.Cause == wantCause
+		sameEvent(t, here, ev, es)
+		sameState(t, here, fast, slow, terminal)
+		switch {
+		case terminal:
 			return
-		}
-		if ev.Trap.Cause&isa.CauseInterruptBit == 0 {
+		case ev.Kind == EvNone:
+			continue // budget spent
+		case ev.Kind != EvTrap:
+			t.Fatalf("%v: unexpected event %v", here, ev.Kind)
+		case ev.Trap.Cause&isa.CauseInterruptBit == 0:
 			t.Fatalf("%s program %d: unexpected exception %s at pc=%#x",
 				tag, pi, isa.CauseName(ev.Trap.Cause), ev.Trap.PC)
 		}
@@ -827,4 +814,37 @@ func TestBatchSMCInsideExecutingSuperblock(t *testing.T) {
 	if st := fast.FastPathStats(); st.SBInvals == 0 {
 		t.Fatalf("no superblock invalidation recorded: %+v", st)
 	}
+}
+
+// FuzzLockstep runs fuzzer-chosen instruction words from the first page
+// of RAM, in M-mode with PMP open, on two harts: one through Run on the
+// default (compiled-trace) tier, the other through Step alone with the
+// fast path detached. At every event, and when the step budget runs out,
+// both harts must pass sameEvent and sameState with accounting. A run
+// stops at its first trap or after fuzzSteps instructions. The seed corpus
+// under testdata/fuzz/FuzzLockstep holds the ISA conformance programs.
+func FuzzLockstep(f *testing.F) {
+	const fuzzSteps = 4096
+	f.Fuzz(func(t *testing.T, code []byte) {
+		code = code[:min(len(code), isa.PageSize)&^3]
+		fast, slow := newLockstepPair(t)
+		for _, h := range []*Hart{fast, slow} {
+			openPMP(t, h)
+			if err := h.Mem.Write(ramBase, code); err != nil {
+				t.Fatal(err)
+			}
+			h.PC = ramBase
+		}
+		for steps := uint64(0); steps < fuzzSteps; {
+			n, ev := fast.Run(noTimer{}, fuzzSteps-steps)
+			es := catchUp(t, at{"fuzz", 0, steps}, n, ev, slow.Step)
+			steps += n
+			here := at{"fuzz", 0, steps}
+			sameEvent(t, here, ev, es)
+			sameState(t, here, fast, slow, true)
+			if ev.Kind == EvTrap {
+				return
+			}
+		}
+	})
 }

@@ -33,7 +33,7 @@ type Bus interface {
 	Access(hartID int, pa uint64, size int, write bool, val uint64) (out uint64, ok bool)
 }
 
-// EventKind classifies why Step returned control.
+// EventKind classifies why Step or Run returned control.
 type EventKind uint8
 
 // Event kinds.
@@ -41,6 +41,7 @@ const (
 	EvNone EventKind = iota // instruction retired, keep stepping
 	EvTrap                  // trap entered; Trap describes it
 	EvWFI                   // hart executed wfi and is idle
+	EvHalt                  // Run only: the parallel engine halted every hart
 )
 
 // Trap describes an architectural trap after the entry sequence ran.
@@ -79,10 +80,11 @@ type Hart struct {
 	csr    *csrFile
 	walker ptw.Walker
 
-	// fp is the optional fast-path engine (fastpath.go); nil = pure slow
-	// path. mmuGen is the translation-context epoch it validates against:
-	// bumped on every write that could change how virtual addresses
-	// resolve (satp/vsatp/hgatp/mstatus, including the sstatus view).
+	// fp is the fast-path engine (fastpath.go), attached by New; nil
+	// after DisableFastPath (pure slow path). mmuGen is the translation-
+	// context epoch it validates against: bumped on every write that could
+	// change how virtual addresses resolve (satp/vsatp/hgatp/mstatus,
+	// including the sstatus view).
 	fp     *fastPath
 	mmuGen uint64
 	// asyncGen is the device-event epoch: bumped whenever an instruction
@@ -90,11 +92,11 @@ type Hart struct {
 	// only way interpreted code can change asynchronous-event state from
 	// inside a straight-line run — reprogram its own mtimecmp, raise a
 	// self-IPI via msip — so the superblock dispatch loop re-checks it
-	// after every instruction and RunBatch hands control back to the
-	// caller when it moved, forcing a fresh timer/deadline sample. All
-	// other mip mutations happen at instruction boundaries the block
-	// builder already treats as block-terminating (CSR writes, traps) or
-	// are deferred to quantum barriers by the parallel engine.
+	// after every instruction and the batch hands control back to Run
+	// when it moved, forcing a fresh timer/deadline sample. All other mip
+	// mutations happen at instruction boundaries the block builder
+	// already treats as block-terminating (CSR writes, traps) or are
+	// deferred to quantum barriers by the parallel engine.
 	asyncGen uint64
 
 	// inst holds the slow path's decoded instruction: execute() hands it
@@ -156,9 +158,7 @@ func New(id int, ram *mem.PhysMemory, bus Bus) *Hart {
 		TrapCount: make(map[uint64]uint64),
 	}
 	h.walker = ptw.Walker{Mem: ram, Stats: &h.WalkStats}
-	if DefaultFastPath {
-		h.EnableFastPath()
-	}
+	h.fp = newFastPath(h)
 	return h
 }
 
@@ -176,12 +176,13 @@ func (h *Hart) SetReg(r uint8, v uint64) {
 // Reg reads a GPR.
 func (h *Hart) Reg(r uint8) uint64 { return h.X[r] }
 
-// BatchDeadline merges the caller's natural run-loop deadline (usually
-// the hart's next timer comparator) with the quantum barrier deadline.
-// RunBatch re-checks its deadline before every instruction, so stopping
-// early at the quantum edge is semantically invisible: the caller's loop
-// simply resumes the batch after CheckYield returns.
-func (h *Hart) BatchDeadline(dl uint64, armed bool) (uint64, bool) {
+// batchDeadline merges the timer deadline with the quantum barrier
+// deadline. The batch re-checks its deadline before every instruction, so
+// stopping early at the quantum edge is semantically invisible: Run parks
+// at the barrier and resumes. Adaptive quantum sizing (internal/platform)
+// moves QuantumDeadline between epochs, so Run re-derives the merge for
+// every batch.
+func (h *Hart) batchDeadline(dl uint64, armed bool) (uint64, bool) {
 	if h.Yield == nil {
 		return dl, armed
 	}

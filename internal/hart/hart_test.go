@@ -46,6 +46,11 @@ func openPMP(t *testing.T, h *Hart) {
 	h.PMP.SetCfg(15, pmp.PermR|pmp.PermW|pmp.PermX|3<<3)
 }
 
+// noTimer is a Clock with no timer armed.
+type noTimer struct{}
+
+func (noTimer) NextDeadline(int) (uint64, bool) { return 0, false }
+
 // run steps until an event other than EvNone, with a step limit.
 func run(t *testing.T, h *Hart, maxSteps int) Event {
 	t.Helper()

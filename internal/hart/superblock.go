@@ -20,12 +20,12 @@ import (
 //     as block boundaries and can only appear as a run's final
 //     instruction; a trapping instruction ends the run by returning its
 //     event. Cross-hart mutations (IPIs, shootdowns) are deferred to
-//     quantum barriers by the parallel engine, which RunBatch's deadline
-//     already encodes (BatchDeadline merges the quantum edge).
+//     quantum barriers by the parallel engine, which the batch deadline
+//     already encodes (Run merges the quantum edge into it).
 //  2. The one same-hart loophole is a bus access: interpreted code storing
 //     to its own CLINT can rearm mtimecmp or raise msip mid-run. Every bus
 //     access bumps h.asyncGen (memaccess.go); the dispatch loop re-checks
-//     it after each instruction and RunBatch returns to its caller when it
+//     it after each instruction and runBatch returns to Run when it
 //     moved, forcing a fresh deadline sample.
 //  3. The timer itself fires only when h.Cycles reaches the deadline.
 //     sbWorst bounds the cycles every instruction of the run except the
@@ -37,8 +37,8 @@ import (
 //     next boundary. When the bound crosses the deadline the entry is
 //     degraded to single-step pacing (HorizonCutoffs) instead.
 //
-// Bit-identity with the per-instruction engines is preserved the same way
-// the PR 3 fast path preserves it: the shared execute() does all
+// Bit-identity with per-instruction execution is preserved the way the
+// whole fast path preserves it: the shared execute() does all
 // architectural work, and the dispatch loop replays the exact per-fetch
 // accounting (TLB Touch/tick/hit, TLBHit cycles, PMP check count) the
 // slow path would have produced. Blocks never span a page, so the fetch
@@ -97,12 +97,20 @@ func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
 	e.stats.SBBuilds++
 }
 
-// runBatch is the engine behind Hart.RunBatch: the outer loop preserves
-// the per-boundary contract (deadline check, MTIP clear, interrupt
-// sample) and the inner loop dispatches one superblock without them,
-// justified by the event-horizon proof above. With superblocks disabled
-// it degrades to per-instruction iterations of the same outer loop —
-// the PR 3 fast-path engine.
+// runBatch executes up to max Step-equivalents back-to-back and is the
+// fast path's only entry (Run calls it). The outer loop preserves the
+// per-boundary contract of the per-step loop — deadline check, MTIP
+// cleared while the timer has not fired, interrupt sample — and the
+// inner loop dispatches one superblock without them, justified by the
+// event-horizon proof above. With superblocks disabled it degrades to
+// per-instruction iterations of the same outer loop.
+//
+// It returns the number of Step-equivalents performed and, when ok is
+// true, the terminating event (trap, WFI), which counts as the final
+// step. ok=false means the batch stopped without an event: deadline
+// reached, fast-path miss, budget exhausted, or a device access that may
+// have rearmed the hart's own timer. Run then refreshes MTIP and takes
+// one Step before the next batch.
 func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (uint64, Event, bool) {
 	var n uint64
 	for n < max {
@@ -204,7 +212,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 					break
 				}
 			}
-			// Per-fetch accounting, replayed exactly as fp.step does.
+			// Per-fetch accounting: what the slow path's Fetch charges.
 			e.hitAccounting(h, ent)
 			want += 4
 			if h.Prof != nil && h.Cycles >= h.Prof.Next {

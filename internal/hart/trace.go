@@ -44,15 +44,6 @@ import (
 // per-page table once, and the dispatch loop itself performs no
 // allocation (TestTraceDispatchAllocs pins this to 0 allocs/op).
 
-// DefaultTraces controls whether the superblock engine additionally
-// compiles decoded pages into pre-bound trace tables and dispatches
-// straight-line runs through them. It only takes effect together with
-// DefaultSuperblocks (the trace tier rides on superblock metadata); with
-// it off, RunBatch degrades to the PR 5 generic superblock loop. The four
-// engines — slow, fast, block, trace — are asserted bit-identical on
-// every paper table.
-var DefaultTraces = true
-
 // tcDemoteThreshold is the per-page invalidation count at which trace
 // compilation is demoted: a page invalidated this often (SMC or code/data
 // sharing) stops being trace-compiled — recompiling a 1024-slot table per
@@ -82,10 +73,6 @@ func (h *Hart) SetTraces(on bool) {
 		h.fp.tc = on
 	}
 }
-
-// TracesEnabled reports whether the trace tier is active (it dispatches
-// only when superblocks are active too).
-func (h *Hart) TracesEnabled() bool { return h.fp != nil && h.fp.tc && h.fp.sb }
 
 // SetDispatchHists attaches per-tier dispatch-length histograms: every
 // superblock entry records how many instructions the generic loop retired

@@ -31,18 +31,16 @@ func traceAllocProgram() *asm.Program {
 // The compiled-trace tier exists to strip per-instruction overhead out of
 // the hottest loop in the simulator; a single allocation per dispatch would
 // hand the win straight back to the garbage collector. Once the page is
-// compiled and the micro-TLB slots are warm, RunBatch through the trace
+// compiled and the micro-TLB slots are warm, Run through the trace
 // dispatch must not allocate at all — unarmed and with a live deadline.
 func TestTraceDispatchAllocs(t *testing.T) {
 	h := newHart(t)
-	if !h.TracesEnabled() {
-		t.Skip("trace tier disabled by default in this build")
-	}
 	load(t, h, ramBase, traceAllocProgram())
+	clk := &fakeCLINT{h: h}
 
 	// Warm up: decode the page, build superblocks, compile the trace table,
 	// and fill the fetch/read/write micro-TLB entries.
-	if n, _, _ := h.RunBatch(0, false, 20000); n == 0 {
+	if n, _ := h.Run(clk, 20000); n == 0 {
 		t.Fatal("warm-up batch made no progress")
 	}
 	st := h.FastPathStats()
@@ -51,8 +49,8 @@ func TestTraceDispatchAllocs(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
-		if n, _, _ := h.RunBatch(0, false, 4096); n != 4096 {
-			t.Fatalf("batch stalled at %d steps (pc=%#x)", n, h.PC)
+		if n, _ := h.Run(clk, 4096); n != 4096 {
+			t.Fatalf("run stalled at %d steps (pc=%#x)", n, h.PC)
 		}
 	})
 	if allocs != 0 {
@@ -61,11 +59,11 @@ func TestTraceDispatchAllocs(t *testing.T) {
 
 	// The armed-deadline variant pays the horizon check on every block entry
 	// and the generation snapshot on every trace entry; both must stay free.
-	deadline := h.Cycles + isa.PageSize
+	clk.mtimecmp, clk.armed = h.Cycles+isa.PageSize, true
 	allocs = testing.AllocsPerRun(50, func() {
-		deadline += 1 << 20
-		if n, _, _ := h.RunBatch(deadline, true, 4096); n != 4096 {
-			t.Fatalf("armed batch stalled at %d steps (pc=%#x)", n, h.PC)
+		clk.mtimecmp += 1 << 20
+		if n, _ := h.Run(clk, 4096); n != 4096 {
+			t.Fatalf("armed run stalled at %d steps (pc=%#x)", n, h.PC)
 		}
 	})
 	if allocs != 0 {
@@ -89,9 +87,6 @@ func TestTraceDispatchAllocs(t *testing.T) {
 // path throughout.
 func TestTraceSMCThrashDemotion(t *testing.T) {
 	h := newHart(t)
-	if !h.TracesEnabled() {
-		t.Skip("trace tier disabled by default in this build")
-	}
 	const iters = tcDemoteThreshold + 4 // past demotion, below the blacklist
 	if iters >= blacklistThreshold {
 		t.Fatalf("test premise broken: %d iterations would blacklist the page", iters)
@@ -110,15 +105,7 @@ func TestTraceSMCThrashDemotion(t *testing.T) {
 	p.ECALL()
 	load(t, h, ramBase, p)
 
-	var ev Event
-	for s := 0; s < 10000 && ev.Kind == EvNone; s++ {
-		n, bev, ok := h.RunBatch(0, false, 1000)
-		if ok {
-			ev = bev
-		} else if n == 0 {
-			ev = h.Step()
-		}
-	}
+	_, ev := h.Run(noTimer{}, 10000)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
 		t.Fatalf("unexpected end event: %+v (pc=%#x)", ev, h.PC)
 	}
@@ -155,15 +142,12 @@ func TestTraceSMCThrashDemotion(t *testing.T) {
 func TestDispatchLengthHistograms(t *testing.T) {
 	run := func(traces bool) (sb, tc *telemetry.Histogram, st FastPathStats) {
 		h := newHart(t)
-		if !h.SuperblocksEnabled() {
-			t.Skip("superblocks disabled by default in this build")
-		}
 		h.SetTraces(traces)
 		sb, tc = telemetry.NewHistogram(), telemetry.NewHistogram()
 		h.SetDispatchHists(sb, tc)
 		load(t, h, ramBase, traceAllocProgram())
-		if n, _, _ := h.RunBatch(0, false, 20000); n == 0 {
-			t.Fatal("batch made no progress")
+		if n, _ := h.Run(noTimer{}, 20000); n == 0 {
+			t.Fatal("run made no progress")
 		}
 		h.FlushDispatchHists()
 		return sb, tc, h.FastPathStats()

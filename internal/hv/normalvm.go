@@ -93,33 +93,13 @@ func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit
 	h.MRet()
 
 	for {
-		// Parallel engine: rendezvous at the quantum barrier before
-		// resuming the guest. A false return means the machine halted.
-		if !h.CheckYield() {
+		_, ev := h.Run(k.M.CLINT, ^uint64(0))
+		switch ev.Kind {
+		case hart.EvHalt: // the parallel engine halted the machine
 			k.saveVCPU(h, v, h.PC)
 			return NormalExit{Reason: sm.ExitTimer}, nil
-		}
-		// Hot path: superblock batching, matching the loop body below.
-		// A false return also covers the guest touching a device (possibly
-		// its own timer): the deadline sampled here is then stale, and the
-		// next iteration re-samples it.
-		dl, armed := h.BatchDeadline(k.M.CLINT.NextDeadline(h.ID))
-		_, ev, batched := h.RunBatch(dl, armed, ^uint64(0))
-		if !batched {
-			if k.M.CLINT.TimerPending(h.ID, h.Cycles) {
-				h.SetPending(isa.IntMTimer)
-			} else {
-				h.ClearPending(isa.IntMTimer)
-			}
-			ev = h.Step()
-		}
-		switch ev.Kind {
-		case hart.EvNone:
-			continue
 		case hart.EvWFI:
-			if dl, ok := k.M.CLINT.NextDeadline(h.ID); ok && dl > h.Cycles {
-				h.Cycles = dl
-				h.Advance(h.Cost.WFIWake)
+			if h.IdleUntilTimer(k.M.CLINT) {
 				continue
 			}
 			k.saveVCPU(h, v, h.PC)

@@ -10,9 +10,10 @@ import (
 // counter (per-hart virtual time), which is exact for the single-vCPU
 // macro benchmarks the paper runs and keeps multi-hart runs independent.
 //
-// Timer state is atomic rather than mutex-guarded because TimerPending is
+// Timer state is atomic rather than mutex-guarded because NextDeadline is
 // polled at every batch boundary; writers store mtimecmp before setting
-// armed, so a timer observed as armed always has its deadline visible.
+// armed and NextDeadline loads armed first, so a timer observed as armed
+// always has its deadline visible.
 //
 // State is sharded per hart and padded to cache-line size: hart i's
 // comparator poll is a pure read of its own line, so non-interacting
@@ -123,17 +124,11 @@ func (c *CLINT) DisarmTimer(i int) {
 	hs.armed.Store(false)
 }
 
-// TimerPending reports whether hart i's timer has fired at time now.
-// Lock-free: this sits on the per-instruction hot path.
-func (c *CLINT) TimerPending(i int, now uint64) bool {
-	hs := &c.harts[i]
-	return hs.armed.Load() && now >= hs.mtimecmp.Load()
-}
-
-// NextDeadline returns hart i's armed deadline.
+// NextDeadline returns hart i's armed deadline. It implements hart.Clock.
 func (c *CLINT) NextDeadline(i int) (uint64, bool) {
 	hs := &c.harts[i]
-	return hs.mtimecmp.Load(), hs.armed.Load()
+	armed := hs.armed.Load()
+	return hs.mtimecmp.Load(), armed
 }
 
 // UART is a write-only console device: bytes stored for inspection.

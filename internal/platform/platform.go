@@ -1,6 +1,6 @@
 // Package platform assembles the simulated machine: harts, physical RAM,
-// the CLINT timer, a UART, the IOPMP, and an MMIO bus. It also owns the
-// run loop that steps guest code and dispatches trap events to the
+// the CLINT timer, a UART, the IOPMP, and an MMIO bus. RunHart drives a
+// hart through hart.Run and dispatches its trap events to the
 // Go-implemented privileged software (the Secure Monitor at M, the
 // hypervisor at HS, the mini guest kernel at VS).
 package platform
@@ -144,15 +144,6 @@ func (b *busAdapter) Access(hartID int, pa uint64, size int, write bool, val uin
 	return 0, false
 }
 
-// tickTimer refreshes the hart's machine-timer pending bit from the CLINT.
-func (m *Machine) tickTimer(h *hart.Hart) {
-	if m.CLINT.TimerPending(h.ID, h.Cycles) {
-		h.SetPending(isa.IntMTimer)
-	} else {
-		h.ClearPending(isa.IntMTimer)
-	}
-}
-
 // ErrUnhandledTrap reports a trap that reached a privilege level with no
 // registered handler. The run loop stops and returns it instead of
 // panicking: one VM's stray trap must not take down the whole platform.
@@ -165,33 +156,13 @@ func (m *Machine) RunHart(i int, maxSteps uint64) (uint64, error) {
 	h := m.Harts[i]
 	var steps uint64
 	for steps < maxSteps {
-		// Parallel engine: rendezvous with the other harts once this
-		// hart's cycle count crosses the quantum deadline. A false return
-		// is global halt (every hart idle): stop like the sequential
-		// "idle forever" exit.
-		if !h.CheckYield() {
-			return steps, nil
-		}
-		// Hot path: superblock batching. Between boundaries the engine
-		// hoists the timer and interrupt checks under its event-horizon
-		// proof; a false return means the deadline was reached, the fast
-		// path could not proceed, or the guest touched a device (its own
-		// CLINT included) — in every case the deadline sampled here is
-		// stale, and the loop re-samples it before continuing.
-		dl, armed := h.BatchDeadline(m.CLINT.NextDeadline(h.ID))
-		n, ev, batched := h.RunBatch(dl, armed, maxSteps-steps)
+		n, ev := h.Run(m.CLINT, maxSteps-steps)
 		steps += n
-		if !batched {
-			if steps >= maxSteps {
-				break
-			}
-			m.tickTimer(h)
-			ev = h.Step()
-			steps++
-		}
 		switch ev.Kind {
 		case hart.EvNone:
 			continue
+		case hart.EvHalt:
+			return steps, nil // global halt: every hart idle
 		case hart.EvWFI:
 			if h.Yield != nil {
 				if !m.parallelWFI(h) {
@@ -201,12 +172,9 @@ func (m *Machine) RunHart(i int, maxSteps uint64) (uint64, error) {
 			}
 			// Advance virtual time to the next timer deadline so the
 			// machine makes progress while the guest idles.
-			if dl, ok := m.CLINT.NextDeadline(h.ID); ok && dl > h.Cycles {
-				h.Cycles = dl
-				h.Advance(h.Cost.WFIWake)
-				continue
+			if !h.IdleUntilTimer(m.CLINT) {
+				return steps, nil // idle forever: nothing to wake the hart
 			}
-			return steps, nil // idle forever: nothing to wake the hart
 		case hart.EvTrap:
 			cont, err := m.dispatch(h, ev.Trap)
 			if err != nil {
@@ -252,7 +220,7 @@ func (m *Machine) parallelWFI(h *hart.Hart) bool {
 		}
 		// Barrier released: cross-hart ops have been applied. Re-sample
 		// the timer and wake on any now-deliverable interrupt.
-		m.tickTimer(h)
+		h.SyncTimer(m.CLINT)
 		if _, ok := h.PendingInterrupt(); ok {
 			h.Advance(h.Cost.WFIWake)
 			return true

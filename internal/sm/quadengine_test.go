@@ -15,27 +15,20 @@ import (
 // must not observe which engine hit the fault.
 var engineMatrix = []struct {
 	name string
-	fast bool
-	sb   bool
-	tc   bool
+	set  func(h *hart.Hart)
 }{
-	{"trace", true, true, true},
-	{"block", true, true, false},
-	{"fast", true, false, false},
-	{"slow", false, false, false},
+	{"trace", func(*hart.Hart) {}},
+	{"block", func(h *hart.Hart) { h.SetTraces(false) }},
+	{"fast", func(h *hart.Hart) { h.SetSuperblocks(false) }},
+	{"slow", func(h *hart.Hart) { h.DisableFastPath() }},
 }
 
-// perEngine runs fn once per engine with the hart construction globals
-// set accordingly, restoring them afterwards.
-func perEngine(t *testing.T, fn func(t *testing.T)) {
+// perEngine runs fn once per engine; fn puts the harts it builds on the
+// engine with tier.
+func perEngine(t *testing.T, fn func(t *testing.T, tier func(h *hart.Hart))) {
 	t.Helper()
-	oldFP, oldSB, oldTC := hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces
-	defer func() {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = oldFP, oldSB, oldTC
-	}()
 	for _, e := range engineMatrix {
-		hart.DefaultFastPath, hart.DefaultSuperblocks, hart.DefaultTraces = e.fast, e.sb, e.tc
-		t.Run(e.name, fn)
+		t.Run(e.name, func(t *testing.T) { fn(t, e.set) })
 	}
 }
 
@@ -68,8 +61,9 @@ type compSnap struct {
 // bit-identical across the slow, fast, superblock, and trace engines.
 func TestQuadEngineCompartmentQuarantineLockstep(t *testing.T) {
 	var snaps []compSnap
-	perEngine(t, func(t *testing.T) {
+	perEngine(t, func(t *testing.T, tier func(h *hart.Hart)) {
 		f := newFixture(t, Config{})
+		tier(f.h)
 		f.buildCVM(shutdownProgram(func(p *asm.Program) {
 			// Enough straight-line compute for the superblock engine to
 			// form and chain blocks before the fault site.
@@ -163,8 +157,9 @@ type quarSnap struct {
 // final cycle counter must be bit-identical across engines.
 func TestQuadEngineCVMQuarantineLockstep(t *testing.T) {
 	var snaps []quarSnap
-	perEngine(t, func(t *testing.T) {
+	perEngine(t, func(t *testing.T, tier func(h *hart.Hart)) {
 		f := newFixture(t, Config{})
+		tier(f.h)
 		id := f.buildCVM(shutdownProgram(func(p *asm.Program) {
 			p.LI(asm.T0, 0x1000_0000) // MMIO window: forces a publishExit
 			p.LD(asm.S4, asm.T0, 0)

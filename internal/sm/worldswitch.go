@@ -411,41 +411,23 @@ func extend(data uint64, width int, signed bool) uint64 {
 // event began (for §V.B exit-latency accounting).
 func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 	for {
-		// Parallel engine: rendezvous at the quantum barrier. A running
-		// CVM is never idle, so a false return (global halt) is
-		// impossible here; exit defensively if it ever happens.
-		if !h.CheckYield() {
-			v.sec.PC = h.PC
-			return ExitInfo{Reason: ExitTimer}, h.Cycles
-		}
-		var ev hart.Event
-		var batched bool
-		if s.cfg.StepHook == nil {
-			// Hot path: superblock batching, step-for-step identical to
-			// the loop below. A false return (deadline hit, fast path
-			// unable to proceed, or a guest device access that may have
-			// rearmed its own timer) falls through to tickTimer+Step,
-			// after which the next iteration re-samples the deadline.
-			dl, armed := h.BatchDeadline(s.machine.CLINT.NextDeadline(h.ID))
-			_, ev, batched = h.RunBatch(dl, armed, ^uint64(0))
-		} else {
+		budget := ^uint64(0)
+		if s.cfg.StepHook != nil {
+			// One instruction per Run, so the hook precedes every one.
 			s.cfg.StepHook(h, v.ID)
+			budget = 1
 		}
-		if !batched {
-			if s.machine.CLINT.TimerPending(h.ID, h.Cycles) {
-				h.SetPending(isa.IntMTimer)
-			} else {
-				h.ClearPending(isa.IntMTimer)
-			}
-			ev = h.Step()
-		}
+		_, ev := h.Run(s.machine.CLINT, budget)
 		switch ev.Kind {
 		case hart.EvNone:
 			continue
+		case hart.EvHalt:
+			// A running CVM is never idle, so global halt is impossible
+			// here; exit defensively if it ever happens.
+			v.sec.PC = h.PC
+			return ExitInfo{Reason: ExitTimer}, h.Cycles
 		case hart.EvWFI:
-			if dl, ok := s.machine.CLINT.NextDeadline(h.ID); ok && dl > h.Cycles {
-				h.Cycles = dl
-				h.Advance(h.Cost.WFIWake)
+			if h.IdleUntilTimer(s.machine.CLINT) {
 				continue
 			}
 			// Idle with nothing armed: yield to the hypervisor. The hart

@@ -3,7 +3,8 @@
 #   make build  - compile everything
 #   make test   - tier-1: full test suite
 #   make race   - full test suite under the race detector
-#   make lint   - golangci-lint if installed, else 'go vet' with a notice
+#   make lint   - gofmt check, then golangci-lint if installed, else 'go vet'
+#                 with a notice
 #   make check  - tier-2: lint + race detector on the whole module + a smoke
 #                 fault-injection campaign (fixed seed, 100 faults) + the
 #                 compartment-compromise campaign + the host benchmark gate
@@ -28,7 +29,9 @@
 #                           checked inside zionbench); writes the latency
 #                           histogram artifact serving_hist.json
 #   make test-allocs      - pin the zero-allocation contract of Hart.Run over
-#                           the superblock and compiled-trace dispatch loops
+#                           the superblock and compiled-trace dispatch loops,
+#                           of trap-cause naming, and of stage-2 walk faults
+#                           (one object: the fault itself)
 #   make fuzz             - run the native fuzz target FuzzLockstep for 60s
 
 GO ?= go
@@ -54,10 +57,12 @@ race-engine:
 	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/platform/...
 	$(GO) test -race -count=2 ./internal/bench/...
 
-# lint prefers golangci-lint (.golangci.yml enables govet, staticcheck,
-# errcheck, ineffassign) but degrades to plain 'go vet' so 'make check'
-# works on machines without the binary.
+# lint fails on any file gofmt would rewrite, then prefers golangci-lint
+# (.golangci.yml enables govet, staticcheck, errcheck, ineffassign) but
+# degrades to plain 'go vet' so 'make check' works on machines without the
+# binary.
 lint:
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "lint: not gofmt-clean:"; echo "$$unformatted"; exit 1; }
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \
@@ -104,10 +109,13 @@ smoke-serving:
 
 # test-allocs is the hot-loop allocation gate: Hart.Run over the
 # superblock and compiled-trace dispatch loops must run allocation-free
-# once warm. The suite runs these anyway; the dedicated target gives CI a
-# cheap job whose failure names the regression directly.
+# once warm, and so must naming a trap cause (every trap feeds the flight
+# recorder); a stage-2 walk fault (every MMIO exit and demand fault)
+# allocates only the *PageFault it returns. The suite runs these anyway;
+# the dedicated target gives CI a cheap job whose failure names the
+# regression directly.
 test-allocs:
-	$(GO) test ./internal/hart -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs' -count=1 -v
 
 # fuzz runs the native fuzz target FuzzLockstep for a bounded 60 s: it
 # compares Hart.Run on the trace tier against Step alone over fuzzer-chosen

@@ -167,7 +167,9 @@ const (
 // CauseInterruptBit is the MSB of mcause/scause on RV64, set for interrupts.
 const CauseInterruptBit = uint64(1) << 63
 
-// CauseName renders a cause register value for diagnostics.
+// CauseName renders a cause register value for diagnostics. It is a
+// constant switch, so the per-trap callers (the flight recorder, fault
+// notes) allocate nothing.
 func CauseName(cause uint64) string {
 	if cause&CauseInterruptBit != 0 {
 		switch cause &^ CauseInterruptBit {
@@ -194,29 +196,45 @@ func CauseName(cause uint64) string {
 		}
 		return "unknown-interrupt"
 	}
-	names := map[uint64]string{
-		ExcInstAddrMisaligned:  "instruction-address-misaligned",
-		ExcInstAccessFault:     "instruction-access-fault",
-		ExcIllegalInst:         "illegal-instruction",
-		ExcBreakpoint:          "breakpoint",
-		ExcLoadAddrMisaligned:  "load-address-misaligned",
-		ExcLoadAccessFault:     "load-access-fault",
-		ExcStoreAddrMisaligned: "store-address-misaligned",
-		ExcStoreAccessFault:    "store-access-fault",
-		ExcEcallU:              "ecall-from-u",
-		ExcEcallS:              "ecall-from-hs",
-		ExcEcallVS:             "ecall-from-vs",
-		ExcEcallM:              "ecall-from-m",
-		ExcInstPageFault:       "instruction-page-fault",
-		ExcLoadPageFault:       "load-page-fault",
-		ExcStorePageFault:      "store-page-fault",
-		ExcInstGuestPageFault:  "instruction-guest-page-fault",
-		ExcLoadGuestPageFault:  "load-guest-page-fault",
-		ExcVirtualInst:         "virtual-instruction",
-		ExcStoreGuestPageFault: "store-guest-page-fault",
-	}
-	if n, ok := names[cause]; ok {
-		return n
+	switch cause {
+	case ExcInstAddrMisaligned:
+		return "instruction-address-misaligned"
+	case ExcInstAccessFault:
+		return "instruction-access-fault"
+	case ExcIllegalInst:
+		return "illegal-instruction"
+	case ExcBreakpoint:
+		return "breakpoint"
+	case ExcLoadAddrMisaligned:
+		return "load-address-misaligned"
+	case ExcLoadAccessFault:
+		return "load-access-fault"
+	case ExcStoreAddrMisaligned:
+		return "store-address-misaligned"
+	case ExcStoreAccessFault:
+		return "store-access-fault"
+	case ExcEcallU:
+		return "ecall-from-u"
+	case ExcEcallS:
+		return "ecall-from-hs"
+	case ExcEcallVS:
+		return "ecall-from-vs"
+	case ExcEcallM:
+		return "ecall-from-m"
+	case ExcInstPageFault:
+		return "instruction-page-fault"
+	case ExcLoadPageFault:
+		return "load-page-fault"
+	case ExcStorePageFault:
+		return "store-page-fault"
+	case ExcInstGuestPageFault:
+		return "instruction-guest-page-fault"
+	case ExcLoadGuestPageFault:
+		return "load-guest-page-fault"
+	case ExcVirtualInst:
+		return "virtual-instruction"
+	case ExcStoreGuestPageFault:
+		return "store-guest-page-fault"
 	}
 	return "unknown-exception"
 }

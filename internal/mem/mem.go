@@ -248,9 +248,7 @@ func (m *PhysMemory) ReadInto(addr uint64, out []byte) error {
 		if p != nil {
 			copy(out[off:off+chunk], p[po:po+chunk])
 		} else {
-			for i := off; i < off+chunk; i++ {
-				out[i] = 0
-			}
+			clear(out[off : off+chunk])
 		}
 		off += chunk
 	}
@@ -384,9 +382,7 @@ func (m *PhysMemory) Zero(addr, n uint64) error {
 			chunk = n - off
 		}
 		if p != nil {
-			for i := po; i < po+chunk; i++ {
-				p[i] = 0
-			}
+			clear(p[po : po+chunk])
 		}
 		off += chunk
 	}
@@ -427,9 +423,7 @@ func (m *PhysMemory) Copy(dst, src, n uint64) error {
 			chunk = c
 		}
 		if sp == nil {
-			for i := dpo; i < dpo+chunk; i++ {
-				dp[i] = 0 // untouched source pages read as zero
-			}
+			clear(dp[dpo : dpo+chunk]) // untouched source pages read as zero
 		} else {
 			copy(dp[dpo:dpo+chunk], sp[spo:spo+chunk])
 		}

@@ -154,6 +154,79 @@ func TestZero(t *testing.T) {
 	if end != 0xFF {
 		t.Error("byte after zero window was clobbered")
 	}
+
+	// A window that spans an untouched page scrubs the backed pages on
+	// either side and does not materialize the one in between.
+	lo, hi := uint64(testBase+0x10000), uint64(testBase+0x12000)
+	for _, a := range []uint64{lo, hi} {
+		if err := m.Write(a, bytes.Repeat([]byte{0xAA}, isa.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touched := m.TouchedPages()
+	if err := m.Zero(lo+8, 3*isa.PageSize-16); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TouchedPages(); got != touched {
+		t.Errorf("Zero materialized pages: touched %d -> %d", touched, got)
+	}
+	b, _ = m.Read(lo+8, 3*isa.PageSize-16)
+	if !bytes.Equal(b, make([]byte, len(b))) {
+		t.Error("window across an untouched page not zeroed")
+	}
+	if v, _ := m.ReadUint(hi+isa.PageSize-8, 1); v != 0xAA {
+		t.Error("byte after the spanning window was clobbered")
+	}
+
+	// Zero over a registered code page still notifies watchers.
+	w := &watcherRec{}
+	m.AddCodeWatcher(w)
+	m.RegisterCodePage(hi)
+	if err := m.Zero(hi, isa.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.pages) != 1 || w.pages[0] != hi {
+		t.Errorf("Zero over a code page notified %#x, want [%#x]", w.pages, hi)
+	}
+}
+
+// ReadInto overwrites the whole destination, zero-filling the parts that
+// fall on untouched pages even when the buffer holds stale bytes.
+func TestReadIntoZeroFillsStale(t *testing.T) {
+	m := newTestRAM()
+	addr := uint64(testBase + 0x4000)
+	if err := m.Write(addr, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	out := bytes.Repeat([]byte{0xEE}, 2*isa.PageSize)
+	if err := m.ReadInto(addr, out); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, len(out))
+	copy(want, []byte{1, 2, 3, 4})
+	if !bytes.Equal(out, want) {
+		t.Error("ReadInto left stale bytes over an untouched page")
+	}
+	if m.TouchedPages() != 1 {
+		t.Errorf("ReadInto materialized pages: touched = %d, want 1", m.TouchedPages())
+	}
+}
+
+// BenchmarkZeroPage times one 4 KiB scrub of a backed page, the SM's
+// per-page cost at demand-page time and at destroy.
+func BenchmarkZeroPage(b *testing.B) {
+	m := newTestRAM()
+	addr := uint64(testBase + 0x1000)
+	if err := m.WriteUint(addr, 1, 8); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(isa.PageSize)
+	for i := 0; i < b.N; i++ {
+		if err := m.Zero(addr, isa.PageSize); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestCopy(t *testing.T) {

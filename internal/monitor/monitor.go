@@ -58,14 +58,14 @@ type snapshot struct {
 // New, feed it Update at quantum boundaries, expose it with Serve (or
 // mount Handler yourself).
 type Server struct {
-	sink   *telemetry.Sink            // may be nil: metrics/profile empty
-	flight *telemetry.FlightRecorder  // may be nil: flight rings absent
+	sink   *telemetry.Sink           // may be nil: metrics/profile empty
+	flight *telemetry.FlightRecorder // may be nil: flight rings absent
 
-	mu      sync.Mutex
-	snap    snapshot
-	prev    map[int]uint64 // hart -> cycle count at previous update
-	noMove  map[int]int    // hart -> consecutive no-progress updates
-	ln      net.Listener
+	mu     sync.Mutex
+	snap   snapshot
+	prev   map[int]uint64 // hart -> cycle count at previous update
+	noMove map[int]int    // hart -> consecutive no-progress updates
+	ln     net.Listener
 }
 
 // New builds a server over the given sink and flight recorder (either

@@ -15,6 +15,17 @@ import (
 // Levels in an Sv39 tree. Level 2 is the root, level 0 the 4 KiB leaf.
 const Levels = 3
 
+// Per-level fault reasons, fixed text so that a walk fault (every stage-2
+// miss: each MMIO exit and each demand fault) formats nothing.
+var (
+	invalidPTEReason = [Levels]string{
+		"invalid PTE at level 0", "invalid PTE at level 1", "invalid PTE at level 2",
+	}
+	misalignedSuperpageReason = [Levels]string{
+		"misaligned superpage at level 0", "misaligned superpage at level 1", "misaligned superpage at level 2",
+	}
+)
+
 // Access mirrors the three translation access kinds.
 type Access uint8
 
@@ -179,7 +190,7 @@ func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, error) 
 		}
 		steps++
 		if pte&isa.PTEValid == 0 {
-			return fault(fmt.Sprintf("invalid PTE at level %d", level))
+			return fault(invalidPTEReason[level])
 		}
 		r, ww, x := pte&isa.PTERead != 0, pte&isa.PTEWrite != 0, pte&isa.PTEExec != 0
 		if ww && !r {
@@ -196,7 +207,7 @@ func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, error) 
 		// Leaf.
 		ppn := (pte >> isa.PTEPPNShift) << isa.PageShift
 		if level > 0 && ppn&pageOffsetMask(level) != 0 {
-			return fault(fmt.Sprintf("misaligned superpage at level %d", level))
+			return fault(misalignedSuperpageReason[level])
 		}
 		if err := checkLeafPerms(pte, acc, opts); err != "" {
 			return fault(err)
@@ -324,7 +335,7 @@ func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, use
 		}
 		steps++
 		if pte&isa.PTEValid == 0 {
-			return fault(fmt.Sprintf("invalid PTE at level %d", level))
+			return fault(invalidPTEReason[level])
 		}
 		r, ww, x := pte&isa.PTERead != 0, pte&isa.PTEWrite != 0, pte&isa.PTEExec != 0
 		if ww && !r {

@@ -176,8 +176,13 @@ func TestMisalignedSuperpageFaults(t *testing.T) {
 	_ = ram.WriteUint64(root+rootSlot*8, (sub>>isa.PageShift)<<isa.PTEPPNShift|isa.PTEValid)
 	badPPN := uint64(ramBase+0x1000) >> isa.PageShift // 4K-aligned only
 	_ = ram.WriteUint64(sub+0, badPPN<<isa.PTEPPNShift|isa.PTEValid|isa.PTERead)
-	if _, err := w.Walk(root, 0, AccessRead, Opts{}); err == nil {
-		t.Error("misaligned superpage must fault")
+	_, err := w.Walk(root, 0, AccessRead, Opts{})
+	var pf *PageFault
+	if !errors.As(err, &pf) {
+		t.Fatalf("misaligned superpage must fault, got %v", err)
+	}
+	if pf.Reason != "misaligned superpage at level 1" {
+		t.Errorf("Reason = %q", pf.Reason)
 	}
 }
 
@@ -481,5 +486,73 @@ func TestFaultErrorString(t *testing.T) {
 	}
 	if AccessRead.String() != "read" || AccessWrite.String() != "write" || AccessFetch.String() != "fetch" || Access(9).String() != "?" {
 		t.Error("Access.String mismatch")
+	}
+}
+
+// stage2Miss builds a stage-2 tree with one mapped page and returns GPAs
+// that miss at each level: index i faults on an invalid PTE at level i.
+func stage2Miss(t testing.TB, b *Builder) (root uint64, miss [Levels]uint64) {
+	t.Helper()
+	root, err := b.NewRoot(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpa := uint64(0x8000_0000)
+	if err := b.Map(root, gpa, ramBase+0x70_0000, isa.PTERead|isa.PTEWrite|isa.PTEUser, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	return root, [Levels]uint64{gpa + isa.PageSize, gpa + 0x40_0000, gpa + 0x4000_0000}
+}
+
+// A walk fault is the stage-2 miss behind every MMIO exit and every
+// demand fault. Its reason keeps the per-level text and the walk
+// allocates at most the *PageFault it returns.
+func TestWalkFaultReasonAllocs(t *testing.T) {
+	_, b, w := newEnv(t)
+	root, miss := stage2Miss(t, b)
+	want := [Levels]string{"invalid PTE at level 0", "invalid PTE at level 1", "invalid PTE at level 2"}
+	for level, gpa := range miss {
+		_, err := w.Walk(root, gpa, AccessRead, Opts{Stage2: true})
+		var pf *PageFault
+		if !errors.As(err, &pf) || !pf.GuestPage {
+			t.Fatalf("gpa %#x: err = %v, want guest-page fault", gpa, err)
+		}
+		if pf.Reason != want[level] {
+			t.Errorf("gpa %#x: Reason = %q, want %q", gpa, pf.Reason, want[level])
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			_, _ = w.Walk(root, gpa, AccessWrite, Opts{Stage2: true})
+		})
+		if allocs > 1 {
+			t.Errorf("gpa %#x: walk fault allocates %v objects, want <= 1", gpa, allocs)
+		}
+	}
+
+	// The nested stage-1 walk reports the same text: an empty VS root
+	// faults at level 2.
+	vsRoot := uint64(0x8000_0000) // mapped, all-zero guest page
+	_, err := w.TranslateTwoStage(vsRoot, root, 0x10_0000, AccessRead, false)
+	var pf *PageFault
+	if !errors.As(err, &pf) || pf.GuestPage {
+		t.Fatalf("nested walk: err = %v, want stage-1 fault", err)
+	}
+	if pf.Reason != "invalid PTE at level 2" {
+		t.Errorf("nested walk: Reason = %q", pf.Reason)
+	}
+}
+
+// BenchmarkWalkFault times a stage-2 walk that misses on an invalid leaf
+// PTE, the translation cost of one demand fault or MMIO exit.
+func BenchmarkWalkFault(b *testing.B) {
+	ram := mem.NewPhysMemory(ramBase, 64<<20)
+	a := &bumpAlloc{next: ramBase + 1<<20, end: ramBase + 32<<20}
+	bld := &Builder{Mem: ram, Alloc: a.alloc}
+	w := &Walker{Mem: ram}
+	root, miss := stage2Miss(b, bld)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Walk(root, miss[0], AccessRead, Opts{Stage2: true}); err == nil {
+			b.Fatal("walk did not fault")
+		}
 	}
 }

@@ -427,7 +427,7 @@ func (s *SM) CorruptAllocMeta(sel uint64) (string, bool) {
 		return fmt.Sprintf("block %#x free counter bit %d flipped", b.base, bit), true
 	}
 	i := int((sel / 2) % BlockPages)
-	b.used[i] = !b.used[i]
+	b.used ^= 1 << i
 	return fmt.Sprintf("block %#x bitmap page %d flipped", b.base, i), true
 }
 

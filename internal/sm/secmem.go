@@ -3,6 +3,7 @@ package sm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"zion/internal/isa"
 )
@@ -12,6 +13,12 @@ const BlockSize = 256 << 10
 
 // BlockPages is the number of 4 KiB pages per block.
 const BlockPages = BlockSize / isa.PageSize
+
+// A block's page bitmap is one uint64, so a block holds exactly 64 pages.
+var (
+	_ [BlockPages - 64]struct{}
+	_ [64 - BlockPages]struct{}
+)
 
 // ErrPoolEmpty reports that the secure pool has no free blocks left; the
 // caller must trigger the stage-3 expansion protocol with the hypervisor.
@@ -23,23 +30,20 @@ var ErrPoolEmpty = errors.New("sm: secure memory pool exhausted")
 type block struct {
 	base       uint64
 	prev, next *block
-	// used marks allocated pages within the block.
-	used [BlockPages]bool
+	// used marks allocated pages within the block: bit i is page i.
+	used uint64
 	free int
 }
 
+// allocPage takes the lowest free page.
 func (b *block) allocPage() (uint64, bool) {
-	if b.free == 0 {
+	i := bits.TrailingZeros64(^b.used)
+	if b.free == 0 || i == BlockPages {
 		return 0, false
 	}
-	for i := range b.used {
-		if !b.used[i] {
-			b.used[i] = true
-			b.free--
-			return b.base + uint64(i)*isa.PageSize, true
-		}
-	}
-	return 0, false
+	b.used |= 1 << i
+	b.free--
+	return b.base + uint64(i)*isa.PageSize, true
 }
 
 // allocRun allocates n contiguous pages aligned to n*PageSize (page-table
@@ -48,18 +52,10 @@ func (b *block) allocRun(n int) (uint64, bool) {
 	if b.free < n {
 		return 0, false
 	}
+	run := uint64(1)<<n - 1
 	for i := 0; i+n <= BlockPages; i += n {
-		ok := true
-		for j := i; j < i+n; j++ {
-			if b.used[j] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for j := i; j < i+n; j++ {
-				b.used[j] = true
-			}
+		if m := run << i; b.used&m == 0 {
+			b.used |= m
 			b.free -= n
 			return b.base + uint64(i)*isa.PageSize, true
 		}
@@ -68,11 +64,11 @@ func (b *block) allocRun(n int) (uint64, bool) {
 }
 
 func (b *block) freePage(pa uint64) error {
-	i := int((pa - b.base) / isa.PageSize)
-	if i < 0 || i >= BlockPages || !b.used[i] {
+	i := (pa - b.base) / isa.PageSize
+	if i >= BlockPages || b.used&(1<<i) == 0 {
 		return fmt.Errorf("sm: double free or bad page %#x in block %#x", pa, b.base)
 	}
-	b.used[i] = false
+	b.used &^= 1 << i
 	b.free++
 	return nil
 }
@@ -192,13 +188,7 @@ func (p *securePool) verify() error {
 	count := 0
 	cur := p.head
 	for {
-		free := 0
-		for _, u := range cur.used {
-			if !u {
-				free++
-			}
-		}
-		if free != cur.free {
+		if free := BlockPages - bits.OnesCount64(cur.used); free != cur.free {
 			return fmt.Errorf("sm: block %#x free counter %d, bitmap says %d",
 				cur.base, cur.free, free)
 		}
@@ -244,8 +234,8 @@ func (p *securePool) salvage() string {
 	blocksFixed, linksFixed, count := 0, 0, 0
 	cur := p.head
 	for {
-		if cur.free != BlockPages || cur.used != [BlockPages]bool{} {
-			cur.used = [BlockPages]bool{}
+		if cur.free != BlockPages || cur.used != 0 {
+			cur.used = 0
 			cur.free = BlockPages
 			blocksFixed++
 		}
@@ -335,7 +325,7 @@ func (p *securePool) allocRun(c *pageCache, n int) (uint64, error) {
 // first).
 func (p *securePool) releaseAll(c *pageCache) {
 	give := func(b *block) {
-		b.used = [BlockPages]bool{}
+		b.used = 0
 		b.free = BlockPages
 		p.giveBack(b)
 	}

@@ -2,6 +2,8 @@ package sm
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +238,257 @@ func TestReleaseConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// poolModel is the reference for the block bitmaps: one [BlockPages]bool
+// per block, the address-ordered free list, and each cache's current and
+// retired blocks, all by block index.
+type poolModel struct {
+	used    [][BlockPages]bool
+	free    []int
+	list    []int // free blocks, ascending; the head is list[0]
+	current []int // per cache; -1 for none
+	retired [][]int
+}
+
+func newPoolModel(blocks, caches int) *poolModel {
+	m := &poolModel{used: make([][BlockPages]bool, blocks), free: make([]int, blocks),
+		current: make([]int, caches), retired: make([][]int, caches)}
+	for i := range m.free {
+		m.free[i] = BlockPages
+		m.list = append(m.list, i)
+	}
+	for i := range m.current {
+		m.current[i] = -1
+	}
+	return m
+}
+
+func (m *poolModel) pa(blk, page int) uint64 {
+	return smBase + uint64(blk)*BlockSize + uint64(page)*isa.PageSize
+}
+
+// take marks pages [i, i+n) of blk used if they are all free.
+func (m *poolModel) take(blk, i, n int) bool {
+	for j := i; j < i+n; j++ {
+		if m.used[blk][j] {
+			return false
+		}
+	}
+	for j := i; j < i+n; j++ {
+		m.used[blk][j] = true
+	}
+	m.free[blk] -= n
+	return true
+}
+
+func (m *poolModel) takeHead() (int, bool) {
+	if len(m.list) == 0 {
+		return -1, false
+	}
+	h := m.list[0]
+	m.list = m.list[1:]
+	return h, true
+}
+
+func (m *poolModel) allocPage(c int) (uint64, bool) {
+	if cur := m.current[c]; cur >= 0 {
+		for i := 0; i < BlockPages; i++ {
+			if m.take(cur, i, 1) {
+				return m.pa(cur, i), true
+			}
+		}
+		m.retired[c] = append(m.retired[c], cur)
+		m.current[c] = -1
+	}
+	h, ok := m.takeHead()
+	if !ok {
+		return 0, false
+	}
+	m.current[c] = h
+	m.take(h, 0, 1)
+	return m.pa(h, 0), true
+}
+
+func (m *poolModel) allocRun(c, n int) (uint64, bool) {
+	if cur := m.current[c]; cur >= 0 {
+		for i := 0; i+n <= BlockPages; i += n {
+			if m.take(cur, i, n) {
+				return m.pa(cur, i), true
+			}
+		}
+	}
+	h, ok := m.takeHead()
+	if !ok {
+		return 0, false
+	}
+	if cur := m.current[c]; cur >= 0 {
+		m.retired[c] = append(m.retired[c], cur)
+	}
+	m.current[c] = h
+	m.take(h, 0, n)
+	return m.pa(h, 0), true
+}
+
+func (m *poolModel) releaseAll(c int) {
+	give := append(m.retired[c], m.current[c])
+	for _, b := range give {
+		if b < 0 {
+			continue
+		}
+		m.used[b] = [BlockPages]bool{}
+		m.free[b] = BlockPages
+		m.list = append(m.list, b)
+	}
+	sort.Ints(m.list)
+	m.current[c], m.retired[c] = -1, nil
+}
+
+// blocksOf returns every block the pool and the caches hold, by base.
+func blocksOf(p *securePool, caches []*pageCache) map[uint64]*block {
+	out := map[uint64]*block{}
+	if b := p.head; b != nil {
+		for {
+			out[b.base] = b
+			if b = b.next; b == p.head {
+				break
+			}
+		}
+	}
+	for _, c := range caches {
+		for _, b := range c.blocks() {
+			out[b.base] = b
+		}
+	}
+	return out
+}
+
+// The one-word block bitmaps behave exactly like a [BlockPages]bool
+// model under random allocPage / allocRun(4) / freePage / releaseAll
+// sequences: the same PAs in the same lowest-free-first order, the same
+// free counters, and a clean verify after every operation.
+func TestBitmapMatchesModel(t *testing.T) {
+	const nblocks, ncaches, nops = 4, 3, 20000
+	p := newPool(t, nblocks)
+	caches := []*pageCache{{}, {}, {}}
+	m := newPoolModel(nblocks, ncaches)
+	owned := make([][]uint64, ncaches) // model PAs each cache holds
+	rng := rand.New(rand.NewSource(1))
+	exhausted, freed := 0, 0
+	for op := 0; op < nops; op++ {
+		ci := rng.Intn(ncaches)
+		c := caches[ci]
+		switch k := rng.Intn(50); {
+		case k < 28:
+			want, ok := m.allocPage(ci)
+			pa, _, err := p.allocPage(c)
+			if ok != (err == nil) || (ok && pa != want) {
+				t.Fatalf("op %d allocPage: pa %#x err %v, model %#x ok %v", op, pa, err, want, ok)
+			}
+			if ok {
+				owned[ci] = append(owned[ci], pa)
+			} else {
+				exhausted++
+			}
+		case k < 36:
+			want, ok := m.allocRun(ci, 4)
+			pa, err := p.allocRun(c, 4)
+			if ok != (err == nil) || (ok && pa != want) {
+				t.Fatalf("op %d allocRun: pa %#x err %v, model %#x ok %v", op, pa, err, want, ok)
+			}
+			for j := uint64(0); ok && j < 4; j++ {
+				owned[ci] = append(owned[ci], pa+j*isa.PageSize)
+			}
+		case k < 49:
+			if len(owned[ci]) == 0 {
+				continue
+			}
+			i := rng.Intn(len(owned[ci]))
+			pa := owned[ci][i]
+			if err := c.ownerOf(pa).freePage(pa); err != nil {
+				t.Fatalf("op %d freePage %#x: %v", op, pa, err)
+			}
+			blk, page := int((pa-smBase)/BlockSize), int(pa%BlockSize/isa.PageSize)
+			m.used[blk][page] = false
+			m.free[blk]++
+			owned[ci] = append(owned[ci][:i], owned[ci][i+1:]...)
+			freed++
+			if err := c.ownerOf(pa).freePage(pa); err == nil {
+				t.Fatalf("op %d: double free of %#x accepted", op, pa)
+			}
+		default:
+			m.releaseAll(ci)
+			p.releaseAll(c)
+			owned[ci] = nil
+		}
+
+		if err := p.verify(); err != nil {
+			t.Fatalf("op %d: verify: %v", op, err)
+		}
+		if p.nfree != len(m.list) {
+			t.Fatalf("op %d: nfree %d, model %d", op, p.nfree, len(m.list))
+		}
+		if b := p.head; len(m.list) > 0 && b.base != m.pa(m.list[0], 0) {
+			t.Fatalf("op %d: head %#x, model %#x", op, b.base, m.pa(m.list[0], 0))
+		}
+		blocks := blocksOf(p, caches)
+		if len(blocks) != nblocks {
+			t.Fatalf("op %d: %d blocks reachable, want %d", op, len(blocks), nblocks)
+		}
+		for bi := 0; bi < nblocks; bi++ {
+			b := blocks[m.pa(bi, 0)]
+			if b.free != m.free[bi] {
+				t.Fatalf("op %d block %d: free %d, model %d", op, bi, b.free, m.free[bi])
+			}
+			for i, u := range m.used[bi] {
+				if got := b.used&(1<<i) != 0; got != u {
+					t.Fatalf("op %d block %d page %d: used %v, model %v", op, bi, i, got, u)
+				}
+			}
+		}
+	}
+	if exhausted == 0 || freed == 0 {
+		t.Errorf("sequence too tame: %d exhaustions, %d frees", exhausted, freed)
+	}
+}
+
+// Both kinds of allocator-metadata flip — a head-block counter bit and a
+// head-block bitmap bit — fail the next verify, and salvage repairs them.
+func TestCorruptAllocMetaCaughtAndSalvaged(t *testing.T) {
+	f := newFixture(t, Config{})
+	pool := &f.s.alloc.pool
+	for sel := uint64(0); sel < 4*BlockPages; sel++ {
+		if err := pool.verify(); err != nil {
+			t.Fatalf("sel %d: pool dirty before the flip: %v", sel, err)
+		}
+		what, ok := f.s.CorruptAllocMeta(sel)
+		if !ok {
+			t.Fatalf("sel %d: no target", sel)
+		}
+		if err := pool.verify(); err == nil {
+			t.Errorf("sel %d: %s not caught by verify", sel, what)
+		}
+		if rep := pool.salvage(); rep == "" {
+			t.Errorf("sel %d: salvage repaired nothing after %s", sel, what)
+		}
+		if err := pool.verify(); err != nil {
+			t.Errorf("sel %d: verify after salvage: %v", sel, err)
+		}
+	}
+}
+
+// BenchmarkPoolVerify times one allocator gate-crossing self-check over
+// a 256-block free list.
+func BenchmarkPoolVerify(b *testing.B) {
+	p := &securePool{}
+	if err := p.register(smBase, 256*BlockSize); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := p.verify(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

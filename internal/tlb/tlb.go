@@ -63,6 +63,11 @@ type TLB struct {
 	// the same (va, asid, vmid) would find the same first-matching entry.
 	// LRU updates do not bump gen — they never change which entry matches.
 	gen uint64
+	// Pad to two whole 64-byte cache lines. Every hit writes tick and
+	// stats, and each hart owns a TLB; unpadded (88 bytes), two harts'
+	// TLBs allocated side by side share a line, and the harts of a
+	// parallel run stall on each other's writes.
+	_ [40]byte
 }
 
 // New builds a TLB with the given geometry. Typical embedded cores carry

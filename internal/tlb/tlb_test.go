@@ -3,6 +3,7 @@ package tlb
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zion/internal/isa"
 )
@@ -174,5 +175,15 @@ func TestInsertLookupProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A TLB fills two whole cache lines, so two harts' TLBs allocated side
+// by side never share one: every hit writes tick and stats. A 128-byte
+// object lands in Go's 128-byte size class, whose slots start on line
+// boundaries. Adding a field means shrinking the pad.
+func TestTLBFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(TLB{}); n != 128 {
+		t.Errorf("sizeof(TLB) = %d, want 128", n)
 	}
 }

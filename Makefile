@@ -32,7 +32,8 @@
 #                           the superblock and compiled-trace dispatch loops,
 #                           of trap-cause naming, and of stage-2 walk faults
 #                           (one object: the fault itself)
-#   make fuzz             - run the native fuzz target FuzzLockstep for 60s
+#   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
+#                           then FuzzResume for 30s
 
 GO ?= go
 
@@ -44,8 +45,11 @@ build:
 test: build
 	$(GO) test ./...
 
+# Under -race one internal/bench pass (the four-tier F4 bit-identity
+# test dominates) takes 12-13 minutes on a 2-core host, past go test's
+# default 10-minute timeout, so the race targets set their own.
 race: build
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # race-engine stresses the parallel engine and the bench harness under the
 # race detector twice over: -count=2 reruns every test in a process whose
@@ -54,8 +58,8 @@ race: build
 # show up. The engine also runs at GOMAXPROCS 1, 2 and 4, so harts that
 # finish or post in the same epoch meet in both orders.
 race-engine:
-	$(GO) test -race -count=2 -cpu 1,2,4 ./internal/platform/...
-	$(GO) test -race -count=2 ./internal/bench/...
+	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/...
+	$(GO) test -race -timeout 60m -count=2 ./internal/bench/...
 
 # lint fails on any file gofmt would rewrite, then prefers golangci-lint
 # (.golangci.yml enables govet, staticcheck, errcheck, ineffassign) but
@@ -117,13 +121,17 @@ smoke-serving:
 test-allocs:
 	$(GO) test ./internal/hart ./internal/isa ./internal/ptw -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs' -count=1 -v
 
-# fuzz runs the native fuzz target FuzzLockstep for a bounded 60 s: it
-# compares Hart.Run on the trace tier against Step alone over fuzzer-chosen
-# instruction words. A failing input is written under the package's
-# testdata/fuzz directory; check it in and it becomes a permanent seed that
-# plain 'go test' replays.
+# fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
+# (60 s) compares Hart.Run on the trace tier against Step alone over
+# fuzzer-chosen instruction words; FuzzResume (30 s) puts fuzzer-chosen
+# values in every hypervisor-writable shared-vCPU field after an MMIO exit
+# and requires Check-after-Load to quarantine or apply only the target
+# register. A failing input is written under the package's testdata/fuzz
+# directory; check it in and it becomes a permanent seed that plain
+# 'go test' replays.
 fuzz:
 	$(GO) test ./internal/hart -run '^$$' -fuzz '^FuzzLockstep$$' -fuzztime 60s
+	$(GO) test ./internal/sm -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s
 
 bench:
 	$(GO) run ./cmd/zionbench

@@ -51,6 +51,26 @@ func TestSeededCampaign(t *testing.T) {
 	}
 }
 
+// TestDefaultCampaignSweep runs the default `zionbench -e fi` sweep, five
+// seeds of 500 faults each: every campaign must be survived with no breach
+// and no missed detection. The first shared-tamper mask that Check-after-
+// Load once truncated away arrives only at seed 3, which is why a single
+// seed is not enough.
+func TestDefaultCampaignSweep(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		rep, err := Run(CampaignConfig{Seed: seed, Faults: 500})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if n := rep.Outcomes[OutcomeBreach] + rep.Outcomes[OutcomeMissed]; n != 0 {
+			t.Errorf("seed %d: %d breaches or missed detections", seed, n)
+		}
+		if !rep.Survived() {
+			t.Errorf("seed %d: campaign not survived:\n%s", seed, rep)
+		}
+	}
+}
+
 // TestCampaignDeterminism re-runs the same seed and requires identical
 // class and outcome tallies: injection must be a pure function of seed.
 func TestCampaignDeterminism(t *testing.T) {

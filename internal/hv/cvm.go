@@ -242,7 +242,7 @@ func (k *Hypervisor) emulateCVMMMIO(h *hart.Hart, vm *VM, vcpuID int, info sm.Ex
 	// Publish the result in the shared vCPU; the SM validates the echoed
 	// fields (Check-after-Load) and applies the data on resume.
 	sh := vm.sharedVCPU[vcpuID]
-	if err := k.M.RAM.WriteUint64(sh+0x20 /* shvData */, val); err != nil {
+	if err := k.M.RAM.WriteUint64(sh+sm.ShvData, val); err != nil {
 		return err
 	}
 	h.Advance(h.Cost.RegCopy)

@@ -149,15 +149,19 @@ func (s *SM) LastAudit() []AuditFinding {
 // and the MMIO/RAM base entries intact.
 func (s *SM) auditPMP() []AuditFinding {
 	var out []AuditFinding
+	// Registration validates every region's entry before committing it,
+	// so a region without a valid entry is itself a plan violation.
+	for i, r := range s.alloc.pool.regions {
+		if _, _, err := poolPMPEntry(i, r.base, r.end-r.base); err != nil {
+			out = append(out, AuditFinding{Kind: AuditPMPPlan, Detail: fmt.Sprintf(
+				"secure region [%#x,%#x) has no valid PMP entry: %v", r.base, r.end, err)})
+		}
+	}
 	for _, h := range s.machine.Harts {
 		for i, r := range s.alloc.pool.regions {
-			idx := pmpPoolFirst + i
-			if idx > pmpPoolLast {
-				break
-			}
-			want, err := pmp.EncodeNAPOT(r.base, roundPow2(r.end-r.base))
+			idx, want, err := poolPMPEntry(i, r.base, r.end-r.base)
 			if err != nil {
-				continue // regions are validated NAPOT-encodable at registration
+				continue // reported once above
 			}
 			cfg := h.PMP.Cfg(idx)
 			switch {
@@ -203,7 +207,7 @@ func (s *SM) auditOwnership() []AuditFinding {
 		// Block bitmaps: the union of used pages across this CVM's cache
 		// blocks must equal its owned set exactly.
 		used := make(map[uint64]bool)
-		for _, cache := range append([]*pageCache{&c.tableCache}, vcpuCaches(c)...) {
+		for _, cache := range c.pageCaches() {
 			for _, b := range cache.blocks() {
 				free := 0
 				for i := 0; i < BlockPages; i++ {
@@ -379,7 +383,7 @@ func (s *SM) auditPoolLeak() []AuditFinding {
 	held := 0
 	for _, id := range s.cvmIDs() {
 		c := s.life.cvms[id]
-		for _, cache := range append([]*pageCache{&c.tableCache}, vcpuCaches(c)...) {
+		for _, cache := range c.pageCaches() {
 			held += len(cache.blocks())
 		}
 	}
@@ -439,11 +443,7 @@ func (s *SM) RepairPMP() int {
 			fixed += 2
 		}
 		for i, r := range s.alloc.pool.regions {
-			idx := pmpPoolFirst + i
-			if idx > pmpPoolLast {
-				break
-			}
-			raw, err := pmp.EncodeNAPOT(r.base, roundPow2(r.end-r.base))
+			idx, raw, err := poolPMPEntry(i, r.base, r.end-r.base)
 			if err != nil {
 				continue
 			}

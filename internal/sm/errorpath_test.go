@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"errors"
 	"testing"
 
 	"zion/internal/asm"
@@ -114,19 +115,55 @@ func TestRunBadVCPU(t *testing.T) {
 }
 
 // Pool registration that would exceed the PMP pool entries is refused
-// with a clean error, not a corrupted PMP plan.
+// with a clean error, not a corrupted PMP plan, and changes nothing.
 func TestPoolEntryExhaustion(t *testing.T) {
 	f := newFixture(t, Config{})
 	base := uint64(poolBase) + poolSize
 	var err error
 	for i := 0; i < 12; i++ {
+		total, free := f.s.PoolTotalBlocks(), f.s.PoolFreeBlocks()
 		_, err = f.s.HVCall(f.h, FnRegisterPool, base, uint64(BlockSize))
 		if err != nil {
+			f.wantPoolUnchanged(total, free)
 			break
 		}
 		base += BlockSize
 	}
 	if err == nil {
 		t.Fatal("pool registrations never hit the PMP entry budget")
+	}
+}
+
+// A region the PMP cannot carve out as one NAPOT entry is refused before
+// any block reaches the free list, and the auditor reports a region that
+// somehow holds no valid entry instead of skipping it.
+func TestPoolNAPOTRejectionChangesNothing(t *testing.T) {
+	f := newFixture(t, Config{})
+	// Three blocks round up to a 1 MiB NAPOT region; this base is only
+	// 256 KiB-aligned.
+	base, size := uint64(poolBase)+poolSize+BlockSize, uint64(3*BlockSize)
+	total, free := f.s.PoolTotalBlocks(), f.s.PoolFreeBlocks()
+	if _, err := f.s.HVCall(f.h, FnRegisterPool, base, size); !errors.Is(err, ErrBadArgs) {
+		t.Fatalf("unencodable region: err = %v, want ErrBadArgs", err)
+	}
+	f.wantPoolUnchanged(total, free)
+	if err := f.s.alloc.pool.register(base, size); err != nil {
+		t.Fatal(err)
+	}
+	if found := f.s.Audit(); !hasKind(found, AuditPMPPlan) {
+		t.Fatalf("region without a PMP entry not reported: %v", found)
+	}
+}
+
+func (f *fixture) wantPoolUnchanged(total, free int) {
+	f.t.Helper()
+	if got := f.s.PoolTotalBlocks(); got != total {
+		f.t.Errorf("rejected registration: PoolTotalBlocks %d -> %d", total, got)
+	}
+	if got := f.s.PoolFreeBlocks(); got != free {
+		f.t.Errorf("rejected registration: PoolFreeBlocks %d -> %d", free, got)
+	}
+	if found := f.s.Audit(); len(found) != 0 {
+		f.t.Errorf("rejected registration left audit findings: %v", found)
 	}
 }

@@ -46,8 +46,7 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	if gpa < PrivateBase || gpa%isa.PageSize != 0 {
 		return ErrBadArgs
 	}
-	b := s.tableBuilder(c)
-	pte, level, err := b.Lookup(c.hgatpRoot, gpa, true)
+	pte, level, err := c.pt.Lookup(c.hgatpRoot, gpa, true)
 	if err != nil {
 		return ErrNotFound
 	}
@@ -58,7 +57,7 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	if !c.owned[pa] {
 		return ErrOwnership
 	}
-	if _, err := b.Unmap(c.hgatpRoot, gpa, true); err != nil {
+	if _, err := c.pt.Unmap(c.hgatpRoot, gpa, true); err != nil {
 		return err
 	}
 	// Scrub before the frame can ever be handed to anyone else.
@@ -69,7 +68,7 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	delete(c.mappings, gpa)
 	// Return the page to whichever cache block carries it.
 	freed := false
-	for _, cache := range append([]*pageCache{&c.tableCache}, vcpuCaches(c)...) {
+	for _, cache := range c.pageCaches() {
 		if blk := cache.ownerOf(pa); blk != nil {
 			if err := blk.freePage(pa); err != nil {
 				return err
@@ -81,26 +80,10 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	if !freed {
 		return ErrNotFound
 	}
-	// The unmapped translation may be cached. Peer harts are shot down
-	// through the IPI seam: immediate in sequential runs, delivered at the
-	// peer's next quantum barrier under the parallel engine.
-	for _, hh := range s.machine.Harts {
-		hh := hh
-		s.machine.OnHart(h.ID, hh.ID, func() {
-			hh.TLB.FlushVMID(c.vmid)
-			hh.Advance(hh.Cost.TLBFlushAll / 4)
-		})
-	}
+	// The unmapped translation may be cached.
+	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll/4)
 	h.Advance(uint64(isa.PageSize/64) * h.Cost.CacheLineCopy / 2)
 	return nil
-}
-
-func vcpuCaches(c *CVM) []*pageCache {
-	out := make([]*pageCache, 0, len(c.vcpus))
-	for _, v := range c.vcpus {
-		out = append(out, &v.memCache)
-	}
-	return out
 }
 
 // OwnedPages reports how many secure frames a CVM currently owns

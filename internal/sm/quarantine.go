@@ -123,29 +123,15 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 		}
 		h.Advance(uint64(isa.PageSize/64) * h.Cost.CacheLineCopy / 2)
 	}
-	s.alloc.pool.releaseAll(&c.tableCache)
-	for _, v := range c.vcpus {
-		s.alloc.pool.releaseAll(&v.memCache)
-	}
+	s.releaseCaches(c)
 	c.state = stQuarantined
 	delete(s.life.cvms, c.ID)
 	s.life.quarantined[c.ID] = rec
 	s.Stats.Quarantines++
 	s.trace(h.Cycles, EvViolation, c.ID, 0, note)
 	s.tel.Counter("sm/quarantines").Inc()
-	// The dead VMID's cached translations are flushed on every hart via
-	// the IPI seam: immediate when sequential, at the peer's next quantum
-	// barrier under the parallel engine.
-	for _, hh := range s.machine.Harts {
-		hh := hh
-		vmid := c.vmid
-		s.machine.OnHart(h.ID, hh.ID, func() {
-			prev := s.tel.AttrPush(hh.ID, hh.Cycles, telemetry.AttrTLB)
-			hh.TLB.FlushVMID(vmid)
-			hh.Advance(hh.Cost.TLBFlushAll)
-			s.tel.AttrPop(hh.ID, hh.Cycles, prev)
-		})
-	}
+	// The dead VMID's cached translations are flushed on every hart.
+	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)
 }
 
 // Quarantine forcibly quarantines a live CVM (operator/auditor policy:

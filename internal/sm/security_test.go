@@ -86,6 +86,10 @@ func TestDMACannotReachSecurePool(t *testing.T) {
 	if _, err := f.s.HVCall(f.h, FnGrantDMA, 3, poolBase-0x1000, 0x2000); !errors.Is(err, ErrOwnership) {
 		t.Errorf("overlapping DMA grant: %v", err)
 	}
+	// A source id wider than the IOPMP's is rejected, not truncated to 3.
+	if _, err := f.s.HVCall(f.h, FnGrantDMA, 1<<16|3, platform.RAMBase+0x40_0000, 1<<20); !errors.Is(err, ErrBadArgs) {
+		t.Errorf("truncatable DMA source id: %v", err)
+	}
 	// A normal-memory window works, but still cannot reach the pool.
 	if _, err := f.s.HVCall(f.h, FnGrantDMA, 3, platform.RAMBase+0x40_0000, 1<<20); err != nil {
 		t.Fatal(err)
@@ -265,7 +269,7 @@ func TestCopyToGuestOwnership(t *testing.T) {
 	c := f.s.life.cvms[f.id]
 	// Forge a stage-2 leaf pointing at normal memory (as a compromised
 	// path might) and confirm copyToGuest rejects it.
-	b := f.s.tableBuilder(c)
+	b := &c.pt
 	foreign := uint64(platform.RAMBase + 0x0075_0000)
 	if err := b.Map(c.hgatpRoot, PrivateBase+0x40_0000, foreign,
 		isa.PTERead|isa.PTEWrite|isa.PTEUser, 0, true); err != nil {

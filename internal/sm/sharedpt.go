@@ -30,22 +30,12 @@ func (s *SM) registerShared(h *hart.Hart, id int, subtablePA uint64) error {
 	if err := s.validateSharedSubtable(h, subtablePA); err != nil {
 		return err
 	}
-	b := s.tableBuilder(c)
-	if err := b.SpliceRootEntry(c.hgatpRoot, SharedSlot, subtablePA, true); err != nil {
+	if err := c.pt.SpliceRootEntry(c.hgatpRoot, SharedSlot, subtablePA, true); err != nil {
 		return err
 	}
 	c.sharedSubtable = subtablePA
-	// The root changed: stale translations for this VMID must go. Peer
-	// harts are shot down through the IPI seam (immediate sequentially,
-	// next quantum barrier under the parallel engine).
-	vmid := c.vmid
-	for _, hh := range s.machine.Harts {
-		hh := hh
-		s.machine.OnHart(h.ID, hh.ID, func() {
-			hh.TLB.FlushVMID(vmid)
-			hh.Advance(hh.Cost.TLBFlushAll)
-		})
-	}
+	// The root changed: stale translations for this VMID must go.
+	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)
 	return nil
 }
 
@@ -62,14 +52,7 @@ func (s *SM) revokeShared(h *hart.Hart, id int) error {
 		return err
 	}
 	c.sharedSubtable = 0
-	vmid := c.vmid
-	for _, hh := range s.machine.Harts {
-		hh := hh
-		s.machine.OnHart(h.ID, hh.ID, func() {
-			hh.TLB.FlushVMID(vmid)
-			hh.Advance(hh.Cost.TLBFlushAll)
-		})
-	}
+	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)
 	return nil
 }
 

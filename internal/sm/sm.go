@@ -105,8 +105,10 @@ type CVM struct {
 	hgatpRoot uint64
 	vmid      uint16
 
-	// tableCache feeds stage-2 page-table frames (secure memory).
+	// tableCache feeds stage-2 page-table frames (secure memory); pt is
+	// the CVM's one stage-2 builder, drawing its table frames from it.
 	tableCache pageCache
+	pt         ptw.Builder
 	vcpus      []*VCPU
 
 	// owned tracks the secure frames this CVM may map (inter-CVM
@@ -462,7 +464,7 @@ func (s *SM) HVCall(h *hart.Hart, fn FuncID, args ...uint64) (uint64, error) {
 			cvmID = int(a(0))
 			err = s.revokeShared(h, cvmID)
 		case FnGrantDMA:
-			err = s.grantDMA(h, iopmp.SourceID(a(0)), a(1), a(2))
+			err = s.grantDMA(h, a(0), a(1), a(2))
 		case FnSuspend:
 			cvmID = int(a(0))
 			err = s.suspend(cvmID)
@@ -497,20 +499,17 @@ func (s *SM) HVCall(h *hart.Hart, fn FuncID, args ...uint64) (uint64, error) {
 // registerPool accepts a contiguous physical region from the hypervisor
 // and converts it to secure memory: PMP carve-out on every hart, IOPMP
 // default-deny (devices are never granted windows into it), block split.
+// Every check precedes the commit, so a rejected call changes nothing.
 func (s *SM) registerPool(h *hart.Hart, base, size uint64) error {
 	if !s.ram.Contains(base, size) {
 		return ErrBadArgs
 	}
+	idx, raw, err := poolPMPEntry(len(s.alloc.pool.regions), base, size)
+	if err != nil {
+		return err
+	}
 	if err := s.alloc.pool.register(base, size); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadArgs, err)
-	}
-	idx := pmpPoolFirst + len(s.alloc.pool.regions) - 1
-	if idx > pmpPoolLast {
-		return fmt.Errorf("%w: out of PMP pool entries", ErrBadArgs)
-	}
-	raw, err := pmp.EncodeNAPOT(base, roundPow2(size))
-	if err != nil {
-		return fmt.Errorf("%w: pool region must be NAPOT-encodable: %v", ErrBadArgs, err)
 	}
 	// PMP carve-out plus TLB shootdown on every hart. Peer harts are
 	// reached through the IPI seam (Machine.OnHart): sequential runs
@@ -540,12 +539,28 @@ func (s *SM) registerPool(h *hart.Hart, base, size uint64) error {
 	return nil
 }
 
+// poolPMPEntry returns the PMP entry and NAPOT address that carve the
+// i-th secure region [base, base+size) out of Normal mode, or the reason
+// the plan has no valid entry for it.
+func poolPMPEntry(i int, base, size uint64) (int, uint64, error) {
+	idx := pmpPoolFirst + i
+	if idx > pmpPoolLast {
+		return 0, 0, fmt.Errorf("%w: out of PMP pool entries", ErrBadArgs)
+	}
+	raw, err := pmp.EncodeNAPOT(base, roundPow2(size))
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: pool region must be NAPOT-encodable: %v", ErrBadArgs, err)
+	}
+	return idx, raw, nil
+}
+
 // grantDMA programs an IOPMP window for a device source on behalf of the
 // hypervisor. The SM is the only software that touches the IOPMP (§IV.C);
 // it refuses any window that intersects secure memory, so DMA-capable
-// devices can never read or corrupt confidential state.
-func (s *SM) grantDMA(h *hart.Hart, sid iopmp.SourceID, base, size uint64) error {
-	if size == 0 || !s.ram.Contains(base, size) {
+// devices can never read or corrupt confidential state. A source id
+// wider than the IOPMP's is rejected, never truncated onto another source.
+func (s *SM) grantDMA(h *hart.Hart, sid, base, size uint64) error {
+	if sid != uint64(iopmp.SourceID(sid)) || size == 0 || !s.ram.Contains(base, size) {
 		return ErrBadArgs
 	}
 	for _, r := range s.alloc.pool.regions {
@@ -555,7 +570,7 @@ func (s *SM) grantDMA(h *hart.Hart, sid iopmp.SourceID, base, size uint64) error
 	}
 	md := int(sid) // one memory domain per source keeps windows independent
 	s.machine.IOPMP.DefineDomain(md)
-	if err := s.machine.IOPMP.AssignSource(sid, md); err != nil {
+	if err := s.machine.IOPMP.AssignSource(iopmp.SourceID(sid), md); err != nil {
 		return err
 	}
 	if err := s.machine.IOPMP.AddEntry(md, iopmp.Entry{Base: base, Size: size,
@@ -566,9 +581,9 @@ func (s *SM) grantDMA(h *hart.Hart, sid iopmp.SourceID, base, size uint64) error
 	return nil
 }
 
-// createCVM allocates the CVM record and its stage-2 root (in secure
-// memory, §IV.C: "the SM configures page tables for confidential VMs
-// within the secure memory pool").
+// createCVM allocates the CVM record, its stage-2 builder, and its
+// stage-2 root (in secure memory, §IV.C: "the SM configures page tables
+// for confidential VMs within the secure memory pool").
 func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	if len(s.life.cvms) >= MaxCVMs {
 		return 0, ErrConcurrency
@@ -592,11 +607,18 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	}
 	s.life.nextID++
 	c.vmid = uint16(c.ID & 0x3FFF)
-	b := s.tableBuilder(c)
+	c.pt = ptw.Builder{Mem: s.ram, Alloc: func() (uint64, error) {
+		pa, _, err := s.alloc.pool.allocPage(&c.tableCache)
+		if err != nil {
+			return 0, err
+		}
+		c.owned[pa] = true
+		return pa, nil
+	}}
 	var root uint64
 	if err := s.gate(h, CompLifecycle, CompAlloc, "alloc-root", func() error {
 		var err error
-		root, err = b.NewRoot(true)
+		root, err = c.pt.NewRoot(true)
 		return err
 	}); err != nil {
 		return 0, err
@@ -608,20 +630,36 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	return uint64(c.ID), nil
 }
 
-// tableBuilder returns a page-table builder drawing frames from the CVM's
-// secure table cache.
-func (s *SM) tableBuilder(c *CVM) *ptw.Builder {
-	return &ptw.Builder{
-		Mem: s.ram,
-		Alloc: func() (uint64, error) {
-			pa, _, err := s.alloc.pool.allocPage(&c.tableCache)
-			if err != nil {
-				return 0, err
-			}
-			c.owned[pa] = true
-			return pa, nil
-		},
+// privateLeaf is the stage-2 leaf permission of every private page.
+const privateLeaf = isa.PTERead | isa.PTEWrite | isa.PTEExec | isa.PTEUser
+
+// fillError marks an installPage failure in the fill step (the frame
+// escaped RAM) rather than in the stage-2 map.
+type fillError struct{ error }
+
+func (e fillError) Unwrap() error { return e.error }
+
+// installPage is the one path by which a CVM gains a private frame
+// (§IV.C): pa, just allocated from one of the CVM's page caches, is
+// recorded as owned, filled — zeroed when src is nil, else a copy of the
+// page src — mapped at gpa with the private leaf flags, and recorded in
+// the CVM's mappings. Callers keep their own cache, gate and charges.
+func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
+	c.owned[pa] = true
+	var err error
+	if src == nil {
+		err = s.ram.Zero(pa, isa.PageSize)
+	} else {
+		err = s.ram.Write(pa, src)
 	}
+	if err != nil {
+		return fillError{err}
+	}
+	if err := c.pt.Map(c.hgatpRoot, gpa, pa, privateLeaf, 0, true); err != nil {
+		return err
+	}
+	c.mappings[gpa] = pa
+	return nil
 }
 
 // loadPage copies one page of the initial image from normal memory into a
@@ -643,29 +681,20 @@ func (s *SM) loadPage(h *hart.Hart, id int, gpa, srcPA uint64) error {
 	if s.alloc.pool.contains(srcPA, isa.PageSize) {
 		return ErrNotNormal // image source must come from normal memory
 	}
+	data, err := s.ram.Read(srcPA, isa.PageSize)
+	if err != nil {
+		return err
+	}
 	// One allocator crossing admits the whole allocation transaction
 	// (page grab, image copy, stage-2 map): the table builder's internal
 	// frame allocations ride the same admission.
-	var pa uint64
 	if err := s.gate(h, CompLifecycle, CompAlloc, "load-page", func() error {
-		var err error
-		pa, _, err = s.alloc.pool.allocPage(&c.tableCache)
+		pa, _, err := s.alloc.pool.allocPage(&c.tableCache)
 		if err != nil {
 			return err
 		}
-		c.owned[pa] = true
-		if err := s.ram.Copy(pa, srcPA, isa.PageSize); err != nil {
-			return err
-		}
-		b := s.tableBuilder(c)
-		flags := uint64(isa.PTERead | isa.PTEWrite | isa.PTEExec | isa.PTEUser)
-		return b.Map(c.hgatpRoot, gpa, pa, flags, 0, true)
+		return s.installPage(c, gpa, pa, data)
 	}); err != nil {
-		return err
-	}
-	c.mappings[gpa] = pa
-	data, err := s.ram.Read(pa, isa.PageSize)
-	if err != nil {
 		return err
 	}
 	if err := s.gate(h, CompLifecycle, CompAttest, "extend-measurement", func() error {
@@ -738,29 +767,50 @@ func (s *SM) destroy(h *hart.Hart, id int) error {
 	// never denied — a quarantined allocator still accepts returned blocks
 	// so teardown and leak accounting survive the compromise.
 	_ = s.gateForce(h, CompLifecycle, CompAlloc, "release-frames", func() error {
-		s.alloc.pool.releaseAll(&c.tableCache)
-		for _, v := range c.vcpus {
-			s.alloc.pool.releaseAll(&v.memCache)
-		}
+		s.releaseCaches(c)
 		return nil
 	})
 	c.state = stDead
 	delete(s.life.cvms, id)
 	s.trace(h.Cycles, EvLifecycle, id, 0, "destroy")
-	// Stage-2 translations for this VMID die with it. The shootdown of
-	// peer harts rides the IPI seam (immediate when sequential, next
-	// quantum barrier under the parallel engine).
+	// Stage-2 translations for this VMID die with it.
+	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)
+	return nil
+}
+
+// pageCaches lists every page cache a CVM draws secure frames from: its
+// stage-2 table cache, then each vCPU's memory cache.
+func (c *CVM) pageCaches() []*pageCache {
+	out := make([]*pageCache, 1, 1+len(c.vcpus))
+	out[0] = &c.tableCache
+	for _, v := range c.vcpus {
+		out = append(out, &v.memCache)
+	}
+	return out
+}
+
+// releaseCaches returns every block of the CVM's page caches to the pool
+// (teardown; the caller has scrubbed the frames).
+func (s *SM) releaseCaches(c *CVM) {
+	for _, pc := range c.pageCaches() {
+		s.alloc.pool.releaseAll(pc)
+	}
+}
+
+// shootdownVMID flushes vmid's cached translations on every hart,
+// charging each hart cost cycles attributed to AttrTLB. Peer harts are
+// reached through the IPI seam (Machine.OnHart): immediate in sequential
+// runs, at the peer's next quantum barrier under the parallel engine.
+func (s *SM) shootdownVMID(h *hart.Hart, vmid uint16, cost uint64) {
 	for _, hh := range s.machine.Harts {
 		hh := hh
-		vmid := c.vmid
 		s.machine.OnHart(h.ID, hh.ID, func() {
 			prev := s.tel.AttrPush(hh.ID, hh.Cycles, telemetry.AttrTLB)
 			hh.TLB.FlushVMID(vmid)
-			hh.Advance(hh.Cost.TLBFlushAll)
+			hh.Advance(cost)
 			s.tel.AttrPop(hh.ID, hh.Cycles, prev)
 		})
 	}
-	return nil
 }
 
 func (s *SM) cvm(id int) (*CVM, error) {

@@ -339,7 +339,7 @@ func TestMeasurementAndAttestation(t *testing.T) {
 	}
 	// Translate GPA 0x8000_8000: demand paging mapped it during the copy?
 	// The SM's copyToGuest walked the stage-2 tree, so it must be mapped.
-	w := f.s.tableBuilder(c)
+	w := &c.pt
 	pte, _, err := w.Lookup(c.hgatpRoot, PrivateBase+0x8000, true)
 	if err != nil {
 		t.Fatalf("report page not mapped: %v", err)
@@ -482,7 +482,7 @@ func TestDestroyScrubsAndReleases(t *testing.T) {
 	}
 	c := f.s.life.cvms[f.id]
 	// Find the secret's physical frame before destroying.
-	b := f.s.tableBuilder(c)
+	b := &c.pt
 	pte, _, err := b.Lookup(c.hgatpRoot, PrivateBase+0x10_0000, true)
 	if err != nil {
 		t.Fatal(err)

@@ -85,10 +85,12 @@ func (s *SM) Snapshot(h *hart.Hart, id int, destPA, maxLen uint64) (uint64, erro
 			app64(csr)
 		}
 	}
+	// Pages go out in ascending GPA order, so a restore rebuilds the same
+	// frame layout on every run.
 	buf = le.AppendUint32(buf, uint32(len(c.mappings)))
-	for gpa, pa := range c.mappings {
+	for _, gpa := range sortedKeys(c.mappings) {
 		app64(gpa)
-		page, err := s.ram.Read(pa, isa.PageSize)
+		page, err := s.ram.Read(c.mappings[gpa], isa.PageSize)
 		if err != nil {
 			return 0, err
 		}
@@ -219,8 +221,6 @@ func (s *SM) Restore(h *hart.Hart, srcPA, length uint64) (int, error) {
 	}
 	npages := int(le.Uint32(buf[off:]))
 	off += 4
-	b := s.tableBuilder(c)
-	flags := uint64(isa.PTERead | isa.PTEWrite | isa.PTEExec | isa.PTEUser)
 	// Rebuilding private memory is one allocator-compartment transaction.
 	if gerr := s.gate(h, CompLifecycle, CompAlloc, "restore-pages", func() error {
 		for i := 0; i < npages; i++ {
@@ -230,15 +230,10 @@ func (s *SM) Restore(h *hart.Hart, srcPA, length uint64) (int, error) {
 				_ = s.destroy(h, c.ID)
 				return aerr
 			}
-			c.owned[pa] = true
-			if werr := s.ram.Write(pa, buf[off:off+isa.PageSize]); werr != nil {
-				return werr
+			if ierr := s.installPage(c, gpa, pa, buf[off:off+isa.PageSize]); ierr != nil {
+				return ierr
 			}
 			off += isa.PageSize
-			if merr := b.Map(c.hgatpRoot, gpa, pa, flags, 0, true); merr != nil {
-				return merr
-			}
-			c.mappings[gpa] = pa
 			h.Advance(uint64(isa.PageSize/64) * h.Cost.CacheLineCopy)
 		}
 		return nil

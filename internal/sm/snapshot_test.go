@@ -3,6 +3,7 @@ package sm
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"zion/internal/asm"
@@ -74,6 +75,50 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	v := f.s.life.cvms[newID].vcpus[0]
 	if v.sec.X[asm.S2] != 80_000 {
 		t.Errorf("counter = %d, want 80000 (state lost across seal/restore)", v.sec.X[asm.S2])
+	}
+}
+
+// TestSnapshotRestoreDeterministic: two identical fresh runs restore to
+// identical frame layouts, because the blob lists pages in GPA order.
+func TestSnapshotRestoreDeterministic(t *testing.T) {
+	restored := func() []uint64 {
+		f := newFixture(t, Config{})
+		f.buildCVM(shutdownProgram(func(p *asm.Program) {
+			p.LI(asm.T0, int64(PrivateBase)+0x10_0000)
+			p.LI(asm.T1, 24)
+			p.Label("touch")
+			p.SD(asm.T1, asm.T0, 0)
+			p.LI(asm.T2, 4096)
+			p.ADD(asm.T0, asm.T0, asm.T2)
+			p.ADDI(asm.T1, asm.T1, -1)
+			p.BNE(asm.T1, asm.Zero, "touch")
+		}))
+		if info := f.run(); info.Reason != ExitShutdown {
+			t.Fatalf("reason = %v", info.Reason)
+		}
+		if _, err := f.s.HVCall(f.h, FnSuspend, uint64(f.id)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := f.s.Snapshot(f.h, f.id, snapBufPA, 8<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.s.HVCall(f.h, FnDestroy, uint64(f.id)); err != nil {
+			t.Fatal(err)
+		}
+		id, err := f.s.Restore(f.h, snapBufPA, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := f.s.MappedFrames(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frames
+	}
+	a, b := restored(), restored()
+	if !slices.Equal(a, b) {
+		t.Errorf("restored frame layouts differ between identical runs:\n%x\n%x", a, b)
 	}
 }
 

@@ -91,14 +91,11 @@ const (
 // pendingExit is the SM-private record of the in-flight hypervisor
 // round trip, kept to validate the shared vCPU on resume (Check-after-Load,
 // TwinVisor-style): every field the hypervisor could tamper with is
-// re-derived from this secure copy.
+// re-derived from this secure copy. seq, reason, target and width are the
+// 64-bit words publishExit writes, so resume compares them at full width.
 type pendingExit struct {
-	reason    ExitReason
-	seq       uint64
-	targetReg uint8
-	width     int
-	signExt   bool
-	gpa       uint64
+	seq, reason, target, width uint64
+	signExt                    bool
 }
 
 // VCPU binds the secure state, the shared page, and run bookkeeping.

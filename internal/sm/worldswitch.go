@@ -216,8 +216,7 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 		if err := s.validateSharedSubtable(h, c.sharedSubtable); err != nil {
 			// A hostile remap after splice: unsplice and continue without
 			// the shared window rather than running exposed.
-			b := s.tableBuilder(c)
-			_ = b.SpliceRootEntry(c.hgatpRoot, SharedSlot, 0, true)
+			_ = c.pt.SpliceRootEntry(c.hgatpRoot, SharedSlot, 0, true)
 			_ = s.ram.WriteUint64(c.hgatpRoot+SharedSlot*8, 0)
 			c.sharedSubtable = 0
 		}
@@ -345,7 +344,8 @@ func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 		return nil
 	}
 	// Check-after-Load: load the hypervisor-writable fields first, then
-	// validate every one against the SM's pendingExit record.
+	// validate every one, at full width, against the words publishExit
+	// wrote — the hypervisor owns all 64 bits, so nothing is truncated.
 	var vals [5]uint64
 	for i, off := range [...]uint64{shvSeq, shvExitReason, shvTargetReg, shvWidth, shvData} {
 		val, err := s.readShared(v, off)
@@ -354,11 +354,7 @@ func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 		}
 		vals[i] = val
 	}
-	seq := vals[0]
-	reason := ExitReason(vals[1])
-	target := vals[2]
-	width := vals[3]
-	data := vals[4]
+	seq, reason, target, width, data := vals[0], vals[1], vals[2], vals[3], vals[4]
 
 	// Cost model: load each hypervisor-written field, validate it, and
 	// apply the sanctioned values to the secure state. The shared-vCPU
@@ -370,13 +366,13 @@ func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 	}
 	h.Advance(fields * (2*h.Cost.RegCopy + h.Cost.RegCheck))
 
-	if seq != p.seq || reason != p.reason ||
-		uint8(target) != p.targetReg || int(width) != p.width {
+	if seq != p.seq || reason != p.reason || target != p.target || width != p.width {
 		return fmt.Errorf("%w: seq=%d/%d reason=%v/%v target=%d/%d width=%d/%d",
-			ErrTampered, seq, p.seq, reason, p.reason, target, p.targetReg, width, p.width)
+			ErrTampered, seq, p.seq, ExitReason(reason), ExitReason(p.reason),
+			target, p.target, width, p.width)
 	}
-	if p.reason == ExitMMIORead {
-		v.sec.X[p.targetReg] = extend(data, p.width, p.signExt)
+	if ExitReason(p.reason) == ExitMMIORead {
+		v.sec.X[p.target] = extend(data, int(p.width), p.signExt)
 	}
 	return nil
 }
@@ -578,13 +574,8 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64, t hart.Trap) 
 		return aerr
 	})
 	if errors.Is(err, ErrCompartment) {
-		c.fatal = &fatalFault{
-			err: smErr(CodeCompartment, SevFatalCVM, c.ID, "demand-page",
-				fmt.Errorf("%w: allocator compartment lost mid-run", ErrCompartment)),
-			origin: s.originHere(h, CompAlloc),
-		}
-		v.sec.PC = h.CSR(isa.CSRMepc)
-		return ExitInfo{Reason: ExitError}, true
+		return s.failDemandPage(h, c, v, CodeCompartment, CompAlloc,
+			fmt.Errorf("%w: allocator compartment lost mid-run", ErrCompartment))
 	}
 	if err != nil {
 		// Stage 3: ask the hypervisor for more secure memory, then the
@@ -608,38 +599,36 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64, t hart.Trap) 
 	case StageBlock:
 		h.Advance(h.Cost.SMAllocBlock)
 	}
-	c.owned[pa] = true
 	// Fresh confidential memory must never leak prior contents. A scrub or
 	// map failure here means the SM's own view of secure memory is corrupt
 	// (bit-flipped page table, frame outside RAM): fatal for this CVM,
 	// quarantined by RunVCPU after the world switch unwinds.
-	if err := s.ram.Zero(pa, isa.PageSize); err != nil {
-		c.fatal = &fatalFault{
-			err: smErr(CodeMemory, SevFatalCVM, c.ID, "demand-page",
-				fmt.Errorf("secure page scrub escaped RAM: %w", err)),
-			origin: s.originHere(h, CompAlloc),
+	if err := s.installPage(c, pageGPA, pa, nil); err != nil {
+		var fe fillError
+		if errors.As(err, &fe) {
+			return s.failDemandPage(h, c, v, CodeMemory, CompAlloc,
+				fmt.Errorf("secure page scrub escaped RAM: %w", fe.error))
 		}
-		v.sec.PC = h.CSR(isa.CSRMepc)
-		return ExitInfo{Reason: ExitError}, true
+		return s.failDemandPage(h, c, v, CodeInternal, CompSwitch,
+			fmt.Errorf("stage-2 map failed: %w", err))
 	}
-	b := s.tableBuilder(c)
-	flags := uint64(isa.PTERead | isa.PTEWrite | isa.PTEExec | isa.PTEUser)
-	if err := b.Map(c.hgatpRoot, pageGPA, pa, flags, 0, true); err != nil {
-		c.fatal = &fatalFault{
-			err: smErr(CodeInternal, SevFatalCVM, c.ID, "demand-page",
-				fmt.Errorf("stage-2 map failed: %w", err)),
-			origin: s.originHere(h, CompSwitch),
-		}
-		v.sec.PC = h.CSR(isa.CSRMepc)
-		return ExitInfo{Reason: ExitError}, true
-	}
-	c.mappings[pageGPA] = pa
 	// Retry the faulting instruction (MRet charges the trap return).
 	h.MRet()
 	s.Stats.FaultCycles[stage] += h.Cycles - faultStart
 	s.tel.Span(h.ID, "sm", "s2fault", faultStart, h.Cycles, c.ID, uint64(stage))
 	s.tel.Counter("sm/s2faults").Inc()
 	return ExitInfo{}, false
+}
+
+// failDemandPage records a fatal demand-fault failure, with the monitor
+// compartment it originated in, and ends the run at the faulting
+// instruction; RunVCPU quarantines the CVM once the world switch unwinds.
+func (s *SM) failDemandPage(h *hart.Hart, c *CVM, v *VCPU, code ErrCode, comp Compartment,
+	err error) (ExitInfo, bool) {
+	c.fatal = &fatalFault{err: smErr(code, SevFatalCVM, c.ID, "demand-page", err),
+		origin: s.originHere(h, comp)}
+	v.sec.PC = h.CSR(isa.CSRMepc)
+	return ExitInfo{Reason: ExitError}, true
 }
 
 // mmioExit prepares an exit that needs hypervisor emulation: decode the
@@ -666,13 +655,13 @@ func (s *SM) mmioExit(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap, reason ExitRea
 			signExt = true
 		}
 	}
+	// The recorded words are exactly what publishExit writes.
 	v.pending = &pendingExit{
-		reason:    reason,
-		seq:       v.seq + 1, // publishExit increments before writing
-		targetReg: info.Target,
-		width:     info.Width,
-		signExt:   signExt,
-		gpa:       gpa,
+		seq:     v.seq + 1, // publishExit increments before writing
+		reason:  uint64(reason),
+		target:  uint64(info.Target),
+		width:   uint64(info.Width),
+		signExt: signExt,
 	}
 	// The emulated access completes; the guest resumes *after* it.
 	v.sec.PC = h.CSR(isa.CSRMepc) + 4
@@ -790,17 +779,9 @@ func (s *SM) copyToGuest(c *CVM, gpa uint64, data []byte) error {
 			if aerr != nil {
 				return aerr
 			}
-			c.owned[pa] = true
-			if zerr := s.ram.Zero(pa, isa.PageSize); zerr != nil {
-				return zerr
+			if ierr := s.installPage(c, (gpa+off)&^uint64(isa.PageSize-1), pa, nil); ierr != nil {
+				return ierr
 			}
-			b := s.tableBuilder(c)
-			flags := uint64(isa.PTERead | isa.PTEWrite | isa.PTEExec | isa.PTEUser)
-			pageGPA := (gpa + off) &^ uint64(isa.PageSize-1)
-			if merr := b.Map(c.hgatpRoot, pageGPA, pa, flags, 0, true); merr != nil {
-				return merr
-			}
-			c.mappings[pageGPA] = pa
 			res, err = w.Walk(c.hgatpRoot, gpa+off, ptw.AccessWrite, ptw.Opts{Stage2: true})
 			if err != nil {
 				return err

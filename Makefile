@@ -30,10 +30,12 @@
 #                           histogram artifact serving_hist.json
 #   make test-allocs      - pin the zero-allocation contract of Hart.Run over
 #                           the superblock and compiled-trace dispatch loops,
-#                           of trap-cause naming, and of stage-2 walk faults
+#                           of trap-cause naming, of the device view's
+#                           shared-window reads (a SharedPA hit, a 16-byte
+#                           GuestMem.ReadInto), and of stage-2 walk faults
 #                           (one object: the fault itself)
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
-#                           then FuzzResume for 30s
+#                           then FuzzResume and FuzzVirtioChain for 30s each
 
 GO ?= go
 
@@ -114,24 +116,28 @@ smoke-serving:
 # test-allocs is the hot-loop allocation gate: Hart.Run over the
 # superblock and compiled-trace dispatch loops must run allocation-free
 # once warm, and so must naming a trap cause (every trap feeds the flight
-# recorder); a stage-2 walk fault (every MMIO exit and demand fault)
-# allocates only the *PageFault it returns. The suite runs these anyway;
-# the dedicated target gives CI a cheap job whose failure names the
-# regression directly.
+# recorder); so must the device view's shared-window resolution (a
+# SharedPA hit and a 16-byte GuestMem.ReadInto, one descriptor read); a
+# stage-2 walk fault (every MMIO exit and demand fault) allocates only the
+# *PageFault it returns. The suite runs these anyway; the dedicated target
+# gives CI a cheap job whose failure names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over
 # fuzzer-chosen instruction words; FuzzResume (30 s) puts fuzzer-chosen
 # values in every hypervisor-writable shared-vCPU field after an MMIO exit
 # and requires Check-after-Load to quarantine or apply only the target
-# register. A failing input is written under the package's testdata/fuzz
-# directory; check it in and it becomes a permanent seed that plain
-# 'go test' replays.
+# register; FuzzVirtioChain (30 s) writes a hostile guest's descriptor
+# table and avail ring into a CVM's shared window and requires the pump to
+# fail only with a typed error and to return only in-window segments. A
+# failing input is written under the package's testdata/fuzz directory;
+# check it in and it becomes a permanent seed that plain 'go test' replays.
 fuzz:
 	$(GO) test ./internal/hart -run '^$$' -fuzz '^FuzzLockstep$$' -fuzztime 60s
 	$(GO) test ./internal/sm -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s
+	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzVirtioChain$$' -fuzztime 30s
 
 bench:
 	$(GO) run ./cmd/zionbench

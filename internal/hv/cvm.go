@@ -34,7 +34,7 @@ func roundPow2(v uint64) uint64 {
 // secure memory and measures it), finalize, and create vCPU 0 with its
 // shared page.
 func (k *Hypervisor) CreateCVM(h *hart.Hart, name string, image []byte, entry uint64) (*VM, error) {
-	vm := &VM{Name: name, Confidential: true, sharedMap: make(map[uint64]uint64)}
+	vm := &VM{Name: name, Confidential: true}
 	id64, err := k.SM.HVCall(h, sm.FnCreateCVM)
 	if err != nil {
 		return nil, err
@@ -107,24 +107,28 @@ func (k *Hypervisor) SetupSharedWindow(h *hart.Hart, vm *VM) error {
 		return err
 	}
 	vm.sharedSub = sub
+	vm.shared = new(sharedWindow)
 	_, err = k.SM.HVCall(h, sm.FnRegisterShared, uint64(vm.CVMID), sub)
 	return err
 }
 
 // MapShared installs one 4 KiB shared-window mapping, entirely in
 // hypervisor-owned memory: the split-page-table design means no SM call
-// and no synchronization happen here.
+// happens here. Concurrent callers on one VM are serialized by statMu;
+// mapping a page that is already mapped returns the same PA and charges
+// nothing.
 func (k *Hypervisor) MapShared(h *hart.Hart, vm *VM, gpa uint64) (uint64, error) {
 	if vm.sharedSub == 0 {
 		return 0, fmt.Errorf("hv: shared window not registered")
 	}
-	if gpa < sm.SharedBase || gpa >= sm.SharedBase+(1<<30) {
+	if gpa < sm.SharedBase || gpa >= sm.SharedBase+sharedWindowSize {
 		return 0, fmt.Errorf("hv: GPA %#x outside shared window", gpa)
 	}
 	gpa &^= uint64(isa.PageSize - 1)
+	off := gpa - sm.SharedBase
 	vm.statMu.Lock()
 	defer vm.statMu.Unlock()
-	if pa, ok := vm.sharedMap[gpa]; ok {
+	if pa, ok := vm.shared.lookup(off); ok {
 		return pa, nil
 	}
 	pa, err := k.Alloc.Page()
@@ -162,20 +166,9 @@ func (k *Hypervisor) MapShared(h *hart.Hart, vm *VM, gpa uint64) (uint64, error)
 	if err := k.M.RAM.WriteUint64(l0+l0idx*8, leaf); err != nil {
 		return 0, err
 	}
-	vm.sharedMap[gpa] = pa
+	vm.shared.store(off, pa)
 	h.Advance(3 * h.Cost.Mem)
 	return pa, nil
-}
-
-// SharedPA resolves a shared-window GPA to the backing normal frame.
-func (vm *VM) SharedPA(gpa uint64) (uint64, bool) {
-	vm.statMu.Lock()
-	defer vm.statMu.Unlock()
-	pa, ok := vm.sharedMap[gpa&^uint64(isa.PageSize-1)]
-	if !ok {
-		return 0, false
-	}
-	return pa + gpa&(isa.PageSize-1), true
 }
 
 // RunCVM drives one confidential vCPU until shutdown, quantum expiry, or
@@ -291,7 +284,7 @@ func (k *Hypervisor) RestoreCVM(h *hart.Hart, name string, blob []byte) (*VM, er
 	if err != nil {
 		return nil, err
 	}
-	vm := &VM{Name: name, Confidential: true, CVMID: id, sharedMap: make(map[uint64]uint64)}
+	vm := &VM{Name: name, Confidential: true, CVMID: id}
 	sh, err := k.Alloc.Page()
 	if err != nil {
 		return nil, err

@@ -28,18 +28,30 @@ func (k *Hypervisor) NewGuestMem(vm *VM, h *hart.Hart) *GuestMem {
 	return &GuestMem{K: k, VM: vm, H: h}
 }
 
+// Window implements virtio.Windowed: a confidential VM's device view
+// reaches only the shared window, so the descriptor pump refuses a chain
+// that points outside it before touching any payload. A normal VM's view
+// is unbounded.
+func (g *GuestMem) Window() (base, size uint64, ok bool) {
+	if !g.VM.Confidential {
+		return 0, 0, false
+	}
+	return sm.SharedBase, sharedWindowSize, true
+}
+
 // resolve maps one GPA to a host physical address, faulting mappings in
 // the way the host kernel pins pages for emulation. n is the access
 // length, reported in the typed out-of-window rejection.
 func (g *GuestMem) resolve(gpa uint64, n int) (uint64, error) {
 	if g.VM.Confidential {
-		if gpa < sm.SharedBase || gpa >= sm.SharedBase+(1<<30) {
+		off := gpa - sm.SharedBase
+		if off >= sharedWindowSize {
 			// Typed: the virtio transport maps this onto DEVICE_NEEDS_RESET
 			// and the rejected-DMA counter. This is the architectural "CVM
 			// driver posted a private buffer address" failure.
 			return 0, &virtio.OutOfWindowError{GPA: gpa, Len: n}
 		}
-		if pa, ok := g.VM.SharedPA(gpa); ok {
+		if pa, ok := g.VM.shared.lookup(off); ok {
 			return pa, nil
 		}
 		pa, err := g.K.MapShared(g.H, g.VM, gpa)

@@ -92,14 +92,15 @@ type VM struct {
 
 	// Confidential VMs: SM handle plus hypervisor-side shared plumbing.
 	CVMID      int
-	sharedSub  uint64            // level-1 subtable (normal memory)
-	sharedMap  map[uint64]uint64 // shared GPA page -> normal PA
-	sharedVCPU []uint64          // per-vCPU shared page PAs
+	sharedSub  uint64        // level-1 subtable (normal memory)
+	shared     *sharedWindow // lock-free shadow of the subtable's leaves
+	sharedVCPU []uint64      // per-vCPU shared page PAs
 
 	devices []EmuDevice
 
-	// statMu guards Exits and sharedMap: vCPUs of the same VM may exit
-	// and fault concurrently on different harts under the parallel engine.
+	// statMu guards Exits and serializes the MapShared writers: vCPUs of
+	// the same VM may exit and fault concurrently on different harts
+	// under the parallel engine. SharedPA readers never take it.
 	statMu sync.Mutex
 	Exits  map[string]uint64
 }

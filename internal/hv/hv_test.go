@@ -17,7 +17,7 @@ const (
 	normSize = 0x0700_0000 // 112 MiB of hypervisor heap
 )
 
-func newStack(t *testing.T, cfg sm.Config) (*platform.Machine, *sm.SM, *Hypervisor, *hart.Hart) {
+func newStack(t testing.TB, cfg sm.Config) (*platform.Machine, *sm.SM, *Hypervisor, *hart.Hart) {
 	t.Helper()
 	m := platform.New(1, ramSize)
 	monitor, err := sm.New(m, cfg)

@@ -6,6 +6,7 @@ import (
 
 	"zion/internal/asm"
 	"zion/internal/isa"
+	"zion/internal/ptw"
 )
 
 // An undelegated exception inside a CVM (illegal instruction with no
@@ -165,5 +166,109 @@ func (f *fixture) wantPoolUnchanged(total, free int) {
 	}
 	if found := f.s.Audit(); len(found) != 0 {
 		f.t.Errorf("rejected registration left audit findings: %v", found)
+	}
+}
+
+// A guest Measure or Attest buffer that reaches past the top of
+// guest-physical space (2^41 under Sv39x4), or wraps, is rejected with
+// SBI error 1 before any walk or allocation: no frame is owned, mapped
+// or taken from the pool. The in-range control case shows the same
+// counters do move when the SM accepts the buffer.
+func TestGuestBufferPastGPASpace(t *testing.T) {
+	top := ptw.MaxVA(true)
+	cases := []struct {
+		name   string
+		fid    int64
+		a0     uint64
+		accept bool
+	}{
+		{"measure/top", ZionFnMeasure, top, false},
+		{"measure/wrap", ZionFnMeasure, ^uint64(15), false},
+		{"measure/straddle", ZionFnMeasure, top - 16, false},
+		{"attest/top", ZionFnAttest, top, false},
+		{"attest/wrap", ZionFnAttest, ^uint64(15), false},
+		{"attest/straddle", ZionFnAttest, top - 16, false},
+		{"measure/private", ZionFnMeasure, PrivateBase + 0x8000, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, Config{})
+			f.buildCVM(shutdownProgram(func(p *asm.Program) {
+				p.LI(asm.A0, int64(tc.a0))
+				p.LI(asm.A1, 7)
+				p.LI(asm.A6, tc.fid)
+				p.LI(asm.A7, EIDZion)
+				p.ECALL()
+				p.MV(asm.S6, asm.A0) // SBI error
+			}))
+			c := f.s.life.cvms[f.id]
+			owned, mapped := len(c.owned), len(c.mappings)
+			poolFree, cacheFree := f.s.PoolFreeBlocks(), cacheFreePages(c)
+			if info := f.run(); info.Reason != ExitShutdown {
+				t.Fatalf("reason = %v", info.Reason)
+			}
+			sbiErr := c.vcpus[0].sec.X[asm.S6]
+			if tc.accept {
+				if sbiErr != 0 || len(c.owned) != owned+1 || len(c.mappings) != mapped+1 {
+					t.Fatalf("accepted buffer: err %d, owned %d -> %d, mappings %d -> %d",
+						sbiErr, owned, len(c.owned), mapped, len(c.mappings))
+				}
+			} else {
+				if sbiErr != 1 {
+					t.Errorf("SBI error = %d, want 1", sbiErr)
+				}
+				if len(c.owned) != owned || len(c.mappings) != mapped {
+					t.Errorf("owned %d -> %d, mappings %d -> %d", owned, len(c.owned), mapped, len(c.mappings))
+				}
+				if got := f.s.PoolFreeBlocks(); got != poolFree {
+					t.Errorf("PoolFreeBlocks %d -> %d", poolFree, got)
+				}
+				if got := cacheFreePages(c); got != cacheFree {
+					t.Errorf("free pages in the CVM's cache blocks %d -> %d", cacheFree, got)
+				}
+			}
+			if found := f.s.Audit(); len(found) != 0 {
+				t.Errorf("audit: %v", found)
+			}
+		})
+	}
+}
+
+// cacheFreePages counts the free pages of every block the CVM's page
+// caches hold.
+func cacheFreePages(c *CVM) int {
+	n := 0
+	for _, pc := range c.pageCaches() {
+		for _, b := range pc.blocks() {
+			n += b.free
+		}
+	}
+	return n
+}
+
+// installPage leaves nothing behind when the stage-2 map fails: the
+// frame is neither owned nor mapped, it is free again in its block, and
+// the audit is clean.
+func TestInstallPageMapFailureReleasesFrame(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.buildCVM(shutdownProgram(func(p *asm.Program) {}))
+	c := f.s.life.cvms[f.id]
+	owned, mapped, free := len(c.owned), len(c.mappings), cacheFreePages(c)
+	pa, _, err := f.s.alloc.pool.allocPage(&c.tableCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.s.installPage(c, ptw.MaxVA(true), pa, nil); err == nil {
+		t.Fatal("installPage above the guest-physical space succeeded")
+	}
+	if c.owned[pa] || len(c.owned) != owned || len(c.mappings) != mapped {
+		t.Errorf("owned %d -> %d (frame owned: %v), mappings %d -> %d",
+			owned, len(c.owned), c.owned[pa], mapped, len(c.mappings))
+	}
+	if got := cacheFreePages(c); got != free {
+		t.Errorf("free pages in the CVM's cache blocks %d -> %d", free, got)
+	}
+	if found := f.s.Audit(); len(found) != 0 {
+		t.Errorf("audit: %v", found)
 	}
 }

@@ -60,25 +60,10 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	if _, err := c.pt.Unmap(c.hgatpRoot, gpa, true); err != nil {
 		return err
 	}
-	// Scrub before the frame can ever be handed to anyone else.
-	if err := s.ram.Zero(pa, isa.PageSize); err != nil {
-		return err
-	}
-	delete(c.owned, pa)
 	delete(c.mappings, gpa)
-	// Return the page to whichever cache block carries it.
-	freed := false
-	for _, cache := range c.pageCaches() {
-		if blk := cache.ownerOf(pa); blk != nil {
-			if err := blk.freePage(pa); err != nil {
-				return err
-			}
-			freed = true
-			break
-		}
-	}
-	if !freed {
-		return ErrNotFound
+	// freeFrame scrubs before the frame can ever be handed to anyone else.
+	if err := s.freeFrame(c, pa); err != nil {
+		return err
 	}
 	// The unmapped translation may be cached.
 	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll/4)

@@ -644,6 +644,8 @@ func (e fillError) Unwrap() error { return e.error }
 // recorded as owned, filled — zeroed when src is nil, else a copy of the
 // page src — mapped at gpa with the private leaf flags, and recorded in
 // the CVM's mappings. Callers keep their own cache, gate and charges.
+// When the map fails, the frame is scrubbed and returned to its cache
+// block, so no owned entry outlives the failed install.
 func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
 	c.owned[pa] = true
 	var err error
@@ -656,10 +658,29 @@ func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
 		return fillError{err}
 	}
 	if err := c.pt.Map(c.hgatpRoot, gpa, pa, privateLeaf, 0, true); err != nil {
+		if ferr := s.freeFrame(c, pa); ferr != nil {
+			return errors.Join(err, ferr)
+		}
 		return err
 	}
 	c.mappings[gpa] = pa
 	return nil
+}
+
+// freeFrame scrubs an owned frame the CVM no longer maps, drops it from
+// the owned set and frees it in whichever of the CVM's cache blocks
+// carries it.
+func (s *SM) freeFrame(c *CVM, pa uint64) error {
+	if err := s.ram.Zero(pa, isa.PageSize); err != nil {
+		return err
+	}
+	delete(c.owned, pa)
+	for _, cache := range c.pageCaches() {
+		if blk := cache.ownerOf(pa); blk != nil {
+			return blk.freePage(pa)
+		}
+	}
+	return ErrNotFound
 }
 
 // loadPage copies one page of the initial image from normal memory into a

@@ -764,8 +764,12 @@ func (s *SM) handleGuestSBI(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, bool) {
 // copyToGuest writes data into the CVM's *private* memory at gpa after
 // translating through the CVM's own stage-2 tree and verifying frame
 // ownership — the hypervisor must never be able to alias this buffer.
+// The whole range [gpa, gpa+len) must lie in the private window below
+// the top of guest-physical space; anything else is rejected before any
+// walk or allocation.
 func (s *SM) copyToGuest(c *CVM, gpa uint64, data []byte) error {
-	if gpa < PrivateBase {
+	end := gpa + uint64(len(data))
+	if gpa < PrivateBase || end < gpa || end > ptw.MaxVA(true) {
 		return ErrBadArgs
 	}
 	w := &ptw.Walker{Mem: s.ram}

@@ -121,6 +121,55 @@ func TestChainErrorKinds(t *testing.T) {
 	})
 }
 
+// windowedMemIO bounds a MemIO's reach to [base, base+size), the way a
+// confidential VM's device view is bounded by its shared window.
+type windowedMemIO struct {
+	MemIO
+	base, size uint64
+}
+
+func (w windowedMemIO) Window() (uint64, uint64, bool) { return w.base, w.size, true }
+
+// The pump refuses a descriptor whose buffer leaves a Windowed MemIO's
+// range while walking the chain, before any payload byte moves; a
+// segment that ends exactly at the window's end is accepted.
+func TestPopBatchRefusesOutOfWindowSegment(t *testing.T) {
+	const size = 0x8000
+	cases := []struct {
+		name string
+		addr uint64
+		len  uint32
+		ok   bool
+	}{
+		{"inside", memBase + 0x4000, 16, true},
+		{"ends at the window end", memBase + size - 16, 16, true},
+		{"straddles the window end", memBase + size - 8, 16, false},
+		{"past the window", memBase + size, 1, false},
+		{"below the window", memBase - 16, 16, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := windowedMemIO{NewBytesMemIO(memBase, 1<<20), memBase, size}
+			l := layoutAt(memBase)
+			q := &Queue{Size: 4, DescGPA: l.desc, AvailGPA: l.avail, UsedGPA: l.used, Ready: true}
+			rawDesc(t, mem, l.desc, 0, l.buf, 16, descFNext, 1)
+			rawDesc(t, mem, l.desc, 1, tc.addr, tc.len, descFWrite, 0)
+			forgeAvail(t, mem, l.avail, 0, 0, 1)
+			chains, err := q.PopBatch(mem, 0)
+			if tc.ok {
+				if err != nil || len(chains) != 1 {
+					t.Fatalf("PopBatch = %d chains, %v; want 1, nil", len(chains), err)
+				}
+				return
+			}
+			var oe *OutOfWindowError
+			if !errors.As(err, &oe) || oe.GPA != tc.addr || oe.Len != int(tc.len) {
+				t.Fatalf("PopBatch err = %v, want OutOfWindowError at %#x+%d", err, tc.addr, tc.len)
+			}
+		})
+	}
+}
+
 // A rejected chain poisons the device, not the machine: LastErr is the
 // typed error, DEVICE_NEEDS_RESET is raised, and the rejected-DMA
 // telemetry counter ticks — for forged chains and for out-of-window

@@ -31,6 +31,36 @@ type MemIO interface {
 	WriteBytes(gpa uint64, b []byte) error
 }
 
+// Windowed is implemented by a MemIO that reaches only one contiguous
+// GPA range, [base, base+size): a confidential VM's shared window. The
+// pump checks every descriptor's buffer against it while walking the
+// chain, so a chain that points outside is refused with an
+// OutOfWindowError before any payload byte moves. ok=false means the
+// view is unbounded (a normal VM).
+type Windowed interface {
+	Window() (base, size uint64, ok bool)
+}
+
+// window is a MemIO's reachable range as the chain walker checks it.
+type window struct {
+	base, size uint64
+	bounded    bool
+}
+
+func windowOf(m MemIO) window {
+	var w window
+	if wm, ok := m.(Windowed); ok {
+		w.base, w.size, w.bounded = wm.Window()
+	}
+	return w
+}
+
+// contains reports whether [gpa, gpa+n) lies inside the window.
+func (w window) contains(gpa uint64, n uint32) bool {
+	off := gpa - w.base
+	return !w.bounded || gpa >= w.base && off < w.size && uint64(n) <= w.size-off
+}
+
 func readU16(m MemIO, gpa uint64) (uint16, error) {
 	b, err := m.ReadBytes(gpa, 2)
 	if err != nil {
@@ -202,8 +232,9 @@ func (q *Queue) readU16Into(m MemIO, gpa uint64) (uint16, error) {
 // head, appending its segments to q.segs. It returns the index ranges
 // [segLo, segMid) for readable and [segMid, segHi) for writable
 // segments; the caller slices q.segs after the whole batch is walked
-// (appends may reallocate the backing array mid-batch).
-func (q *Queue) walkChain(m MemIO, head uint16) (segLo, segMid, segHi int, err error) {
+// (appends may reallocate the backing array mid-batch). Every segment
+// must lie inside win.
+func (q *Queue) walkChain(m MemIO, win window, head uint16) (segLo, segMid, segHi int, err error) {
 	if head >= q.Size {
 		return 0, 0, 0, &ChainError{Kind: ChainBadIndex, Head: head, Index: head}
 	}
@@ -228,6 +259,9 @@ func (q *Queue) walkChain(m MemIO, head uint16) (segLo, segMid, segHi int, err e
 		}
 		if d.len > maxSegLen || d.addr+uint64(d.len) < d.addr {
 			return 0, 0, 0, &ChainError{Kind: ChainLenOverflow, Head: head, Index: i}
+		}
+		if !win.contains(d.addr, d.len) {
+			return 0, 0, 0, &OutOfWindowError{GPA: d.addr, Len: int(d.len)}
 		}
 		seg := segment{GPA: d.addr, Len: d.len}
 		if d.flags&descFWrite != 0 {
@@ -278,7 +312,7 @@ func (q *Queue) Pop(m MemIO) (Chain, bool, error) {
 	q.lastAvail++
 
 	q.segs = q.segs[:0]
-	lo, mid, hi, err := q.walkChain(m, head)
+	lo, mid, hi, err := q.walkChain(m, windowOf(m), head)
 	if err != nil {
 		return Chain{}, false, err
 	}
@@ -338,9 +372,10 @@ func (q *Queue) PopBatch(m MemIO, max int) ([]Chain, error) {
 	}
 	// Two passes: collect segment index ranges first (appends to q.segs
 	// may reallocate its backing array mid-batch), then bind the slices.
+	win := windowOf(m)
 	for i := 0; i < n; i++ {
 		head := binary.LittleEndian.Uint16(buf[i*2:])
-		lo, mid, hi, werr := q.walkChain(m, head)
+		lo, mid, hi, werr := q.walkChain(m, win, head)
 		if werr != nil {
 			return nil, werr
 		}

@@ -1,6 +1,9 @@
 # ZION simulator build/test entry points.
 #
-#   make build  - compile everything
+#   make build  - compile everything, then vet the benchmark/ module (it
+#                 builds the simulator through its public hv/sm/platform
+#                 APIs, so an API change that breaks it fails here, and in
+#                 make test and make check, which depend on build)
 #   make test   - tier-1: full test suite
 #   make race   - full test suite under the race detector
 #   make lint   - gofmt check, then golangci-lint if installed, else 'go vet'
@@ -43,6 +46,7 @@ GO ?= go
 
 build:
 	$(GO) build ./...
+	$(GO) -C benchmark vet ./...
 
 test: build
 	$(GO) test ./...

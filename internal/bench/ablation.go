@@ -64,7 +64,7 @@ func RunA1(zionTarget int) (A1Result, error) {
 		vms = append(vms, vm)
 	}
 	for _, vm := range vms {
-		if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+		if _, _, err := e.RunToCompletion(e.H, vm); err != nil {
 			return res, err
 		}
 		res.ZionReached++
@@ -142,7 +142,7 @@ func RunA3(pages int) (A3Result, error) {
 	if err != nil {
 		return A3Result{}, err
 	}
-	if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+	if _, _, err := e.RunToCompletion(e.H, vm); err != nil {
 		return A3Result{}, err
 	}
 	st := e.SM.Stats
@@ -214,7 +214,7 @@ func RunA4() (A4Result, error) {
 					}
 				}
 			}
-			if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+			if _, _, err := e.RunToCompletion(e.H, vm); err != nil {
 				return res, err
 			}
 			st := e.SM.Stats

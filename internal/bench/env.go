@@ -190,42 +190,24 @@ func NewEnv(cfg EnvConfig) *Env {
 	return e
 }
 
-// RunCVMToCompletion drives a CVM until shutdown, tolerating quantum
-// exits. It returns the wall cycles consumed and the guest's shutdown
-// payload (self-measured benchmark cycles, when the image reports them).
-func (e *Env) RunCVMToCompletion(vm *hv.VM) (wall, guestData uint64, err error) {
-	start := e.H.Cycles
+// RunToCompletion drives vCPU 0 of a VM of either kind on hart h until
+// shutdown, tolerating quantum exits. It returns the wall cycles consumed
+// and the guest's shutdown payload (self-measured benchmark cycles, when
+// the image reports them).
+func (e *Env) RunToCompletion(h *hart.Hart, vm *hv.VM) (wall, guestData uint64, err error) {
+	start := h.Cycles
 	for {
-		info, err := e.HV.RunCVM(e.H, vm, 0)
+		info, err := e.HV.RunVCPU(h, vm, 0)
 		if err != nil {
 			return 0, 0, err
 		}
 		switch info.Reason {
 		case sm.ExitShutdown:
-			return e.H.Cycles - start, info.Data, nil
+			return h.Cycles - start, info.Data, nil
 		case sm.ExitTimer:
 			continue // rescheduled immediately (single runnable vCPU)
 		default:
-			return 0, 0, fmt.Errorf("bench: unexpected exit %v", info.Reason)
-		}
-	}
-}
-
-// RunNormalToCompletion drives a normal VM until shutdown.
-func (e *Env) RunNormalToCompletion(vm *hv.VM) (wall, guestData uint64, err error) {
-	start := e.H.Cycles
-	for {
-		exit, err := e.HV.RunNormalVCPU(e.H, vm, 0)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch exit.Reason {
-		case sm.ExitShutdown:
-			return e.H.Cycles - start, exit.Data, nil
-		case sm.ExitTimer:
-			continue
-		default:
-			return 0, 0, fmt.Errorf("bench: unexpected exit %v", exit.Reason)
+			return 0, 0, fmt.Errorf("bench: unexpected exit %v on hart %d", info.Reason, h.ID)
 		}
 	}
 }

@@ -233,7 +233,7 @@ func runHostOnce(k workloads.Kernel, scale int, engine string) (hostSample, erro
 	// into the timed region of whichever arm triggered it.
 	runtime.GC()
 	t0 := time.Now()
-	if _, _, err := e.RunCVMToCompletion(cvm); err != nil {
+	if _, _, err := e.RunToCompletion(e.H, cvm); err != nil {
 		return hostSample{}, err
 	}
 	return hostSample{

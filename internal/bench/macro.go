@@ -51,7 +51,7 @@ func RunT1(scaleDiv int) (T1Result, error) {
 		if err != nil {
 			return res, err
 		}
-		_, ncycles, err := en.RunNormalToCompletion(nvm)
+		_, ncycles, err := en.RunToCompletion(en.H, nvm)
 		if err != nil {
 			return res, fmt.Errorf("%s normal: %w", k.Name, err)
 		}
@@ -61,7 +61,7 @@ func RunT1(scaleDiv int) (T1Result, error) {
 		if err != nil {
 			return res, err
 		}
-		_, ccycles, err := ec.RunCVMToCompletion(cvm)
+		_, ccycles, err := ec.RunToCompletion(ec.H, cvm)
 		if err != nil {
 			return res, fmt.Errorf("%s cvm: %w", k.Name, err)
 		}
@@ -104,7 +104,7 @@ func RunE4(scaleDiv int) (E4Result, error) {
 	if err != nil {
 		return E4Result{}, err
 	}
-	_, ncycles, err := en.RunNormalToCompletion(nvm)
+	_, ncycles, err := en.RunToCompletion(en.H, nvm)
 	if err != nil {
 		return E4Result{}, err
 	}
@@ -114,7 +114,7 @@ func RunE4(scaleDiv int) (E4Result, error) {
 	if err != nil {
 		return E4Result{}, err
 	}
-	_, ccycles, err := ec.RunCVMToCompletion(cvm)
+	_, ccycles, err := ec.RunToCompletion(ec.H, cvm)
 	if err != nil {
 		return E4Result{}, err
 	}
@@ -216,11 +216,7 @@ func RunF3(requests int) (F3Result, error) {
 		cl := &redisClient{e: e, vm: vm, net: n}
 		n.Tap = func(f []byte) { cl.resp = append([]byte(nil), f...) }
 		cl.pump = func() error {
-			if confidential {
-				_, err := e.HV.RunCVM(e.H, vm, 0)
-				return err
-			}
-			_, err := e.HV.RunNormalVCPU(e.H, vm, 0)
+			_, err := e.HV.RunVCPU(e.H, vm, 0)
 			return err
 		}
 		// Boot the server until it blocks awaiting the first request.
@@ -313,11 +309,7 @@ func RunF4() (F4Result, error) {
 				return 0, err
 			}
 			guest.SetupBlk(e.HV, vm, e.H, 8<<20)
-			if confidential {
-				_, measured, err := e.RunCVMToCompletion(vm)
-				return measured, err
-			}
-			_, measured, err := e.RunNormalToCompletion(vm)
+			_, measured, err := e.RunToCompletion(e.H, vm)
 			return measured, err
 		}
 		nc, err := run(false)

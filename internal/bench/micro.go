@@ -87,7 +87,7 @@ func RunE1(iters int) (E1Result, error) {
 			return res, err
 		}
 		e.HV.AttachDevice(vm, &mmioStub{})
-		if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+		if _, _, err := e.RunToCompletion(e.H, vm); err != nil {
 			return res, err
 		}
 		st := e.SM.Stats
@@ -134,7 +134,7 @@ func RunE2(iters int) (E2Result, error) {
 		if err != nil {
 			return res, err
 		}
-		if _, _, err := e.RunCVMToCompletion(vm); err != nil {
+		if _, _, err := e.RunToCompletion(e.H, vm); err != nil {
 			return res, err
 		}
 		st := e.SM.Stats
@@ -198,7 +198,7 @@ func RunE3(pages int) (E3Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, _, err := e.RunNormalToCompletion(nvm); err != nil {
+	if _, _, err := e.RunToCompletion(e.H, nvm); err != nil {
 		return res, err
 	}
 	res.NormalVM = float64(e.HV.S2FaultCycles) / float64(e.HV.S2FaultCount)
@@ -209,7 +209,7 @@ func RunE3(pages int) (E3Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, _, err := e2.RunCVMToCompletion(cvm); err != nil {
+	if _, _, err := e2.RunToCompletion(e2.H, cvm); err != nil {
 		return res, err
 	}
 	st := e2.SM.Stats

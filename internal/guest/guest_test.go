@@ -127,7 +127,7 @@ func TestNormalVMBlkIOThroughInterpretedDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk := SetupBlk(k, vm, h, 1<<20)
-	exit, err := k.RunNormalVCPU(h, vm, 0)
+	exit, err := k.RunVCPU(h, vm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

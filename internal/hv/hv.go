@@ -68,27 +68,17 @@ type EmuDevice interface {
 	MMIOWrite(off uint64, width int, val uint64)
 }
 
-// VCPUState is the hypervisor-managed register context of a *normal* VM
-// vCPU. (Confidential vCPU state lives in the SM; the hypervisor never
-// sees it — that asymmetry is the point of ZION.)
-type VCPUState struct {
-	X    [32]uint64
-	PC   uint64
-	Mode isa.PrivMode
-
-	Vsstatus, Vsepc, Vscause, Vstval, Vstvec, Vsscratch, Vsatp uint64
-	TimerDeadline                                              uint64
-}
-
 // VM is one guest, normal or confidential.
 type VM struct {
 	Name         string
 	Confidential bool
 
-	// Normal VMs: hypervisor-owned stage-2 and vCPU state.
+	// Normal VMs: hypervisor-owned stage-2 and vCPU state. (A
+	// confidential vCPU's context lives in the SM; the hypervisor never
+	// sees it — that asymmetry is the point of ZION.)
 	hgatpRoot uint64
 	vmid      uint16
-	vcpus     []*VCPUState
+	vcpus     []*hart.GuestContext
 
 	// Confidential VMs: SM handle plus hypervisor-side shared plumbing.
 	CVMID      int
@@ -194,6 +184,29 @@ func (vm *VM) deviceAt(gpa uint64) (EmuDevice, uint64, bool) {
 		}
 	}
 	return nil, 0, false
+}
+
+// telID is the VM's id in telemetry spans: its CVM id, or NoCVM for a
+// normal VM.
+func (vm *VM) telID() int {
+	if vm.Confidential {
+		return vm.CVMID
+	}
+	return telemetry.NoCVM
+}
+
+// RunVCPU runs one vCPU of either VM kind until the hypervisor needs the
+// hart back: shutdown (ExitShutdown, the guest's a0/a1 in Data/Data2),
+// quantum expiry or idle yield (ExitTimer), or an error. Both kinds take
+// the same exits to the hypervisor — MMIO emulation through the device
+// model, shared-window and stage-2 faults — and differ only in whose
+// world switch saves the vCPU: the SM's for a CVM (RunCVM), the
+// hypervisor's own for a normal VM.
+func (k *Hypervisor) RunVCPU(h *hart.Hart, vm *VM, vcpu int) (sm.ExitInfo, error) {
+	if vm.Confidential {
+		return k.RunCVM(h, vm, vcpu)
+	}
+	return k.runNormalVCPU(h, vm, vcpu)
 }
 
 // countExit tallies an exit reason.

@@ -66,7 +66,7 @@ func TestNormalVMComputeAndShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exit, err := k.RunNormalVCPU(h, vm, 0)
+	exit, err := k.RunVCPU(h, vm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestNormalVMDemandPaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exit, err := k.RunNormalVCPU(h, vm, 0); err != nil || exit.Reason != sm.ExitShutdown {
+	if exit, err := k.RunVCPU(h, vm, 0); err != nil || exit.Reason != sm.ExitShutdown {
 		t.Fatalf("exit=%v err=%v", exit, err)
 	}
 	if vm.Exits["s2fault"] < 32 {
@@ -116,7 +116,7 @@ func TestNormalVMMMIOEmulation(t *testing.T) {
 	}
 	dev := &fakeDevice{base: 0x1000_0000, val: 0x100}
 	k.AttachDevice(vm, dev)
-	if exit, err := k.RunNormalVCPU(h, vm, 0); err != nil || exit.Reason != sm.ExitShutdown {
+	if exit, err := k.RunVCPU(h, vm, 0); err != nil || exit.Reason != sm.ExitShutdown {
 		t.Fatalf("exit=%v err=%v", exit, err)
 	}
 	if vm.vcpus[0].X[asm.S3] != 0x110 {
@@ -127,6 +127,74 @@ func TestNormalVMMMIOEmulation(t *testing.T) {
 	}
 	if vm.Exits["mmio"] != 2 {
 		t.Errorf("mmio exits = %d", vm.Exits["mmio"])
+	}
+}
+
+// An MMIO load reaches its register narrowed and extended by the
+// trapped op, identically for a normal VM (the hypervisor completes the
+// load) and a CVM (the SM applies the answer on resume).
+func TestMMIOLoadExtensionBothKinds(t *testing.T) {
+	const raw = 0x0123_4567_89AB_CDEF - 0x10 // the device adds the offset
+	type load func(p *asm.Program, rd, rs1 asm.Reg, off int64) *asm.Program
+	for _, tc := range []struct {
+		name string
+		op   load
+		want uint64
+	}{
+		{"lb", (*asm.Program).LB, 0xFFFF_FFFF_FFFF_FFEF},
+		{"lbu", (*asm.Program).LBU, 0xEF},
+		{"lh", (*asm.Program).LH, 0xFFFF_FFFF_FFFF_CDEF},
+		{"lhu", (*asm.Program).LHU, 0xCDEF},
+		{"lw", (*asm.Program).LW, 0xFFFF_FFFF_89AB_CDEF},
+		{"lwu", (*asm.Program).LWU, 0x89AB_CDEF},
+		{"ld", (*asm.Program).LD, 0x0123_4567_89AB_CDEF},
+	} {
+		img := guestProgram(func(p *asm.Program) {
+			p.LI(asm.T0, 0x1000_0000)
+			tc.op(p, asm.A0, asm.T0, 0x10)
+		})
+		for _, confidential := range []bool{false, true} {
+			_, _, k, h := newStack(t, sm.Config{})
+			var vm *VM
+			var err error
+			if confidential {
+				vm, err = k.CreateCVM(h, tc.name, img, GuestRAMBase)
+			} else {
+				vm, err = k.CreateNormalVM(tc.name, img, GuestRAMBase)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.AttachDevice(vm, &fakeDevice{base: 0x1000_0000, val: raw})
+			info, err := k.RunVCPU(h, vm, 0)
+			if err != nil || info.Reason != sm.ExitShutdown {
+				t.Fatalf("%s confidential=%v: exit=%v err=%v", tc.name, confidential, info.Reason, err)
+			}
+			if info.Data != tc.want {
+				t.Errorf("%s confidential=%v: a0 = %#x, want %#x", tc.name, confidential, info.Data, tc.want)
+			}
+		}
+	}
+}
+
+// RunVCPU refuses a vCPU index the VM does not have, for either kind.
+func TestRunVCPUUnknownVCPU(t *testing.T) {
+	_, _, k, h := newStack(t, sm.Config{})
+	img := guestProgram(func(p *asm.Program) {})
+	nvm, err := k.CreateNormalVM("n", img, GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cvm, err := k.CreateCVM(h, "c", img, GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range []*VM{nvm, cvm} {
+		for _, id := range []int{-1, 1} {
+			if _, err := k.RunVCPU(h, vm, id); err == nil {
+				t.Errorf("%s: RunVCPU(vcpu %d) = nil error", vm.Name, id)
+			}
+		}
 	}
 }
 
@@ -147,7 +215,7 @@ func TestNormalVMQuantumAndResume(t *testing.T) {
 	}
 	rounds := 0
 	for {
-		exit, err := k.RunNormalVCPU(h, vm, 0)
+		exit, err := k.RunVCPU(h, vm, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +247,7 @@ func TestNormalVMSBIPutchar(t *testing.T) {
 		p.ECALL()
 	})
 	vm, _ := k.CreateNormalVM("nvm", img, GuestRAMBase)
-	if _, err := k.RunNormalVCPU(h, vm, 0); err != nil {
+	if _, err := k.RunVCPU(h, vm, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(m.UART.Output(), "N") {

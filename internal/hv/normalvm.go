@@ -42,7 +42,7 @@ func (k *Hypervisor) CreateNormalVM(name string, image []byte, entry uint64) (*V
 			return nil, err
 		}
 	}
-	vm.vcpus = append(vm.vcpus, &VCPUState{PC: entry, Mode: isa.ModeVS})
+	vm.vcpus = append(vm.vcpus, &hart.GuestContext{PC: entry, Mode: isa.ModeVS})
 	k.mu.Lock()
 	vm.vmid = uint16(len(k.VMs) + 0x100)
 	k.VMs = append(k.VMs, vm)
@@ -50,30 +50,22 @@ func (k *Hypervisor) CreateNormalVM(name string, image []byte, entry uint64) (*V
 	return vm, nil
 }
 
-// NormalExit mirrors sm.ExitInfo for normal VMs.
-type NormalExit struct {
-	Reason sm.ExitReason
-	// Data and Data2 are the guest's a0/a1 at shutdown (self-measured
-	// results and a secondary channel, e.g. a checksum).
-	Data  uint64
-	Data2 uint64
-}
-
-// RunNormalVCPU enters a normal guest and services its exits in HS-mode:
+// runNormalVCPU enters a normal guest and services its exits in HS-mode:
 // stage-2 faults take the KVM software path, MMIO is emulated through the
 // attached device model, SBI calls are handled by the in-hypervisor SBI
 // shim. It returns when the guest shuts down or the quantum expires.
-func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit, error) {
-	if vm.Confidential {
-		return NormalExit{}, fmt.Errorf("hv: use RunCVM for confidential VMs")
+func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInfo, error) {
+	if vcpuID < 0 || vcpuID >= len(vm.vcpus) {
+		return sm.ExitInfo{}, fmt.Errorf("hv: VM %q has no vCPU %d", vm.Name, vcpuID)
 	}
 	v := vm.vcpus[vcpuID]
 
 	// vmentry: the hypervisor's own world switch (all HS-level, cheap
 	// relative to the SM path — no PMP or delegation changes needed).
+	// The context loads after the timer is armed, so the quantum counts
+	// from before the register copy.
 	h.SetCSR(isa.CSRHgatp, uint64(isa.SatpModeSv39)<<isa.SatpModeShift|
 		uint64(vm.vmid)<<isa.HgatpVMIDShift|vm.hgatpRoot>>isa.PageShift)
-	k.restoreVCPU(h, v)
 	if k.SchedQuantum > 0 {
 		k.M.CLINT.SetTimer(h.ID, h.Cycles+k.SchedQuantum)
 	}
@@ -82,28 +74,21 @@ func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit
 			k.M.CLINT.SetTimer(h.ID, v.TimerDeadline)
 		}
 	}
-	h.Advance(38 * h.Cost.RegCopy)
-	mst := h.CSR(isa.CSRMstatus)
-	base := uint64(1)
-	if v.Mode == isa.ModeVU {
-		base = 0
-	}
-	h.SetCSR(isa.CSRMstatus, mst&^isa.MstatusMPP|base<<isa.MstatusMPPShift|isa.MstatusMPV)
-	h.SetCSR(isa.CSRMepc, v.PC)
-	h.MRet()
+	v.Load(h)
+	v.Resume(h)
 
 	for {
 		_, ev := h.Run(k.M.CLINT, ^uint64(0))
 		switch ev.Kind {
-		case hart.EvHalt: // the parallel engine halted the machine
-			k.saveVCPU(h, v, h.PC)
-			return NormalExit{Reason: sm.ExitTimer}, nil
-		case hart.EvWFI:
-			if h.IdleUntilTimer(k.M.CLINT) {
+		case hart.EvHalt, hart.EvWFI:
+			// The parallel engine halted the machine, or the guest idles
+			// with nothing armed: yield at the guest's own PC and mode.
+			if ev.Kind == hart.EvWFI && h.IdleUntilTimer(k.M.CLINT) {
 				continue
 			}
-			k.saveVCPU(h, v, h.PC)
-			return NormalExit{Reason: sm.ExitTimer}, nil
+			v.PC, v.Mode = h.PC, h.Mode
+			v.Save(h)
+			return sm.ExitInfo{Reason: sm.ExitTimer}, nil
 		case hart.EvTrap:
 			t := ev.Trap
 			switch t.Target {
@@ -130,47 +115,20 @@ func (k *Hypervisor) RunNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (NormalExit
 						h.MRet()
 						continue
 					}
-					k.saveVCPU(h, v, h.CSR(isa.CSRMepc))
+					v.PC = h.CSR(isa.CSRMepc)
+					v.Save(h)
 					vm.countExit("timer")
-					return NormalExit{Reason: sm.ExitTimer}, nil
+					return sm.ExitInfo{Reason: sm.ExitTimer}, nil
 				}
-				return NormalExit{Reason: sm.ExitError},
+				return sm.ExitInfo{Reason: sm.ExitError},
 					fmt.Errorf("hv: unexpected M trap %s", isa.CauseName(t.Cause))
 			}
 		}
 	}
 }
 
-func (k *Hypervisor) saveVCPU(h *hart.Hart, v *VCPUState, pc uint64) {
-	h.Advance(38 * h.Cost.RegCopy)
-	v.X = h.X
-	v.PC = pc
-	if h.Mode.Virtualized() {
-		v.Mode = h.Mode
-	}
-	v.Vsstatus = h.CSR(isa.CSRVsstatus)
-	v.Vsepc = h.CSR(isa.CSRVsepc)
-	v.Vscause = h.CSR(isa.CSRVscause)
-	v.Vstval = h.CSR(isa.CSRVstval)
-	v.Vstvec = h.CSR(isa.CSRVstvec)
-	v.Vsscratch = h.CSR(isa.CSRVsscratch)
-	v.Vsatp = h.CSR(isa.CSRVsatp)
-}
-
-func (k *Hypervisor) restoreVCPU(h *hart.Hart, v *VCPUState) {
-	h.X = v.X
-	h.X[0] = 0
-	h.SetCSR(isa.CSRVsstatus, v.Vsstatus)
-	h.SetCSR(isa.CSRVsepc, v.Vsepc)
-	h.SetCSR(isa.CSRVscause, v.Vscause)
-	h.SetCSR(isa.CSRVstval, v.Vstval)
-	h.SetCSR(isa.CSRVstvec, v.Vstvec)
-	h.SetCSR(isa.CSRVsscratch, v.Vsscratch)
-	h.SetCSR(isa.CSRVsatp, v.Vsatp)
-}
-
 // handleNormalExit services one HS-mode trap from a normal guest.
-func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart.Trap) (NormalExit, bool, error) {
+func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext, t hart.Trap) (sm.ExitInfo, bool, error) {
 	h.Advance(h.Cost.HVExitHandle)
 	switch t.Cause {
 	case isa.ExcLoadGuestPageFault, isa.ExcStoreGuestPageFault, isa.ExcInstGuestPageFault:
@@ -178,17 +136,17 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart
 		if dev, off, ok := vm.deviceAt(gpa); ok {
 			vm.countExit("mmio")
 			if err := k.emulateMMIO(h, dev, off, t); err != nil {
-				return NormalExit{Reason: sm.ExitError}, true, err
+				return sm.ExitInfo{Reason: sm.ExitError}, true, err
 			}
 			h.SetCSR(isa.CSRSepc, h.CSR(isa.CSRSepc)+4)
 			h.SRet()
-			return NormalExit{}, false, nil
+			return sm.ExitInfo{}, false, nil
 		}
 		if gpa >= GuestRAMBase {
 			vm.countExit("s2fault")
 			start := h.Cycles - h.Cost.TrapEntry - h.Cost.HVExitHandle
 			if err := k.normalStage2Fault(h, vm, gpa); err != nil {
-				return NormalExit{Reason: sm.ExitError}, true, err
+				return sm.ExitInfo{Reason: sm.ExitError}, true, err
 			}
 			h.SRet() // retry the access
 			k.mu.Lock()
@@ -197,30 +155,33 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *VCPUState, t hart
 			k.mu.Unlock()
 			k.s2Hist.Observe(h.Cycles - start)
 			k.Tel.Span(h.ID, "hv", "s2fault.normal", start, h.Cycles, telemetry.NoCVM, gpa)
-			return NormalExit{}, false, nil
+			return sm.ExitInfo{}, false, nil
 		}
-		k.saveVCPU(h, v, h.CSR(isa.CSRSepc))
-		return NormalExit{Reason: sm.ExitError}, true,
+		v.PC = h.CSR(isa.CSRSepc)
+		v.Save(h)
+		return sm.ExitInfo{Reason: sm.ExitError}, true,
 			fmt.Errorf("hv: guest fault at unmapped GPA %#x", gpa)
 
 	case isa.ExcEcallVS:
 		done, err := k.handleGuestSBI(h, vm, v)
 		if err != nil {
-			return NormalExit{Reason: sm.ExitError}, true, err
+			return sm.ExitInfo{Reason: sm.ExitError}, true, err
 		}
 		if done {
 			vm.countExit("shutdown")
-			return NormalExit{Reason: sm.ExitShutdown, Data: v.X[10], Data2: v.X[11]}, true, nil
+			return sm.ExitInfo{Reason: sm.ExitShutdown, Data: v.X[10], Data2: v.X[11]}, true, nil
 		}
-		return NormalExit{}, false, nil
+		return sm.ExitInfo{}, false, nil
 
 	case isa.CauseInterruptBit | isa.IntSTimer:
-		k.saveVCPU(h, v, h.CSR(isa.CSRSepc))
+		v.PC = h.CSR(isa.CSRSepc)
+		v.Save(h)
 		vm.countExit("timer")
-		return NormalExit{Reason: sm.ExitTimer}, true, nil
+		return sm.ExitInfo{Reason: sm.ExitTimer}, true, nil
 	}
-	k.saveVCPU(h, v, h.CSR(isa.CSRSepc))
-	return NormalExit{Reason: sm.ExitError}, true,
+	v.PC = h.CSR(isa.CSRSepc)
+	v.Save(h)
+	return sm.ExitInfo{Reason: sm.ExitError}, true,
 		fmt.Errorf("hv: unhandled guest trap %s", isa.CauseName(t.Cause))
 }
 
@@ -252,28 +213,13 @@ func (k *Hypervisor) emulateMMIO(h *hart.Hart, dev EmuDevice, off uint64, t hart
 		dev.MMIOWrite(off, in.MemBytes(), h.Reg(in.Rs2))
 		return nil
 	}
-	val := dev.MMIORead(off, in.MemBytes())
-	switch in.Op {
-	case isa.OpLB:
-		val = uint64(int64(int8(val)))
-	case isa.OpLH:
-		val = uint64(int64(int16(val)))
-	case isa.OpLW:
-		val = uint64(int64(int32(val)))
-	case isa.OpLBU:
-		val &= 0xFF
-	case isa.OpLHU:
-		val &= 0xFFFF
-	case isa.OpLWU:
-		val &= 0xFFFFFFFF
-	}
-	h.SetReg(in.Rd, val)
+	h.SetReg(in.Rd, isa.ExtendLoad(in.Op, dev.MMIORead(off, in.MemBytes())))
 	return nil
 }
 
 // handleGuestSBI is the hypervisor's SBI shim for normal guests.
 // done=true means the guest requested shutdown.
-func (k *Hypervisor) handleGuestSBI(h *hart.Hart, vm *VM, v *VCPUState) (bool, error) {
+func (k *Hypervisor) handleGuestSBI(h *hart.Hart, vm *VM, v *hart.GuestContext) (bool, error) {
 	eid := h.Reg(17)
 	a0 := h.Reg(10)
 	resume := func() {
@@ -296,7 +242,8 @@ func (k *Hypervisor) handleGuestSBI(h *hart.Hart, vm *VM, v *VCPUState) (bool, e
 		resume()
 		return false, nil
 	case sm.EIDReset:
-		k.saveVCPU(h, v, h.CSR(isa.CSRSepc)+4)
+		v.PC = h.CSR(isa.CSRSepc) + 4
+		v.Save(h)
 		return true, nil
 	}
 	h.SetReg(10, ^uint64(1)) // SBI_ERR_NOT_SUPPORTED

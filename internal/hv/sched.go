@@ -5,14 +5,14 @@ import (
 
 	"zion/internal/hart"
 	"zion/internal/sm"
-	"zion/internal/telemetry"
 )
 
 // Scheduler multiplexes many vCPUs — confidential and normal, mixed —
 // over one hart with round-robin timeslicing, the role KVM's scheduler
 // plays in the paper's setup. Confidential quanta are enforced by the SM
 // (sm.Config.SchedQuantum); normal quanta by the hypervisor
-// (Hypervisor.SchedQuantum).
+// (Hypervisor.SchedQuantum). Both kinds run through RunVCPU and share one
+// exit switch and one error policy.
 type Scheduler struct {
 	k     *Hypervisor
 	queue []*schedEntry
@@ -68,54 +68,38 @@ func (s *Scheduler) RunAll(h *hart.Hart) ([]VMResult, error) {
 			}
 			e.rounds++
 			sliceStart := h.Cycles
-			if e.vm.Confidential {
-				info, err := s.k.RunCVM(h, e.vm, e.vcpu)
-				s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles,
-					e.vm.CVMID, e.rounds)
-				if err != nil {
-					// Graceful degradation: a fatal per-CVM fault (the SM
-					// quarantined the CVM) or a recoverable protocol error
-					// retires this entry; the rest of the queue keeps
-					// running. Only platform-fatal failures abort the fleet.
-					if smerr, ok := sm.AsSMError(err); ok && smerr.Severity == sm.SevFatalPlatform {
-						return nil, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
-					}
-					if smerr, ok := sm.AsSMError(err); ok && smerr.Code == sm.CodeCompartment {
-						s.DegradedRefusals++
-						s.k.Tel.Counter("hv/degraded_refusals").Inc()
-					}
-					e.done, e.err = true, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
-					remaining--
-					continue
+			info, err := s.k.RunVCPU(h, e.vm, e.vcpu)
+			s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles,
+				e.vm.telID(), e.rounds)
+			if err != nil {
+				// Graceful degradation: a fatal per-CVM fault (the SM
+				// quarantined the CVM), a recoverable protocol error or a
+				// normal guest's bug retires this entry; the rest of the
+				// queue keeps running. Only platform-fatal failures abort
+				// the fleet.
+				smerr, isSM := sm.AsSMError(err)
+				if isSM && smerr.Severity == sm.SevFatalPlatform {
+					return nil, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
 				}
-				switch info.Reason {
-				case sm.ExitShutdown:
-					e.done, e.result = true, info
-					remaining--
-				case sm.ExitTimer:
-					// Quantum expired: next entry's turn.
-				default:
-					// A guest bug (undelegated exception, protocol abuse)
-					// fails this VM, not the fleet.
-					e.done, e.err = true, fmt.Errorf("hv: %s/%d: unexpected exit %v", e.vm.Name, e.vcpu, info.Reason)
-					remaining--
+				if isSM && smerr.Code == sm.CodeCompartment {
+					s.DegradedRefusals++
+					s.k.Tel.Counter("hv/degraded_refusals").Inc()
 				}
+				e.done, e.err = true, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
+				remaining--
 				continue
 			}
-			exit, err := s.k.RunNormalVCPU(h, e.vm, e.vcpu)
-			s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles,
-				telemetry.NoCVM, e.rounds)
-			if err != nil {
-				return nil, fmt.Errorf("hv: %s/%d: %w", e.vm.Name, e.vcpu, err)
-			}
-			switch exit.Reason {
+			switch info.Reason {
 			case sm.ExitShutdown:
-				e.done = true
-				e.result = sm.ExitInfo{Reason: sm.ExitShutdown, Data: exit.Data, Data2: exit.Data2}
+				e.done, e.result = true, info
 				remaining--
 			case sm.ExitTimer:
+				// Quantum expired: next entry's turn.
 			default:
-				return nil, fmt.Errorf("hv: %s/%d: unexpected exit %v", e.vm.Name, e.vcpu, exit.Reason)
+				// A guest bug (undelegated exception, protocol abuse)
+				// fails this VM, not the fleet.
+				e.done, e.err = true, fmt.Errorf("hv: %s/%d: unexpected exit %v", e.vm.Name, e.vcpu, info.Reason)
+				remaining--
 			}
 		}
 	}

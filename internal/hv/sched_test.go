@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"strings"
 	"testing"
 
 	"zion/internal/asm"
@@ -111,5 +112,52 @@ func TestSchedulerEmpty(t *testing.T) {
 	results, err := sched.RunAll(m.Harts[0])
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty queue: %v %v", results, err)
+	}
+}
+
+// A normal VM's guest bug (a load from an unmapped GPA below guest RAM)
+// retires that VM with VMResult.Err; a co-resident CVM still runs to
+// shutdown. Only platform-fatal SM errors abort the fleet.
+func TestSchedulerRetiresFaultingNormalVM(t *testing.T) {
+	m := platform.New(1, ramSize)
+	monitor, err := sm.New(m, sm.Config{SchedQuantum: 15_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := New(m, monitor, normBase, normSize)
+	k.SchedQuantum = 15_000
+	h := m.Harts[0]
+	h.Mode = 1
+	if err := k.RegisterSecurePool(h, 8<<20); err != nil {
+		t.Fatal(err)
+	}
+	p := asm.New(GuestRAMBase)
+	p.LI(asm.T0, 0x2000)
+	p.LD(asm.T1, asm.T0, 0)
+	p.LI(asm.A7, sm.EIDReset)
+	p.ECALL()
+	bad, err := k.CreateNormalVM("bad", p.MustAssemble(), GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cvm, err := k.CreateCVM(h, "good", spinImage(40_000, 55), GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := k.NewScheduler()
+	sched.Add(bad, 0)
+	sched.Add(cvm, 0)
+	results, err := sched.RunAll(h)
+	if err != nil {
+		t.Fatalf("RunAll aborted the fleet: %v", err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("results = %d, want 2", len(results))
+	}
+	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "unmapped GPA 0x2000") {
+		t.Errorf("normal VM err = %v, want its unmapped-GPA fault", results[0].Err)
+	}
+	if results[1].Err != nil || results[1].Data != 55 {
+		t.Errorf("CVM result = %d, err %v; want 55, nil", results[1].Data, results[1].Err)
 	}
 }

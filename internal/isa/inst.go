@@ -205,6 +205,28 @@ func (in Inst) MemBytes() int {
 	return 0
 }
 
+// ExtendLoad narrows a loaded value to op's access width and sign- or
+// zero-extends it the way op does architecturally: how an emulated MMIO
+// load's result reaches the destination register. Any other op, including
+// OpInvalid from an undecodable htinst, passes val through unchanged.
+func ExtendLoad(op Op, val uint64) uint64 {
+	switch op {
+	case OpLB:
+		return uint64(int64(int8(val)))
+	case OpLH:
+		return uint64(int64(int16(val)))
+	case OpLW, OpLRW:
+		return uint64(int64(int32(val)))
+	case OpLBU:
+		return val & 0xFF
+	case OpLHU:
+		return val & 0xFFFF
+	case OpLWU:
+		return val & 0xFFFFFFFF
+	}
+	return val
+}
+
 func signExtend(v uint32, bits uint) int64 {
 	shift := 64 - bits
 	return int64(uint64(v)<<shift) >> shift

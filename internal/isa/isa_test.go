@@ -285,6 +285,35 @@ func TestTransformedInstRoundTrip(t *testing.T) {
 	}
 }
 
+// ExtendLoad narrows and extends by the load op; every other op, and
+// OpInvalid from an undecodable htinst, passes the value through.
+func TestExtendLoad(t *testing.T) {
+	const raw = 0xDEAD_BEEF_8765_43F1
+	for _, tc := range []struct {
+		op   Op
+		want uint64
+	}{
+		{OpLB, 0xFFFF_FFFF_FFFF_FFF1},
+		{OpLBU, 0xF1},
+		{OpLH, 0x43F1},
+		{OpLHU, 0x43F1},
+		{OpLW, 0xFFFF_FFFF_8765_43F1},
+		{OpLRW, 0xFFFF_FFFF_8765_43F1},
+		{OpLWU, 0x8765_43F1},
+		{OpLD, raw},
+		{OpLRD, raw},
+		{OpSW, raw},
+		{OpInvalid, raw},
+	} {
+		if got := ExtendLoad(tc.op, raw); got != tc.want {
+			t.Errorf("ExtendLoad(%v, %#x) = %#x, want %#x", tc.op, uint64(raw), got, tc.want)
+		}
+	}
+	if got := ExtendLoad(OpLH, 0x8000); got != 0xFFFF_FFFF_FFFF_8000 {
+		t.Errorf("ExtendLoad(lh, 0x8000) = %#x", got)
+	}
+}
+
 func TestOpString(t *testing.T) {
 	if OpADDI.String() != "addi" {
 		t.Errorf("OpADDI.String() = %q", OpADDI.String())

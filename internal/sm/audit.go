@@ -293,7 +293,7 @@ func (s *SM) auditTableTree(c *CVM) []AuditFinding {
 		if i == SharedSlot && c.sharedSubtable != 0 && target == c.sharedSubtable {
 			// The spliced shared subtree is deliberately normal memory;
 			// only its leaf targets are constrained.
-			if err := s.validateTableLevelQuiet(target, 1); err != nil {
+			if _, err := s.validateTableLevel(target, 1); err != nil {
 				out = append(out, AuditFinding{Kind: AuditSharedLeafSecure, CVMID: c.ID,
 					Detail: err.Error()})
 			}
@@ -328,38 +328,6 @@ func (s *SM) auditTableTree(c *CVM) []AuditFinding {
 		}
 	}
 	return out
-}
-
-// validateTableLevelQuiet is validateTableLevel without cycle charging
-// (the auditor is a diagnostic facility, not an architectural path).
-func (s *SM) validateTableLevelQuiet(tablePA uint64, level int) error {
-	if s.alloc.pool.contains(tablePA, isa.PageSize) {
-		return fmt.Errorf("shared subtable frame %#x in secure memory", tablePA)
-	}
-	for i := uint64(0); i < 512; i++ {
-		pte, err := s.ram.ReadUint64(tablePA + i*8)
-		if err != nil {
-			return err
-		}
-		if pte&isa.PTEValid == 0 {
-			continue
-		}
-		target := (pte >> isa.PTEPPNShift) << isa.PageShift
-		if pte&(isa.PTERead|isa.PTEWrite|isa.PTEExec) == 0 {
-			if level == 0 {
-				return fmt.Errorf("non-leaf at level 0 in shared subtree")
-			}
-			if err := s.validateTableLevelQuiet(target, level-1); err != nil {
-				return err
-			}
-			continue
-		}
-		span := uint64(isa.PageSize) << (9 * uint(level))
-		if s.leafTouchesSecure(target, span) {
-			return fmt.Errorf("shared leaf %#x maps secure memory", target)
-		}
-	}
-	return nil
 }
 
 // auditIOPMP verifies no DMA window intersects a secure region.

@@ -105,14 +105,39 @@ func TestRelinquishValidation(t *testing.T) {
 		p.LI(asm.A7, EIDZion)
 		p.ECALL()
 		p.MV(asm.S4, asm.A0)
+		// The top of guest-physical space (2^41): refused, not truncated.
+		p.LI(asm.A0, 1<<41)
+		p.LI(asm.A6, ZionFnRelinquish)
+		p.LI(asm.A7, EIDZion)
+		p.ECALL()
+		p.MV(asm.S5, asm.A0)
+		// A mapped private GPA with bit 41 set: truncating it to 41 bits
+		// would name the code page this program runs from. Refused.
+		p.LI(asm.A0, int64(PrivateBase|1<<41))
+		p.LI(asm.A6, ZionFnRelinquish)
+		p.LI(asm.A7, EIDZion)
+		p.ECALL()
+		p.MV(asm.S6, asm.A0)
 	}))
 	if info := f.run(); info.Reason != ExitShutdown {
 		t.Fatalf("reason = %v", info.Reason)
 	}
-	v := f.s.life.cvms[f.id].vcpus[0]
-	if v.sec.X[asm.S2] != 1 || v.sec.X[asm.S3] != 1 || v.sec.X[asm.S4] != 1 {
-		t.Errorf("validation results: %d %d %d, want 1 1 1",
-			v.sec.X[asm.S2], v.sec.X[asm.S3], v.sec.X[asm.S4])
+	c := f.s.life.cvms[f.id]
+	v := c.vcpus[0]
+	for _, r := range []asm.Reg{asm.S2, asm.S3, asm.S4, asm.S5, asm.S6} {
+		if v.sec.X[r] != 1 {
+			t.Errorf("x%d = %d, want SBI error 1", r, v.sec.X[r])
+		}
 	}
-	_ = isa.PageSize
+	// The page the bit-41 alias would truncate to stays mapped and owned.
+	pte, level, err := c.pt.Lookup(c.hgatpRoot, PrivateBase, true)
+	if err != nil || level != 0 {
+		t.Fatalf("code page lookup: level %d, err %v", level, err)
+	}
+	if pa := (pte >> isa.PTEPPNShift) << isa.PageShift; !c.owned[pa] {
+		t.Errorf("code page frame %#x no longer owned", pa)
+	}
+	if found := f.s.Audit(); len(found) != 0 {
+		t.Errorf("audit findings after refused relinquish: %v", found)
+	}
 }

@@ -29,13 +29,13 @@ const flightTailLen = 16
 type QuarantineRecord struct {
 	CVMID       int
 	Cause       error
-	Cycle       uint64       // cycle at fault origin on the originating hart
-	Hart        int          // originating hart (-1 when no hart context)
-	Compartment Compartment  // SM compartment the fault originated in
-	Epoch       uint64       // parallel-engine epoch at origin (0 sequential)
-	Measurement []byte       // sealed launch measurement (nil if never sealed)
-	VCPUs       []secureVCPU // final protected register state, for diagnosis
-	PagesFreed  int          // secure frames scrubbed and returned to the pool
+	Cycle       uint64              // cycle at fault origin on the originating hart
+	Hart        int                 // originating hart (-1 when no hart context)
+	Compartment Compartment         // SM compartment the fault originated in
+	Epoch       uint64              // parallel-engine epoch at origin (0 sequential)
+	Measurement []byte              // sealed launch measurement (nil if never sealed)
+	VCPUs       []hart.GuestContext // final protected register state, for diagnosis
+	PagesFreed  int                 // secure frames scrubbed and returned to the pool
 	// Flight is the originating hart's flight-recorder tail at quarantine
 	// time (rendered, oldest first): the last high-level events — traps,
 	// world switches, gate crossings, barriers, fault injections — that

@@ -27,7 +27,9 @@ func (s *SM) registerShared(h *hart.Hart, id int, subtablePA uint64) error {
 		// memory; a secure-memory subtable would deadlock the design.
 		return ErrNotNormal
 	}
-	if err := s.validateSharedSubtable(h, subtablePA); err != nil {
+	n, err := s.validateTableLevel(subtablePA, 1)
+	h.Advance(n * h.Cost.RegCheck)
+	if err != nil {
 		return err
 	}
 	if err := c.pt.SpliceRootEntry(c.hgatpRoot, SharedSlot, subtablePA, true); err != nil {
@@ -56,45 +58,47 @@ func (s *SM) revokeShared(h *hart.Hart, id int) error {
 	return nil
 }
 
-// validateSharedSubtable walks the hypervisor-supplied subtree and rejects
-// it unless every table frame and every leaf target lies in normal memory.
-// This is the structural guarantee behind §IV.E's security claim: the
-// shared path can name normal memory only, so it can never become a
-// window into any CVM's secure pool.
-func (s *SM) validateSharedSubtable(h *hart.Hart, tablePA uint64) error {
-	return s.validateTableLevel(h, tablePA, 1)
-}
-
-func (s *SM) validateTableLevel(h *hart.Hart, tablePA uint64, level int) error {
+// validateTableLevel walks a hypervisor-supplied shared subtree (the
+// subtable is level 1) and rejects it unless every table frame and every
+// leaf target lies in normal memory. This is the structural guarantee
+// behind §IV.E's security claim: the shared path can name normal memory
+// only, so it can never become a window into any CVM's secure pool.
+//
+// n counts the valid entries checked, the failing one included. The
+// architectural paths (registration, entry revalidation) charge
+// n×RegCheck; the auditor, a diagnostic facility, charges nothing.
+func (s *SM) validateTableLevel(tablePA uint64, level int) (n uint64, err error) {
 	if s.alloc.pool.contains(tablePA, isa.PageSize) {
-		return fmt.Errorf("%w: shared subtable frame %#x in secure memory", ErrNotNormal, tablePA)
+		return 0, fmt.Errorf("%w: shared subtable frame %#x in secure memory", ErrNotNormal, tablePA)
 	}
 	for i := uint64(0); i < 512; i++ {
 		pte, err := s.ram.ReadUint64(tablePA + i*8)
 		if err != nil {
-			return err
+			return n, err
 		}
 		if pte&isa.PTEValid == 0 {
 			continue
 		}
-		h.Advance(h.Cost.RegCheck)
+		n++
 		target := (pte >> isa.PTEPPNShift) << isa.PageShift
 		if pte&(isa.PTERead|isa.PTEWrite|isa.PTEExec) == 0 {
 			// Pointer to a lower-level table.
 			if level == 0 {
-				return fmt.Errorf("%w: non-leaf at level 0", ErrBadArgs)
+				return n, fmt.Errorf("%w: non-leaf at level 0", ErrBadArgs)
 			}
-			if err := s.validateTableLevel(h, target, level-1); err != nil {
-				return err
+			sub, err := s.validateTableLevel(target, level-1)
+			n += sub
+			if err != nil {
+				return n, err
 			}
 			continue
 		}
 		span := uint64(isa.PageSize) << (9 * uint(level))
 		if s.leafTouchesSecure(target, span) {
-			return fmt.Errorf("%w: shared leaf %#x maps secure memory", ErrOwnership, target)
+			return n, fmt.Errorf("%w: shared leaf %#x maps secure memory", ErrOwnership, target)
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // leafTouchesSecure reports whether [pa, pa+span) intersects any secure

@@ -45,21 +45,6 @@ func (r ExitReason) String() string {
 	return fmt.Sprintf("exit(%d)", uint64(r))
 }
 
-// secureVCPU is the protected vCPU state (§IV.B): it lives in SM memory
-// (a Go struct here, physically inside the monitor's footprint) and is the
-// only authoritative copy of the guest's registers between runs.
-type secureVCPU struct {
-	X    [32]uint64
-	PC   uint64
-	Mode isa.PrivMode // VS or VU at the moment of exit
-
-	// Guest supervisor CSRs saved/restored on the world switch.
-	Vsstatus, Vsepc, Vscause, Vstval, Vstvec, Vsscratch, Vsatp uint64
-
-	// Guest timer deadline (absolute cycles; 0 = disarmed).
-	TimerDeadline uint64
-}
-
 // Offsets within the shared vCPU page (§IV.B). The shared structure lives
 // in *normal* memory so the hypervisor can read trap parameters and write
 // emulation results without any SM round trip.
@@ -95,13 +80,16 @@ const (
 // 64-bit words publishExit writes, so resume compares them at full width.
 type pendingExit struct {
 	seq, reason, target, width uint64
-	signExt                    bool
+	op                         isa.Op // the trapped access; isa.ExtendLoad applies it
 }
 
 // VCPU binds the secure state, the shared page, and run bookkeeping.
 type VCPU struct {
-	ID       int
-	sec      secureVCPU
+	ID int
+	// sec is the protected vCPU state (§IV.B): it lives in SM memory (a Go
+	// value here, physically inside the monitor's footprint) and is the
+	// only authoritative copy of the guest's registers between runs.
+	sec      hart.GuestContext
 	sharedPA uint64 // shared vCPU page in normal memory (0 = not set)
 	seq      uint64
 	pending  *pendingExit
@@ -129,34 +117,4 @@ func (s *SM) readShared(v *VCPU, off uint64) (uint64, error) {
 			fmt.Errorf("shared vCPU read escaped RAM: %w", err))
 	}
 	return val, nil
-}
-
-// saveGuestState copies the hart's guest-visible state into the secure
-// vCPU, charging the per-register copy costs of the exit path. The resume
-// PC is NOT taken from the hart (at exit time the hart's PC points into
-// the SM's trap vector); each exit path records v.sec.PC explicitly.
-func (s *SM) saveGuestState(h *hart.Hart, v *VCPU) {
-	v.sec.X = h.X
-	v.sec.Vsstatus = h.CSR(isa.CSRVsstatus)
-	v.sec.Vsepc = h.CSR(isa.CSRVsepc)
-	v.sec.Vscause = h.CSR(isa.CSRVscause)
-	v.sec.Vstval = h.CSR(isa.CSRVstval)
-	v.sec.Vstvec = h.CSR(isa.CSRVstvec)
-	v.sec.Vsscratch = h.CSR(isa.CSRVsscratch)
-	v.sec.Vsatp = h.CSR(isa.CSRVsatp)
-	h.Advance(31*h.Cost.RegCopy + 7*h.Cost.RegCopy)
-}
-
-// restoreGuestState loads the secure vCPU into the hart.
-func (s *SM) restoreGuestState(h *hart.Hart, v *VCPU) {
-	h.X = v.sec.X
-	h.X[0] = 0
-	h.SetCSR(isa.CSRVsstatus, v.sec.Vsstatus)
-	h.SetCSR(isa.CSRVsepc, v.sec.Vsepc)
-	h.SetCSR(isa.CSRVscause, v.sec.Vscause)
-	h.SetCSR(isa.CSRVstval, v.sec.Vstval)
-	h.SetCSR(isa.CSRVstvec, v.sec.Vstvec)
-	h.SetCSR(isa.CSRVsscratch, v.sec.Vsscratch)
-	h.SetCSR(isa.CSRVsatp, v.sec.Vsatp)
-	h.Advance(31*h.Cost.RegCopy + 7*h.Cost.RegCopy)
 }

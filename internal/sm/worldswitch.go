@@ -213,7 +213,9 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 
 	// Optional split-page-table revalidation (§IV.E hardening).
 	if s.cfg.ValidateSharedOnEntry && c.sharedSubtable != 0 {
-		if err := s.validateSharedSubtable(h, c.sharedSubtable); err != nil {
+		n, err := s.validateTableLevel(c.sharedSubtable, 1)
+		h.Advance(n * h.Cost.RegCheck)
+		if err != nil {
 			// A hostile remap after splice: unsplice and continue without
 			// the shared window rather than running exposed.
 			_ = c.pt.SpliceRootEntry(c.hgatpRoot, SharedSlot, 0, true)
@@ -224,7 +226,7 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 	}
 
 	// Restore the protected register file.
-	s.restoreGuestState(h, v)
+	v.sec.Load(h)
 
 	// Arm the machine timer for the earlier of the scheduler quantum and
 	// the guest's own deadline.
@@ -236,19 +238,7 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 	h.Advance(h.Cost.TLBFlushAll)
 	s.tel.AttrPop(h.ID, h.Cycles, prev)
 
-	mst := h.CSR(isa.CSRMstatus)
-	mst = mst&^isa.MstatusMPP | v.guestPrivBase()<<isa.MstatusMPPShift | isa.MstatusMPV
-	h.SetCSR(isa.CSRMstatus, mst)
-	h.SetCSR(isa.CSRMepc, v.sec.PC)
-	h.MRet()
-}
-
-// guestPrivBase returns the MPP encoding for the guest's saved mode.
-func (v *VCPU) guestPrivBase() uint64 {
-	if v.sec.Mode == isa.ModeVU {
-		return 0
-	}
-	return 1
+	v.sec.Resume(h)
 }
 
 // armTimer programs the CLINT comparator for this run.
@@ -275,7 +265,9 @@ func (s *SM) exitCVM(h *hart.Hart, c *CVM, v *VCPU, ctx hvCtx, info ExitInfo) {
 	if s.cfg.LongPath {
 		h.Advance(h.Cost.SecHVHopExit)
 	}
-	s.saveGuestState(h, v)
+	// The resume PC is not the hart's (at exit it points into the SM's
+	// trap vector): each exit path recorded v.sec.PC already.
+	v.sec.Save(h)
 	// The guest's interrupted privilege level: still current if the hart
 	// is in a virtualized mode (wfi yield); otherwise the trap to M
 	// recorded it in mstatus.MPV/MPP.
@@ -372,32 +364,9 @@ func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 			target, p.target, width, p.width)
 	}
 	if ExitReason(p.reason) == ExitMMIORead {
-		v.sec.X[p.target] = extend(data, int(p.width), p.signExt)
+		v.sec.X[p.target] = isa.ExtendLoad(p.op, data)
 	}
 	return nil
-}
-
-// extend truncates and extends an MMIO load result per the original
-// instruction's width and signedness.
-func extend(data uint64, width int, signed bool) uint64 {
-	switch width {
-	case 1:
-		if signed {
-			return uint64(int64(int8(data)))
-		}
-		return data & 0xFF
-	case 2:
-		if signed {
-			return uint64(int64(int16(data)))
-		}
-		return data & 0xFFFF
-	case 4:
-		if signed {
-			return uint64(int64(int32(data)))
-		}
-		return data & 0xFFFFFFFF
-	}
-	return data
 }
 
 // runLoop steps the guest until an exit condition. Traps targeting M are
@@ -648,20 +617,14 @@ func (s *SM) mmioExit(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap, reason ExitRea
 			info.Target = in.Rd
 		}
 	}
-	signExt := false
-	if ok && !in.IsStore() {
-		switch in.Op {
-		case isa.OpLB, isa.OpLH, isa.OpLW:
-			signExt = true
-		}
-	}
-	// The recorded words are exactly what publishExit writes.
+	// The recorded words are exactly what publishExit writes. An
+	// undecodable htinst leaves op OpInvalid: the data passes unchanged.
 	v.pending = &pendingExit{
-		seq:     v.seq + 1, // publishExit increments before writing
-		reason:  uint64(reason),
-		target:  uint64(info.Target),
-		width:   uint64(info.Width),
-		signExt: signExt,
+		seq:    v.seq + 1, // publishExit increments before writing
+		reason: uint64(reason),
+		target: uint64(info.Target),
+		width:  uint64(info.Width),
+		op:     in.Op,
 	}
 	// The emulated access completes; the guest resumes *after* it.
 	v.sec.PC = h.CSR(isa.CSRMepc) + 4

@@ -27,10 +27,13 @@ func rawDesc(t *testing.T, mem MemIO, descBase uint64, i uint16,
 // forgeAvail publishes head as avail entry `slot` and sets avail.idx.
 func forgeAvail(t *testing.T, mem MemIO, availBase uint64, slot, head, idx uint16) {
 	t.Helper()
-	if err := writeU16(mem, availBase+4+uint64(slot)*2, head); err != nil {
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], head)
+	if err := mem.WriteBytes(availBase+4+uint64(slot)*2, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU16(mem, availBase+2, idx); err != nil {
+	binary.LittleEndian.PutUint16(b[:], idx)
+	if err := mem.WriteBytes(availBase+2, b[:]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +41,7 @@ func forgeAvail(t *testing.T, mem MemIO, availBase uint64, slot, head, idx uint1
 // chainKind pops one chain and returns the typed rejection kind.
 func chainKind(t *testing.T, q *Queue, mem MemIO) ChainErrorKind {
 	t.Helper()
-	_, _, err := q.Pop(mem)
+	_, err := q.PopBatch(mem, 1)
 	var ce *ChainError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ChainError", err)
@@ -119,6 +122,26 @@ func TestChainErrorKinds(t *testing.T) {
 			t.Errorf("err = %v, want ChainBadAvail", err)
 		}
 	})
+}
+
+// A net RX ring whose avail index runs more than the ring size ahead is
+// refused by the delivery path with ChainBadAvail; no frame is delivered
+// from buffers the guest never posted.
+func TestNetRxRefusesAvailAheadOfRing(t *testing.T) {
+	mem := NewBytesMemIO(memBase, 1<<20)
+	n := NewNet(0x1000_0000, mem)
+	l := layoutAt(memBase)
+	n.Dev().SetupQueue(NetRXQ, 4, l.desc, l.avail, l.used)
+	rawDesc(t, mem, l.desc, 0, l.buf, 2048, descFWrite, 0)
+	forgeAvail(t, mem, l.avail, 0, 0, 5) // 5 pending on a 4-entry ring
+	err := n.Inject([]byte("frame"))
+	var ce *ChainError
+	if !errors.As(err, &ce) || ce.Kind != ChainBadAvail {
+		t.Fatalf("Inject err = %v, want ChainBadAvail", err)
+	}
+	if n.RxFrames != 0 || n.RxBytes != 0 {
+		t.Errorf("RxFrames=%d RxBytes=%d, want nothing delivered", n.RxFrames, n.RxBytes)
+	}
 }
 
 // windowedMemIO bounds a MemIO's reach to [base, base+size), the way a
@@ -268,7 +291,7 @@ func TestBatchedPumpRingRoundTrips(t *testing.T) {
 		t.Fatalf("processed %d of %d writes", b.Writes, batch)
 	}
 	// One avail-index read drains the batch; the pump loop pays one more
-	// to observe the ring empty. Unbatched per-chain Pop would pay 8.
+	// to observe the ring empty. One avail read per chain would pay 8.
 	if got := mem.reads[l.avail+2] - availIdxReads; got > 2 {
 		t.Errorf("avail-index reads for the batch = %d, want <= 2", got)
 	}

@@ -158,6 +158,9 @@ func (n *Net) deliverTo(pair int, payload []byte) error {
 	return n.flushPending(pair)
 }
 
+// flushPending delivers queued RX frames one per posted buffer, through
+// the same PopBatch/PushBatch pump as every other queue, and leaves the
+// rest pending when the guest has no buffer posted.
 func (n *Net) flushPending(pair int) error {
 	queue := n.dev.Queue(2*pair + NetRXQ)
 	mem := n.dev.Mem()
@@ -165,34 +168,34 @@ func (n *Net) flushPending(pair int) error {
 	defer func() { n.pending[pair] = pend }()
 	completed := 0
 	for len(pend) > 0 {
-		ch, ok, err := queue.Pop(mem)
+		chains, err := queue.PopBatch(mem, 1)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if len(chains) == 0 {
 			break // no buffers; frames stay pending
 		}
+		ch := &chains[0]
 		frame := make([]byte, NetHdrLen+len(pend[0]))
 		copy(frame[NetHdrLen:], pend[0])
-		if ch.WriteCap() < uint32(len(frame)) {
-			n.DroppedRx++
-			if err := queue.Push(mem, ch.Head, 0); err != nil {
+		used := [1]UsedElem{{Head: ch.Head}}
+		delivered := ch.WriteCap() >= uint32(len(frame))
+		if delivered {
+			if used[0].Written, err = ch.WriteAll(mem, frame); err != nil {
 				return err
 			}
-			pend = pend[1:]
-			continue
+		} else {
+			n.DroppedRx++
 		}
-		w, err := ch.WriteAll(mem, frame)
-		if err != nil {
+		if err := queue.PushBatch(mem, used[:]); err != nil {
 			return err
 		}
-		if err := queue.Push(mem, ch.Head, w); err != nil {
-			return err
+		if delivered {
+			n.RxFrames++
+			n.RxBytes += uint64(len(pend[0]))
+			completed++
 		}
-		n.RxFrames++
-		n.RxBytes += uint64(len(pend[0]))
 		pend = pend[1:]
-		completed++
 	}
 	n.dev.Completed(completed)
 	return nil

@@ -61,26 +61,6 @@ func (w window) contains(gpa uint64, n uint32) bool {
 	return !w.bounded || gpa >= w.base && off < w.size && uint64(n) <= w.size-off
 }
 
-func readU16(m MemIO, gpa uint64) (uint16, error) {
-	b, err := m.ReadBytes(gpa, 2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func writeU16(m MemIO, gpa uint64, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return m.WriteBytes(gpa, b[:])
-}
-
-func writeU32(m MemIO, gpa uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return m.WriteBytes(gpa, b[:])
-}
-
 // Descriptor flags.
 const (
 	descFNext  = 1
@@ -107,8 +87,8 @@ type Queue struct {
 	lastAvail uint16
 
 	// Scratch, sized on first use. segs is the flat backing store for
-	// the segment slices of every chain returned by the last Pop/
-	// PopBatch; chains is the batch result slice; visited/epoch detect
+	// the segment slices of every chain returned by the last PopBatch;
+	// chains is the batch result slice; visited/epoch detect
 	// descriptor cycles without a per-walk clear; the byte buffers feed
 	// ReadInto/WriteBytes without allocating.
 	segs     []segment
@@ -125,7 +105,7 @@ type Queue struct {
 // Chain is one popped descriptor chain: the guest-readable segments
 // (device input) and guest-writable segments (device output), in order.
 // The segment slices alias queue-owned scratch and stay valid only until
-// the next Pop/PopBatch on the same queue.
+// the next PopBatch on the same queue.
 type Chain struct {
 	Head     uint16
 	ReadGPA  []segment
@@ -141,20 +121,6 @@ type segment struct {
 type UsedElem struct {
 	Head    uint16
 	Written uint32
-}
-
-// ReadAll concatenates every readable segment. It allocates; the batched
-// device paths use ReadInto per segment instead.
-func (c *Chain) ReadAll(m MemIO) ([]byte, error) {
-	var out []byte
-	for _, s := range c.ReadGPA {
-		b, err := m.ReadBytes(s.GPA, int(s.Len))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
-	return out, nil
 }
 
 // ReadCap returns the total readable length of the chain.
@@ -290,41 +256,13 @@ func (q *Queue) walkChain(m MemIO, win window, head uint16) (segLo, segMid, segH
 	return segLo, segMid, segHi, nil
 }
 
-// Pop takes the next available chain, or ok=false when the ring is
-// empty. The chain's segment slices alias queue scratch (valid until
-// the next Pop/PopBatch).
-func (q *Queue) Pop(m MemIO) (Chain, bool, error) {
-	if !q.Ready {
-		return Chain{}, false, nil
-	}
-	availIdx, err := q.readU16Into(m, q.AvailGPA+2)
-	if err != nil {
-		return Chain{}, false, err
-	}
-	if q.lastAvail == availIdx {
-		return Chain{}, false, nil
-	}
-	slot := q.lastAvail % q.Size
-	head, err := q.readU16Into(m, q.AvailGPA+4+uint64(slot)*2)
-	if err != nil {
-		return Chain{}, false, err
-	}
-	q.lastAvail++
-
-	q.segs = q.segs[:0]
-	lo, mid, hi, err := q.walkChain(m, windowOf(m), head)
-	if err != nil {
-		return Chain{}, false, err
-	}
-	return Chain{Head: head, ReadGPA: q.segs[lo:mid], WriteGPA: q.segs[mid:hi]}, true, nil
-}
-
 // PopBatch drains up to max pending chains with a single avail-index
-// read, amortizing the ring round trips the per-chain Pop pays on every
-// call. It returns a slice aliasing queue scratch (valid until the next
-// Pop/PopBatch); max <= 0 means "everything pending". A malformed chain
-// fails the whole batch — the device resets rather than guessing which
-// of a hostile driver's chains to trust.
+// read, so a batch pays the ring round trips once instead of per chain.
+// It returns a slice aliasing queue scratch (valid until the next
+// PopBatch); max <= 0 means "everything pending". An avail index more
+// than Size ahead, or a malformed chain, fails the whole batch — the
+// device resets rather than guessing which of a hostile driver's chains
+// to trust.
 func (q *Queue) PopBatch(m MemIO, max int) ([]Chain, error) {
 	if !q.Ready {
 		return nil, nil
@@ -394,23 +332,6 @@ func (q *Queue) PopBatch(m MemIO, max int) ([]Chain, error) {
 // rngStash holds one chain's segment index range between the two
 // PopBatch passes.
 type rngStash struct{ lo, mid, hi int }
-
-// Push returns a completed chain to the used ring.
-func (q *Queue) Push(m MemIO, head uint16, written uint32) error {
-	usedIdx, err := q.readU16Into(m, q.UsedGPA+2)
-	if err != nil {
-		return err
-	}
-	slot := usedIdx % q.Size
-	base := q.UsedGPA + 4 + uint64(slot)*8
-	binary.LittleEndian.PutUint32(q.descBuf[0:4], uint32(head))
-	binary.LittleEndian.PutUint32(q.descBuf[4:8], written)
-	if err := m.WriteBytes(base, q.descBuf[:8]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(q.idxBuf[:], usedIdx+1)
-	return m.WriteBytes(q.UsedGPA+2, q.idxBuf[:])
-}
 
 // PushBatch publishes a whole batch of completions: the used-ring
 // entries are written in at most two contiguous spans and the used index

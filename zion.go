@@ -197,39 +197,20 @@ func (s *System) AttachNetDevice(v *VM) *virtio.Net {
 func (s *System) Run(v *VM) (RunResult, error) {
 	start := s.hart.Cycles
 	for {
-		if v.inner.Confidential {
-			info, err := s.Hypervisor.RunCVM(s.hart, v.inner, 0)
-			if err != nil {
-				return RunResult{}, err
-			}
-			switch info.Reason {
-			case sm.ExitShutdown:
-				return RunResult{Cycles: s.hart.Cycles - start,
-					GuestData: info.Data, GuestData2: info.Data2}, nil
-			case sm.ExitTimer:
-				if s.OnQuantum != nil {
-					s.OnQuantum()
-				}
-				continue
-			default:
-				return RunResult{}, fmt.Errorf("zion: unexpected exit %v", info.Reason)
-			}
-		}
-		exit, err := s.Hypervisor.RunNormalVCPU(s.hart, v.inner, 0)
+		info, err := s.Hypervisor.RunVCPU(s.hart, v.inner, 0)
 		if err != nil {
 			return RunResult{}, err
 		}
-		switch exit.Reason {
+		switch info.Reason {
 		case sm.ExitShutdown:
 			return RunResult{Cycles: s.hart.Cycles - start,
-				GuestData: exit.Data, GuestData2: exit.Data2}, nil
+				GuestData: info.Data, GuestData2: info.Data2}, nil
 		case sm.ExitTimer:
 			if s.OnQuantum != nil {
 				s.OnQuantum()
 			}
-			continue
 		default:
-			return RunResult{}, fmt.Errorf("zion: unexpected exit %v", exit.Reason)
+			return RunResult{}, fmt.Errorf("zion: unexpected exit %v", info.Reason)
 		}
 	}
 }
@@ -238,12 +219,8 @@ func (s *System) Run(v *VM) (RunResult, error) {
 // raw exit reason string (advanced callers needing exit-level control
 // should use the Hypervisor directly).
 func (s *System) RunOnce(v *VM) (string, error) {
-	if v.inner.Confidential {
-		info, err := s.Hypervisor.RunCVM(s.hart, v.inner, 0)
-		return info.Reason.String(), err
-	}
-	exit, err := s.Hypervisor.RunNormalVCPU(s.hart, v.inner, 0)
-	return exit.Reason.String(), err
+	info, err := s.Hypervisor.RunVCPU(s.hart, v.inner, 0)
+	return info.Reason.String(), err
 }
 
 // Measurement returns a confidential VM's sealed launch measurement.

@@ -35,8 +35,8 @@
 #                           the superblock and compiled-trace dispatch loops,
 #                           of trap-cause naming, of the device view's
 #                           shared-window reads (a SharedPA hit, a 16-byte
-#                           GuestMem.ReadInto), and of stage-2 walk faults
-#                           (one object: the fault itself)
+#                           GuestMem.ReadInto), of stage-2 walk faults, of one
+#                           MMIO exit round trip and of one demand fault
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
 #                           then FuzzResume and FuzzVirtioChain for 30s each
 
@@ -121,19 +121,21 @@ smoke-serving:
 # superblock and compiled-trace dispatch loops must run allocation-free
 # once warm, and so must naming a trap cause (every trap feeds the flight
 # recorder); so must the device view's shared-window resolution (a
-# SharedPA hit and a 16-byte GuestMem.ReadInto, one descriptor read); a
-# stage-2 walk fault (every MMIO exit and demand fault) allocates only the
-# *PageFault it returns. The suite runs these anyway; the dedicated target
-# gives CI a cheap job whose failure names the regression directly.
+# SharedPA hit and a 16-byte GuestMem.ReadInto, one descriptor read), a
+# stage-2 walk fault taken by value (every MMIO exit and demand fault), one
+# warm MMIO exit round trip (SM resume, guest, exit, hypervisor emulation)
+# and one demand fault on an already-materialized frame. The suite runs
+# these anyway; the dedicated target gives CI a cheap job whose failure
+# names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over
 # fuzzer-chosen instruction words; FuzzResume (30 s) puts fuzzer-chosen
-# values in every hypervisor-writable shared-vCPU field after an MMIO exit
-# and requires Check-after-Load to quarantine or apply only the target
-# register; FuzzVirtioChain (30 s) writes a hostile guest's descriptor
+# values in every hypervisor-writable shared-vCPU field after an MMIO-read
+# or MMIO-write exit and requires Check-after-Load to quarantine or apply
+# only the target register; FuzzVirtioChain (30 s) writes a hostile guest's descriptor
 # table and avail ring into a CVM's shared window and requires the pump to
 # fail only with a typed error and to return only in-window segments. A
 # failing input is written under the package's testdata/fuzz directory;

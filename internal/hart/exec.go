@@ -18,9 +18,9 @@ func (h *Hart) Step() Event {
 		t := h.TakeTrap(trapInfo{cause: cause})
 		return Event{Kind: EvTrap, Trap: t}
 	}
-	raw, aerr := h.Fetch()
-	if aerr != nil {
-		return Event{Kind: EvTrap, Trap: h.TakeTrap(*aerr)}
+	raw, ti, ok := h.Fetch()
+	if !ok {
+		return Event{Kind: EvTrap, Trap: h.TakeTrap(ti)}
 	}
 	if h.Prof != nil && h.Cycles >= h.Prof.Next {
 		h.Prof.Sample(h.PC, h.Mode.String(), telemetry.ProfTierSlow, h.Cycles)
@@ -129,16 +129,16 @@ func (h *Hart) execute(in *isa.Inst) Event {
 
 	switch in.Op {
 	case isa.OpLRW, isa.OpLRD:
-		v, aerr := h.MemAccess(rs1, width, false, 0, raw)
-		if aerr != nil {
-			return h.exception(*aerr)
+		v, ti, ok := h.MemAccess(rs1, width, false, 0, raw)
+		if !ok {
+			return h.exception(ti)
 		}
 		h.resValid, h.resAddr = true, rs1
 		h.SetReg(in.Rd, oi.value(v))
 	case isa.OpSCW, isa.OpSCD:
 		if h.resValid && h.resAddr == rs1 {
-			if _, aerr := h.MemAccess(rs1, width, true, rs2, raw); aerr != nil {
-				return h.exception(*aerr)
+			if _, ti, ok := h.MemAccess(rs1, width, true, rs2, raw); !ok {
+				return h.exception(ti)
 			}
 			h.SetReg(in.Rd, 0)
 		} else {
@@ -148,9 +148,9 @@ func (h *Hart) execute(in *isa.Inst) Event {
 
 	case isa.OpAMOSWAPW, isa.OpAMOADDW, isa.OpAMOXORW, isa.OpAMOANDW, isa.OpAMOORW,
 		isa.OpAMOSWAPD, isa.OpAMOADDD, isa.OpAMOXORD, isa.OpAMOANDD, isa.OpAMOORD:
-		old, aerr := h.MemAccess(rs1, width, false, 0, raw)
-		if aerr != nil {
-			return h.exception(*aerr)
+		old, ti, ok := h.MemAccess(rs1, width, false, 0, raw)
+		if !ok {
+			return h.exception(ti)
 		}
 		var nw uint64
 		switch in.Op {
@@ -165,8 +165,8 @@ func (h *Hart) execute(in *isa.Inst) Event {
 		case isa.OpAMOORW, isa.OpAMOORD:
 			nw = old | rs2
 		}
-		if _, aerr := h.MemAccess(rs1, width, true, nw, raw); aerr != nil {
-			return h.exception(*aerr)
+		if _, ti, ok := h.MemAccess(rs1, width, true, nw, raw); !ok {
+			return h.exception(ti)
 		}
 		h.SetReg(in.Rd, oi.value(old))
 
@@ -234,14 +234,14 @@ func (h *Hart) execute(in *isa.Inst) Event {
 	default: // plain loads and stores
 		va := rs1 + uint64(in.Imm)
 		if oi.cls == clsStore {
-			if _, aerr := h.MemAccess(va, width, true, rs2, raw); aerr != nil {
-				return h.exception(*aerr)
+			if _, ti, ok := h.MemAccess(va, width, true, rs2, raw); !ok {
+				return h.exception(ti)
 			}
 			break
 		}
-		v, aerr := h.MemAccess(va, width, false, 0, raw)
-		if aerr != nil {
-			return h.exception(*aerr)
+		v, ti, ok := h.MemAccess(va, width, false, 0, raw)
+		if !ok {
+			return h.exception(ti)
 		}
 		h.SetReg(in.Rd, oi.value(v))
 	}

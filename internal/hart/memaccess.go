@@ -6,9 +6,6 @@ import (
 	"zion/internal/ptw"
 )
 
-// accessErr carries the trap an access raised, or nil.
-type accessErr = *trapInfo
-
 func accFaultCause(acc ptw.Access) uint64 {
 	switch acc {
 	case ptw.AccessRead:
@@ -46,36 +43,36 @@ func (h *Hart) transOpts() ptw.Opts {
 // Translate resolves va for the hart's current mode, charging TLB and
 // page-walk cycles, and returns the final physical address. rawInst is the
 // in-flight instruction (for htinst synthesis on guest-page faults); pass
-// 0 for fetches.
-func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (uint64, accessErr) {
+// 0 for fetches. ok is false when the access raised the trap ti.
+func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (pa uint64, ti trapInfo, ok bool) {
 	opts := h.transOpts()
 	switch h.Mode {
 	case isa.ModeM:
-		return va, nil // no translation; PMP handled by caller
+		return va, trapInfo{}, true // no translation; PMP handled by caller
 	case isa.ModeS, isa.ModeU:
 		root := satpRoot(h.csr.raw(isa.CSRSatp))
 		if root == 0 {
-			return va, nil
+			return va, trapInfo{}, true
 		}
 		opts.User = h.Mode == isa.ModeU
 		asid := uint16(h.csr.raw(isa.CSRSatp) >> 44 & 0xFFFF)
 		if ppn, perms, level, hit := h.TLB.Lookup(va, asid, 0); hit && permsAllow(perms, acc, opts) {
 			h.Cycles += h.Cost.TLBHit
-			return ppn<<uint(isa.PageShift+9*level) | va&pageMask(level), nil
+			return ppn<<uint(isa.PageShift+9*level) | va&pageMask(level), trapInfo{}, true
 		}
-		res, err := h.walker.Walk(root, va, acc, opts)
-		if err != nil {
-			return 0, pageFaultInfo(err, va, 0)
+		res, pf, ok := h.walker.Lookup(root, va, acc, opts)
+		if !ok {
+			return 0, pageFaultInfo(pf, va, 0), false
 		}
 		h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
 		h.TLB.Insert(va&^pageMask(res.Level), res.PA&^pageMask(res.Level), res.PTE&isa.PTEFlagMask, res.Level, asid, 0)
-		return res.PA, nil
+		return res.PA, trapInfo{}, true
 	default: // VS / VU
 		vsatp := h.csr.raw(isa.CSRVsatp)
 		hgatpRoot := satpRoot(h.csr.raw(isa.CSRHgatp))
 		if hgatpRoot == 0 {
 			// V=1 with no G-stage would be a platform configuration bug.
-			return 0, &trapInfo{cause: accFaultCause(acc), tval: va}
+			return 0, trapInfo{cause: accFaultCause(acc), tval: va}, false
 		}
 		opts.User = h.Mode == isa.ModeVU
 		asid := uint16(vsatp >> 44 & 0xFFFF)
@@ -88,12 +85,12 @@ func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (uint64, acc
 		}
 		if ppn, perms, level, hit := h.TLB.Lookup(va, asid, h.vmid()); hit && permsAllow(perms, acc, hitOpts) {
 			h.Cycles += h.Cost.TLBHit
-			return ppn<<uint(isa.PageShift+9*level) | va&pageMask(level), nil
+			return ppn<<uint(isa.PageShift+9*level) | va&pageMask(level), trapInfo{}, true
 		}
-		res, err := h.walker.TranslateTwoStage(satpRoot(vsatp), hgatpRoot, va, acc, opts.User)
-		if err != nil {
+		res, pf, ok := h.walker.LookupTwoStage(satpRoot(vsatp), hgatpRoot, va, acc, opts.User)
+		if !ok {
 			h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
-			return 0, pageFaultInfo(err, va, rawInst)
+			return 0, pageFaultInfo(pf, va, rawInst), false
 		}
 		h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
 		// Cache the combined VA->PA mapping at the tighter leaf level with
@@ -110,7 +107,7 @@ func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (uint64, acc
 			perms = perms&^uint64(isa.PTEUser) | res.Stage1Leaf.PTE&isa.PTEUser
 		}
 		h.TLB.Insert(va&^pageMask(lvl), res.PA&^pageMask(lvl), perms, lvl, asid, h.vmid())
-		return res.PA, nil
+		return res.PA, trapInfo{}, true
 	}
 }
 
@@ -147,12 +144,8 @@ func pageMask(level int) uint64 {
 
 // pageFaultInfo converts a ptw fault into trap state, synthesizing htinst
 // for guest-page faults caused by loads/stores (the hypervisor's MMIO path).
-func pageFaultInfo(err error, va uint64, rawInst uint32) accessErr {
-	pf, ok := err.(*ptw.PageFault)
-	if !ok {
-		return &trapInfo{cause: isa.ExcLoadAccessFault, tval: va}
-	}
-	ti := &trapInfo{cause: pf.Cause(), tval: va}
+func pageFaultInfo(pf ptw.PageFault, va uint64, rawInst uint32) trapInfo {
+	ti := trapInfo{cause: pf.Cause(), tval: va}
 	if pf.GuestPage {
 		ti.tval2 = pf.Addr >> 2
 		if rawInst != 0 {
@@ -164,10 +157,11 @@ func pageFaultInfo(err error, va uint64, rawInst uint32) accessErr {
 
 // MemAccess performs a data access at va: translation, PMP, then RAM or
 // bus. For writes val is stored; for reads the loaded value is returned.
-func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, rawInst uint32) (uint64, accessErr) {
+// ok is false when the access raised the trap ti.
+func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, rawInst uint32) (v uint64, ti trapInfo, ok bool) {
 	if h.fp != nil {
 		if v, ok := h.fp.access(h, va, size, write, val); ok {
-			return v, nil
+			return v, trapInfo{}, true
 		}
 	}
 	acc := ptw.AccessRead
@@ -175,53 +169,53 @@ func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, rawInst ui
 	if write {
 		acc, pacc = ptw.AccessWrite, pmp.AccessWrite
 	}
-	pa, aerr := h.Translate(va, acc, rawInst)
-	if aerr != nil {
-		return 0, aerr
+	pa, ti, ok := h.Translate(va, acc, rawInst)
+	if !ok {
+		return 0, ti, false
 	}
+	fault := trapInfo{cause: accFaultCause(acc), tval: va}
 	if !h.PMP.Check(pa, uint64(size), pacc, h.Mode == isa.ModeM) {
-		return 0, &trapInfo{cause: accFaultCause(acc), tval: va}
+		return 0, fault, false
 	}
 	h.Cycles += h.Cost.Mem
 	if h.Mem.Contains(pa, uint64(size)) {
 		if write {
 			if err := h.Mem.WriteUint(pa, val, size); err != nil {
-				return 0, &trapInfo{cause: accFaultCause(acc), tval: va}
+				return 0, fault, false
 			}
-			return 0, nil
+			return 0, trapInfo{}, true
 		}
 		v, err := h.Mem.ReadUint(pa, size)
 		if err != nil {
-			return 0, &trapInfo{cause: accFaultCause(acc), tval: va}
+			return 0, fault, false
 		}
-		return v, nil
+		return v, trapInfo{}, true
 	}
 	if h.Bus != nil {
 		// Device territory: the access may rearm the hart's own timer or
 		// raise a self-IPI, invalidating any event-horizon proof in flight.
 		h.asyncGen++
 		if out, ok := h.Bus.Access(h.ID, pa, size, write, val); ok {
-			return out, nil
+			return out, trapInfo{}, true
 		}
 	}
-	return 0, &trapInfo{cause: accFaultCause(acc), tval: va}
+	return 0, fault, false
 }
 
-// Fetch reads the 32-bit instruction at PC.
-func (h *Hart) Fetch() (uint32, accessErr) {
-	pa, aerr := h.Translate(h.PC, ptw.AccessFetch, 0)
-	if aerr != nil {
-		return 0, aerr
+// Fetch reads the 32-bit instruction at PC. ok is false when the fetch
+// raised the trap ti.
+func (h *Hart) Fetch() (raw uint32, ti trapInfo, ok bool) {
+	pa, ti, ok := h.Translate(h.PC, ptw.AccessFetch, 0)
+	if !ok {
+		return 0, ti, false
 	}
-	if !h.PMP.Check(pa, 4, pmp.AccessExec, h.Mode == isa.ModeM) {
-		return 0, &trapInfo{cause: isa.ExcInstAccessFault, tval: h.PC}
-	}
-	if !h.Mem.Contains(pa, 4) {
-		return 0, &trapInfo{cause: isa.ExcInstAccessFault, tval: h.PC}
+	fault := trapInfo{cause: isa.ExcInstAccessFault, tval: h.PC}
+	if !h.PMP.Check(pa, 4, pmp.AccessExec, h.Mode == isa.ModeM) || !h.Mem.Contains(pa, 4) {
+		return 0, fault, false
 	}
 	raw, err := h.Mem.ReadUint32(pa)
 	if err != nil {
-		return 0, &trapInfo{cause: isa.ExcInstAccessFault, tval: h.PC}
+		return 0, fault, false
 	}
-	return raw, nil
+	return raw, trapInfo{}, true
 }

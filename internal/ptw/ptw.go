@@ -159,22 +159,33 @@ func MaxVA(stage2 bool) uint64 {
 
 // Walk translates va through the tree rooted at rootPA. On success it
 // updates the leaf's A (and for writes D) bit unless opts.NoAD is set, in
-// which case a stale A/D bit faults.
+// which case a stale A/D bit faults. A failed walk returns a *PageFault.
 func (w *Walker) Walk(rootPA, va uint64, acc Access, opts Opts) (Result, error) {
-	res, err := w.walk(rootPA, va, acc, opts)
+	res, f, ok := w.Lookup(rootPA, va, acc, opts)
+	if !ok {
+		return res, &f
+	}
+	return res, nil
+}
+
+// Lookup is Walk with the fault returned by value: ok is false when the
+// walk faulted, and f describes why. Nothing is allocated, so the trap
+// path (every MMIO exit and demand fault) can take walk faults for free.
+func (w *Walker) Lookup(rootPA, va uint64, acc Access, opts Opts) (res Result, f PageFault, ok bool) {
+	res, f, ok = w.walk(rootPA, va, acc, opts)
 	if w.Stats != nil {
 		w.Stats.Walks++
 		w.Stats.Steps += uint64(res.Steps)
-		if err != nil {
+		if !ok {
 			w.Stats.Faults++
 		}
 	}
-	return res, err
+	return res, f, ok
 }
 
-func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, error) {
-	fault := func(reason string) (Result, error) {
-		return Result{}, &PageFault{Addr: va, Access: acc, GuestPage: opts.Stage2, Reason: reason}
+func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, PageFault, bool) {
+	fault := func(reason string) (Result, PageFault, bool) {
+		return Result{}, PageFault{Addr: va, Access: acc, GuestPage: opts.Stage2, Reason: reason}, false
 	}
 	if va >= MaxVA(opts.Stage2) {
 		return fault("address exceeds translated range")
@@ -227,7 +238,7 @@ func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, error) 
 			}
 		}
 		pa := ppn | va&pageOffsetMask(level)
-		return Result{PA: pa, PTE: pte, PTEAddr: pteAddr, Level: level, Steps: steps}, nil
+		return Result{PA: pa, PTE: pte, PTEAddr: pteAddr, Level: level, Steps: steps}, PageFault{}, true
 	}
 	return fault("walk ran past level 0") // unreachable
 }
@@ -281,16 +292,27 @@ type TwoStageResult struct {
 //
 // When a stage-2 translation fails the returned fault is a guest-page
 // fault whose Addr is the GPA — exactly the value hardware reports in
-// htval (shifted right by 2).
+// htval (shifted right by 2). A failed walk returns a *PageFault.
 func (w *Walker) TranslateTwoStage(vsatpRoot, hgatpRoot, va uint64, acc Access, user bool) (TwoStageResult, error) {
+	out, f, ok := w.LookupTwoStage(vsatpRoot, hgatpRoot, va, acc, user)
+	if !ok {
+		return out, &f
+	}
+	return out, nil
+}
+
+// LookupTwoStage is TranslateTwoStage with the fault returned by value,
+// as Lookup is to Walk. On a fault the result's Steps still counts every
+// PTE fetch the walk performed.
+func (w *Walker) LookupTwoStage(vsatpRoot, hgatpRoot, va uint64, acc Access, user bool) (TwoStageResult, PageFault, bool) {
 	out := TwoStageResult{}
 	gpa := va
 	if vsatpRoot != 0 {
 		// Nested stage-1 walk: translate each PTE address through stage 2.
-		res, steps, err := w.walkStage1Nested(vsatpRoot, hgatpRoot, va, acc, user)
+		res, steps, f, ok := w.walkStage1Nested(vsatpRoot, hgatpRoot, va, acc, user)
 		out.Steps += steps
-		if err != nil {
-			return out, err
+		if !ok {
+			return out, f, false
 		}
 		out.Stage1Leaf = res
 		gpa = res.PA
@@ -298,22 +320,22 @@ func (w *Walker) TranslateTwoStage(vsatpRoot, hgatpRoot, va uint64, acc Access, 
 	out.GPA = gpa
 	// Implicit accesses for stage-1 PTE fetches are reads; the final
 	// access uses the original access type.
-	s2, err := w.Walk(hgatpRoot, gpa, acc, Opts{Stage2: true})
+	s2, f, ok := w.Lookup(hgatpRoot, gpa, acc, Opts{Stage2: true})
 	out.Steps += s2.Steps
-	if err != nil {
-		return out, err
+	if !ok {
+		return out, f, false
 	}
 	out.Stage2Leaf = s2
 	out.PA = s2.PA
-	return out, nil
+	return out, PageFault{}, true
 }
 
 // walkStage1Nested is Walk specialised for the VS stage-1 tree, where each
 // PTE fetch address is a GPA needing its own G-stage walk.
-func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, user bool) (Result, int, error) {
+func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, user bool) (Result, int, PageFault, bool) {
 	steps := 0
-	fault := func(reason string) (Result, int, error) {
-		return Result{}, steps, &PageFault{Addr: va, Access: acc, GuestPage: false, Reason: reason}
+	fault := func(reason string) (Result, int, PageFault, bool) {
+		return Result{}, steps, PageFault{Addr: va, Access: acc, GuestPage: false, Reason: reason}, false
 	}
 	if va >= MaxVA(false) {
 		return fault("address exceeds Sv39 range")
@@ -324,10 +346,10 @@ func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, use
 		idx := vpn(va, level, false)
 		pteGPA := tableGPA + idx*8
 		// Implicit G-stage translation of the PTE address (a read).
-		g, err := w.Walk(hgatpRoot, pteGPA, AccessRead, Opts{Stage2: true})
+		g, gf, ok := w.Lookup(hgatpRoot, pteGPA, AccessRead, Opts{Stage2: true})
 		steps += g.Steps
-		if err != nil {
-			return Result{}, steps, err // guest-page fault on the PTE fetch
+		if !ok {
+			return Result{}, steps, gf, false // guest-page fault on the PTE fetch
 		}
 		pte, err := w.Mem.ReadUint64(g.PA)
 		if err != nil {
@@ -362,17 +384,17 @@ func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, use
 		if pte&need != need {
 			pte |= need
 			// The A/D update is itself a stage-2 write to the PTE.
-			gw, err := w.Walk(hgatpRoot, pteGPA, AccessWrite, Opts{Stage2: true})
+			gw, gf, ok := w.Lookup(hgatpRoot, pteGPA, AccessWrite, Opts{Stage2: true})
 			steps += gw.Steps
-			if err != nil {
-				return Result{}, steps, err
+			if !ok {
+				return Result{}, steps, gf, false
 			}
 			if err := w.Mem.WriteUint64(gw.PA, pte); err != nil {
 				return fault("A/D update escaped RAM")
 			}
 		}
 		pa := ppn | va&pageOffsetMask(level)
-		return Result{PA: pa, PTE: pte, PTEAddr: g.PA, Level: level, Steps: steps}, steps, nil
+		return Result{PA: pa, PTE: pte, PTEAddr: g.PA, Level: level, Steps: steps}, steps, PageFault{}, true
 	}
 	return fault("walk ran past level 0")
 }

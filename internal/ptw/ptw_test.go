@@ -505,8 +505,9 @@ func stage2Miss(t testing.TB, b *Builder) (root uint64, miss [Levels]uint64) {
 }
 
 // A walk fault is the stage-2 miss behind every MMIO exit and every
-// demand fault. Its reason keeps the per-level text and the walk
-// allocates at most the *PageFault it returns.
+// demand fault. Its reason keeps the per-level text; Walk boxes it as the
+// *PageFault it returns, and Lookup, the trap path's walk, returns the
+// same fault by value and allocates nothing.
 func TestWalkFaultReasonAllocs(t *testing.T) {
 	_, b, w := newEnv(t)
 	root, miss := stage2Miss(t, b)
@@ -520,11 +521,14 @@ func TestWalkFaultReasonAllocs(t *testing.T) {
 		if pf.Reason != want[level] {
 			t.Errorf("gpa %#x: Reason = %q, want %q", gpa, pf.Reason, want[level])
 		}
+		if _, f, ok := w.Lookup(root, gpa, AccessRead, Opts{Stage2: true}); ok || f != *pf {
+			t.Errorf("gpa %#x: Lookup = %+v, %v; want %+v, false", gpa, f, ok, *pf)
+		}
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _ = w.Walk(root, gpa, AccessWrite, Opts{Stage2: true})
+			_, _, _ = w.Lookup(root, gpa, AccessWrite, Opts{Stage2: true})
 		})
-		if allocs > 1 {
-			t.Errorf("gpa %#x: walk fault allocates %v objects, want <= 1", gpa, allocs)
+		if allocs != 0 {
+			t.Errorf("gpa %#x: walk fault allocates %v objects, want 0", gpa, allocs)
 		}
 	}
 
@@ -539,6 +543,15 @@ func TestWalkFaultReasonAllocs(t *testing.T) {
 	if pf.Reason != "invalid PTE at level 2" {
 		t.Errorf("nested walk: Reason = %q", pf.Reason)
 	}
+	if _, f, ok := w.LookupTwoStage(vsRoot, root, 0x10_0000, AccessRead, false); ok || f != *pf {
+		t.Errorf("nested LookupTwoStage = %+v, %v; want %+v, false", f, ok, *pf)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _, _ = w.LookupTwoStage(vsRoot, root, 0x10_0000, AccessRead, false)
+	})
+	if allocs != 0 {
+		t.Errorf("nested walk fault allocates %v objects, want 0", allocs)
+	}
 }
 
 // BenchmarkWalkFault times a stage-2 walk that misses on an invalid leaf
@@ -551,7 +564,7 @@ func BenchmarkWalkFault(b *testing.B) {
 	root, miss := stage2Miss(b, bld)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Walk(root, miss[0], AccessRead, Opts{Stage2: true}); err == nil {
+		if _, _, ok := w.Lookup(root, miss[0], AccessRead, Opts{Stage2: true}); ok {
 			b.Fatal("walk did not fault")
 		}
 	}

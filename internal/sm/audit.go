@@ -193,7 +193,7 @@ func (s *SM) auditOwnership() []AuditFinding {
 	ownerOf := make(map[uint64]int)
 	for _, id := range s.cvmIDs() {
 		c := s.life.cvms[id]
-		for _, pa := range sortedKeys(c.owned) {
+		for pa, ok := c.owned.next(0); ok; pa, ok = c.owned.next(pa + isa.PageSize) {
 			if !s.alloc.pool.contains(pa, isa.PageSize) {
 				out = append(out, AuditFinding{Kind: AuditOwnershipEscape, CVMID: id,
 					Detail: fmt.Sprintf("owned frame %#x outside secure regions", pa)})
@@ -217,7 +217,7 @@ func (s *SM) auditOwnership() []AuditFinding {
 						continue
 					}
 					used[pa] = true
-					if !c.owned[pa] {
+					if !c.owned.has(pa) {
 						out = append(out, AuditFinding{Kind: AuditBlockAccounting, CVMID: id,
 							Detail: fmt.Sprintf("page %#x used in block %#x but unowned (leak)", pa, b.base)})
 					}
@@ -228,7 +228,7 @@ func (s *SM) auditOwnership() []AuditFinding {
 				}
 			}
 		}
-		for _, pa := range sortedKeys(c.owned) {
+		for pa, ok := c.owned.next(0); ok; pa, ok = c.owned.next(pa + isa.PageSize) {
 			if !used[pa] {
 				out = append(out, AuditFinding{Kind: AuditBlockAccounting, CVMID: id,
 					Detail: fmt.Sprintf("owned frame %#x not used in any cache block", pa)})
@@ -260,7 +260,7 @@ func (s *SM) auditPageTables() []AuditFinding {
 						gpa, pa, level, c.mappings[gpa])})
 				continue
 			}
-			if !c.owned[pa] {
+			if !c.owned.has(pa) {
 				out = append(out, AuditFinding{Kind: AuditMappingBroken, CVMID: id,
 					Detail: fmt.Sprintf("gpa %#x maps unowned frame %#x", gpa, pa)})
 			}
@@ -309,7 +309,7 @@ func (s *SM) auditTableTree(c *CVM) []AuditFinding {
 				Detail: fmt.Sprintf("level-%d table frame %#x in normal memory", f.level, f.pa)})
 			continue // do not chase pointers through normal memory
 		}
-		if !c.owned[f.pa] {
+		if !c.owned.has(f.pa) {
 			out = append(out, AuditFinding{Kind: AuditTableEscape, CVMID: c.ID,
 				Detail: fmt.Sprintf("level-%d table frame %#x not owned by this CVM", f.level, f.pa)})
 		}

@@ -207,27 +207,38 @@ func TestRegisterSharedHostileSubtables(t *testing.T) {
 }
 
 // TestSharedVCPUEscapeReturnsTypedError is the regression test for the
-// former panics at the writeShared/readShared RAM-escape sites: an SM
-// whose shared-page binding escapes RAM must fail with a typed
-// fatal-per-CVM error, not take the process down.
+// former panics at the shared-vCPU RAM-escape sites: an SM whose
+// shared-page binding escapes RAM must fail publishExit and
+// resumeFromExit with a typed fatal-per-CVM error, not take the process
+// down.
 func TestSharedVCPUEscapeReturnsTypedError(t *testing.T) {
 	f := newFixture(t, Config{})
 	ramEnd := uint64(platform.RAMBase) + ramSize
-	v := &VCPU{sharedPA: ramEnd - 8} // +shvSeq escapes RAM
-	err := f.s.writeShared(v, shvSeq, 1)
-	if err == nil {
-		t.Fatal("write escape: no error")
+	wantFatalMemory := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s escape: no error", what)
+		}
+		wantCode(t, err, CodeMemory)
+		if smerr, _ := AsSMError(err); smerr.Severity != SevFatalCVM {
+			t.Errorf("%s: severity = %v, want fatal-cvm", what, smerr.Severity)
+		}
 	}
-	wantCode(t, err, CodeMemory)
-	if smerr, _ := AsSMError(err); smerr.Severity != SevFatalCVM {
-		t.Errorf("severity = %v, want fatal-cvm", smerr.Severity)
+	c := &CVM{}
+	v := &VCPU{sharedPA: ramEnd - 8} // the line's last word escapes RAM
+	f.s.publishExit(f.h, c, v, ExitInfo{Reason: ExitMMIORead})
+	if c.fatal == nil {
+		t.Fatal("write escape: CVM not marked fatal")
 	}
-	if _, err := f.s.readShared(v, shvSeq); err == nil {
-		t.Fatal("read escape: no error")
+	wantFatalMemory("write", c.fatal.err)
+	if v.pending.valid {
+		t.Error("write escape left a pending round trip")
 	}
+	v.pending = pendingExit{valid: true, seq: v.seq}
+	wantFatalMemory("read", f.s.resumeFromExit(f.h, c, v))
 }
 
-// TestPublishEscapeQuarantinesCVM drives the writeShared escape through
+// TestPublishEscapeQuarantinesCVM drives the publish escape through
 // the full world switch: corrupting the shared-page binding mid-run must
 // surface as ExitError + quarantine, with bystanders unaffected.
 func TestPublishEscapeQuarantinesCVM(t *testing.T) {
@@ -262,6 +273,50 @@ func TestPublishEscapeQuarantinesCVM(t *testing.T) {
 	}
 	if f.s.PoolFreeBlocks() != fullPool {
 		t.Errorf("pool = %d blocks, want %d", f.s.PoolFreeBlocks(), fullPool)
+	}
+}
+
+// TestSharedVCPUEscapeQuarantines points a vCPU's shared-page binding
+// past the end of RAM, before the exit is published and before the
+// hypervisor's answer is loaded. Either way the run fails with a typed
+// CodeMemory/SevFatalCVM error, the CVM is quarantined, the auditor finds
+// nothing, and a co-resident CVM still runs to shutdown.
+func TestSharedVCPUEscapeQuarantines(t *testing.T) {
+	ramEnd := uint64(platform.RAMBase) + ramSize
+	for _, direction := range []string{"publish", "resume"} {
+		t.Run(direction, func(t *testing.T) {
+			f := newFixture(t, Config{})
+			bystander := f.buildCVM(shutdownProgram(func(p *asm.Program) { p.LI(asm.A0, 55) }))
+			victim := f.buildCVM(shutdownProgram(func(p *asm.Program) {
+				p.LI(asm.T0, 0x1000_0000) // MMIO window: forces a publishExit
+				p.LD(asm.S4, asm.T0, 0)
+			}))
+			v := f.s.life.cvms[victim].vcpus[0]
+			if direction == "resume" {
+				if info := f.run(); info.Reason != ExitMMIORead {
+					t.Fatalf("exit = %v, want mmio-read", info.Reason)
+				}
+			}
+			v.sharedPA = ramEnd
+			info, err := f.s.RunVCPU(f.h, victim, 0)
+			if info.Reason != ExitError || err == nil {
+				t.Fatalf("run = %v, %v; want ExitError and an error", info.Reason, err)
+			}
+			wantCode(t, err, CodeMemory)
+			if smerr, _ := AsSMError(err); smerr.Severity != SevFatalCVM {
+				t.Errorf("severity = %v, want fatal-cvm", smerr.Severity)
+			}
+			if _, ok := f.s.Quarantined(victim); !ok {
+				t.Fatal("CVM not quarantined")
+			}
+			if found := f.s.Audit(); len(found) != 0 {
+				t.Fatalf("audit findings %v", found)
+			}
+			f.id = bystander
+			if info := f.run(); info.Reason != ExitShutdown || info.Data != 55 {
+				t.Fatalf("bystander = %v (a0 %d), want shutdown with 55", info.Reason, info.Data)
+			}
+		})
 	}
 }
 

@@ -54,7 +54,7 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 		return ErrBadArgs // only 4 KiB private leaves are donatable
 	}
 	pa := (pte >> isa.PTEPPNShift) << isa.PageShift
-	if !c.owned[pa] {
+	if !c.owned.has(pa) {
 		return ErrOwnership
 	}
 	if _, err := c.pt.Unmap(c.hgatpRoot, gpa, true); err != nil {
@@ -80,5 +80,5 @@ func (s *SM) OwnedPages(id int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(c.owned), nil
+	return c.owned.len(), nil
 }

@@ -134,7 +134,7 @@ func TestRelinquishValidation(t *testing.T) {
 	if err != nil || level != 0 {
 		t.Fatalf("code page lookup: level %d, err %v", level, err)
 	}
-	if pa := (pte >> isa.PTEPPNShift) << isa.PageShift; !c.owned[pa] {
+	if pa := (pte >> isa.PTEPPNShift) << isa.PageShift; !c.owned.has(pa) {
 		t.Errorf("code page frame %#x no longer owned", pa)
 	}
 	if found := f.s.Audit(); len(found) != 0 {

@@ -99,8 +99,8 @@ func TestTwoHartsRunSeparateCVMs(t *testing.T) {
 	}
 	// Both CVMs' frames stay disjoint.
 	ca, cb := s.life.cvms[idA], s.life.cvms[idB]
-	for pa := range ca.owned {
-		if cb.owned[pa] {
+	for pa, ok := ca.owned.next(0); ok; pa, ok = ca.owned.next(pa + isa.PageSize) {
+		if cb.owned.has(pa) {
 			t.Fatalf("frame %#x shared between CVMs on different harts", pa)
 		}
 	}

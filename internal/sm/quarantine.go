@@ -117,7 +117,7 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 	// that cannot be zeroed (RAM escape — itself a fault-injection
 	// scenario) is still released: the pool hands out pages zero-filled
 	// on allocation, so stale secrets cannot leak through the allocator.
-	for pa := range c.owned {
+	for pa, ok := c.owned.next(0); ok; pa, ok = c.owned.next(pa + isa.PageSize) {
 		if err := s.ram.Zero(pa, isa.PageSize); err == nil {
 			rec.PagesFreed++
 		}

@@ -12,27 +12,37 @@ import (
 // every 64-bit word of the shared vCPU page, so the SM must compare the
 // revalidated fields at full width and never truncate them.
 
-// resumeProgram arms SRST before a doubleword MMIO load into s4, so after
-// the hypervisor's answer the guest executes only an ecall, which changes
-// no register.
-func resumeProgram() *asm.Program {
+// resumeProgram arms SRST before a doubleword MMIO access: a load into
+// s4, or with write a store of s4. After the hypervisor's answer the guest
+// executes only an ecall, which changes no register.
+func resumeProgram(write bool) *asm.Program {
 	p := asm.New(PrivateBase)
 	p.LI(asm.T0, 0x1000_0000)
 	p.LI(asm.A7, EIDReset)
-	p.LD(asm.S4, asm.T0, 0)
+	if write {
+		p.LI(asm.S4, 0x5eed)
+		p.SD(asm.S4, asm.T0, 0)
+	} else {
+		p.LD(asm.S4, asm.T0, 0)
+	}
 	p.ECALL()
 	return p
 }
 
-// toMMIORead builds a fresh CVM on f and runs it to its MMIO-read exit,
-// returning the secure register file at the exit.
-func (f *fixture) toMMIORead() [32]uint64 {
+// toMMIOExit builds a fresh CVM on f and runs it to its MMIO exit (see
+// resumeProgram), returning the secure register file and PC at the exit.
+func (f *fixture) toMMIOExit(write bool) ([32]uint64, uint64) {
 	f.t.Helper()
-	f.buildCVM(resumeProgram())
-	if info := f.run(); info.Reason != ExitMMIORead || info.Target != asm.S4 {
+	f.buildCVM(resumeProgram(write))
+	info := f.run()
+	switch {
+	case write && (info.Reason != ExitMMIOWrite || info.Data != 0x5eed || info.Width != 8):
+		f.t.Fatalf("exit = %+v, want an 8-byte mmio-write of 0x5eed", info)
+	case !write && (info.Reason != ExitMMIORead || info.Target != asm.S4):
 		f.t.Fatalf("exit = %+v, want mmio-read into s4", info)
 	}
-	return f.s.life.cvms[f.id].vcpus[0].sec.X
+	sec := f.s.life.cvms[f.id].vcpus[0].sec
+	return sec.X, sec.PC
 }
 
 // xorShared XORs mask into the shared-vCPU word at off and returns the
@@ -77,7 +87,7 @@ func TestCheckAfterLoadFullWidth(t *testing.T) {
 	}{{"seq", ShvSeq}, {"reason", ShvExitReason}, {"target", ShvTargetReg}, {"width", ShvWidth}}
 	for _, fld := range fields {
 		for bit := 0; bit < 64; bit++ {
-			f.toMMIORead()
+			f.toMMIOExit(false)
 			f.xorShared(fld.off, 1<<bit)
 			_, err := f.s.RunVCPU(f.h, f.id, 0)
 			f.wantQuarantined(err, fmt.Sprintf("%s bit %d", fld.name, bit))
@@ -90,18 +100,22 @@ func TestCheckAfterLoadFullWidth(t *testing.T) {
 }
 
 // FuzzResume puts fuzzer-chosen values in every hypervisor-writable
-// shared-vCPU field after an MMIO-read exit. Each argument is XORed into
-// the word the SM published, so all zeros is the honest hypervisor and
-// every 64-bit value is reachable. Oracle: either the resume fails with
-// ErrTampered and the CVM is quarantined, or every revalidated field was
-// intact and only the target register changed, to the emulated data.
+// shared-vCPU field after an MMIO-read or, with write, an MMIO-write exit.
+// Each argument is XORed into the word the SM published, so all zeros is
+// the honest hypervisor and every 64-bit value is reachable. Oracle:
+// either the resume fails with ErrTampered and the CVM is quarantined, or
+// every revalidated field was intact, the PC advanced only past the
+// trailing ecall, and the secure registers are unchanged except, for a
+// read, the target register, which holds the emulated data.
 func FuzzResume(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
-	f.Add(uint64(0), uint64(0x1234), uint64(1), uint64(0), ^uint64(0), uint64(0), uint64(0))
-	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(1)<<63, uint64(0))
-	f.Fuzz(func(t *testing.T, reason, htval, htinst, target, data, seq, width uint64) {
+	f.Add(false, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(false, uint64(0), uint64(0x1234), uint64(1), uint64(0), ^uint64(0), uint64(0), uint64(0))
+	f.Add(false, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(1)<<63, uint64(0))
+	f.Add(true, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(true, uint64(0), uint64(0), uint64(0), uint64(asm.S4), uint64(0), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, write bool, reason, htval, htinst, target, data, seq, width uint64) {
 		fx := newFixture(t, Config{})
-		before := fx.toMMIORead()
+		before, pc := fx.toMMIOExit(write)
 		fx.xorShared(ShvExitReason, reason)
 		fx.xorShared(ShvHtval, htval)
 		fx.xorShared(ShvHtinst, htinst)
@@ -118,9 +132,15 @@ func FuzzResume(f *testing.F) {
 			t.Fatalf("honest resume: reason %v, err %v", info.Reason, err)
 		}
 		want := before
-		want[asm.S4] = val
-		if got := fx.s.life.cvms[fx.id].vcpus[0].sec.X; got != want {
-			t.Fatalf("secure registers after resume:\n got %x\nwant %x", got, want)
+		if !write {
+			want[asm.S4] = val
+		}
+		sec := fx.s.life.cvms[fx.id].vcpus[0].sec
+		if sec.X != want {
+			t.Fatalf("secure registers after resume:\n got %x\nwant %x", sec.X, want)
+		}
+		if sec.PC != pc+4 {
+			t.Fatalf("PC after resume and ecall = %#x, want %#x", sec.PC, pc+4)
 		}
 	})
 }

@@ -131,8 +131,8 @@ func TestInterCVMFrameDisjointness(t *testing.T) {
 		t.Fatalf("B: %v", info.Reason)
 	}
 	a, b := f.s.life.cvms[idA], f.s.life.cvms[idB]
-	for pa := range a.owned {
-		if b.owned[pa] {
+	for pa, ok := a.owned.next(0); ok; pa, ok = a.owned.next(pa + isa.PageSize) {
+		if b.owned.has(pa) {
 			t.Fatalf("frame %#x owned by both CVMs", pa)
 		}
 	}
@@ -144,10 +144,10 @@ func TestInterCVMFrameDisjointness(t *testing.T) {
 			continue // unmapped is fine
 		}
 		frame := res.PA &^ uint64(isa.PageSize-1)
-		if !b.owned[frame] {
+		if !b.owned.has(frame) {
 			t.Fatalf("B's tree maps unowned frame %#x", frame)
 		}
-		if a.owned[frame] {
+		if a.owned.has(frame) {
 			t.Fatalf("B's tree maps A's frame %#x", frame)
 		}
 	}

@@ -114,7 +114,7 @@ type CVM struct {
 	// owned tracks the secure frames this CVM may map (inter-CVM
 	// isolation, §IV.C: "memory allocated to the confidential VM is not
 	// shared with other confidential VMs").
-	owned map[uint64]bool
+	owned frameSet
 	// mappings records the private GPA -> PA leaves the SM installed
 	// (image load + demand paging), for snapshot enumeration.
 	mappings map[uint64]uint64
@@ -601,7 +601,6 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	}
 	c := &CVM{
 		ID:       s.life.nextID,
-		owned:    make(map[uint64]bool),
 		mappings: make(map[uint64]uint64),
 		measurer: meas,
 	}
@@ -612,7 +611,7 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.owned[pa] = true
+		c.owned.add(pa)
 		return pa, nil
 	}}
 	var root uint64
@@ -647,7 +646,7 @@ func (e fillError) Unwrap() error { return e.error }
 // When the map fails, the frame is scrubbed and returned to its cache
 // block, so no owned entry outlives the failed install.
 func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
-	c.owned[pa] = true
+	c.owned.add(pa)
 	var err error
 	if src == nil {
 		err = s.ram.Zero(pa, isa.PageSize)
@@ -674,7 +673,7 @@ func (s *SM) freeFrame(c *CVM, pa uint64) error {
 	if err := s.ram.Zero(pa, isa.PageSize); err != nil {
 		return err
 	}
-	delete(c.owned, pa)
+	c.owned.remove(pa)
 	for _, cache := range c.pageCaches() {
 		if blk := cache.ownerOf(pa); blk != nil {
 			return blk.freePage(pa)
@@ -777,8 +776,9 @@ func (s *SM) destroy(h *hart.Hart, id int) error {
 	if err != nil {
 		return err
 	}
-	// Scrub every owned frame before the pool can hand it to anyone else.
-	for pa := range c.owned {
+	// Scrub every owned frame, in ascending order, before the pool can
+	// hand it to anyone else.
+	for pa, ok := c.owned.next(0); ok; pa, ok = c.owned.next(pa + isa.PageSize) {
 		if err := s.ram.Zero(pa, isa.PageSize); err != nil {
 			return err
 		}

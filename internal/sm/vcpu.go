@@ -78,7 +78,9 @@ const (
 // TwinVisor-style): every field the hypervisor could tamper with is
 // re-derived from this secure copy. seq, reason, target and width are the
 // 64-bit words publishExit writes, so resume compares them at full width.
+// The zero value (valid false) means no round trip is in flight.
 type pendingExit struct {
+	valid                      bool
 	seq, reason, target, width uint64
 	op                         isa.Op // the trapped access; isa.ExtendLoad applies it
 }
@@ -92,29 +94,8 @@ type VCPU struct {
 	sec      hart.GuestContext
 	sharedPA uint64 // shared vCPU page in normal memory (0 = not set)
 	seq      uint64
-	pending  *pendingExit
+	pending  pendingExit
 
 	// memCache is this vCPU's page cache (§IV.D stage 1).
 	memCache pageCache
-}
-
-// writeShared stores one shared-vCPU field, bypassing PMP (the SM runs in
-// M-mode; the shared page is in normal memory). An access that escapes RAM
-// means the shared-page binding itself is corrupt — a fatal per-CVM fault
-// surfaced as a typed error, never a process panic.
-func (s *SM) writeShared(v *VCPU, off uint64, val uint64) error {
-	if err := s.ram.WriteUint64(v.sharedPA+off, val); err != nil {
-		return smErr(CodeMemory, SevFatalCVM, 0, "shared-vcpu-write",
-			fmt.Errorf("shared vCPU write escaped RAM: %w", err))
-	}
-	return nil
-}
-
-func (s *SM) readShared(v *VCPU, off uint64) (uint64, error) {
-	val, err := s.ram.ReadUint64(v.sharedPA + off)
-	if err != nil {
-		return 0, smErr(CodeMemory, SevFatalCVM, 0, "shared-vcpu-read",
-			fmt.Errorf("shared vCPU read escaped RAM: %w", err))
-	}
-	return val, nil
 }

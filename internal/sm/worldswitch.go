@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -134,7 +135,7 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	// exit before touching any guest state. A validation failure is a
 	// fatal per-CVM fault: the CVM is quarantined (diagnostic state
 	// preserved, frames scrubbed) and every other CVM keeps running.
-	if v.pending != nil {
+	if v.pending.valid {
 		if err := s.resumeFromExit(h, c, v); err != nil {
 			s.Stats.TamperDetected++
 			s.trace(h.Cycles, EvViolation, c.ID, 0, err.Error())
@@ -295,29 +296,32 @@ func (s *SM) exitCVM(h *hart.Hart, c *CVM, v *VCPU, ctx hvCtx, info ExitInfo) {
 // publishExit writes the exit parameters the hypervisor needs into the
 // shared vCPU (§IV.B): with the shared-vCPU mechanism only the
 // trap-related registers cross the boundary; the no-shared baseline
-// marshals the full register file through SM services instead.
+// marshals the full register file through SM services instead. The seven
+// fields are encoded into one line and stored with one write, bypassing
+// PMP (the SM runs in M-mode; the shared page is in normal memory).
 func (s *SM) publishExit(h *hart.Hart, c *CVM, v *VCPU, info ExitInfo) {
 	if v.sharedPA == 0 {
 		return
 	}
 	v.seq++
-	for _, f := range [...]struct{ off, val uint64 }{
-		{shvExitReason, uint64(info.Reason)},
-		{shvHtval, info.GPA >> 2},
-		{shvHtinst, h.CSR(isa.CSRMtinst)},
-		{shvTargetReg, uint64(info.Target)},
-		{shvData, info.Data},
-		{shvWidth, uint64(info.Width)},
-		{shvSeq, v.seq},
-	} {
-		if err := s.writeShared(v, f.off, f.val); err != nil {
-			// The shared page escaped RAM: the exit cannot be published, so
-			// the round-trip contract is unfulfillable. Mark the CVM fatal;
-			// RunVCPU quarantines it once the world switch completes.
-			c.fatal = &fatalFault{err: err, origin: s.originHere(h, CompSwitch)}
-			v.pending = nil
-			return
-		}
+	var line [shvSize]byte
+	le := binary.LittleEndian
+	le.PutUint64(line[shvExitReason:], uint64(info.Reason))
+	le.PutUint64(line[shvHtval:], info.GPA>>2)
+	le.PutUint64(line[shvHtinst:], h.CSR(isa.CSRMtinst))
+	le.PutUint64(line[shvTargetReg:], uint64(info.Target))
+	le.PutUint64(line[shvData:], info.Data)
+	le.PutUint64(line[shvWidth:], uint64(info.Width))
+	le.PutUint64(line[shvSeq:], v.seq)
+	if err := s.ram.Write(v.sharedPA, line[:]); err != nil {
+		// The shared page escaped RAM: the binding itself is corrupt and
+		// the exit cannot be published, so the round-trip contract is
+		// unfulfillable. Mark the CVM fatal; RunVCPU quarantines it once
+		// the world switch completes.
+		c.fatal = &fatalFault{err: smErr(CodeMemory, SevFatalCVM, 0, "shared-vcpu-write",
+			fmt.Errorf("shared vCPU write escaped RAM: %w", err)), origin: s.originHere(h, CompSwitch)}
+		v.pending = pendingExit{}
+		return
 	}
 	h.Advance(7 * h.Cost.RegCopy)
 	if s.cfg.DisableSharedVCPU {
@@ -331,22 +335,24 @@ func (s *SM) publishExit(h *hart.Hart, c *CVM, v *VCPU, info ExitInfo) {
 // applies it to the secure vCPU.
 func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 	p := v.pending
-	v.pending = nil
+	v.pending = pendingExit{}
 	if v.sharedPA == 0 {
 		return nil
 	}
-	// Check-after-Load: load the hypervisor-writable fields first, then
-	// validate every one, at full width, against the words publishExit
-	// wrote — the hypervisor owns all 64 bits, so nothing is truncated.
-	var vals [5]uint64
-	for i, off := range [...]uint64{shvSeq, shvExitReason, shvTargetReg, shvWidth, shvData} {
-		val, err := s.readShared(v, off)
-		if err != nil {
-			return err
-		}
-		vals[i] = val
+	// Check-after-Load: load the hypervisor-writable line first, as one
+	// snapshot, then validate every field, at full width, against the
+	// words publishExit wrote — the hypervisor owns all 64 bits, so
+	// nothing is truncated. A read that escapes RAM means the shared-page
+	// binding is corrupt: fatal for this CVM, never a process panic.
+	var line [shvSize]byte
+	if err := s.ram.ReadInto(v.sharedPA, line[:]); err != nil {
+		return smErr(CodeMemory, SevFatalCVM, 0, "shared-vcpu-read",
+			fmt.Errorf("shared vCPU read escaped RAM: %w", err))
 	}
-	seq, reason, target, width, data := vals[0], vals[1], vals[2], vals[3], vals[4]
+	le := binary.LittleEndian
+	seq, reason := le.Uint64(line[shvSeq:]), le.Uint64(line[shvExitReason:])
+	target, width := le.Uint64(line[shvTargetReg:]), le.Uint64(line[shvWidth:])
+	data := le.Uint64(line[shvData:])
 
 	// Cost model: load each hypervisor-written field, validate it, and
 	// apply the sanctioned values to the secure state. The shared-vCPU
@@ -619,7 +625,8 @@ func (s *SM) mmioExit(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap, reason ExitRea
 	}
 	// The recorded words are exactly what publishExit writes. An
 	// undecodable htinst leaves op OpInvalid: the data passes unchanged.
-	v.pending = &pendingExit{
+	v.pending = pendingExit{
+		valid:  true,
 		seq:    v.seq + 1, // publishExit increments before writing
 		reason: uint64(reason),
 		target: uint64(info.Target),
@@ -754,7 +761,7 @@ func (s *SM) copyToGuest(c *CVM, gpa uint64, data []byte) error {
 				return err
 			}
 		}
-		if !c.owned[res.PA&^uint64(isa.PageSize-1)] {
+		if !c.owned.has(res.PA) {
 			return ErrOwnership
 		}
 		n := isa.PageSize - (gpa+off)%isa.PageSize

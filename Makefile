@@ -32,13 +32,14 @@
 #                           checked inside zionbench); writes the latency
 #                           histogram artifact serving_hist.json
 #   make test-allocs      - pin the zero-allocation contract of Hart.Run over
-#                           the superblock and compiled-trace dispatch loops,
-#                           of trap-cause naming, of the device view's
+#                           the one dispatch loop, with and without
+#                           pre-bound ops, of trap-cause naming, of the device view's
 #                           shared-window reads (a SharedPA hit, a 16-byte
 #                           GuestMem.ReadInto), of stage-2 walk faults, of one
 #                           MMIO exit round trip and of one demand fault
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
-#                           then FuzzResume and FuzzVirtioChain for 30s each
+#                           then FuzzDecode, FuzzResume and FuzzVirtioChain
+#                           for 30s each
 
 GO ?= go
 
@@ -117,8 +118,9 @@ smoke-monitor:
 smoke-serving:
 	$(GO) run ./cmd/zionbench -e serving -servrequests 20000 -servhist serving_hist.json
 
-# test-allocs is the hot-loop allocation gate: Hart.Run over the
-# superblock and compiled-trace dispatch loops must run allocation-free
+# test-allocs is the hot-loop allocation gate: Hart.Run over the one
+# dispatch loop, with pre-bound ops (the trace tier) and with every
+# instruction through execute() (the block tier), must run allocation-free
 # once warm, and so must naming a trap cause (every trap feeds the flight
 # recorder); so must the device view's shared-window resolution (a
 # SharedPA hit and a 16-byte GuestMem.ReadInto, one descriptor read), a
@@ -132,7 +134,9 @@ test-allocs:
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over
-# fuzzer-chosen instruction words; FuzzResume (30 s) puts fuzzer-chosen
+# fuzzer-chosen instruction words; FuzzDecode (30 s) requires isa.Decode
+# never to panic and every valid word to survive re-encoding through the
+# isa.Encode* helpers field for field; FuzzResume (30 s) puts fuzzer-chosen
 # values in every hypervisor-writable shared-vCPU field after an MMIO-read
 # or MMIO-write exit and requires Check-after-Load to quarantine or apply
 # only the target register; FuzzVirtioChain (30 s) writes a hostile guest's descriptor
@@ -142,6 +146,7 @@ test-allocs:
 # check it in and it becomes a permanent seed that plain 'go test' replays.
 fuzz:
 	$(GO) test ./internal/hart -run '^$$' -fuzz '^FuzzLockstep$$' -fuzztime 60s
+	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/sm -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s
 	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzVirtioChain$$' -fuzztime 30s
 

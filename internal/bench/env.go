@@ -91,21 +91,13 @@ func FlushTelemetry() {
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/fill_fails", h.ID)).Set(fs.FillFails)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/block_builds", h.ID)).Set(fs.BlockBuilds)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/block_invals", h.ID)).Set(fs.BlockInvals)
-			// Superblock engine counters (PR 5): dispatch effectiveness and
-			// how often the event horizon forced single-step pacing.
+			// Dispatch counters: superblock effectiveness, how often the
+			// event horizon forced single-step pacing, and how much of the
+			// work pre-bound ops retired.
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/hits", h.ID)).Set(fs.SBHits)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/builds", h.ID)).Set(fs.SBBuilds)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/invalidations", h.ID)).Set(fs.SBInvals)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/horizon_cutoffs", h.ID)).Set(fs.HorizonCutoffs)
-			// Trace-compilation tier counters (PR 8): compile activity,
-			// dispatch effectiveness, and the demotion/bailout safety valves.
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/compiles", h.ID)).Set(fs.TCCompiles)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/recompiles", h.ID)).Set(fs.TCRecompiles)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/demotions", h.ID)).Set(fs.TCDemotions)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/entries", h.ID)).Set(fs.TCEntries)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/ops", h.ID)).Set(fs.TCOps)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/bailouts", h.ID)).Set(fs.TCBailouts)
-			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/invalidations", h.ID)).Set(fs.TCInvals)
 		}
 		// Parallel-engine bookkeeping of the machine's latest RunParallel:
 		// barrier counts and the adaptive-quantum trajectory. Zero epochs

@@ -13,7 +13,7 @@ import (
 // block would dominate the event-horizon win the engine exists for.
 func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	h := newHart(t)
-	h.SetTraces(false) // the generic superblock loop; TestTraceDispatchAllocs pins the trace tier
+	h.SetTraces(false) // every instruction through execute(); TestTraceDispatchAllocs pins pre-bound ops
 	clk := &fakeCLINT{h: h}
 
 	// An infinite loop of straight-line ALU and memory work: long blocks
@@ -33,12 +33,12 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	p.J("top")
 	load(t, h, ramBase, p)
 
-	// Warm up: decode the page, build its superblock metadata, and fill
-	// the fetch/read/write micro-TLB entries.
+	// Warm up: decode the page and fill the fetch/read/write micro-TLB
+	// entries.
 	if n, _ := h.Run(clk, 20000); n == 0 {
 		t.Fatal("warm-up run made no progress")
 	}
-	if st := h.FastPathStats(); st.SBHits == 0 || st.SBBuilds == 0 {
+	if st := h.FastPathStats(); st.SBHits == 0 || st.BlockBuilds == 0 {
 		t.Fatalf("superblock engine not engaged: %+v", st)
 	}
 

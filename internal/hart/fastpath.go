@@ -41,22 +41,21 @@ type mtlbEntry struct {
 	dp *decodedPage
 }
 
-// decodedPage holds the eager decode of one physical page. live flips to
-// false when the underlying bytes change; every fetch revalidates it, so
-// self-modifying code observes its own stores exactly like the slow path
-// (which re-fetches every instruction). live is atomic because under the
-// parallel engine the invalidating store may come from a peer hart's
-// goroutine (mem watcher dispatch); the fast path is semantically
+// decodedPage holds the eager decode of one physical page: the
+// instructions, their superblock metadata and their pre-bound ops, all
+// built in one pass by decodePageLocked and read-only afterwards. live
+// flips to false when the underlying bytes change; every fetch revalidates
+// it, so self-modifying code observes its own stores exactly like the
+// slow path (which re-fetches every instruction). live is atomic because
+// under the parallel engine the invalidating store may come from a peer
+// hart's goroutine (mem watcher dispatch); the fast path is semantically
 // transparent, so a cross-hart invalidation landing mid-quantum changes
 // only host-side cache effectiveness, never simulated results.
 type decodedPage struct {
 	live  atomic.Bool
 	insts [isa.PageSize / 4]isa.Inst
 
-	// Superblock metadata, built lazily by buildSuperblocks on the owning
-	// hart's goroutine (sbReady is atomic only so InvalidateCodePage can
-	// read it from a peer goroutine for the invalidation counter; the
-	// arrays themselves are owner-only). For each slot i:
+	// Superblock metadata (superblock.go). For each slot i:
 	//
 	//	sbLen[i]   — number of instructions in the straight-line run
 	//	             starting at i, up to and including the next
@@ -71,19 +70,12 @@ type decodedPage struct {
 	// Conditional branches are NOT boundaries: they stay mid-line and the
 	// dispatch loop detects a taken branch as a side exit (PC left the
 	// straight line), so blocks survive the not-taken common case.
-	sbReady atomic.Bool
 	sbLen   [isa.PageSize / 4]uint16
 	sbWorst [isa.PageSize / 4]uint64
 
-	// Trace-compilation metadata (trace.go), built lazily by compileTraces
-	// on the owning hart's goroutine the first time the superblock loop
-	// enters the page with the trace tier on. tcOps is published before
-	// tcReady flips (atomic release/acquire), so a peer goroutine reading
-	// it for the invalidation counters always sees a complete table. A
-	// demoted page (invalidation history says compiling would thrash) is
-	// tcReady with a nil table.
-	tcReady atomic.Bool
-	tcOps   *[tracePageSlots]traceOp
+	// ops[i] is slot i's pre-bound operation (trace.go); an empty slot
+	// marks an op only execute() runs.
+	ops [tracePageSlots]traceOp
 }
 
 // FastPathStats counts engine effectiveness; exported as fp/* telemetry
@@ -101,20 +93,13 @@ type FastPathStats struct {
 	BlockBuilds uint64 // pages decoded into the block cache
 	BlockInvals uint64 // decoded pages dropped after a write hit them
 
-	// Superblock engine (superblock.go).
+	// Superblock dispatch (superblock.go).
 	SBHits         uint64 // multi-instruction superblock entries dispatched
-	SBBuilds       uint64 // pages whose superblock metadata was computed
-	SBInvals       uint64 // superblock-carrying pages invalidated by stores
 	HorizonCutoffs uint64 // block entries degraded to single-step because the worst-case cycle bound crossed the event horizon
 
-	// Trace-compilation tier (trace.go).
-	TCCompiles   uint64 // pages compiled into pre-bound trace tables
-	TCRecompiles uint64 // compiles of a page that had been invalidated before
-	TCDemotions  uint64 // compile attempts demoted by invalidation history
-	TCEntries    uint64 // trace dispatch entries (one generation snapshot each)
-	TCOps        uint64 // instructions retired by pre-bound handlers
-	TCBailouts   uint64 // dispatches aborted back to the generic loop mid-trace
-	TCInvals     uint64 // compiled trace tables dropped by store invalidation
+	// Pre-bound ops (trace.go).
+	TCOps      uint64 // instructions retired by pre-bound ops
+	TCBailouts uint64 // pre-bound runs stopped at an unresolvable data slot
 }
 
 // fastPath is one hart's execution accelerator: three direct-mapped
@@ -136,21 +121,23 @@ type fastPath struct {
 	// valid, decoded page live) never takes it.
 	mu    sync.Mutex
 	pages map[uint64]*decodedPage // pa page -> decoded
-	// Pages invalidated this often stop being block-cached (code and hot
-	// data sharing a page would otherwise rebuild the decode per store).
+	// Pages invalidated blacklistThreshold times stop being block-cached:
+	// every rebuild is a full decode, so code and hot data sharing a page
+	// (or a self-modifying loop) would otherwise rebuild it per store.
 	invCount  map[uint64]uint32
 	blacklist map[uint64]bool
 	stats     FastPathStats
 
-	// sb enables the superblock dispatch loop; tc additionally enables
-	// the compiled-trace tier on top of it. Both start on; SetSuperblocks
-	// and SetTraces flip them for engine comparisons.
+	// sb dispatches whole superblocks instead of single instructions; tc
+	// additionally runs their pre-bound ops instead of execute(). Both
+	// start on; SetSuperblocks and SetTraces flip them for engine
+	// comparisons.
 	sb bool
 	tc bool
 
 	// Optional per-tier dispatch-length histograms (SetDispatchHists):
-	// instructions retired per superblock entry by the generic loop and by
-	// the compiled trace. Nil when the observability plane is dark. The
+	// instructions retired through execute() per superblock entry, and per
+	// run of pre-bound ops. Nil when the observability plane is dark. The
 	// dispatch loop records into the plain single-writer locals — an armed
 	// observation is a few non-atomic increments — and FlushDispatchHists
 	// drains them into the shared atomic histograms; per-observation CAS
@@ -229,12 +216,6 @@ func (e *fastPath) InvalidateCodePage(paPage uint64) {
 	delete(e.pages, paPage)
 	e.mem.UnregisterCodePage(paPage)
 	e.stats.BlockInvals++
-	if dp.sbReady.Load() {
-		e.stats.SBInvals++
-	}
-	if dp.tcReady.Load() && dp.tcOps != nil {
-		e.stats.TCInvals++
-	}
 	if c := e.invCount[paPage] + 1; c >= blacklistThreshold {
 		e.blacklist[paPage] = true
 	} else {
@@ -366,16 +347,32 @@ func (e *fastPath) hitAccounting(h *Hart, ent *mtlbEntry) {
 	h.PMP.NoteCheck()
 }
 
-// decodePageLocked builds (or returns) the decoded block for a physical
-// page and registers it for write-invalidation. Caller holds e.mu.
-func (e *fastPath) decodePageLocked(paPage uint64, page []byte) *decodedPage {
+// decodePageLocked returns the decoded page for a physical page, building
+// it on first use and registering it for write-invalidation. One backward
+// pass fills every slot: the instruction, its superblock run length and
+// worst-case cycle bound (which read the following slot's), and its
+// pre-bound op. The cost table is captured here; it is set once at hart
+// construction and never mutated mid-run. Caller holds e.mu.
+func (e *fastPath) decodePageLocked(c *Costs, paPage uint64, page []byte) *decodedPage {
 	if dp, ok := e.pages[paPage]; ok {
 		return dp
 	}
 	dp := &decodedPage{}
 	dp.live.Store(true)
-	for i := range dp.insts {
-		dp.insts[i] = isa.Decode(binary.LittleEndian.Uint32(page[i*4:]))
+	last := len(dp.insts) - 1
+	for i := last; i >= 0; i-- {
+		in := isa.Decode(binary.LittleEndian.Uint32(page[i*4:]))
+		dp.insts[i] = in
+		bindOp(c, in.Op, &dp.ops[i])
+		if opTable[in.Op].ends || i == last {
+			dp.sbLen[i] = 1
+			continue
+		}
+		dp.sbLen[i] = dp.sbLen[i+1] + 1
+		// sbWorst excludes the run's final instruction: checks happen
+		// before each instruction, so the last one's cycles land after
+		// every hoisted check already passed.
+		dp.sbWorst[i] = sbWorstCycles(c, in.Op) + dp.sbWorst[i+1]
 	}
 	e.pages[paPage] = dp
 	e.mem.RegisterCodePage(paPage)

@@ -110,34 +110,55 @@ func TestFastPathEpochInvalidation(t *testing.T) {
 	}
 }
 
-// Pages invalidated more than blacklistThreshold times stop being decoded:
-// execution continues on the slow fetch path, still correct.
-func TestFastPathBlacklist(t *testing.T) {
-	w := instrWord(t, func(q *asm.Program) { q.NOP() })
+// smcLoop assembles a loop that rewrites its own next instruction on every
+// one of iters iterations: the store invalidates the page it executes from,
+// and the patched instruction (x9 += 1) must then run, so x9 == iters at the
+// final ecall.
+func smcLoop(t *testing.T, iters int) *asm.Program {
+	t.Helper()
+	w := instrWord(t, func(q *asm.Program) { q.ADDI(9, 9, 1) })
 	p := asm.New(ramBase)
-	p.LI(5, int64(blacklistThreshold+4)) // loop count
+	p.LI(5, int64(iters)) // loop count
 	p.LA(6, "patch")
 	p.LI(7, int64(w))
 	p.Label("loop")
-	p.SW(7, 6, 0) // rewrite the patch slot every iteration
+	p.SW(7, 6, 0) // rewrite the patch slot: invalidates this very page
 	p.Label("patch")
-	p.NOP()
+	p.NOP() // overwritten with ADDI x9,x9,1 before first execution
 	p.ADDI(5, 5, -1)
 	p.BNE(5, 0, "loop")
 	p.ECALL()
+	return p
+}
 
+// Pages invalidated more than blacklistThreshold times stop being decoded:
+// execution continues on the slow fetch path, still correct, and the
+// rebuilds (every one a full decode) stop at the threshold however many
+// more stores land.
+func TestFastPathBlacklist(t *testing.T) {
+	const iters = blacklistThreshold + 4
 	h := newHart(t)
-	load(t, h, ramBase, p)
+	load(t, h, ramBase, smcLoop(t, iters))
 	ev := runFast(t, h, 10000)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
 		t.Fatalf("unexpected end event: %+v", ev)
 	}
+	if got := h.Reg(9); got != iters {
+		t.Fatalf("x9 = %d, want %d (patched instruction mis-executed)", got, iters)
+	}
+	st := h.FastPathStats()
 	if !h.fp.blacklist[ramBase] {
 		t.Fatalf("page %#x not blacklisted after %d invalidations (stats %+v)",
-			uint64(ramBase), blacklistThreshold+4, h.FastPathStats())
+			uint64(ramBase), iters, st)
 	}
-	if h.fp.stats.BlockInvals < blacklistThreshold {
-		t.Fatalf("expected >=%d invalidations, got %+v", blacklistThreshold, h.fp.stats)
+	if st.BlockInvals < blacklistThreshold {
+		t.Fatalf("expected >=%d invalidations, got %+v", blacklistThreshold, st)
+	}
+	// The storm guard: one build, then one rebuild per invalidation until
+	// the blacklist retires the page.
+	if st.BlockBuilds > blacklistThreshold+1 {
+		t.Fatalf("rebuild storm: %d builds of a page rewritten %d times (threshold %d): %+v",
+			st.BlockBuilds, iters, blacklistThreshold, st)
 	}
 }
 

@@ -708,8 +708,8 @@ func TestLockstepFuzzBatchAsync(t *testing.T) {
 	for pi := 0; pi < 25; pi++ {
 		p := genBatchProgram(t, rng)
 		fast, slow, fc, sc := newBatchPair(t)
-		// Alternate the compiled-trace tier per program so the same fuzz
-		// corpus pins both the trace dispatch and the plain generic loop.
+		// Alternate the trace tier per program so the same fuzz corpus
+		// pins the dispatch loop with and without pre-bound ops.
 		fast.SetTraces(pi%2 == 0)
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
@@ -732,10 +732,10 @@ func TestLockstepFuzzBatchAsync(t *testing.T) {
 		t.Fatal("no horizon cutoff was ever taken")
 	}
 	if tcops == 0 {
-		t.Fatal("no instruction was ever retired by a compiled trace")
+		t.Fatal("no instruction was ever retired by a pre-bound op")
 	}
 	if tcbail == 0 {
-		t.Fatal("no trace dispatch ever bailed out to the generic loop")
+		t.Fatal("no pre-bound run ever bailed out to execute()")
 	}
 }
 
@@ -747,9 +747,9 @@ func TestLockstepFuzzBatchPerInstruction(t *testing.T) {
 	for pi := 0; pi < 10; pi++ {
 		p := genBatchProgram(t, rng)
 		fast, slow, fc, sc := newBatchPair(t)
-		// A one-instruction budget clamps every block below the trace tier's
-		// blen>1 entry condition; alternating the switch anyway pins the
-		// disabled path through this dispatch route as well.
+		// A one-instruction budget clamps every block to one instruction;
+		// alternating the trace tier pins a lone pre-bound op against a
+		// lone execute() on the same dispatch route.
 		fast.SetTraces(pi%2 == 0)
 		load(t, fast, ramBase, p)
 		load(t, slow, ramBase, p)
@@ -811,8 +811,8 @@ func TestBatchSMCInsideExecutingSuperblock(t *testing.T) {
 	if got := fast.Reg(5); got != 2 {
 		t.Fatalf("x5 = %d, want 2 (stale decoded block executed)", got)
 	}
-	if st := fast.FastPathStats(); st.SBInvals == 0 {
-		t.Fatalf("no superblock invalidation recorded: %+v", st)
+	if st := fast.FastPathStats(); st.BlockInvals == 0 {
+		t.Fatalf("no decoded-page invalidation recorded: %+v", st)
 	}
 }
 

@@ -24,9 +24,10 @@ import (
 //     already encodes (Run merges the quantum edge into it).
 //  2. The one same-hart loophole is a bus access: interpreted code storing
 //     to its own CLINT can rearm mtimecmp or raise msip mid-run. Every bus
-//     access bumps h.asyncGen (memaccess.go); the dispatch loop re-checks
-//     it after each instruction and runBatch returns to Run when it
-//     moved, forcing a fresh deadline sample.
+//     access bumps h.asyncGen (memaccess.go); only execute() reaches the
+//     bus, so the dispatch loop re-checks it after each execute()
+//     instruction and runBatch returns to Run when it moved, forcing a
+//     fresh deadline sample.
 //  3. The timer itself fires only when h.Cycles reaches the deadline.
 //     sbWorst bounds the cycles every instruction of the run except the
 //     last can consume; per-step engines check the deadline before each
@@ -38,8 +39,8 @@ import (
 //     degraded to single-step pacing (HorizonCutoffs) instead.
 //
 // Bit-identity with per-instruction execution is preserved the way the
-// whole fast path preserves it: the shared execute() does all
-// architectural work, and the dispatch loop replays the exact per-fetch
+// whole fast path preserves it: execute() and the pre-bound ops run the
+// same opTable handlers, and the dispatch loop replays the exact per-fetch
 // accounting (TLB Touch/tick/hit, TLBHit cycles, PMP check count) the
 // slow path would have produced. Blocks never span a page, so the fetch
 // micro-TLB entry that admitted the block — whole-page exec permission,
@@ -73,37 +74,19 @@ func sbWorstCycles(c *Costs, op isa.Op) uint64 {
 	}
 }
 
-// buildSuperblocks computes the straight-line run length and worst-case
-// cycle bound for every slot of a freshly decoded page in one backward
-// pass. The cost table is captured at build time; it is set once at hart
-// construction and never mutated mid-run.
-func (e *fastPath) buildSuperblocks(h *Hart, dp *decodedPage) {
-	c := h.Cost
-	n := len(dp.insts)
-	for i := n - 1; i >= 0; i-- {
-		op := dp.insts[i].Op
-		if opTable[op].ends || i == n-1 {
-			dp.sbLen[i] = 1
-			dp.sbWorst[i] = 0
-			continue
-		}
-		dp.sbLen[i] = dp.sbLen[i+1] + 1
-		// sbWorst excludes the run's final instruction: checks happen
-		// before each instruction, so the last one's cycles land after
-		// every hoisted check already passed.
-		dp.sbWorst[i] = sbWorstCycles(c, op) + dp.sbWorst[i+1]
-	}
-	dp.sbReady.Store(true)
-	e.stats.SBBuilds++
-}
-
 // runBatch executes up to max Step-equivalents back-to-back and is the
 // fast path's only entry (Run calls it). The outer loop preserves the
 // per-boundary contract of the per-step loop — deadline check, MTIP
 // cleared while the timer has not fired, interrupt sample — and the
 // inner loop dispatches one superblock without them, justified by the
-// event-horizon proof above. With superblocks disabled it degrades to
-// per-instruction iterations of the same outer loop.
+// event-horizon proof above. With superblocks disabled every block is one
+// instruction long.
+//
+// The inner loop is the only dispatch loop. Each instruction of a block
+// either starts a run of pre-bound ops (runOps, trace.go), when its slot
+// has one and the trace tier is on, or retires through execute(), the one
+// fallback. After an execute() instruction the loop re-checks the block's
+// premises and goes back to pre-bound ops at the next slot that has one.
 //
 // It returns the number of Step-equivalents performed and, when ok is
 // true, the terminating event (trap, WFI), which counts as the final
@@ -141,17 +124,18 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 				e.mu.Unlock()
 				return n, Event{}, false // write-hot page: decode per fetch instead
 			}
-			dp = e.decodePageLocked(ent.paPage, ent.page)
+			dp = e.decodePageLocked(h.Cost, ent.paPage, ent.page)
 			e.mu.Unlock()
 			ent.dp = dp
 		}
 
 		idx := (pc & (isa.PageSize - 1)) >> 2
 		blen := uint64(1)
+		// ops is the page's pre-bound op table, nil unless the trace tier
+		// is on: a nil table sends every instruction through execute()
+		// without a per-instruction slot read.
+		var ops *[tracePageSlots]traceOp
 		if e.sb {
-			if !dp.sbReady.Load() {
-				e.buildSuperblocks(h, dp)
-			}
 			blen = uint64(dp.sbLen[idx])
 			if armed && h.Cycles+dp.sbWorst[idx] >= deadline {
 				// Event horizon: a boundary check inside the run could
@@ -166,74 +150,59 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 			if blen > 1 {
 				e.stats.SBHits++
 			}
+			if e.tc {
+				ops = &dp.ops
+			}
 		}
 
 		bare := ent.bare
 		tgen := ent.tlbGen
 		g0 := h.asyncGen
 		want := pc
-		var i uint64
-		traceExit := false
-		if e.tc && e.sb && blen > 1 {
-			// Compiled-trace tier (trace.go): dispatch as much of the run
-			// as possible through pre-bound handlers. The table is built
-			// lazily per decoded page; a nil table means the page was
-			// demoted (invalidation history) and stays on the generic loop.
-			if !dp.tcReady.Load() {
-				e.compileTraces(h, dp, ent.paPage)
-			}
-			if dp.tcOps != nil {
-				i = e.runTrace(h, dp, idx, blen, pc, ent)
-				want = pc + 4*i
-				if e.tcHist != nil && i > 0 {
-					e.tcLen.Observe(i)
-				}
-				// Handlers never touch the bus, the TLB, or this decoded
-				// page, so g0/tgen/dp.live are still current: the generic
-				// loop below resumes mid-run under the same premises, and
-				// its i!=0 re-checks cover everything that follows. A side
-				// exit (taken branch/jump) ends the run outright.
-				traceExit = h.PC != want
-			}
-		}
-		gstart := i
-		for ; !traceExit && i < blen; i++ {
-			if i != 0 {
-				// Premise re-checks, cheap enough to pay per instruction:
-				// a device access may have changed asynchronous-event
-				// state, a store may have invalidated this decoded page
-				// (self-modifying code inside the executing block), and a
-				// data-side walk may have inserted into — and thereby
-				// evicted from — the TLB, changing fetch accounting.
-				if h.asyncGen != g0 || !dp.live.Load() {
-					break
-				}
-				if !bare && h.TLB.Gen() != tgen {
+		var i, traced uint64
+		for i < blen {
+			if ops != nil && ops[idx+i].oi != nil {
+				// Pre-bound ops never touch the bus, the TLB or this
+				// decoded page, so the block's premises still hold when
+				// they stop; a side exit (taken branch/jump) ends the run.
+				k := e.runOps(h, dp, idx+i, blen-i, ent)
+				i += k
+				traced += k
+				if want += 4 * k; h.PC != want || i == blen {
 					break
 				}
 			}
 			// Per-fetch accounting: what the slow path's Fetch charges.
 			e.hitAccounting(h, ent)
-			want += 4
 			if h.Prof != nil && h.Cycles >= h.Prof.Next {
 				tier := telemetry.ProfTierFast
 				if e.sb {
 					tier = telemetry.ProfTierBlock
 				}
-				h.Prof.Sample(pc+4*i, h.Mode.String(), tier, h.Cycles)
+				h.Prof.Sample(want, h.Mode.String(), tier, h.Cycles)
 			}
+			want += 4
 			ev := h.execute(&dp.insts[idx+i])
+			i++
 			if ev.Kind != EvNone {
-				e.stats.FetchHits += i + 1
-				return n + i + 1, ev, true
+				e.stats.FetchHits += i
+				return n + i, ev, true
 			}
-			if h.PC != want {
-				i++ // side exit: the instruction retired, then left the line
+			if h.PC != want || i == blen {
+				break // side exit (the instruction retired, then left the line) or block end
+			}
+			// Premise re-checks before the block goes on: a device access
+			// may have changed asynchronous-event state, a store may have
+			// invalidated this decoded page (self-modifying code inside the
+			// executing block), and a data-side walk may have inserted
+			// into — and thereby evicted from — the TLB, changing fetch
+			// accounting.
+			if h.asyncGen != g0 || !dp.live.Load() || !bare && h.TLB.Gen() != tgen {
 				break
 			}
 		}
-		if e.sbHist != nil && i > gstart {
-			e.sbLen.Observe(i - gstart)
+		if e.sbHist != nil && i > traced {
+			e.sbLen.Observe(i - traced)
 		}
 		e.stats.FetchHits += i
 		n += i

@@ -1,6 +1,7 @@
 package hart
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"zion/internal/asm"
@@ -38,13 +39,13 @@ func TestTraceDispatchAllocs(t *testing.T) {
 	load(t, h, ramBase, traceAllocProgram())
 	clk := &fakeCLINT{h: h}
 
-	// Warm up: decode the page, build superblocks, compile the trace table,
-	// and fill the fetch/read/write micro-TLB entries.
+	// Warm up: decode the page with its op table and fill the
+	// fetch/read/write micro-TLB entries.
 	if n, _ := h.Run(clk, 20000); n == 0 {
 		t.Fatal("warm-up batch made no progress")
 	}
 	st := h.FastPathStats()
-	if st.TCCompiles == 0 || st.TCEntries == 0 || st.TCOps == 0 {
+	if st.BlockBuilds == 0 || st.TCOps == 0 {
 		t.Fatalf("trace tier not engaged: %+v", st)
 	}
 
@@ -58,7 +59,8 @@ func TestTraceDispatchAllocs(t *testing.T) {
 	}
 
 	// The armed-deadline variant pays the horizon check on every block entry
-	// and the generation snapshot on every trace entry; both must stay free.
+	// and the epoch snapshot on every run of pre-bound ops; both must stay
+	// free.
 	clk.mtimecmp, clk.armed = h.Cycles+isa.PageSize, true
 	allocs = testing.AllocsPerRun(50, func() {
 		clk.mtimecmp += 1 << 20
@@ -70,40 +72,22 @@ func TestTraceDispatchAllocs(t *testing.T) {
 		t.Fatalf("armed trace dispatch allocates %.1f allocs/op, want 0", allocs)
 	}
 
-	// The dispatch retired real work through pre-bound handlers, not just
-	// via the generic fallback loop.
+	// The dispatch retired real work through pre-bound ops, not just
+	// through execute().
 	if st2 := h.FastPathStats(); st2.TCOps <= st.TCOps {
 		t.Fatalf("measured batches retired no trace ops: before %+v after %+v", st, st2)
 	}
 }
 
-// A page that keeps invalidating its own trace table must be demoted, not
-// recompiled per store: compiling a 1024-slot table on every iteration of a
-// self-modifying loop would be a recompile storm that costs more than the
-// tier saves. Past tcDemoteThreshold invalidations the page stays on the
-// generic superblock loop (TCDemotions), while decode and block dispatch
-// continue until the separate blacklist threshold retires the page
-// entirely — this loop stays below that, so execution remains on the fast
-// path throughout.
+// A page that keeps invalidating itself below the blacklist threshold is not
+// demoted: every store triggers one full rebuild, op table included, and
+// the patched instruction keeps retiring through its pre-bound op. The
+// rebuilds stay one per invalidation (no storm), and the page stays off the
+// blacklist.
 func TestTraceSMCThrashDemotion(t *testing.T) {
+	const iters = blacklistThreshold - 8
 	h := newHart(t)
-	const iters = tcDemoteThreshold + 4 // past demotion, below the blacklist
-	if iters >= blacklistThreshold {
-		t.Fatalf("test premise broken: %d iterations would blacklist the page", iters)
-	}
-	w := instrWord(t, func(q *asm.Program) { q.ADDI(9, 9, 1) })
-	p := asm.New(ramBase)
-	p.LI(5, iters)
-	p.LA(6, "patch")
-	p.LI(7, int64(w))
-	p.Label("loop")
-	p.SW(7, 6, 0) // rewrite the patch slot: invalidates this very page
-	p.Label("patch")
-	p.NOP() // overwritten with ADDI x9,x9,1 before first execution
-	p.ADDI(5, 5, -1)
-	p.BNE(5, 0, "loop")
-	p.ECALL()
-	load(t, h, ramBase, p)
+	load(t, h, ramBase, smcLoop(t, iters))
 
 	_, ev := h.Run(noTimer{}, 10000)
 	if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallM {
@@ -114,27 +98,107 @@ func TestTraceSMCThrashDemotion(t *testing.T) {
 	}
 
 	st := h.FastPathStats()
-	if st.TCInvals == 0 {
-		t.Fatalf("no compiled trace was ever invalidated: %+v", st)
+	if h.fp.blacklist[ramBase] {
+		t.Fatalf("page blacklisted after only %d invalidations: %+v", iters, st)
 	}
-	if st.TCDemotions == 0 {
-		t.Fatalf("thrashed page was never demoted: %+v", st)
+	if st.BlockInvals < iters {
+		t.Fatalf("expected >=%d invalidations, got %+v", iters, st)
 	}
-	// The storm guard itself: compile attempts stop once the invalidation
-	// count crosses the threshold, no matter how many more stores land.
-	if st.TCCompiles > tcDemoteThreshold {
-		t.Fatalf("recompile storm: %d compiles of a page thrashed %d times (threshold %d): %+v",
-			st.TCCompiles, iters, tcDemoteThreshold, st)
+	if st.BlockBuilds > st.BlockInvals+1 {
+		t.Fatalf("rebuild storm: %d builds for %d invalidations: %+v",
+			st.BlockBuilds, st.BlockInvals, st)
 	}
-	if st.TCDemotions < iters-tcDemoteThreshold {
-		t.Fatalf("expected >=%d demoted rebuilds, got %+v", iters-tcDemoteThreshold, st)
+	// After each store's rebuild, the patched ADDI and the loop tail
+	// (ADDI, BNE) retire through pre-bound ops.
+	if st.TCOps < 3*iters {
+		t.Fatalf("rebuilt pages retired %d pre-bound ops, want >= %d: %+v",
+			st.TCOps, 3*iters, st)
+	}
+}
+
+// One straight-line block mixes every way the dispatch loop can retire an
+// instruction: runs of pre-bound ops, an AMO (an empty slot) in the middle,
+// and a page-straddling LD whose data slot cannot resolve (a bailout).
+// After each execute() instruction, dispatch must go back to pre-bound ops,
+// so on the trace tier every op with a pre-bound slot except the one that
+// bailed out retires through one; every tier must reach the same
+// architectural state, cycle count and instruction count.
+func TestMixedBlockAllTiers(t *testing.T) {
+	const boundary = confData + isa.PageSize // the LD straddles this address
+	p := asm.New(ramBase)
+	p.LIU(20, confData)
+	p.LIU(21, boundary)
+	p.LI(5, 0x1234_5678_9abc)
+	for i := 0; i < 6; i++ {
+		p.ADD(6, 6, 5)
+		p.XOR(7, 7, 6)
+		p.SLLI(5, 5, 3)
+	}
+	p.SD(6, 21, -8)
+	p.SD(7, 21, 0)
+	p.AMOADDD(8, 20, 5) // empty slot, mid-block
+	for i := 0; i < 6; i++ {
+		p.ADD(9, 9, 8)
+		p.ADDI(8, 8, 1)
+	}
+	p.LD(10, 21, -4) // straddles the page boundary: a bailout
+	for i := 0; i < 6; i++ {
+		p.XOR(11, 11, 10)
+		p.ADD(10, 10, 9)
+	}
+	p.ECALL()
+	code := p.MustAssemble()
+
+	var bindable uint64
+	for i := 0; i+4 <= len(code); i += 4 {
+		var op traceOp
+		bindOp(DefaultCosts(), isa.Decode(binary.LittleEndian.Uint32(code[i:])).Op, &op)
+		if op.oi != nil {
+			bindable++
+		}
+	}
+
+	var ref *Hart
+	for _, tier := range confTiers {
+		h := runConformance(t, tier, code)
+		if tier.name == "trace" {
+			st := h.FastPathStats()
+			if st.TCBailouts != 1 {
+				t.Errorf("trace: %d bailouts, want 1 (the straddling LD)", st.TCBailouts)
+			}
+			if st.TCOps != bindable-1 {
+				t.Errorf("trace: %d instructions retired by pre-bound ops, want %d", st.TCOps, bindable-1)
+			}
+		}
+		if ref == nil {
+			ref = h
+			if want := ref.Reg(6)>>32 | ref.Reg(7)<<32; ref.Reg(10) != want+6*ref.Reg(9) {
+				t.Fatalf("straddling LD chain: x10 = %#x, want %#x", ref.Reg(10), want+6*ref.Reg(9))
+			}
+			continue
+		}
+		if h.X != ref.X || h.PC != ref.PC {
+			t.Errorf("%s: registers/pc differ from %s:\n%#x pc=%#x\n%#x pc=%#x",
+				tier.name, confTiers[0].name, h.X, h.PC, ref.X, ref.PC)
+		}
+		if h.Cycles != ref.Cycles || h.Instret != ref.Instret {
+			t.Errorf("%s: cycles/instret %d/%d, %s has %d/%d",
+				tier.name, h.Cycles, h.Instret, confTiers[0].name, ref.Cycles, ref.Instret)
+		}
+		for addr := uint64(confData); addr < boundary+isa.PageSize; addr += 8 {
+			got, _ := h.Mem.ReadUint(addr, 8)
+			want, _ := ref.Mem.ReadUint(addr, 8)
+			if got != want {
+				t.Errorf("%s: mem[%#x] = %#x, %s has %#x", tier.name, addr, got, confTiers[0].name, want)
+			}
+		}
 	}
 }
 
 // Per-tier dispatch-length distributions: with the trace tier on, whole
-// superblock runs retire through pre-bound handlers and the trace histogram
+// superblock runs retire through pre-bound ops and the trace histogram
 // must account for exactly the ops the stats report; with the tier off, the
-// same program drains through the generic loop and only the superblock
+// same program retires through execute() and only the superblock
 // histogram fills. The histograms are host-side observability — arming them
 // must leave every simulated number untouched, which the quad-engine
 // lockstep suites already pin — so this test checks the distribution
@@ -166,14 +230,14 @@ func TestDispatchLengthHistograms(t *testing.T) {
 	if tc.Mean() <= 1 {
 		t.Fatalf("trace dispatches average %.1f ops — tier is not amortizing", tc.Mean())
 	}
-	_ = sb // the trace tier may drain whole blocks, leaving the generic loop idle
+	_ = sb // pre-bound ops may retire whole blocks, leaving execute() idle
 
 	sb, tc, st = run(false)
 	if tc.Count() != 0 {
 		t.Fatalf("trace histogram observed %d dispatches with the tier off", tc.Count())
 	}
 	if sb.Count() == 0 || sb.Sum() == 0 {
-		t.Fatalf("superblock histogram empty with the generic loop active: %+v", st)
+		t.Fatalf("superblock histogram empty with execute() retiring every instruction: %+v", st)
 	}
 	if sb.Mean() <= 1 {
 		t.Fatalf("superblock dispatches average %.1f ops", sb.Mean())

@@ -91,39 +91,41 @@ func TestCauseName(t *testing.T) {
 	_ = sink
 }
 
-// Table of hand-assembled instruction words cross-checked against the spec.
-// Only the fields each format actually uses are compared; the decoder
-// extracts every register bit-field unconditionally.
+// knownWord is one hand-assembled instruction word cross-checked against
+// the spec. Only the fields each format actually uses are compared; the
+// decoder extracts every register bit-field unconditionally.
+type knownWord struct {
+	raw  uint32
+	op   Op
+	rd   uint8
+	rs1  uint8
+	rs2  uint8
+	imm  int64
+	csr  uint16
+	mask string // which fields to compare: subset of "d1 2ic"
+}
+
+var knownWords = []knownWord{
+	{raw: 0xFFD10093, op: OpADDI, rd: 1, rs1: 2, imm: -3, mask: "d1i"},
+	{raw: 0x123452B7, op: OpLUI, rd: 5, imm: 0x12345000, mask: "di"},
+	{raw: 0x0105B503, op: OpLD, rd: 10, rs1: 11, imm: 16, mask: "d1i"},
+	{raw: 0xFEC6BC23, op: OpSD, rs1: 13, rs2: 12, imm: -8, mask: "12i"},
+	{raw: 0x00208463, op: OpBEQ, rs1: 1, rs2: 2, imm: 8, mask: "12i"},
+	{raw: 0x001000EF, op: OpJAL, rd: 1, imm: 2048, mask: "di"},
+	{raw: 0x00008067, op: OpJALR, rd: 0, rs1: 1, imm: 0, mask: "d1i"},
+	{raw: 0x025201B3, op: OpMUL, rd: 3, rs1: 4, rs2: 5, mask: "d12"},
+	{raw: 0x18039073, op: OpCSRRW, rs1: 7, csr: CSRSatp, mask: "1c"},
+	{raw: 0x00000073, op: OpECALL},
+	{raw: 0x10200073, op: OpSRET},
+	{raw: 0x30200073, op: OpMRET},
+	{raw: 0x10500073, op: OpWFI},
+	{raw: 0x43F0D093, op: OpSRAI, rd: 1, rs1: 1, imm: 63, mask: "d1i"},
+	{raw: 0x0041813B, op: OpADDW, rd: 2, rs1: 3, rs2: 4, mask: "d12"},
+	{raw: 0x0063B2AF, op: OpAMOADDD, rd: 5, rs1: 7, rs2: 6, mask: "d12"},
+	{raw: 0x1004A42F, op: OpLRW, rd: 8, rs1: 9, mask: "d1"},
+}
+
 func TestDecodeKnownWords(t *testing.T) {
-	type check struct {
-		raw  uint32
-		op   Op
-		rd   uint8
-		rs1  uint8
-		rs2  uint8
-		imm  int64
-		csr  uint16
-		mask string // which fields to compare: subset of "d1 2ic"
-	}
-	cases := []check{
-		{raw: 0xFFD10093, op: OpADDI, rd: 1, rs1: 2, imm: -3, mask: "d1i"},
-		{raw: 0x123452B7, op: OpLUI, rd: 5, imm: 0x12345000, mask: "di"},
-		{raw: 0x0105B503, op: OpLD, rd: 10, rs1: 11, imm: 16, mask: "d1i"},
-		{raw: 0xFEC6BC23, op: OpSD, rs1: 13, rs2: 12, imm: -8, mask: "12i"},
-		{raw: 0x00208463, op: OpBEQ, rs1: 1, rs2: 2, imm: 8, mask: "12i"},
-		{raw: 0x001000EF, op: OpJAL, rd: 1, imm: 2048, mask: "di"},
-		{raw: 0x00008067, op: OpJALR, rd: 0, rs1: 1, imm: 0, mask: "d1i"},
-		{raw: 0x025201B3, op: OpMUL, rd: 3, rs1: 4, rs2: 5, mask: "d12"},
-		{raw: 0x18039073, op: OpCSRRW, rs1: 7, csr: CSRSatp, mask: "1c"},
-		{raw: 0x00000073, op: OpECALL},
-		{raw: 0x10200073, op: OpSRET},
-		{raw: 0x30200073, op: OpMRET},
-		{raw: 0x10500073, op: OpWFI},
-		{raw: 0x43F0D093, op: OpSRAI, rd: 1, rs1: 1, imm: 63, mask: "d1i"},
-		{raw: 0x0041813B, op: OpADDW, rd: 2, rs1: 3, rs2: 4, mask: "d12"},
-		{raw: 0x0063B2AF, op: OpAMOADDD, rd: 5, rs1: 7, rs2: 6, mask: "d12"},
-		{raw: 0x1004A42F, op: OpLRW, rd: 8, rs1: 9, mask: "d1"},
-	}
 	has := func(mask string, c byte) bool {
 		for i := 0; i < len(mask); i++ {
 			if mask[i] == c {
@@ -132,7 +134,7 @@ func TestDecodeKnownWords(t *testing.T) {
 		}
 		return false
 	}
-	for _, c := range cases {
+	for _, c := range knownWords {
 		got := Decode(c.raw)
 		if got.Op != c.op {
 			t.Errorf("Decode(%#08x).Op = %v, want %v", c.raw, got.Op, c.op)
@@ -161,6 +163,73 @@ func TestDecodeInvalid(t *testing.T) {
 		if in := Decode(raw); in.Op != OpInvalid {
 			t.Errorf("Decode(%#08x).Op = %v, want OpInvalid", raw, in.Op)
 		}
+	}
+}
+
+// FuzzDecode is the decoder round trip. Decode must not panic on any word,
+// and every word that decodes to a valid op must survive re-encoding: the
+// decoded fields, put back through the Encode* helper of the op's format,
+// decode to the same Op, Rd, Rs1, Rs2, Imm and CSR. Raw is not compared:
+// bits the decoder ignores (AMO aq/rl, FENCE fm/pred) need not survive.
+// The seeds are the hand-checked words of TestDecodeKnownWords.
+func FuzzDecode(f *testing.F) {
+	for _, c := range knownWords {
+		f.Add(c.raw)
+	}
+	f.Fuzz(func(t *testing.T, raw uint32) {
+		in := Decode(raw)
+		if in.Op == OpInvalid {
+			return
+		}
+		out := Decode(reencode(raw, in))
+		out.Raw = in.Raw
+		if out != in {
+			t.Fatalf("Decode(%#08x) = %+v, re-encoded it decodes to %+v", raw, in, out)
+		}
+	})
+}
+
+// reencode rebuilds an instruction word from the decoded fields in through
+// the Encode* helper of its format. Only the bits that select the op
+// (opcode, funct3, funct7/funct5) come from raw; every operand comes from
+// in.
+func reencode(raw uint32, in Inst) uint32 {
+	opcode, funct3, funct7 := raw&0x7F, raw>>12&7, raw>>25
+	switch opcode {
+	case 0x37, 0x17: // LUI, AUIPC
+		return EncodeU(opcode, in.Rd, in.Imm)
+	case 0x6F: // JAL
+		return EncodeJ(opcode, in.Rd, in.Imm)
+	case 0x63: // branches
+		return EncodeB(opcode, funct3, in.Rs1, in.Rs2, in.Imm)
+	case 0x23: // stores
+		return EncodeS(opcode, funct3, in.Rs1, in.Rs2, in.Imm)
+	case 0x33, 0x3B: // OP, OP-32
+		return EncodeR(opcode, funct3, funct7, in.Rd, in.Rs1, in.Rs2)
+	case 0x2F: // AMO
+		return EncodeAMO(funct7>>2, funct3, in.Rd, in.Rs1, in.Rs2)
+	case 0x0F: // FENCE: no decoded immediate; Rs2 carries bits 20-24
+		return EncodeI(opcode, funct3, in.Rd, in.Rs1, int64(in.Rs2))
+	case 0x73: // SYSTEM
+		switch in.Op {
+		case OpCSRRW, OpCSRRS, OpCSRRC:
+			return EncodeCSR(funct3, in.Rd, in.Rs1, in.CSR)
+		case OpCSRRWI, OpCSRRSI, OpCSRRCI:
+			return EncodeCSR(funct3, in.Rd, uint8(in.Imm), in.CSR)
+		}
+		return EncodeR(opcode, funct3, funct7, in.Rd, in.Rs1, in.Rs2)
+	case 0x13: // OP-IMM: RV64 SRAI puts funct6 0x10 above a 6-bit shamt
+		if in.Op == OpSRAI {
+			return EncodeI(opcode, funct3, in.Rd, in.Rs1, 0x10<<6|in.Imm)
+		}
+		return EncodeI(opcode, funct3, in.Rd, in.Rs1, in.Imm)
+	case 0x1B: // OP-IMM-32: word shifts are R-type with shamt in rs2
+		if in.Op == OpADDIW {
+			return EncodeI(opcode, funct3, in.Rd, in.Rs1, in.Imm)
+		}
+		return EncodeR(opcode, funct3, funct7, in.Rd, in.Rs1, uint8(in.Imm))
+	default: // loads, JALR
+		return EncodeI(opcode, funct3, in.Rd, in.Rs1, in.Imm)
 	}
 }
 

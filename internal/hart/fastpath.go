@@ -335,16 +335,18 @@ func (e *fastPath) fill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access) bool
 	return true
 }
 
-// hitAccounting replays the slow path's per-access state changes for a
-// validated entry: the TLB hit (tick, LRU, stats, TLBHit cycles) unless
-// the translation was bare — the slow path consults no TLB then — and the
-// PMP check count.
-func (e *fastPath) hitAccounting(h *Hart, ent *mtlbEntry) {
+// hitAccounting replays the slow path's state changes for n consecutive
+// accesses through a validated entry: n TLB hits (tick, LRU, stats, TLBHit
+// cycles) unless the translation was bare — the slow path consults no TLB
+// then — and n PMP check counts. Crediting n hits at once leaves the same
+// state as n single hits as long as no other TLB entry is touched between
+// them; n == 0 changes nothing.
+func (e *fastPath) hitAccounting(h *Hart, ent *mtlbEntry, n uint64) {
 	if !ent.bare {
-		h.TLB.Touch(int(ent.tlbIdx))
-		h.Cycles += h.Cost.TLBHit
+		h.TLB.TouchN(int(ent.tlbIdx), n)
+		h.Cycles += n * h.Cost.TLBHit
 	}
-	h.PMP.NoteCheck()
+	h.PMP.NoteChecks(n)
 }
 
 // decodePageLocked returns the decoded page for a physical page, building
@@ -431,7 +433,7 @@ func (e *fastPath) access(h *Hart, va uint64, size int, write bool, val uint64) 
 	if p == nil {
 		return 0, false
 	}
-	e.hitAccounting(h, ent)
+	e.hitAccounting(h, ent, 1)
 	h.Cycles += h.Cost.Mem
 	if write {
 		e.stats.WriteHits++

@@ -442,6 +442,19 @@ func TestLockstepFuzzMachineMode(t *testing.T) {
 // mapping. It returns the satp value.
 func enterSv39(t *testing.T, h *Hart) uint64 {
 	t.Helper()
+	return enterSv39With(t, h, ramBase, func(b *ptw.Builder, root uint64) error {
+		return b.Map(root, ramBase, ramBase, pteRWXAD, 2, false)
+	})
+}
+
+// pteRWXAD is a valid leaf's read/write/execute/accessed/dirty flags.
+const pteRWXAD = isa.PTERead | isa.PTEWrite | isa.PTEExec | isa.PTEAccess | isa.PTEDirty
+
+// enterSv39With opens PMP, builds an Sv39 root with tables in high RAM,
+// lets mapFn install the mappings, and drops h to S-mode at pc under them.
+// It returns the satp value.
+func enterSv39With(t *testing.T, h *Hart, pc uint64, mapFn func(b *ptw.Builder, root uint64) error) uint64 {
+	t.Helper()
 	openPMP(t, h)
 	next := uint64(ramBase + 48<<20)
 	b := &ptw.Builder{Mem: h.Mem, Alloc: func() (uint64, error) {
@@ -453,15 +466,14 @@ func enterSv39(t *testing.T, h *Hart) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Map(root, ramBase, ramBase,
-		isa.PTERead|isa.PTEWrite|isa.PTEExec|isa.PTEAccess|isa.PTEDirty, 2, false); err != nil {
+	if err := mapFn(b, root); err != nil {
 		t.Fatal(err)
 	}
 	sv39 := uint64(isa.SatpModeSv39)<<isa.SatpModeShift | root>>isa.PageShift
 	h.SetCSR(isa.CSRSatp, sv39)
 	h.SetCSR(isa.CSRMstatus,
 		h.CSR(isa.CSRMstatus)&^isa.MstatusMPP|uint64(1)<<isa.MstatusMPPShift)
-	h.SetCSR(isa.CSRMepc, ramBase)
+	h.SetCSR(isa.CSRMepc, pc)
 	h.MRet()
 	return sv39
 }

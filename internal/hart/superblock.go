@@ -173,7 +173,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 				}
 			}
 			// Per-fetch accounting: what the slow path's Fetch charges.
-			e.hitAccounting(h, ent)
+			e.hitAccounting(h, ent, 1)
 			if h.Prof != nil && h.Cycles >= h.Prof.Next {
 				tier := telemetry.ProfTierFast
 				if e.sb {

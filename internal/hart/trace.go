@@ -156,19 +156,29 @@ func bindOp(c *Costs, op isa.Op, t *traceOp) {
 // branch/jump), which the caller detects by comparing h.PC against the
 // straight line.
 //
-// Each op retires the way the dispatch loop charges around execute():
-// fetch accounting against the page's fetch entry, the profiler hook at
-// the same cycle point the per-step engines sample it, then Instret and
-// the pre-summed cost. A load or store resolves its data slot before
-// that, so a stop leaves nothing retired, and replays the data-side hit
-// after it, so the TLB's tick/LRU sequence — fetch entry touched, then
-// data entry — matches the other tiers bit for bit.
+// Each op retires what the dispatch loop charges around execute(): a
+// fetch hit against the page's fetch entry, Instret and the pre-summed
+// cost. A load or store resolves its data slot first, so a stop leaves
+// nothing retired, and replays its data-side hit after its fetch.
+//
+// The run credits that accounting in batches, not per op. Every op
+// fetches through the same entry, so pend counts the fetch hits not yet
+// credited and hitAccounting credits them in one step; cyc holds the
+// op costs and Branch charges, and Instret and cyc land once at return.
+// No pre-bound op reads Cycles, Instret or the TLB's tick (CSR reads
+// retire through execute(), slot refills only Peek), so only two points
+// of a run could see the difference, and the pending hits are credited
+// before each:
+//   - a data-side hit, so the TLB's tick/LRU sequence — fetch entry, then
+//     data entry — matches the other tiers bit for bit;
+//   - the armed profiler's Prof.Next check, so a sample lands at the same
+//     cycle count the per-step engines sample at.
 func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEntry) uint64 {
 	// Pre-bound ops cannot move the translation context (see above), so
 	// one snapshot validates every data slot of the run.
 	ep := h.epochs()
 	want := h.PC
-	var i uint64
+	var i, pend, cyc uint64
 	for ; i < n; i++ {
 		op := &dp.ops[idx+i]
 		oi := op.oi
@@ -185,15 +195,21 @@ func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEn
 				break
 			}
 		}
-		e.hitAccounting(h, fetch)
-		if h.Prof != nil && h.Cycles >= h.Prof.Next {
-			h.Prof.Sample(want, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
+		pend++
+		if h.Prof != nil {
+			e.hitAccounting(h, fetch, pend)
+			h.Cycles += cyc
+			pend, cyc = 0, 0
+			if h.Cycles >= h.Prof.Next {
+				h.Prof.Sample(want, h.Mode.String(), telemetry.ProfTierTrace, h.Cycles)
+			}
 		}
-		h.Instret++
-		h.Cycles += op.cost
+		cyc += op.cost
 		switch {
 		case oi.fn == nil:
-			e.hitAccounting(h, data)
+			e.hitAccounting(h, fetch, pend)
+			pend = 0
+			e.hitAccounting(h, data, 1)
 			if oi.cls == clsStore {
 				e.stats.WriteHits++
 				storeLE(p, int(oi.width), h.X[in.Rs2])
@@ -203,7 +219,7 @@ func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEn
 			}
 			h.PC += 4
 		case oi.fn(h, in):
-			h.Cycles += h.Cost.Branch
+			cyc += h.Cost.Branch
 		default:
 			h.PC += 4
 		}
@@ -213,6 +229,9 @@ func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEn
 			break
 		}
 	}
+	e.hitAccounting(h, fetch, pend)
+	h.Cycles += cyc
+	h.Instret += i
 	e.stats.TCOps += i
 	if e.tcHist != nil && i > 0 {
 		e.tcLen.Observe(i)

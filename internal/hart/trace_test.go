@@ -1,11 +1,17 @@
 package hart
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"zion/internal/asm"
 	"zion/internal/isa"
+	"zion/internal/ptw"
 	"zion/internal/telemetry"
 )
 
@@ -241,5 +247,203 @@ func TestDispatchLengthHistograms(t *testing.T) {
 	}
 	if sb.Mean() <= 1 {
 		t.Fatalf("superblock dispatches average %.1f ops", sb.Mean())
+	}
+}
+
+// Pages of the TLB set-pressure test. Under the default 16-set, 4-way TLB
+// a 4 KiB page's set is vpn mod 16, so the code page setCode and the data
+// pages setA, setX, setY and setE all compete for set 0; setCode2, the
+// page the code falls through into, sits in set 1.
+const (
+	setCode  = ramBase
+	setCode2 = ramBase + isa.PageSize
+	setA     = ramBase + 0x1_0000
+	setX     = ramBase + 0x2_0000
+	setY     = ramBase + 0x3_0000
+	setE     = ramBase + 0x4_0000
+)
+
+// setPressureProgram fills page setCode with pre-bound ALU, load, store
+// and branch ops against setA, setX and setY, ending in a load from setA
+// in the page's last slot. The code falls through to setCode2, touches
+// setX and setY, and then misses on setE. That miss evicts the older of
+// the fetch entry (setCode) and setA: both were last touched by the final
+// load, fetch first, so the reference interpreter evicts setCode and the
+// jump back refetches it through a walk. Crediting the run's pending fetch
+// hits after the load's data hit instead of before would evict setA.
+func setPressureProgram() *asm.Program {
+	p := asm.New(setCode)
+	p.J("start")
+	p.Label("back")
+	p.ADDI(12, 12, 1)
+	p.ECALL()
+	p.Label("start")
+	p.LIU(20, setA)
+	p.LIU(21, setX)
+	p.LIU(22, setY)
+	p.LIU(23, setE)
+	p.LI(5, 7)
+	p.LD(8, 21, 0) // walk: setX enters set 0
+	p.SD(5, 22, 8) // walk: setY
+	p.LD(9, 20, 0) // walk: setA; set 0 is now full
+	for k := 0; p.PC() < setCode+isa.PageSize-4; k++ {
+		switch k % 8 {
+		case 0:
+			p.ADD(6, 6, 5)
+		case 1:
+			p.SD(6, 20, int64(k%64)*8)
+		case 2:
+			p.LD(7, 21, int64(k%32)*8)
+		case 3:
+			p.XOR(5, 5, 7)
+		case 4:
+			p.SD(5, 22, int64(k%16)*8)
+		case 5:
+			// A taken branch over one op: a side exit that ends the run.
+			label := fmt.Sprintf("skip%d", k)
+			p.BNE(0, 20, label)
+			p.ADDI(13, 13, 1)
+			p.Label(label)
+		case 6:
+			p.LD(10, 20, int64(k%64)*8)
+		default:
+			p.ADDI(5, 5, 3)
+		}
+	}
+	p.Label("last")
+	p.LD(11, 20, 0) // the page's last slot: fetch setCode, then data setA
+	// setCode2
+	p.LD(14, 21, 8)
+	p.SD(11, 22, 16)
+	p.LD(15, 23, 0) // miss in set 0: evicts setCode, the older entry
+	p.J("back")
+	return p
+}
+
+// enterSetPressure loads the set-pressure program, maps its pages with
+// identity 4 KiB Sv39 leaves and drops h to S mode at its start.
+func enterSetPressure(t *testing.T, h *Hart) {
+	t.Helper()
+	p := setPressureProgram()
+	load(t, h, setCode, p)
+	if last, _ := p.LabelAddr("last"); last != setCode+isa.PageSize-4 {
+		t.Fatalf("final load at %#x, want the last slot of the code page", last)
+	}
+	enterSv39With(t, h, setCode, func(b *ptw.Builder, root uint64) error {
+		for _, pa := range []uint64{setCode, setCode2, setA, setX, setY, setE} {
+			if err := b.Map(root, pa, pa, pteRWXAD, 0, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// runSetPressure runs the set-pressure program to its S-mode ecall on a
+// compiled-tier hart, or on the reference interpreter when ref is set,
+// with the sampling profiler armed when period is nonzero. It returns the
+// hart and its folded profile with the tier frame dropped (the tiers
+// label their samples differently), as location -> weight.
+func runSetPressure(t *testing.T, ref bool, period uint64) (*Hart, map[string]uint64) {
+	t.Helper()
+	h := newHart(t)
+	if ref {
+		h.DisableFastPath()
+	}
+	var sink *telemetry.Sink
+	if period != 0 {
+		sink = telemetry.New(telemetry.Config{ProfilePeriod: period})
+		h.Prof = sink.Scope().Profiler(0)
+	}
+	enterSetPressure(t, h)
+	for steps := uint64(0); steps < 20000; {
+		n, ev := h.Run(noTimer{}, 1024)
+		steps += n
+		if ev.Kind != EvTrap {
+			continue
+		}
+		if ev.Trap.Cause != isa.ExcEcallS {
+			t.Fatalf("unexpected trap %s at pc=%#x", isa.CauseName(ev.Trap.Cause), ev.Trap.PC)
+		}
+		prof := map[string]uint64{}
+		var buf bytes.Buffer
+		sink.ExportFoldedProfile(&buf)
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			loc, wgt, _ := strings.Cut(line, " ")
+			frames := strings.Split(loc, ";")
+			frames = append(frames[:4], frames[5:]...) // drop the tier
+			w, err := strconv.ParseUint(wgt, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof[strings.Join(frames, ";")] += w
+		}
+		return h, prof
+	}
+	t.Fatalf("no terminating ecall (pc=%#x)", h.PC)
+	return nil, nil
+}
+
+// sameRun fails unless two set-pressure runs agree on registers, PC, the
+// program's memory, Cycles, Instret and the TLB, PMP and walk statistics.
+func sameRun(t *testing.T, tag string, h, ref *Hart) {
+	t.Helper()
+	if h.X != ref.X || h.PC != ref.PC {
+		t.Errorf("%s: registers/pc differ:\n%#x pc=%#x\n%#x pc=%#x", tag, h.X, h.PC, ref.X, ref.PC)
+	}
+	if h.Cycles != ref.Cycles || h.Instret != ref.Instret {
+		t.Errorf("%s: cycles/instret %d/%d, reference %d/%d", tag, h.Cycles, h.Instret, ref.Cycles, ref.Instret)
+	}
+	if h.TLB.Stats() != ref.TLB.Stats() || h.PMP.Stats() != ref.PMP.Stats() || h.WalkStats != ref.WalkStats {
+		t.Errorf("%s: tlb %+v pmp %+v walks %+v, reference tlb %+v pmp %+v walks %+v", tag,
+			h.TLB.Stats(), h.PMP.Stats(), h.WalkStats, ref.TLB.Stats(), ref.PMP.Stats(), ref.WalkStats)
+	}
+	for _, pa := range []uint64{setCode, setCode2, setA, setX, setY, setE} {
+		got, _ := h.Mem.Read(pa, isa.PageSize)
+		want, _ := ref.Mem.Read(pa, isa.PageSize)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: page %#x differs", tag, pa)
+		}
+	}
+}
+
+// Pre-bound runs credit their fetch-side TLB hits in batches. The batch
+// must land before every data-side hit, or the fetch entry's LRU stamp
+// ends up newer than the data entry's and a later miss in the same set
+// evicts the wrong way. Here fetch and data entries compete for one TLB
+// set, and the compiled tier must match the reference interpreter in
+// every architectural and accounting number, with the profiler unarmed
+// and armed.
+func TestTraceFetchBatchingUnderSetPressure(t *testing.T) {
+	ref, _ := runSetPressure(t, true, 0)
+	// Misses: setCode, setX, setY, setA, setCode2, setE, and setCode again
+	// after setE evicted it. Fewer means the eviction the test is built
+	// around did not happen.
+	if m := ref.TLB.Stats().Misses; m != 7 {
+		t.Fatalf("reference took %d TLB misses, want 7", m)
+	}
+
+	h, _ := runSetPressure(t, false, 0)
+	if st := h.FastPathStats(); st.TCOps < 900 {
+		t.Fatalf("only %d instructions retired by pre-bound ops: %+v", st.TCOps, st)
+	}
+	sameRun(t, "compiled", h, ref)
+
+	// Armed, a period of a few cycles samples at nearly every
+	// instruction. Every simulated number stays as unarmed, and both
+	// tiers take the same samples.
+	const period = 5
+	refArmed, refProf := runSetPressure(t, true, period)
+	armed, prof := runSetPressure(t, false, period)
+	sameRun(t, "reference armed", refArmed, ref)
+	sameRun(t, "compiled armed", armed, ref)
+	if len(prof) < 100 {
+		t.Fatalf("armed profile holds %d locations, want nearly every instruction", len(prof))
+	}
+	if !reflect.DeepEqual(prof, refProf) {
+		t.Errorf("armed compiled profile (%d locations) differs from the reference's (%d)", len(prof), len(refProf))
 	}
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 )
 
@@ -191,5 +192,49 @@ func TestCodeWatcherNotifications(t *testing.T) {
 		if len(w.pages) != 0 {
 			t.Errorf("%s: spurious invalidation %#x", mu.name, w.pages)
 		}
+	}
+}
+
+// countingWatcher counts invalidations per page without allocating, and
+// is safe to call from several goroutines at once.
+type countingWatcher struct{ n map[uint64]*atomic.Uint64 }
+
+func newCountingWatcher(pages ...uint64) *countingWatcher {
+	w := &countingWatcher{n: make(map[uint64]*atomic.Uint64, len(pages))}
+	for _, pa := range pages {
+		w.n[pa] = new(atomic.Uint64)
+	}
+	return w
+}
+
+func (w *countingWatcher) InvalidateCodePage(pa uint64) {
+	if c := w.n[pa]; c != nil {
+		c.Add(1)
+	}
+}
+
+// Once any code page is registered, every store pays noteWrite's registry
+// lookup. It reads one bit per page without a lock and allocates nothing:
+// a store to a non-code page costs zero objects, and so does a store to a
+// code page whose watcher keeps the page registered.
+func TestNoteWriteNonCodeAllocs(t *testing.T) {
+	m := NewPhysMemory(allocBase, allocSize)
+	code := uint64(allocBase + 0x8000)
+	w := newCountingWatcher(code)
+	m.AddCodeWatcher(w)
+	m.RegisterCodePage(code)
+	m.RegisterCodePage(allocBase + 0x9000)
+	data := uint64(allocBase + 0x20_000)
+	if err := m.WriteUint(data, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = m.WriteUint(data, 2, 8) }); n != 0 {
+		t.Errorf("store to a non-code page: %.1f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = m.WriteUint(code+8, 3, 8) }); n != 0 {
+		t.Errorf("store to a code page: %.1f allocs/op, want 0", n)
+	}
+	if w.n[code].Load() == 0 {
+		t.Error("stores to the registered code page reached no watcher")
 	}
 }

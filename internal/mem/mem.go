@@ -8,6 +8,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,13 +43,17 @@ type PhysMemory struct {
 	// cache on. Refcounted so multiple harts can share a page.
 	//
 	// The registry is read on every store (noteWrite) and written only on
-	// decode/invalidate, so it is guarded by an RWMutex with an atomic
-	// count in front as the common-case "no code pages" fast-out.
-	codeMu    sync.RWMutex
-	codePages map[uint64]int // page index -> refcount
-	nCode     atomic.Int32   // distinct registered pages (fast-out)
-	codeGen   atomic.Uint64  // bumped on every register/unregister
-	watchers  []CodeWatcher
+	// decode/invalidate, so readers take no lock. Writers serialise on
+	// codeMu, keep the refcounts, and publish a page's registered/free
+	// state in codeBits, one bit per 4 KiB RAM page (a 64th of the size of
+	// pages). The watcher list is copy-on-write behind an atomic pointer.
+	// nCode stays in front as the common-case "no code pages" fast-out.
+	codeMu    sync.Mutex
+	codePages map[uint64]int  // page index -> refcount (codeMu)
+	codeBits  []atomic.Uint64 // page index -> registered bit
+	nCode     atomic.Int32    // distinct registered pages (fast-out)
+	codeGen   atomic.Uint64   // bumped on every register/unregister
+	watchers  atomic.Pointer[[]CodeWatcher]
 }
 
 // CodeWatcher observes writes landing in registered code pages.
@@ -69,8 +74,10 @@ func NewPhysMemory(base, size uint64) *PhysMemory {
 	if base%isa.PageSize != 0 || size%isa.PageSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned RAM base=%#x size=%#x", base, size))
 	}
+	n := size >> isa.PageShift
 	return &PhysMemory{base: base, size: size,
-		pages: make([]atomic.Pointer[pageBuf], size>>isa.PageShift)}
+		pages:    make([]atomic.Pointer[pageBuf], n),
+		codeBits: make([]atomic.Uint64, (n+63)/64)}
 }
 
 // Base returns the first physical address of the RAM.
@@ -121,31 +128,67 @@ func (m *PhysMemory) PageSlice(addr uint64) []byte {
 // AddCodeWatcher registers a watcher for code-page write notifications.
 func (m *PhysMemory) AddCodeWatcher(w CodeWatcher) {
 	m.codeMu.Lock()
-	m.watchers = append(m.watchers, w)
-	m.codeMu.Unlock()
+	defer m.codeMu.Unlock()
+	ws := append(slices.Clone(m.codeWatchers()), w)
+	m.watchers.Store(&ws)
 }
 
 // RemoveCodeWatcher detaches a previously added watcher.
 func (m *PhysMemory) RemoveCodeWatcher(w CodeWatcher) {
 	m.codeMu.Lock()
 	defer m.codeMu.Unlock()
-	for i, x := range m.watchers {
-		if x == w {
-			m.watchers = append(m.watchers[:i], m.watchers[i+1:]...)
-			return
-		}
+	old := m.codeWatchers()
+	if i := slices.Index(old, w); i >= 0 {
+		ws := slices.Delete(slices.Clone(old), i, i+1)
+		m.watchers.Store(&ws)
+	}
+}
+
+// codeWatchers returns the current watcher list. It is never modified in
+// place: writers publish a fresh copy under codeMu.
+func (m *PhysMemory) codeWatchers() []CodeWatcher {
+	if ws := m.watchers.Load(); ws != nil {
+		return *ws
+	}
+	return nil
+}
+
+// codeIndex returns the page index of addr, with ok=false outside the RAM.
+func (m *PhysMemory) codeIndex(addr uint64) (idx uint64, ok bool) {
+	idx = (addr - m.base) >> isa.PageShift
+	return idx, addr >= m.base && idx < uint64(len(m.pages))
+}
+
+// isCode reads page idx's registered bit without a lock.
+func (m *PhysMemory) isCode(idx uint64) bool {
+	return m.codeBits[idx/64].Load()&(1<<(idx%64)) != 0
+}
+
+// setCode publishes page idx's registered bit. Caller holds codeMu, which
+// serialises every writer of codeBits.
+func (m *PhysMemory) setCode(idx uint64, on bool) {
+	w := &m.codeBits[idx/64]
+	if on {
+		w.Store(w.Load() | 1<<(idx%64))
+	} else {
+		w.Store(w.Load() &^ (1 << (idx % 64)))
 	}
 }
 
 // RegisterCodePage marks the page containing addr as holding decoded code.
+// Pages outside the RAM are never written through it, so they are ignored.
 func (m *PhysMemory) RegisterCodePage(addr uint64) {
+	idx, ok := m.codeIndex(addr)
+	if !ok {
+		return
+	}
 	m.codeMu.Lock()
 	if m.codePages == nil {
 		m.codePages = make(map[uint64]int)
 	}
-	idx := (addr - m.base) >> isa.PageShift
 	m.codePages[idx]++
 	if m.codePages[idx] == 1 {
+		m.setCode(idx, true)
 		m.nCode.Add(1)
 	}
 	m.codeGen.Add(1)
@@ -154,12 +197,16 @@ func (m *PhysMemory) RegisterCodePage(addr uint64) {
 
 // UnregisterCodePage drops one registration of the page containing addr.
 func (m *PhysMemory) UnregisterCodePage(addr uint64) {
+	idx, ok := m.codeIndex(addr)
+	if !ok {
+		return
+	}
 	m.codeMu.Lock()
-	idx := (addr - m.base) >> isa.PageShift
 	if n := m.codePages[idx]; n > 1 {
 		m.codePages[idx] = n - 1
 	} else if n == 1 {
 		delete(m.codePages, idx)
+		m.setCode(idx, false)
 		m.nCode.Add(-1)
 	}
 	m.codeGen.Add(1)
@@ -168,10 +215,8 @@ func (m *PhysMemory) UnregisterCodePage(addr uint64) {
 
 // IsCodePage reports whether the page containing addr is registered.
 func (m *PhysMemory) IsCodePage(addr uint64) bool {
-	m.codeMu.RLock()
-	ok := m.codePages[(addr-m.base)>>isa.PageShift] > 0
-	m.codeMu.RUnlock()
-	return ok
+	idx, ok := m.codeIndex(addr)
+	return ok && m.isCode(idx)
 }
 
 // CodeGen returns the registry generation; cached IsCodePage answers are
@@ -181,27 +226,19 @@ func (m *PhysMemory) CodeGen() uint64 { return m.codeGen.Load() }
 // noteWrite notifies watchers about registered code pages overlapping a
 // write of n bytes at addr. The atomic empty-registry check keeps the
 // cost of this hook to one predictable load on every store when no
-// decoded blocks exist. Hit pages and the watcher list are collected
-// under the read lock but dispatched outside it: a watcher reacts by
-// unregistering pages, which needs the write lock.
+// decoded blocks exist; otherwise each page costs one lock-free bit test.
+// A page registered before the write has its bit set, so the write
+// reaches every watcher. No lock is held while watchers run: they react
+// by unregistering pages, which takes codeMu.
 func (m *PhysMemory) noteWrite(addr, n uint64) {
 	if m.nCode.Load() == 0 || n == 0 {
 		return
 	}
-	var hits []uint64
-	var ws []CodeWatcher
-	m.codeMu.RLock()
 	for pa := addr &^ uint64(isa.PageSize-1); pa < addr+n; pa += isa.PageSize {
-		if m.codePages[(pa-m.base)>>isa.PageShift] > 0 {
-			hits = append(hits, pa)
+		if idx, ok := m.codeIndex(pa); !ok || !m.isCode(idx) {
+			continue
 		}
-	}
-	if hits != nil {
-		ws = append(ws, m.watchers...)
-	}
-	m.codeMu.RUnlock()
-	for _, pa := range hits {
-		for _, w := range ws {
+		for _, w := range m.codeWatchers() {
 			w.InvalidateCodePage(pa)
 		}
 	}

@@ -2,6 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +275,97 @@ func TestWriteReadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The code-page registry is read without a lock while writers register
+// and unregister pages and add and remove watchers. Every store to a page
+// registered before the store must still reach the watcher, and
+// IsCodePage must never report a page in the wrong state. Run under
+// -race (make race), this also checks the lock-free reads are data-race
+// free.
+func TestCodePageRegistryConcurrent(t *testing.T) {
+	const (
+		writers = 3
+		rounds  = 2000
+	)
+	m := newTestRAM()
+	pinned := uint64(testBase + 0x1000) // registered for the whole test
+	never := uint64(testBase + 0x2000)  // never registered
+	own := func(g int) uint64 { return testBase + 0x10_000 + uint64(g)*isa.PageSize }
+	churn := uint64(testBase + 0x40_000)
+	pages := []uint64{pinned, churn}
+	for g := 0; g < writers; g++ {
+		pages = append(pages, own(g))
+	}
+	w := newCountingWatcher(pages...)
+	m.AddCodeWatcher(w)
+	m.RegisterCodePage(pinned)
+
+	var writing, background sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan string, writers+1)
+	// Each writer registers its own page, stores to it and to the pinned
+	// page, and requires both stores to have reached the watcher.
+	for g := 0; g < writers; g++ {
+		writing.Add(1)
+		go func(g int, pa uint64) {
+			defer writing.Done()
+			for r := 0; r < rounds; r++ {
+				m.RegisterCodePage(pa)
+				before := w.n[pa].Load()
+				if err := m.WriteUint(pa+8, uint64(r), 8); err != nil {
+					errs <- err.Error()
+					return
+				}
+				if w.n[pa].Load() == before {
+					errs <- fmt.Sprintf("store %d to registered page %#x reached no watcher", r, pa)
+					return
+				}
+				if !m.IsCodePage(pa) || !m.IsCodePage(pinned) {
+					errs <- fmt.Sprintf("round %d: a registered page reads as free", r)
+					return
+				}
+				// Disjoint words per writer: a shared word would be a
+				// data race in the simulated DRAM itself.
+				_ = m.WriteUint(pinned+uint64(g*128+r%128)*8, uint64(r), 8)
+				m.UnregisterCodePage(pa)
+			}
+		}(g, own(g))
+	}
+	// Churn: another page flips state and a second watcher comes and goes
+	// while the writers run.
+	background.Add(2)
+	go func() {
+		defer background.Done()
+		extra := newCountingWatcher()
+		for !stop.Load() {
+			m.RegisterCodePage(churn)
+			m.AddCodeWatcher(extra)
+			_ = m.WriteUint(churn, 1, 8)
+			m.RemoveCodeWatcher(extra)
+			m.UnregisterCodePage(churn)
+		}
+	}()
+	// Reader: the fixed pages never change state.
+	go func() {
+		defer background.Done()
+		for !stop.Load() {
+			if !m.IsCodePage(pinned) || m.IsCodePage(never) {
+				errs <- "pinned page read as free, or never-registered page as code"
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	writing.Wait()
+	stop.Store(true)
+	background.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got := w.n[pinned].Load(); got != writers*rounds {
+		t.Errorf("pinned page: %d invalidations for %d stores", got, writers*rounds)
 	}
 }

@@ -16,7 +16,10 @@
 // firmware uses, and the reason PMP reads need no atomics.
 package pmp
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // NumEntries is the number of PMP entries per hart. Commodity parts
 // implement 16 (the paper relies on this being small — it is why pure
@@ -151,11 +154,9 @@ func EncodeNAPOT(base, size uint64) (uint64, error) {
 
 // DecodeNAPOT recovers (base, size) from a raw NAPOT pmpaddr value.
 func DecodeNAPOT(raw uint64) (base, size uint64) {
-	// Count trailing ones.
-	ones := uint(0)
-	for raw>>ones&1 == 1 {
-		ones++
-	}
+	// The trailing ones of raw encode the size; all ones (64) yields
+	// base 0, size 0, as Go's shifts by 64 produce 0.
+	ones := uint(bits.TrailingZeros64(^raw))
 	size = uint64(8) << ones
 	base = (raw &^ ((1 << ones) - 1)) << 2
 	return base, size
@@ -227,6 +228,9 @@ func (u *Unit) Probe(addr, n uint64, acc AccessType, machineMode bool) bool {
 // NoteCheck counts one allowed access evaluated by a cached fast-path
 // verdict, keeping Stats.Checks bit-identical to slow-path execution.
 func (u *Unit) NoteCheck() { u.stats.Checks++ }
+
+// NoteChecks counts n allowed accesses at once: n calls of NoteCheck.
+func (u *Unit) NoteChecks(n uint64) { u.stats.Checks += n }
 
 func (u *Unit) check(addr, n uint64, acc AccessType, machineMode bool) bool {
 	if n == 0 {

@@ -1,6 +1,7 @@
 package pmp
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -242,5 +243,55 @@ func TestAccessTypeString(t *testing.T) {
 	if AccessRead.String() != "read" || AccessWrite.String() != "write" ||
 		AccessExec.String() != "exec" || AccessType(9).String() != "?" {
 		t.Error("AccessType.String mismatch")
+	}
+}
+
+// decodeNAPOTLoop is the trailing-ones bit loop DecodeNAPOT used before it
+// switched to bits.TrailingZeros64; the table test below pins the two
+// together.
+func decodeNAPOTLoop(raw uint64) (base, size uint64) {
+	ones := uint(0)
+	for raw>>ones&1 == 1 {
+		ones++
+	}
+	size = uint64(8) << ones
+	base = (raw &^ ((1 << ones) - 1)) << 2
+	return base, size
+}
+
+func TestDecodeNAPOTMatchesBitLoop(t *testing.T) {
+	raws := []uint64{0, ^uint64(0)}
+	for k := uint(0); k < 64; k++ {
+		ones := uint64(1)<<k - 1
+		raws = append(raws, ones, ones|1<<k<<1, ^ones)
+	}
+	rng := rand.New(rand.NewSource(0x4A907))
+	for i := 0; i < 2000; i++ {
+		// Random values, and random values with a random run of low ones.
+		raws = append(raws, rng.Uint64(), rng.Uint64()|(uint64(1)<<uint(rng.Intn(64))-1))
+	}
+	for _, raw := range raws {
+		b, s := DecodeNAPOT(raw)
+		wb, ws := decodeNAPOTLoop(raw)
+		if b != wb || s != ws {
+			t.Fatalf("DecodeNAPOT(%#x) = (%#x, %#x), bit loop gives (%#x, %#x)", raw, b, s, wb, ws)
+		}
+	}
+}
+
+func TestNoteChecksMatchesRepeatedNoteCheck(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 7, 1000} {
+		batched, single := New(), New()
+		setNAPOT(t, batched, 0, 0x8000_0000, 1<<20, PermR)
+		setNAPOT(t, single, 0, 0x8000_0000, 1<<20, PermR)
+		batched.Check(0x1000, 8, AccessRead, false) // one denial in both
+		single.Check(0x1000, 8, AccessRead, false)
+		batched.NoteChecks(n)
+		for j := uint64(0); j < n; j++ {
+			single.NoteCheck()
+		}
+		if batched.Stats() != single.Stats() {
+			t.Errorf("n=%d: NoteChecks stats %+v, NoteCheck x n %+v", n, batched.Stats(), single.Stats())
+		}
 	}
 }

@@ -158,6 +158,20 @@ func (t *TLB) Touch(idx int) {
 	t.stats.Hits++
 }
 
+// TouchN replays n consecutive Lookup hits on entry idx in one step: the
+// tick advances by n, the entry takes the last hit's LRU stamp, and n hits
+// are counted — the same state n calls of Touch(idx) leave, because the
+// intermediate stamps are overwritten before anything could observe them.
+// n == 0 changes nothing.
+func (t *TLB) TouchN(idx int, n uint64) {
+	if n == 0 {
+		return
+	}
+	t.tick += n
+	t.arr[idx].lru = t.tick
+	t.stats.Hits += n
+}
+
 // Insert caches a leaf translation. level is the leaf level (0/1/2);
 // va and pa are truncated to the page frame of that level.
 func (t *TLB) Insert(va, pa uint64, perms uint64, level int, asid, vmid uint16) {

@@ -187,3 +187,62 @@ func TestTLBFillsWholeCacheLines(t *testing.T) {
 		t.Errorf("sizeof(TLB) = %d, want 128", n)
 	}
 }
+
+// fullSet fills set 0 of a 16-set, 4-way TLB with vpns 0, 16, 32, 48 and
+// touches them out of insertion order, so the LRU stamps are distinct and
+// way 2 (vpn 32) is the least recently used.
+func fullSet(t *testing.T) *TLB {
+	t.Helper()
+	tl := New(16, 4)
+	for k := uint64(0); k < 4; k++ {
+		tl.Insert(16*k<<isa.PageShift, 0x8000_0000+k<<isa.PageShift, isa.PTERead, 0, 0, 0)
+	}
+	for _, vpn := range []uint64{0, 48, 16} {
+		if _, _, _, hit := tl.Lookup(vpn<<isa.PageShift, 0, 0); !hit {
+			t.Fatalf("vpn %d missed", vpn)
+		}
+	}
+	return tl
+}
+
+// sameTLB fails unless a and b agree on the tick, every entry (LRU stamps
+// included) and the statistics.
+func sameTLB(t *testing.T, tag string, a, b *TLB) {
+	t.Helper()
+	if a.tick != b.tick || a.stats != b.stats || a.gen != b.gen {
+		t.Fatalf("%s: tick/stats/gen %d/%+v/%d vs %d/%+v/%d", tag, a.tick, a.stats, a.gen, b.tick, b.stats, b.gen)
+	}
+	for i := range a.arr {
+		if a.arr[i] != b.arr[i] {
+			t.Fatalf("%s: entry %d = %+v vs %+v", tag, i, a.arr[i], b.arr[i])
+		}
+	}
+}
+
+// TouchN(idx, n) leaves exactly the state n calls of Touch(idx) leave:
+// the same tick, LRU stamps and statistics, and therefore the same victim
+// for the next Insert into the set.
+func TestTouchNMatchesRepeatedTouch(t *testing.T) {
+	for _, n := range []uint64{1, 2, 7, 1000} {
+		for idx := 0; idx < 4; idx++ {
+			batched, single := fullSet(t), fullSet(t)
+			batched.TouchN(idx, n)
+			for j := uint64(0); j < n; j++ {
+				single.Touch(idx)
+			}
+			sameTLB(t, "after touch", batched, single)
+			// vpn 64 maps to set 0: the victim is the LRU way.
+			batched.Insert(64<<isa.PageShift, 0x9000_0000, isa.PTERead, 0, 0, 0)
+			single.Insert(64<<isa.PageShift, 0x9000_0000, isa.PTERead, 0, 0, 0)
+			sameTLB(t, "after insert", batched, single)
+		}
+	}
+}
+
+// TouchN with n == 0 credits nothing: the tick, the entry's LRU stamp and
+// the statistics stay as they were.
+func TestTouchNZeroIsNoOp(t *testing.T) {
+	tl, ref := fullSet(t), fullSet(t)
+	tl.TouchN(2, 0)
+	sameTLB(t, "TouchN(2, 0)", tl, ref)
+}

@@ -36,8 +36,9 @@
 #                           pre-bound ops, of trap-cause naming, of the device view's
 #                           shared-window reads (a SharedPA hit, a 16-byte
 #                           GuestMem.ReadInto), of stage-2 walk faults, of one
-#                           MMIO exit round trip, of one demand fault and of
-#                           a store's code-page check
+#                           MMIO exit round trip, of one demand fault, of
+#                           a store's code-page check and of the TLB's
+#                           lookups, fills and flushes
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
 #                           then FuzzDecode, FuzzResume and FuzzVirtioChain
 #                           for 30s each
@@ -127,13 +128,14 @@ smoke-serving:
 # SharedPA hit and a 16-byte GuestMem.ReadInto, one descriptor read), a
 # stage-2 walk fault taken by value (every MMIO exit and demand fault), one
 # warm MMIO exit round trip (SM resume, guest, exit, hypervisor emulation),
-# one demand fault on an already-materialized frame, and a store's
+# one demand fault on an already-materialized frame, a store's
 # lock-free code-page check once code pages are registered (every store
-# pays it). The suite runs
+# pays it), and the TLB's Insert, Lookup, Peek, TouchN and four flushes
+# (every world switch flushes twice). The suite runs
 # these anyway; the dedicated target gives CI a cheap job whose failure
 # names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestTLBAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over

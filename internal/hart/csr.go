@@ -146,61 +146,65 @@ func (h *Hart) readCSR(addr uint16) (uint64, csrErr) {
 	return f.raw(addr), csrOK
 }
 
-// writeCSR updates a CSR as seen from mode.
+// csrReadOnly reports whether addr lies in the read-only range
+// 0xC00-0xFFF (counters and machine information registers).
+func csrReadOnly(addr uint16) bool { return addr>>10 == 3 }
+
+// writeCSR updates a CSR as seen from mode: the privilege check and the
+// VS remap, then storeCSR.
 func (h *Hart) writeCSR(addr uint16, v uint64) csrErr {
-	if addr>>10 == 3 {
-		return csrIllegal // read-only range
+	if csrReadOnly(addr) {
+		return csrIllegal
 	}
 	if e := checkPriv(addr, h.Mode); e != csrOK {
 		return e
 	}
-	virt := h.Mode.Virtualized()
-	addr = remap(addr, virt)
+	h.storeCSR(remap(addr, h.Mode.Virtualized()), v)
+	return csrOK
+}
+
+// storeCSR writes v to the (already remapped) register addr under its WARL
+// rules: views write through to their backing register, read-only bits
+// and fields keep their value, and writes that can change translation
+// bump mmuGen.
+func (h *Hart) storeCSR(addr uint16, v uint64) {
 	f := h.csr
 	switch addr {
 	case isa.CSRSstatus:
 		cur := f.raw(isa.CSRMstatus)
 		f.setRaw(isa.CSRMstatus, cur&^sstatusMask|v&sstatusMask)
 		h.mmuGen++ // SUM/MXR may have changed
-		return csrOK
 	case isa.CSRMstatus:
 		f.setRaw(addr, v)
 		h.mmuGen++
-		return csrOK
 	case isa.CSRSie:
 		deleg := f.raw(isa.CSRMideleg) & sipMask
 		cur := f.raw(isa.CSRMie)
 		f.setRaw(isa.CSRMie, cur&^deleg|v&deleg)
-		return csrOK
 	case isa.CSRSip:
 		// Only SSIP is software-writable at S level.
 		deleg := f.raw(isa.CSRMideleg) & (1 << isa.IntSSoft)
 		cur := f.raw(isa.CSRMip)
 		f.setRaw(isa.CSRMip, cur&^deleg|v&deleg)
-		return csrOK
 	case isa.CSRVsie:
 		deleg := f.raw(isa.CSRHideleg) & vsInterruptMask
 		cur := f.raw(isa.CSRHie)
 		f.setRaw(isa.CSRHie, cur&^deleg|(v<<1)&deleg)
-		return csrOK
 	case isa.CSRVsip:
 		deleg := f.raw(isa.CSRHideleg) & (1 << isa.IntVSSoft)
 		cur := f.raw(isa.CSRHvip)
 		f.setRaw(isa.CSRHvip, cur&^deleg|(v<<1)&deleg)
-		return csrOK
 	case isa.CSRMip:
 		// MSIP, MTIP and MEIP are driven by the platform (CLINT, external
 		// lines) and read-only to software.
 		const ro = 1<<isa.IntMSoft | 1<<isa.IntMTimer | 1<<isa.IntMExt
 		f.setRaw(addr, f.raw(addr)&ro|v&^ro)
-		return csrOK
 	case isa.CSRMisa, isa.CSRMhartid:
-		return csrOK // WARL: ignore writes
+		// WARL: ignore writes
 	case isa.CSRMedeleg:
 		// ecall-from-M (11) is never delegatable.
 		v &^= uint64(1) << isa.ExcEcallM
 		f.setRaw(addr, v)
-		return csrOK
 	case isa.CSRHedeleg:
 		// Per spec, ecall-from-VS (10), ecall-from-HS (9), and the
 		// guest-page faults (20,21,23) are read-only zero in hedeleg.
@@ -208,29 +212,24 @@ func (h *Hart) writeCSR(addr uint16, v uint64) csrErr {
 			uint64(1)<<isa.ExcInstGuestPageFault | uint64(1)<<isa.ExcLoadGuestPageFault |
 			uint64(1)<<isa.ExcStoreGuestPageFault | uint64(1)<<isa.ExcVirtualInst
 		f.setRaw(addr, v)
-		return csrOK
 	case isa.CSRPmpcfg0:
 		h.PMP.WriteCfgCSR(0, v)
-		return csrOK
 	case isa.CSRPmpcfg2:
 		h.PMP.WriteCfgCSR(2, v)
-		return csrOK
 	case isa.CSRSatp, isa.CSRVsatp, isa.CSRHgatp:
 		// Accept Bare and Sv39/Sv39x4 only; other modes are WARL->ignore.
 		m := v >> isa.SatpModeShift
-		if m != isa.SatpModeBare && m != isa.SatpModeSv39 {
-			return csrOK
+		if m == isa.SatpModeBare || m == isa.SatpModeSv39 {
+			f.setRaw(addr, v)
+			h.mmuGen++
 		}
-		f.setRaw(addr, v)
-		h.mmuGen++
-		return csrOK
+	default:
+		if addr >= isa.CSRPmpaddr0 && addr <= isa.CSRPmpaddr15 {
+			h.PMP.SetAddr(int(addr-isa.CSRPmpaddr0), v)
+		} else {
+			f.setRaw(addr, v)
+		}
 	}
-	if addr >= isa.CSRPmpaddr0 && addr <= isa.CSRPmpaddr15 {
-		h.PMP.SetAddr(int(addr-isa.CSRPmpaddr0), v)
-		return csrOK
-	}
-	f.setRaw(addr, v)
-	return csrOK
 }
 
 // hip composes the hypervisor interrupt-pending view: hvip bits plus any
@@ -256,13 +255,12 @@ func (h *Hart) CSR(addr uint16) uint64 {
 }
 
 // SetCSR writes an architectural register on behalf of privileged Go
-// software, bypassing mode checks but honouring WARL masks.
+// software, bypassing mode checks but honouring WARL masks. It stores
+// exactly what an M-mode csrw would and leaves h.Mode alone; a write to
+// the read-only range panics.
 func (h *Hart) SetCSR(addr uint16, v uint64) {
-	saved := h.Mode
-	h.Mode = isa.ModeM
-	if e := h.writeCSR(addr, v); e != csrOK {
-		h.Mode = saved
-		panic(fmt.Sprintf("hart: firmware write to CSR %#x failed (%d)", addr, e))
+	if csrReadOnly(addr) {
+		panic(fmt.Sprintf("hart: firmware write to read-only CSR %#x", addr))
 	}
-	h.Mode = saved
+	h.storeCSR(addr, v)
 }

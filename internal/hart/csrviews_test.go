@@ -152,3 +152,44 @@ func TestMipPlatformBitsReadOnly(t *testing.T) {
 		t.Fatalf("mip = %#x, want %#x", got, want)
 	}
 }
+
+// SetCSR stores exactly what the privileged path stores for an M-mode
+// write (Mode set to M, writeCSR, Mode restored): the same CSR file, PMP
+// state and mmuGen, for every writable address and for patterned values,
+// on harts running in every mode. It never changes Mode, and it panics
+// on the read-only range.
+func TestSetCSRMatchesPrivilegedWrite(t *testing.T) {
+	values := []uint64{0, ^uint64(0), 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA}
+	for _, mode := range []isa.PrivMode{isa.ModeM, isa.ModeS, isa.ModeVS, isa.ModeVU} {
+		fw, priv := newHart(t), newHart(t)
+		fw.Mode, priv.Mode = mode, mode
+		for addr := uint16(0); addr < 0xC00; addr++ {
+			for _, v := range values {
+				fw.SetCSR(addr, v)
+				priv.Mode = isa.ModeM
+				if e := priv.writeCSR(addr, v); e != csrOK {
+					t.Fatalf("M-mode write of %#x to CSR %#x failed (%d)", v, addr, e)
+				}
+				priv.Mode = mode
+				if fw.Mode != mode {
+					t.Fatalf("%v: SetCSR(%#x, %#x) left Mode %v", mode, addr, v, fw.Mode)
+				}
+				if fw.csr.regs != priv.csr.regs || *fw.PMP != *priv.PMP || fw.mmuGen != priv.mmuGen {
+					t.Fatalf("%v: SetCSR(%#x, %#x) diverged from the privileged write (mmuGen %d vs %d)", mode, addr, v, fw.mmuGen, priv.mmuGen)
+				}
+			}
+		}
+	}
+	// The read-only range 0xC00-0xFFF has no firmware store.
+	h := newHart(t)
+	for addr := uint16(0xC00); addr <= 0xFFF; addr++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetCSR(%#x) did not panic", addr)
+				}
+			}()
+			h.SetCSR(addr, 1)
+		}()
+	}
+}

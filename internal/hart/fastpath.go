@@ -30,7 +30,7 @@ type mtlbEntry struct {
 	paPage uint64 // page-aligned physical address
 	mode   isa.PrivMode
 	bare   bool  // no TLB involved (M-mode, or S/U with satp=Bare)
-	tlbIdx int32 // TLB entry to Touch on each hit (bare=false)
+	tlbIdx int32 // TLB entry TouchN credits hits to (bare=false)
 	tlbGen uint64
 	pmpGen uint64
 	mmuGen uint64

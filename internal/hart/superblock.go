@@ -41,7 +41,7 @@ import (
 // Bit-identity with per-instruction execution is preserved the way the
 // whole fast path preserves it: execute() and the pre-bound ops run the
 // same opTable handlers, and the dispatch loop replays the exact per-fetch
-// accounting (TLB Touch/tick/hit, TLBHit cycles, PMP check count) the
+// accounting (TLB tick/LRU/hits, TLBHit cycles, PMP check count) the
 // slow path would have produced. Blocks never span a page, so the fetch
 // micro-TLB entry that admitted the block — whole-page exec permission,
 // whole-page PMP verdict, stable translation epochs — is the page-span/

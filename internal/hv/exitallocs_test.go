@@ -7,13 +7,13 @@ import (
 	"zion/internal/sm"
 )
 
-// TestMMIOExitRoundTripAllocs pins the host cost of the E1 path: once
-// warm, one MMIO exit round trip — the SM resumes the vCPU from the
-// previous exit (Check-after-Load), runs the guest to its next MMIO load,
-// publishes the exit, and the hypervisor emulates the device and answers
-// through the shared vCPU — allocates nothing.
-func TestMMIOExitRoundTripAllocs(t *testing.T) {
-	_, _, k, h := newStack(t, sm.Config{})
+// newMMIOExitRoundTrip builds a CVM that loads from a stub MMIO device in
+// a loop and returns one warm round trip of the E1 path: the SM resumes
+// the vCPU from the previous exit (Check-after-Load), runs the guest to
+// its next MMIO load, publishes the exit, and the hypervisor emulates the
+// device and answers through the shared vCPU.
+func newMMIOExitRoundTrip(tb testing.TB) func() {
+	_, _, k, h := newStack(tb, sm.Config{})
 	const devBase = 0x1000_0000
 	p := asm.New(GuestRAMBase)
 	p.LI(asm.T0, devBase)
@@ -22,23 +22,42 @@ func TestMMIOExitRoundTripAllocs(t *testing.T) {
 	p.J("loop")
 	vm, err := k.CreateCVM(h, "exits", p.MustAssemble(), GuestRAMBase)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	k.AttachDevice(vm, &fakeDevice{base: devBase, val: 7})
 	roundTrip := func() {
 		info, err := k.SM.RunVCPU(h, vm.CVMID, 0)
 		if err != nil || info.Reason != sm.ExitMMIORead {
-			t.Fatalf("exit = %v, %v; want mmio-read", info.Reason, err)
+			tb.Fatalf("exit = %v, %v; want mmio-read", info.Reason, err)
 		}
 		vm.countExit("mmio")
 		if err := k.emulateCVMMMIO(h, vm, 0, info); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		roundTrip()
 	}
+	return roundTrip
+}
+
+// TestMMIOExitRoundTripAllocs pins the host cost of the E1 path: once
+// warm, one MMIO exit round trip allocates nothing.
+func TestMMIOExitRoundTripAllocs(t *testing.T) {
+	roundTrip := newMMIOExitRoundTrip(t)
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("MMIO exit round trip allocates %v objects, want 0", allocs)
+	}
+}
+
+// BenchmarkMMIOExitRoundTrip times the same warm round trip: the world
+// switch in and out of the CVM, the guest's MMIO load and the
+// hypervisor's emulation.
+func BenchmarkMMIOExitRoundTrip(b *testing.B) {
+	roundTrip := newMMIOExitRoundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 }

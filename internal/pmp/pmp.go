@@ -225,11 +225,9 @@ func (u *Unit) Probe(addr, n uint64, acc AccessType, machineMode bool) bool {
 	return u.check(addr, n, acc, machineMode)
 }
 
-// NoteCheck counts one allowed access evaluated by a cached fast-path
-// verdict, keeping Stats.Checks bit-identical to slow-path execution.
-func (u *Unit) NoteCheck() { u.stats.Checks++ }
-
-// NoteChecks counts n allowed accesses at once: n calls of NoteCheck.
+// NoteChecks counts n allowed accesses evaluated by a cached fast-path
+// verdict, keeping Stats.Checks bit-identical to slow-path execution: the
+// statistics n allowed Check calls leave.
 func (u *Unit) NoteChecks(n uint64) { u.stats.Checks += n }
 
 func (u *Unit) check(addr, n uint64, acc AccessType, machineMode bool) bool {

@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -144,13 +146,19 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// New rejects a non-positive geometry and a set count that is not a
+// power of two (the set index is a mask).
 func TestGeometryValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on zero ways")
-		}
-	}()
-	New(4, 0)
+	for _, g := range []struct{ sets, ways int }{{4, 0}, {3, 4}, {6, 4}, {12, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d) did not panic", g.sets, g.ways)
+				}
+			}()
+			New(g.sets, g.ways)
+		}()
+	}
 }
 
 func TestResetStats(t *testing.T) {
@@ -212,23 +220,27 @@ func sameTLB(t *testing.T, tag string, a, b *TLB) {
 	if a.tick != b.tick || a.stats != b.stats || a.gen != b.gen {
 		t.Fatalf("%s: tick/stats/gen %d/%+v/%d vs %d/%+v/%d", tag, a.tick, a.stats, a.gen, b.tick, b.stats, b.gen)
 	}
-	for i := range a.arr {
-		if a.arr[i] != b.arr[i] {
-			t.Fatalf("%s: entry %d = %+v vs %+v", tag, i, a.arr[i], b.arr[i])
+	for i := range a.tags {
+		if a.tags[i] != b.tags[i] || a.pay[i] != b.pay[i] {
+			t.Fatalf("%s: entry %d = %+v %+v vs %+v %+v", tag, i, a.tags[i], a.pay[i], b.tags[i], b.pay[i])
 		}
 	}
 }
 
-// TouchN(idx, n) leaves exactly the state n calls of Touch(idx) leave:
-// the same tick, LRU stamps and statistics, and therefore the same victim
-// for the next Insert into the set.
+// TouchN(idx, n) leaves exactly the state n Lookup hits on entry idx
+// leave: the same tick, LRU stamps and statistics, and therefore the same
+// victim for the next Insert into the set.
 func TestTouchNMatchesRepeatedTouch(t *testing.T) {
 	for _, n := range []uint64{1, 2, 7, 1000} {
 		for idx := 0; idx < 4; idx++ {
 			batched, single := fullSet(t), fullSet(t)
 			batched.TouchN(idx, n)
+			// fullSet put vpn 16*idx in way idx of set 0.
+			va := 16 * uint64(idx) << isa.PageShift
 			for j := uint64(0); j < n; j++ {
-				single.Touch(idx)
+				if _, _, _, hit := single.Lookup(va, 0, 0); !hit {
+					t.Fatalf("way %d missed", idx)
+				}
 			}
 			sameTLB(t, "after touch", batched, single)
 			// vpn 64 maps to set 0: the victim is the LRU way.
@@ -245,4 +257,176 @@ func TestTouchNZeroIsNoOp(t *testing.T) {
 	tl, ref := fullSet(t), fullSet(t)
 	tl.TouchN(2, 0)
 	sameTLB(t, "TouchN(2, 0)", tl, ref)
+}
+
+// modelVA draws addresses whose page numbers collide at every level:
+// level-0 pages fall into two sets, so sets fill and evict, and the
+// level-1 and level-2 pages overlap the level-0 ones.
+func modelVA(r *rand.Rand) uint64 {
+	vpn := uint64(r.Intn(4))<<18 | uint64(r.Intn(4))<<9 | uint64(r.Intn(4))*16 + uint64(r.Intn(2))
+	return vpn<<isa.PageShift | uint64(r.Intn(1<<isa.PageShift))
+}
+
+// TestTLBMatchesModel drives TLB and refTLB, the whole-entry TLB it
+// replaced, through the same seeded operations on both geometries in
+// use and compares, after every operation, each return value, the
+// statistics, the generation, the occupancy and the way the next Insert
+// into every set would replace.
+func TestTLBMatchesModel(t *testing.T) {
+	const ops = 20000
+	for _, g := range []struct{ sets, ways int }{{16, 4}, {1, 2}} {
+		r := rand.New(rand.NewSource(int64(g.sets<<8 | g.ways)))
+		dut, ref := New(g.sets, g.ways), newRefTLB(g.sets, g.ways)
+		type ctx struct {
+			va         uint64
+			asid, vmid uint16
+		}
+		var recent [8]ctx
+		pick := func() ctx {
+			if r.Intn(10) < 7 {
+				c := recent[r.Intn(len(recent))]
+				c.va ^= uint64(r.Intn(1 << isa.PageShift))
+				return c
+			}
+			return ctx{modelVA(r), uint16(r.Intn(3)), uint16(r.Intn(3))}
+		}
+		var evictions, touches int
+		for op := 0; op < ops; op++ {
+			c := pick()
+			var what string
+			switch k := r.Intn(100); {
+			case k < 35:
+				level := r.Intn(3)
+				perms := uint64(r.Intn(1<<10)) &^ isa.PTEGlobal
+				if r.Intn(4) == 0 {
+					perms |= isa.PTEGlobal
+				}
+				c = ctx{modelVA(r), uint16(r.Intn(3)), uint16(r.Intn(3))}
+				recent[op%len(recent)] = c
+				pa := r.Uint64() & (1<<50 - 1)
+				what = fmt.Sprintf("Insert(%#x, %#x, %#x, %d, %d, %d)", c.va, pa, perms, level, c.asid, c.vmid)
+				if v := ref.victim(ref.setBase(c.va >> uint(isa.PageShift+9*level))); ref.arr[v].valid {
+					evictions++
+				}
+				dut.Insert(c.va, pa, perms, level, c.asid, c.vmid)
+				ref.Insert(c.va, pa, perms, level, c.asid, c.vmid)
+			case k < 60:
+				what = fmt.Sprintf("Lookup(%#x, %d, %d)", c.va, c.asid, c.vmid)
+				p1, f1, l1, h1 := dut.Lookup(c.va, c.asid, c.vmid)
+				p2, f2, l2, h2 := ref.Lookup(c.va, c.asid, c.vmid)
+				if p1 != p2 || f1 != f2 || l1 != l2 || h1 != h2 {
+					t.Fatalf("op %d %s: got %#x %#x %d %v, model %#x %#x %d %v", op, what, p1, f1, l1, h1, p2, f2, l2, h2)
+				}
+			case k < 88:
+				n := uint64(r.Intn(4))
+				what = fmt.Sprintf("Peek(%#x, %d, %d)+TouchN(%d)", c.va, c.asid, c.vmid, n)
+				i1, p1, f1, l1, h1 := dut.Peek(c.va, c.asid, c.vmid)
+				i2, p2, f2, l2, h2 := ref.Peek(c.va, c.asid, c.vmid)
+				if i1 != i2 || p1 != p2 || f1 != f2 || l1 != l2 || h1 != h2 {
+					t.Fatalf("op %d %s: got %d %#x %#x %d %v, model %d %#x %#x %d %v", op, what, i1, p1, f1, l1, h1, i2, p2, f2, l2, h2)
+				}
+				if h1 {
+					touches++
+					dut.TouchN(i1, n)
+					ref.TouchN(i2, n)
+				}
+			case k < 91:
+				what = "FlushAll()"
+				dut.FlushAll()
+				ref.FlushAll()
+			case k < 94:
+				what = fmt.Sprintf("FlushASID(%d, %d)", c.asid, c.vmid)
+				dut.FlushASID(c.asid, c.vmid)
+				ref.FlushASID(c.asid, c.vmid)
+			case k < 97:
+				what = fmt.Sprintf("FlushVMID(%d)", c.vmid)
+				dut.FlushVMID(c.vmid)
+				ref.FlushVMID(c.vmid)
+			default:
+				what = fmt.Sprintf("FlushPage(%#x, %d, %d)", c.va, c.asid, c.vmid)
+				dut.FlushPage(c.va, c.asid, c.vmid)
+				ref.FlushPage(c.va, c.asid, c.vmid)
+			}
+			if dut.Stats() != ref.stats || dut.Gen() != ref.gen || dut.tick != ref.tick {
+				t.Fatalf("op %d %s: stats/gen/tick %+v/%d/%d, model %+v/%d/%d", op, what, dut.Stats(), dut.Gen(), dut.tick, ref.stats, ref.gen, ref.tick)
+			}
+			if a, b := dut.Occupancy(), ref.Occupancy(); a != b {
+				t.Fatalf("op %d %s: occupancy %d, model %d", op, what, a, b)
+			}
+			for base := 0; base < g.sets*g.ways; base += g.ways {
+				if a, b := dut.victim(base), ref.victim(base); a != b {
+					t.Fatalf("op %d %s: next victim in set %d is %d, model %d", op, what, base/g.ways, a, b)
+				}
+			}
+		}
+		t.Logf("%dx%d: %+v, %d evictions, %d touches", g.sets, g.ways, ref.stats, evictions, touches)
+		// The run must have exercised what it compares.
+		s := ref.stats
+		if s.Hits < ops/10 || s.Misses < ops/10 || s.FlushedEnt < ops/100 || evictions < ops/100 || touches < ops/40 {
+			t.Errorf("%dx%d: weak coverage: %+v, %d evictions, %d touches", g.sets, g.ways, s, evictions, touches)
+		}
+	}
+}
+
+// The lookup, fill, batch-hit and flush paths allocate nothing.
+func TestTLBAllocs(t *testing.T) {
+	tl := NewDefault()
+	va := uint64(0x4000_1000)
+	ops := map[string]func(){
+		"Insert":    func() { tl.Insert(va, 0x8000_0000, isa.PTERead, 0, 1, 2) },
+		"Lookup":    func() { tl.Lookup(va, 1, 2) },
+		"Peek":      func() { tl.Peek(va, 1, 2) },
+		"TouchN":    func() { tl.TouchN(0, 3) },
+		"FlushAll":  func() { tl.Insert(va, 0, isa.PTERead, 0, 1, 2); tl.FlushAll() },
+		"FlushASID": func() { tl.Insert(va, 0, isa.PTERead, 0, 1, 2); tl.FlushASID(1, 2) },
+		"FlushVMID": func() { tl.Insert(va, 0, isa.PTERead, 0, 1, 2); tl.FlushVMID(2) },
+		"FlushPage": func() { tl.Insert(va, 0, isa.PTERead, 0, 1, 2); tl.FlushPage(va, 1, 2) },
+	}
+	for name, op := range ops {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s allocates %v objects, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkTLB times a hit, a miss on a full TLB, and the world switch's
+// two flushes on a TLB holding two valid entries (each flush op includes
+// the two Inserts that refill it).
+func BenchmarkTLB(b *testing.B) {
+	const vmid = 1
+	va := func(i int) uint64 { return 0x8000_0000 + uint64(i)<<isa.PageShift }
+	b.Run("hit", func(b *testing.B) {
+		tl := NewDefault()
+		tl.Insert(va(0), 0x9000_0000, isa.PTERead, 0, 0, vmid)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tl.Lookup(va(0), 0, vmid)
+		}
+	})
+	b.Run("miss-full", func(b *testing.B) {
+		tl := NewDefault()
+		for i := 0; i < 64; i++ {
+			tl.Insert(va(i), 0x9000_0000, isa.PTERead, 0, 0, vmid)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tl.Lookup(va(64+i%64), 0, vmid)
+		}
+	})
+	b.Run("flushall-2valid", func(b *testing.B) {
+		tl := NewDefault()
+		for i := 0; i < b.N; i++ {
+			tl.Insert(va(0), 0x9000_0000, isa.PTERead, 0, 0, vmid)
+			tl.Insert(va(1), 0x9000_1000, isa.PTERead, 0, 0, vmid)
+			tl.FlushAll()
+		}
+	})
+	b.Run("flushvmid-2valid", func(b *testing.B) {
+		tl := NewDefault()
+		for i := 0; i < b.N; i++ {
+			tl.Insert(va(0), 0x9000_0000, isa.PTERead, 0, 0, vmid)
+			tl.Insert(va(1), 0x9000_1000, isa.PTERead, 0, 0, vmid)
+			tl.FlushVMID(vmid)
+		}
+	})
 }

@@ -8,7 +8,9 @@
 #   make race   - full test suite under the race detector
 #   make lint   - gofmt check, then golangci-lint if installed, else 'go vet'
 #                 with a notice
-#   make check  - tier-2: lint + race detector on the whole module + a smoke
+#   make check  - tier-2: lint + race detector on the whole module + one
+#                 pass of the pre-bound op loop benchmark (BenchmarkRunOps,
+#                 so it cannot rot) + a smoke
 #                 fault-injection campaign (fixed seed, 100 faults) + the
 #                 compartment-compromise campaign + the host benchmark gate
 #                 (also verifies bit-identity; the committed baseline is
@@ -87,6 +89,7 @@ check: build
 	$(MAKE) lint
 	$(MAKE) race
 	$(GO) test ./...
+	$(GO) test ./internal/hart -run '^$$' -bench BenchmarkRunOps -benchtime 1x
 	$(MAKE) smoke
 	$(MAKE) smoke-compromise
 	$(MAKE) smoke-monitor

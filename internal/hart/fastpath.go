@@ -28,14 +28,14 @@ type mtlbEntry struct {
 	page   []byte // backing bytes of the physical page; nil = invalid
 	vaPage uint64 // VA >> PageShift tag
 	paPage uint64 // page-aligned physical address
-	mode   isa.PrivMode
+	// ep is the translation context the entry was filled under. A bare
+	// entry answers whatever ep.tlb says; slotMiss re-stamps it so the
+	// inlined hit check, which compares ep whole, keeps taking it.
+	ep     epochs
 	bare   bool  // no TLB involved (M-mode, or S/U with satp=Bare)
 	tlbIdx int32 // TLB entry TouchN credits hits to (bare=false)
-	tlbGen uint64
-	pmpGen uint64
-	mmuGen uint64
-	// Write entries: cached code-page verdict under memGen.
-	code   bool
+	// Write entries: the code-page registry generation under which the
+	// page was last seen not to be a code page (0 = not yet seen).
 	memGen uint64
 	// Fetch entries: decoded instructions for the page.
 	dp *decodedPage
@@ -52,8 +52,7 @@ type mtlbEntry struct {
 // transparent, so a cross-hart invalidation landing mid-quantum changes
 // only host-side cache effectiveness, never simulated results.
 type decodedPage struct {
-	live  atomic.Bool
-	insts [isa.PageSize / 4]isa.Inst
+	live atomic.Bool
 
 	// Superblock metadata (superblock.go). For each slot i:
 	//
@@ -73,8 +72,8 @@ type decodedPage struct {
 	sbLen   [isa.PageSize / 4]uint16
 	sbWorst [isa.PageSize / 4]uint64
 
-	// ops[i] is slot i's pre-bound operation (trace.go); an empty slot
-	// marks an op only execute() runs.
+	// ops[i] is slot i (trace.go): the instruction and, unless only
+	// execute() runs it, its pre-bound op.
 	ops [tracePageSlots]traceOp
 }
 
@@ -179,9 +178,6 @@ func (h *Hart) DisableFastPath() {
 	h.fp = nil
 }
 
-// FastPathEnabled reports whether the engine is attached.
-func (h *Hart) FastPathEnabled() bool { return h.fp != nil }
-
 // SetSuperblocks toggles the superblock dispatch loop on an attached
 // engine (no-op when the fast path is disabled). Turning it off degrades
 // Run's batches to the per-instruction fast path; cached metadata stays
@@ -237,11 +233,11 @@ func (h *Hart) epochs() epochs {
 
 // valid reports whether ent still answers for vaPage under ep.
 func (ent *mtlbEntry) valid(vaPage uint64, ep *epochs) bool {
-	if ent.page == nil || ent.vaPage != vaPage || ent.mode != ep.mode ||
-		ent.mmuGen != ep.mmu || ent.pmpGen != ep.pmp {
+	if ent.page == nil || ent.vaPage != vaPage || ent.ep.mode != ep.mode ||
+		ent.ep.mmu != ep.mmu || ent.ep.pmp != ep.pmp {
 		return false
 	}
-	return ent.bare || ent.tlbGen == ep.tlb
+	return ent.bare || ent.ep.tlb == ep.tlb
 }
 
 // fill tries to establish a micro-TLB entry for the page-aligned va. It is
@@ -325,12 +321,9 @@ func (e *fastPath) fill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access) bool
 		page:   e.mem.PageSlice(pa),
 		vaPage: va >> isa.PageShift,
 		paPage: pa,
-		mode:   h.Mode,
+		ep:     h.epochs(),
 		bare:   bare,
 		tlbIdx: int32(tlbIdx),
-		tlbGen: h.TLB.Gen(),
-		pmpGen: h.PMP.Gen(),
-		mmuGen: h.mmuGen,
 	}
 	return true
 }
@@ -361,12 +354,11 @@ func (e *fastPath) decodePageLocked(c *Costs, paPage uint64, page []byte) *decod
 	}
 	dp := &decodedPage{}
 	dp.live.Store(true)
-	last := len(dp.insts) - 1
+	last := len(dp.ops) - 1
 	for i := last; i >= 0; i-- {
-		in := isa.Decode(binary.LittleEndian.Uint32(page[i*4:]))
-		dp.insts[i] = in
-		bindOp(c, in.Op, &dp.ops[i])
-		if opTable[in.Op].ends || i == last {
+		bindOp(c, isa.Decode(binary.LittleEndian.Uint32(page[i*4:])), &dp.ops[i])
+		op := dp.ops[i].in.Op
+		if opTable[op].ends || i == last {
 			dp.sbLen[i] = 1
 			continue
 		}
@@ -374,7 +366,7 @@ func (e *fastPath) decodePageLocked(c *Costs, paPage uint64, page []byte) *decod
 		// sbWorst excludes the run's final instruction: checks happen
 		// before each instruction, so the last one's cycles land after
 		// every hoisted check already passed.
-		dp.sbWorst[i] = sbWorstCycles(c, in.Op) + dp.sbWorst[i+1]
+		dp.sbWorst[i] = sbWorstCycles(c, op) + dp.sbWorst[i+1]
 	}
 	e.pages[paPage] = dp
 	e.mem.RegisterCodePage(paPage)
@@ -382,20 +374,36 @@ func (e *fastPath) decodePageLocked(c *Costs, paPage uint64, page []byte) *decod
 	return dp
 }
 
-// slot resolves the micro-TLB entry and host bytes for a size-byte data
-// access at va under translation context ep without charging anything, or
-// returns nil when the access must take the slow path: odd width,
-// page-straddling access, a miss that can't fill, or a store into a
-// decoded code page (the slow path's mem.WriteUint triggers the block
-// invalidation those need).
-func (e *fastPath) slot(h *Hart, ep *epochs, va uint64, size int, write bool) (*mtlbEntry, []byte) {
-	switch size {
-	case 1, 2, 4, 8:
-	default:
+// slot and slotMiss resolve the micro-TLB entry and host bytes for a
+// size-byte data access at va under translation context ep without
+// charging anything. slot is the hit check, small enough for the compiler
+// to inline into runOps and access: it answers only from an entry that is
+// already valid (for a store, also with a current non-code verdict) and
+// returns nil otherwise. The caller then takes slotMiss, which decides
+// the access in full. size must be 1, 2, 4 or 8. An empty entry (page nil)
+// never matches: its ep.mmu is 0, and a hart's mmuGen starts at 1.
+func (e *fastPath) slot(ep *epochs, va, size uint64, write bool) (*mtlbEntry, []byte) {
+	off, vaPage := va&(isa.PageSize-1), va>>isa.PageShift
+	ent := &e.read[vaPage&mtlbMask]
+	if write {
+		ent = &e.write[vaPage&mtlbMask]
+	}
+	if off+size > isa.PageSize || ent.ep != *ep || ent.vaPage != vaPage ||
+		write && ent.memGen != e.mem.CodeGen() {
 		return nil, nil
 	}
+	return ent, ent.page[off:]
+}
+
+// slotMiss is slot's out-of-line half. It returns nil when the access must
+// take the slow path: a page-straddling access, a miss that can't fill, or
+// a store into a decoded code page (the slow path's mem.WriteUint
+// triggers the block invalidation those need). On a miss it counts the
+// miss and fills the entry; for a store it refreshes the entry's cached
+// code-page verdict.
+func (e *fastPath) slotMiss(h *Hart, ep *epochs, va, size uint64, write bool) (*mtlbEntry, []byte) {
 	off := va & (isa.PageSize - 1)
-	if off+uint64(size) > isa.PageSize {
+	if off+size > isa.PageSize {
 		return nil, nil
 	}
 	vaPage := va >> isa.PageShift
@@ -413,25 +421,32 @@ func (e *fastPath) slot(h *Hart, ep *epochs, va uint64, size int, write bool) (*
 			return nil, nil
 		}
 	}
+	ent.ep.tlb = ep.tlb
 	if write {
-		if ent.memGen != e.mem.CodeGen() {
-			ent.code = e.mem.IsCodePage(ent.paPage)
-			ent.memGen = e.mem.CodeGen()
-		}
-		if ent.code {
-			return nil, nil
+		if g := e.mem.CodeGen(); ent.memGen != g {
+			if e.mem.IsCodePage(ent.paPage) {
+				return nil, nil
+			}
+			ent.memGen = g
 		}
 	}
 	return ent, ent.page[off:]
 }
 
 // access performs a load or store through the micro-TLB, or reports
-// ok=false for the slow path (see slot).
+// ok=false for the slow path: an odd width, or whatever slotMiss refuses.
 func (e *fastPath) access(h *Hart, va uint64, size int, write bool, val uint64) (uint64, bool) {
-	ep := h.epochs()
-	ent, p := e.slot(h, &ep, va, size, write)
-	if p == nil {
+	switch size {
+	case 1, 2, 4, 8:
+	default:
 		return 0, false
+	}
+	ep := h.epochs()
+	ent, p := e.slot(&ep, va, uint64(size), write)
+	if p == nil {
+		if ent, p = e.slotMiss(h, &ep, va, uint64(size), write); p == nil {
+			return 0, false
+		}
 	}
 	e.hitAccounting(h, ent, 1)
 	h.Cycles += h.Cost.Mem

@@ -177,7 +177,7 @@ func TestFastPathDisableCleansUp(t *testing.T) {
 		t.Fatal("executed page not registered while enabled")
 	}
 	h.DisableFastPath()
-	if h.FastPathEnabled() {
+	if h.fp != nil {
 		t.Fatal("engine still attached")
 	}
 	if h.Mem.IsCodePage(ramBase) {

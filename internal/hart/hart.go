@@ -156,6 +156,7 @@ func New(id int, ram *mem.PhysMemory, bus Bus) *Hart {
 		Cost:      DefaultCosts(),
 		csr:       newCSRFile(uint64(id)),
 		TrapCount: make(map[uint64]uint64),
+		mmuGen:    1, // never 0: an empty micro-TLB entry must match no context
 	}
 	h.walker = ptw.Walker{Mem: ram, Stats: &h.WalkStats}
 	h.fp = newFastPath(h)

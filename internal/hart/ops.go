@@ -20,26 +20,17 @@ import (
 var opTable = [...]opInfo{
 	isa.OpInvalid: {cls: clsSystem, ends: true},
 
-	isa.OpLUI:   {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, uint64(in.Imm)) }},
-	isa.OpAUIPC: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.PC+uint64(in.Imm)) }},
-	isa.OpJAL: {cls: clsBranch, ends: true, fn: func(h *Hart, in *isa.Inst) bool {
-		h.SetReg(in.Rd, h.PC+4)
-		h.PC += uint64(in.Imm)
-		return true
-	}},
-	isa.OpJALR: {cls: clsBranch, ends: true, fn: func(h *Hart, in *isa.Inst) bool {
-		t := (h.X[in.Rs1] + uint64(in.Imm)) &^ 1
-		h.SetReg(in.Rd, h.PC+4)
-		h.PC = t
-		return true
-	}},
+	isa.OpLUI:   {fn: opLUI},
+	isa.OpAUIPC: {fn: opAUIPC},
+	isa.OpJAL:   {cls: clsBranch, ends: true, fn: opJAL},
+	isa.OpJALR:  {cls: clsBranch, ends: true, fn: opJALR},
 
-	isa.OpBEQ:  {cls: clsBranch, fn: func(h *Hart, in *isa.Inst) bool { return h.branch(in, h.X[in.Rs1] == h.X[in.Rs2]) }},
-	isa.OpBNE:  {cls: clsBranch, fn: func(h *Hart, in *isa.Inst) bool { return h.branch(in, h.X[in.Rs1] != h.X[in.Rs2]) }},
-	isa.OpBLT:  {cls: clsBranch, fn: func(h *Hart, in *isa.Inst) bool { return h.branch(in, int64(h.X[in.Rs1]) < int64(h.X[in.Rs2])) }},
-	isa.OpBGE:  {cls: clsBranch, fn: func(h *Hart, in *isa.Inst) bool { return h.branch(in, int64(h.X[in.Rs1]) >= int64(h.X[in.Rs2])) }},
-	isa.OpBLTU: {cls: clsBranch, fn: func(h *Hart, in *isa.Inst) bool { return h.branch(in, h.X[in.Rs1] < h.X[in.Rs2]) }},
-	isa.OpBGEU: {cls: clsBranch, fn: func(h *Hart, in *isa.Inst) bool { return h.branch(in, h.X[in.Rs1] >= h.X[in.Rs2]) }},
+	isa.OpBEQ:  {cls: clsBranch, fn: opBEQ},
+	isa.OpBNE:  {cls: clsBranch, fn: opBNE},
+	isa.OpBLT:  {cls: clsBranch, fn: opBLT},
+	isa.OpBGE:  {cls: clsBranch, fn: opBGE},
+	isa.OpBLTU: {cls: clsBranch, fn: opBLTU},
+	isa.OpBGEU: {cls: clsBranch, fn: opBGEU},
 
 	isa.OpLB:  {cls: clsLoad, width: 1, signed: true},
 	isa.OpLH:  {cls: clsLoad, width: 2, signed: true},
@@ -53,65 +44,53 @@ var opTable = [...]opInfo{
 	isa.OpSW:  {cls: clsStore, width: 4},
 	isa.OpSD:  {cls: clsStore, width: 8},
 
-	isa.OpADDI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]+uint64(in.Imm)) }},
-	isa.OpSLTI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, b2u(int64(h.X[in.Rs1]) < in.Imm)) }},
-	isa.OpSLTIU: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, b2u(h.X[in.Rs1] < uint64(in.Imm))) }},
-	isa.OpXORI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]^uint64(in.Imm)) }},
-	isa.OpORI:   {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]|uint64(in.Imm)) }},
-	isa.OpANDI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]&uint64(in.Imm)) }},
-	isa.OpSLLI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]<<uint(in.Imm)) }},
-	isa.OpSRLI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]>>uint(in.Imm)) }},
-	isa.OpSRAI:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, uint64(int64(h.X[in.Rs1])>>uint(in.Imm))) }},
+	isa.OpADDI:  {fn: opADDI},
+	isa.OpSLTI:  {fn: opSLTI},
+	isa.OpSLTIU: {fn: opSLTIU},
+	isa.OpXORI:  {fn: opXORI},
+	isa.OpORI:   {fn: opORI},
+	isa.OpANDI:  {fn: opANDI},
+	isa.OpSLLI:  {fn: opSLLI},
+	isa.OpSRLI:  {fn: opSRLI},
+	isa.OpSRAI:  {fn: opSRAI},
 
-	isa.OpADD:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]+h.X[in.Rs2]) }},
-	isa.OpSUB:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]-h.X[in.Rs2]) }},
-	isa.OpSLL:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]<<(h.X[in.Rs2]&63)) }},
-	isa.OpSLT:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, b2u(int64(h.X[in.Rs1]) < int64(h.X[in.Rs2]))) }},
-	isa.OpSLTU: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, b2u(h.X[in.Rs1] < h.X[in.Rs2])) }},
-	isa.OpXOR:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]^h.X[in.Rs2]) }},
-	isa.OpSRL:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]>>(h.X[in.Rs2]&63)) }},
-	isa.OpSRA:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, uint64(int64(h.X[in.Rs1])>>(h.X[in.Rs2]&63))) }},
-	isa.OpOR:   {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]|h.X[in.Rs2]) }},
-	isa.OpAND:  {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]&h.X[in.Rs2]) }},
+	isa.OpADD:  {fn: opADD},
+	isa.OpSUB:  {fn: opSUB},
+	isa.OpSLL:  {fn: opSLL},
+	isa.OpSLT:  {fn: opSLT},
+	isa.OpSLTU: {fn: opSLTU},
+	isa.OpXOR:  {fn: opXOR},
+	isa.OpSRL:  {fn: opSRL},
+	isa.OpSRA:  {fn: opSRA},
+	isa.OpOR:   {fn: opOR},
+	isa.OpAND:  {fn: opAND},
 
-	isa.OpADDIW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])+uint32(in.Imm))) }},
-	isa.OpSLLIW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])<<uint(in.Imm&31))) }},
-	isa.OpSRLIW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])>>uint(in.Imm&31))) }},
-	isa.OpSRAIW: {fn: func(h *Hart, in *isa.Inst) bool {
-		return h.setRd(in, uint64(int64(int32(h.X[in.Rs1])>>uint(in.Imm&31))))
-	}},
-	isa.OpADDW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])+uint32(h.X[in.Rs2]))) }},
-	isa.OpSUBW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])-uint32(h.X[in.Rs2]))) }},
-	isa.OpSLLW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])<<(h.X[in.Rs2]&31))) }},
-	isa.OpSRLW: {fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])>>(h.X[in.Rs2]&31))) }},
-	isa.OpSRAW: {fn: func(h *Hart, in *isa.Inst) bool {
-		return h.setRd(in, uint64(int64(int32(h.X[in.Rs1])>>(h.X[in.Rs2]&31))))
-	}},
+	isa.OpADDIW: {fn: opADDIW},
+	isa.OpSLLIW: {fn: opSLLIW},
+	isa.OpSRLIW: {fn: opSRLIW},
+	isa.OpSRAIW: {fn: opSRAIW},
+	isa.OpADDW:  {fn: opADDW},
+	isa.OpSUBW:  {fn: opSUBW},
+	isa.OpSLLW:  {fn: opSLLW},
+	isa.OpSRLW:  {fn: opSRLW},
+	isa.OpSRAW:  {fn: opSRAW},
 
-	isa.OpFENCE:  {cls: clsFence, fn: func(*Hart, *isa.Inst) bool { return false }},
-	isa.OpFENCEI: {cls: clsFence, fn: func(*Hart, *isa.Inst) bool { return false }},
+	isa.OpFENCE:  {cls: clsFence, fn: opNop},
+	isa.OpFENCEI: {cls: clsFence, fn: opNop},
 
-	isa.OpMUL:    {cls: clsMul, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]*h.X[in.Rs2]) }},
-	isa.OpMULH:   {cls: clsMul, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, mulh(int64(h.X[in.Rs1]), int64(h.X[in.Rs2]))) }},
-	isa.OpMULHSU: {cls: clsMul, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, mulhsu(int64(h.X[in.Rs1]), h.X[in.Rs2])) }},
-	isa.OpMULHU:  {cls: clsMul, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, mulhu(h.X[in.Rs1], h.X[in.Rs2])) }},
-	isa.OpMULW:   {cls: clsMul, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, sext32(uint32(h.X[in.Rs1])*uint32(h.X[in.Rs2]))) }},
-	isa.OpDIV:    {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, divS(int64(h.X[in.Rs1]), int64(h.X[in.Rs2]))) }},
-	isa.OpDIVU:   {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, divU(h.X[in.Rs1], h.X[in.Rs2])) }},
-	isa.OpREM:    {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, remS(int64(h.X[in.Rs1]), int64(h.X[in.Rs2]))) }},
-	isa.OpREMU:   {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool { return h.setRd(in, remU(h.X[in.Rs1], h.X[in.Rs2])) }},
-	isa.OpDIVW: {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool {
-		return h.setRd(in, sext32(uint32(divS(int64(int32(h.X[in.Rs1])), int64(int32(h.X[in.Rs2]))))))
-	}},
-	isa.OpDIVUW: {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool {
-		return h.setRd(in, sext32(uint32(divU(uint64(uint32(h.X[in.Rs1])), uint64(uint32(h.X[in.Rs2]))))))
-	}},
-	isa.OpREMW: {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool {
-		return h.setRd(in, sext32(uint32(remS(int64(int32(h.X[in.Rs1])), int64(int32(h.X[in.Rs2]))))))
-	}},
-	isa.OpREMUW: {cls: clsDiv, fn: func(h *Hart, in *isa.Inst) bool {
-		return h.setRd(in, sext32(uint32(remU(uint64(uint32(h.X[in.Rs1])), uint64(uint32(h.X[in.Rs2]))))))
-	}},
+	isa.OpMUL:    {cls: clsMul, fn: opMUL},
+	isa.OpMULH:   {cls: clsMul, fn: opMULH},
+	isa.OpMULHSU: {cls: clsMul, fn: opMULHSU},
+	isa.OpMULHU:  {cls: clsMul, fn: opMULHU},
+	isa.OpMULW:   {cls: clsMul, fn: opMULW},
+	isa.OpDIV:    {cls: clsDiv, fn: opDIV},
+	isa.OpDIVU:   {cls: clsDiv, fn: opDIVU},
+	isa.OpREM:    {cls: clsDiv, fn: opREM},
+	isa.OpREMU:   {cls: clsDiv, fn: opREMU},
+	isa.OpDIVW:   {cls: clsDiv, fn: opDIVW},
+	isa.OpDIVUW:  {cls: clsDiv, fn: opDIVUW},
+	isa.OpREMW:   {cls: clsDiv, fn: opREMW},
+	isa.OpREMUW:  {cls: clsDiv, fn: opREMUW},
 
 	isa.OpLRW:      {cls: clsLRSC, width: 4, signed: true},
 	isa.OpSCW:      {cls: clsLRSC, width: 4},
@@ -166,6 +145,124 @@ type opInfo struct {
 // caller retires the op, charges Cost.Branch when it returns true, and
 // otherwise advances PC past it.
 type opFn func(h *Hart, in *isa.Inst) bool
+
+// The handlers. Each is a named function, not a closure, so the pre-bound
+// op loop (runOps, trace.go) can call it directly and the compiler inlines
+// it there; opTable's references keep execute()'s indirect call working.
+// TestPreboundDispatchCoversOpTable pins the two to each other.
+
+// opNop is both fences: in this in-order, single-copy memory model they
+// order nothing, and fence.i needs nothing because stores into decoded
+// pages already invalidate them.
+func opNop(*Hart, *isa.Inst) bool { return false }
+
+func opLUI(h *Hart, in *isa.Inst) bool   { return h.setRd(in, uint64(in.Imm)) }
+func opAUIPC(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.PC+uint64(in.Imm)) }
+
+func opJAL(h *Hart, in *isa.Inst) bool {
+	h.SetReg(in.Rd, h.PC+4)
+	h.PC += uint64(in.Imm)
+	return true
+}
+
+func opJALR(h *Hart, in *isa.Inst) bool {
+	t := (h.X[in.Rs1] + uint64(in.Imm)) &^ 1
+	h.SetReg(in.Rd, h.PC+4)
+	h.PC = t
+	return true
+}
+
+func opBEQ(h *Hart, in *isa.Inst) bool  { return h.branch(in, h.X[in.Rs1] == h.X[in.Rs2]) }
+func opBNE(h *Hart, in *isa.Inst) bool  { return h.branch(in, h.X[in.Rs1] != h.X[in.Rs2]) }
+func opBLT(h *Hart, in *isa.Inst) bool  { return h.branch(in, int64(h.X[in.Rs1]) < int64(h.X[in.Rs2])) }
+func opBGE(h *Hart, in *isa.Inst) bool  { return h.branch(in, int64(h.X[in.Rs1]) >= int64(h.X[in.Rs2])) }
+func opBLTU(h *Hart, in *isa.Inst) bool { return h.branch(in, h.X[in.Rs1] < h.X[in.Rs2]) }
+func opBGEU(h *Hart, in *isa.Inst) bool { return h.branch(in, h.X[in.Rs1] >= h.X[in.Rs2]) }
+
+func opADDI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]+uint64(in.Imm)) }
+func opSLTI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, b2u(int64(h.X[in.Rs1]) < in.Imm)) }
+func opSLTIU(h *Hart, in *isa.Inst) bool { return h.setRd(in, b2u(h.X[in.Rs1] < uint64(in.Imm))) }
+func opXORI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]^uint64(in.Imm)) }
+func opORI(h *Hart, in *isa.Inst) bool   { return h.setRd(in, h.X[in.Rs1]|uint64(in.Imm)) }
+func opANDI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]&uint64(in.Imm)) }
+func opSLLI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]<<uint(in.Imm)) }
+func opSRLI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]>>uint(in.Imm)) }
+func opSRAI(h *Hart, in *isa.Inst) bool  { return h.setRd(in, uint64(int64(h.X[in.Rs1])>>uint(in.Imm))) }
+
+func opADD(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]+h.X[in.Rs2]) }
+func opSUB(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]-h.X[in.Rs2]) }
+func opSLL(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]<<(h.X[in.Rs2]&63)) }
+func opSLT(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, b2u(int64(h.X[in.Rs1]) < int64(h.X[in.Rs2])))
+}
+func opSLTU(h *Hart, in *isa.Inst) bool { return h.setRd(in, b2u(h.X[in.Rs1] < h.X[in.Rs2])) }
+func opXOR(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]^h.X[in.Rs2]) }
+func opSRL(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]>>(h.X[in.Rs2]&63)) }
+func opSRA(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, uint64(int64(h.X[in.Rs1])>>(h.X[in.Rs2]&63)))
+}
+func opOR(h *Hart, in *isa.Inst) bool  { return h.setRd(in, h.X[in.Rs1]|h.X[in.Rs2]) }
+func opAND(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]&h.X[in.Rs2]) }
+
+func opADDIW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])+uint32(in.Imm)))
+}
+func opSLLIW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])<<uint(in.Imm&31)))
+}
+func opSRLIW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])>>uint(in.Imm&31)))
+}
+func opSRAIW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, uint64(int64(int32(h.X[in.Rs1])>>uint(in.Imm&31))))
+}
+func opADDW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])+uint32(h.X[in.Rs2])))
+}
+func opSUBW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])-uint32(h.X[in.Rs2])))
+}
+func opSLLW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])<<(h.X[in.Rs2]&31)))
+}
+func opSRLW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])>>(h.X[in.Rs2]&31)))
+}
+func opSRAW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, uint64(int64(int32(h.X[in.Rs1])>>(h.X[in.Rs2]&31))))
+}
+
+func opMUL(h *Hart, in *isa.Inst) bool { return h.setRd(in, h.X[in.Rs1]*h.X[in.Rs2]) }
+func opMULH(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, mulh(int64(h.X[in.Rs1]), int64(h.X[in.Rs2])))
+}
+func opMULHSU(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, mulhsu(int64(h.X[in.Rs1]), h.X[in.Rs2]))
+}
+func opMULHU(h *Hart, in *isa.Inst) bool { return h.setRd(in, mulhu(h.X[in.Rs1], h.X[in.Rs2])) }
+func opMULW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(h.X[in.Rs1])*uint32(h.X[in.Rs2])))
+}
+func opDIV(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, divS(int64(h.X[in.Rs1]), int64(h.X[in.Rs2])))
+}
+func opDIVU(h *Hart, in *isa.Inst) bool { return h.setRd(in, divU(h.X[in.Rs1], h.X[in.Rs2])) }
+func opREM(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, remS(int64(h.X[in.Rs1]), int64(h.X[in.Rs2])))
+}
+func opREMU(h *Hart, in *isa.Inst) bool { return h.setRd(in, remU(h.X[in.Rs1], h.X[in.Rs2])) }
+func opDIVW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(divS(int64(int32(h.X[in.Rs1])), int64(int32(h.X[in.Rs2]))))))
+}
+func opDIVUW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(divU(uint64(uint32(h.X[in.Rs1])), uint64(uint32(h.X[in.Rs2]))))))
+}
+func opREMW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(remS(int64(int32(h.X[in.Rs1])), int64(int32(h.X[in.Rs2]))))))
+}
+func opREMUW(h *Hart, in *isa.Inst) bool {
+	return h.setRd(in, sext32(uint32(remU(uint64(uint32(h.X[in.Rs1])), uint64(uint32(h.X[in.Rs2]))))))
+}
 
 // opClass is an op's cycle class.
 type opClass uint8

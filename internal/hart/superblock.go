@@ -131,9 +131,9 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 
 		idx := (pc & (isa.PageSize - 1)) >> 2
 		blen := uint64(1)
-		// ops is the page's pre-bound op table, nil unless the trace tier
-		// is on: a nil table sends every instruction through execute()
-		// without a per-instruction slot read.
+		// ops is the page's slot array when the trace tier is on, nil
+		// otherwise: nil sends every instruction through execute() without
+		// a per-instruction check for a pre-bound op.
 		var ops *[tracePageSlots]traceOp
 		if e.sb {
 			blen = uint64(dp.sbLen[idx])
@@ -156,7 +156,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 		}
 
 		bare := ent.bare
-		tgen := ent.tlbGen
+		tgen := ent.ep.tlb
 		g0 := h.asyncGen
 		want := pc
 		var i, traced uint64
@@ -182,7 +182,7 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 				h.Prof.Sample(want, h.Mode.String(), tier, h.Cycles)
 			}
 			want += 4
-			ev := h.execute(&dp.insts[idx+i])
+			ev := h.execute(&dp.ops[idx+i].in)
 			i++
 			if ev.Kind != EvNone {
 				e.stats.FetchHits += i

@@ -7,13 +7,23 @@ import (
 	"zion/internal/telemetry"
 )
 
-// Pre-bound ops: the compiled-trace tier. Where execute() re-derives an
-// op's class and cycle cost per instruction, and the dispatch loop
-// re-checks a block's premises after it, decodePageLocked binds every slot
-// of a decoded page once into a pre-bound operation: the op's opTable entry
-// plus its retire cost, pre-summed. The handlers are opTable's, the same
-// ones execute() runs, so the tiers share one definition of every
-// instruction's semantics.
+// Pre-bound ops: the compiled-trace tier. A decoded page is one array of
+// slots, one per instruction word. decodePageLocked fills every slot once
+// with the decoded instruction and, for the ops this tier runs, their
+// opTable entry and retire cost, pre-summed. execute() reads the same
+// slot's instruction, so the page holds each instruction once. The
+// handlers are opTable's, the same ones execute() runs, so the tiers share
+// one definition of every instruction's semantics.
+//
+// Why runOps dispatches through a switch rather than the table: an
+// indirect call (oi.fn) cannot be inlined, and around every call Go's
+// register ABI spills the loop's live state (i, pend, cyc, want, idx, ...)
+// to the stack and reloads it. runOps' switch on the op has one case per
+// handler op, each a direct call of the named handler opTable holds, which
+// the compiler inlines; the default keeps the indirect call.
+// TestPreboundDispatchCoversOpTable checks that the switch and the table
+// name the same function for every op. The data-side hit check (slot) is
+// inlined the same way; only a micro-TLB miss leaves the loop.
 //
 // Why a run of pre-bound ops may skip the premise re-checks, and one
 // translation-context snapshot taken at its entry validates every data
@@ -24,7 +34,7 @@ import (
 // changes privilege, and never stores into a registered code page (the
 // store path refuses those, so the decoded page stays live). Every op that
 // could — CSR access, sfence/hfence, AMO/LR/SC, ecall/ebreak/xRET, wfi,
-// anything that can trap — has an empty slot and retires through
+// anything that can trap — has no pre-bound op and retires through
 // execute() instead.
 //
 // A pre-bound op that cannot complete under those rules (page-straddling
@@ -38,24 +48,27 @@ import (
 // Cycles+sbWorst < deadline check, they charge exactly the cycles
 // execute() would, and they never extend past the block.
 //
-// Dispatch is allocation-free: the op table lives inline in the decoded
-// page, and runOps performs no allocation (TestTraceDispatchAllocs pins
-// this to 0 allocs/op).
+// Dispatch is allocation-free: the slots live inline in the decoded page,
+// and runOps performs no allocation (TestTraceDispatchAllocs pins this to
+// 0 allocs/op; BenchmarkRunOps times it per retired instruction).
 
 const tracePageSlots = isa.PageSize / 4
 
-// traceOp is one pre-bound slot: the op's opTable entry and its full
-// retire cost pre-summed (Cost.retire of its class, plus Mem for loads and
-// stores); taken branches add Cost.Branch at run time, exactly as
-// execute() does. A nil entry marks an op execute() owns alone.
+// traceOp is one slot of a decoded page: the instruction, its opTable
+// entry and its full retire cost pre-summed (Cost.retire of its class,
+// plus Mem for loads and stores); taken branches add Cost.Branch at run
+// time, exactly as execute() does. A nil entry marks an op execute() owns
+// alone; the slot still holds the instruction execute() retires. A slot is
+// 40 bytes: the 24-byte instruction, the entry pointer and the cost.
 type traceOp struct {
+	in   isa.Inst
 	oi   *opInfo
 	cost uint64
 }
 
 // SetTraces toggles the pre-bound ops on an attached engine (no-op when
 // the fast path is disabled). Off, every instruction of a superblock
-// retires through execute(); the op tables stay built and are simply
+// retires through execute(); the pre-bound ops stay built and are simply
 // ignored.
 func (h *Hart) SetTraces(on bool) {
 	if h.fp != nil {
@@ -88,21 +101,12 @@ func (h *Hart) FlushDispatchHists() {
 	h.fp.tcLen.Drain(h.fp.tcHist)
 }
 
-// DispatchHists returns the histograms attached by SetDispatchHists
-// (nil, nil when disabled or the fast path is off).
-func (h *Hart) DispatchHists() (block, trace *telemetry.Histogram) {
-	if h.fp == nil {
-		return nil, nil
-	}
-	return h.fp.sbHist, h.fp.tcHist
-}
-
 // TraceCompileCost microbenchmarks op binding: the host nanoseconds to
-// bind one full decoded page's op table (tracePageSlots slots, table
-// allocation included) for a representative instruction mix. The
-// bench harness divides this by the measured per-instruction saving of
-// the trace tier over the superblock engine to derive the break-even
-// dispatch count recorded in BENCH_host.json.
+// write one full decoded page's slots (tracePageSlots of them, instruction
+// and op, table allocation included) for a representative instruction
+// mix. The bench harness divides this by the measured per-instruction
+// saving of the trace tier over the superblock engine to derive the
+// break-even dispatch count recorded in BENCH_host.json.
 func TraceCompileCost(iters int) float64 {
 	if iters < 1 {
 		iters = 1
@@ -124,7 +128,7 @@ func TraceCompileCost(iters int) float64 {
 	for n := 0; n < iters; n++ {
 		tops := new([tracePageSlots]traceOp)
 		for i := range insts {
-			bindOp(c, insts[i].Op, &tops[i])
+			bindOp(c, insts[i], &tops[i])
 		}
 		traceCompileSink = tops
 	}
@@ -134,25 +138,25 @@ func TraceCompileCost(iters int) float64 {
 // traceCompileSink keeps the compiler from eliding the microbenchmark body.
 var traceCompileSink *[tracePageSlots]traceOp
 
-// bindOp binds one decoded op to its slot: register/PC-only ops and plain
-// loads and stores get their opTable entry; everything else is left empty
-// and retires through execute().
-func bindOp(c *Costs, op isa.Op, t *traceOp) {
-	oi := &opTable[op]
+// bindOp writes one decoded instruction into its slot: register/PC-only
+// ops and plain loads and stores get their opTable entry; everything else
+// is left without one and retires through execute().
+func bindOp(c *Costs, in isa.Inst, t *traceOp) {
+	oi := &opTable[in.Op]
 	switch {
 	case oi.fn != nil:
-		*t = traceOp{oi: oi, cost: c.retire(oi.cls)}
+		*t = traceOp{in: in, oi: oi, cost: c.retire(oi.cls)}
 	case oi.cls == clsLoad || oi.cls == clsStore:
-		*t = traceOp{oi: oi, cost: c.retire(oi.cls) + c.Mem}
+		*t = traceOp{in: in, oi: oi, cost: c.retire(oi.cls) + c.Mem}
 	default:
-		*t = traceOp{}
+		*t = traceOp{in: in}
 	}
 }
 
 // runOps retires up to n consecutive pre-bound ops of page dp starting at
 // slot idx, the slot at h.PC, fetched through the micro-TLB entry fetch.
-// It returns how many retired, stopping before an empty slot or an
-// unresolvable data slot (TCBailouts), and after a side exit (taken
+// It returns how many retired, stopping before a slot without a pre-bound
+// op or an unresolvable data slot (TCBailouts), and after a side exit (taken
 // branch/jump), which the caller detects by comparing h.PC against the
 // straight line.
 //
@@ -185,14 +189,16 @@ func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEn
 		if oi == nil {
 			break
 		}
-		in := &dp.insts[idx+i]
+		in := &op.in
 		var data *mtlbEntry
 		var p []byte
 		if oi.fn == nil {
-			data, p = e.slot(h, &ep, h.X[in.Rs1]+uint64(in.Imm), int(oi.width), oi.cls == clsStore)
-			if p == nil {
-				e.stats.TCBailouts++
-				break
+			va, store := h.X[in.Rs1]+uint64(in.Imm), oi.cls == clsStore
+			if data, p = e.slot(&ep, va, uint64(oi.width), store); p == nil {
+				if data, p = e.slotMiss(h, &ep, va, uint64(oi.width), store); p == nil {
+					e.stats.TCBailouts++
+					break
+				}
 			}
 		}
 		pend++
@@ -205,8 +211,7 @@ func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEn
 			}
 		}
 		cyc += op.cost
-		switch {
-		case oi.fn == nil:
+		if oi.fn == nil {
 			e.hitAccounting(h, fetch, pend)
 			pend = 0
 			e.hitAccounting(h, data, 1)
@@ -218,10 +223,126 @@ func (e *fastPath) runOps(h *Hart, dp *decodedPage, idx, n uint64, fetch *mtlbEn
 				h.SetReg(in.Rd, oi.value(loadLE(p, int(oi.width))))
 			}
 			h.PC += 4
-		case oi.fn(h, in):
-			cyc += h.Cost.Branch
-		default:
-			h.PC += 4
+		} else {
+			// One case per handler op, each a direct call the compiler
+			// inlines; the default is the table's indirect call, which an
+			// op with a handler but no case would fall back to.
+			var taken bool
+			switch in.Op {
+			case isa.OpLUI:
+				taken = opLUI(h, in)
+			case isa.OpAUIPC:
+				taken = opAUIPC(h, in)
+			case isa.OpJAL:
+				taken = opJAL(h, in)
+			case isa.OpJALR:
+				taken = opJALR(h, in)
+			case isa.OpBEQ:
+				taken = opBEQ(h, in)
+			case isa.OpBNE:
+				taken = opBNE(h, in)
+			case isa.OpBLT:
+				taken = opBLT(h, in)
+			case isa.OpBGE:
+				taken = opBGE(h, in)
+			case isa.OpBLTU:
+				taken = opBLTU(h, in)
+			case isa.OpBGEU:
+				taken = opBGEU(h, in)
+			case isa.OpADDI:
+				taken = opADDI(h, in)
+			case isa.OpSLTI:
+				taken = opSLTI(h, in)
+			case isa.OpSLTIU:
+				taken = opSLTIU(h, in)
+			case isa.OpXORI:
+				taken = opXORI(h, in)
+			case isa.OpORI:
+				taken = opORI(h, in)
+			case isa.OpANDI:
+				taken = opANDI(h, in)
+			case isa.OpSLLI:
+				taken = opSLLI(h, in)
+			case isa.OpSRLI:
+				taken = opSRLI(h, in)
+			case isa.OpSRAI:
+				taken = opSRAI(h, in)
+			case isa.OpADD:
+				taken = opADD(h, in)
+			case isa.OpSUB:
+				taken = opSUB(h, in)
+			case isa.OpSLL:
+				taken = opSLL(h, in)
+			case isa.OpSLT:
+				taken = opSLT(h, in)
+			case isa.OpSLTU:
+				taken = opSLTU(h, in)
+			case isa.OpXOR:
+				taken = opXOR(h, in)
+			case isa.OpSRL:
+				taken = opSRL(h, in)
+			case isa.OpSRA:
+				taken = opSRA(h, in)
+			case isa.OpOR:
+				taken = opOR(h, in)
+			case isa.OpAND:
+				taken = opAND(h, in)
+			case isa.OpADDIW:
+				taken = opADDIW(h, in)
+			case isa.OpSLLIW:
+				taken = opSLLIW(h, in)
+			case isa.OpSRLIW:
+				taken = opSRLIW(h, in)
+			case isa.OpSRAIW:
+				taken = opSRAIW(h, in)
+			case isa.OpADDW:
+				taken = opADDW(h, in)
+			case isa.OpSUBW:
+				taken = opSUBW(h, in)
+			case isa.OpSLLW:
+				taken = opSLLW(h, in)
+			case isa.OpSRLW:
+				taken = opSRLW(h, in)
+			case isa.OpSRAW:
+				taken = opSRAW(h, in)
+			case isa.OpFENCE:
+				taken = opNop(h, in)
+			case isa.OpFENCEI:
+				taken = opNop(h, in)
+			case isa.OpMUL:
+				taken = opMUL(h, in)
+			case isa.OpMULH:
+				taken = opMULH(h, in)
+			case isa.OpMULHSU:
+				taken = opMULHSU(h, in)
+			case isa.OpMULHU:
+				taken = opMULHU(h, in)
+			case isa.OpMULW:
+				taken = opMULW(h, in)
+			case isa.OpDIV:
+				taken = opDIV(h, in)
+			case isa.OpDIVU:
+				taken = opDIVU(h, in)
+			case isa.OpREM:
+				taken = opREM(h, in)
+			case isa.OpREMU:
+				taken = opREMU(h, in)
+			case isa.OpDIVW:
+				taken = opDIVW(h, in)
+			case isa.OpDIVUW:
+				taken = opDIVUW(h, in)
+			case isa.OpREMW:
+				taken = opREMW(h, in)
+			case isa.OpREMUW:
+				taken = opREMUW(h, in)
+			default:
+				taken = oi.fn(h, in)
+			}
+			if taken {
+				cyc += h.Cost.Branch
+			} else {
+				h.PC += 4
+			}
 		}
 		want += 4
 		if h.PC != want {

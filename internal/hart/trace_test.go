@@ -158,7 +158,7 @@ func TestMixedBlockAllTiers(t *testing.T) {
 	var bindable uint64
 	for i := 0; i+4 <= len(code); i += 4 {
 		var op traceOp
-		bindOp(DefaultCosts(), isa.Decode(binary.LittleEndian.Uint32(code[i:])).Op, &op)
+		bindOp(DefaultCosts(), isa.Decode(binary.LittleEndian.Uint32(code[i:])), &op)
 		if op.oi != nil {
 			bindable++
 		}

@@ -25,9 +25,10 @@
 #                           simulated fingerprint row drifts from the committed
 #                           BENCH_host_short.json, a row misses its floor, or
 #                           a ratio row regresses >20%
-#   make race-engine      - race detector x2 on the parallel engine (at
-#                           -cpu 1,2,4) and the bench harness (the
-#                           multi-core CI race lane)
+#   make race-engine      - race detector x2 on the parallel engine, the
+#                           simulated RAM and the hypervisor's shared
+#                           window (at -cpu 1,2,4) and the bench harness
+#                           (the multi-core CI race lane)
 #   make smoke-monitor    - run a guest with the live monitor endpoint armed and
 #                           self-scrape /metrics, /healthz and /profile
 #   make smoke-serving    - short sustained-serving run (deterministic rerun
@@ -36,11 +37,13 @@
 #   make test-allocs      - pin the zero-allocation contract of Hart.Run over
 #                           the one dispatch loop, with and without
 #                           pre-bound ops, of trap-cause naming, of the device view's
-#                           shared-window reads (a SharedPA hit, a 16-byte
-#                           GuestMem.ReadInto), of stage-2 walk faults, of one
+#                           shared-window copies (a SharedPA hit, a 16-byte
+#                           GuestMem.ReadInto, 512-byte ReadInto and
+#                           WriteBytes), of stage-2 walk faults, of one
 #                           MMIO exit round trip, of one demand fault, of
 #                           a store's code-page check and of the TLB's
-#                           lookups, fills and flushes
+#                           lookups, fills and flushes; and the 8 KiB
+#                           bound on booting a 512 MiB RAM
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
 #                           then FuzzDecode, FuzzResume and FuzzVirtioChain
 #                           for 30s each
@@ -67,9 +70,11 @@ race: build
 # heap/goroutine layout the first pass already perturbed, which is where
 # barrier/outbox ordering bugs that a single pristine run misses tend to
 # show up. The engine also runs at GOMAXPROCS 1, 2 and 4, so harts that
-# finish or post in the same epoch meet in both orders.
+# finish or post in the same epoch meet in both orders; so do the lock-free
+# publications of RAM leaves and pages (internal/mem) and of shared-window
+# entries and their cached host pages (internal/hv).
 race-engine:
-	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/...
+	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/... ./internal/mem ./internal/hv
 	$(GO) test -race -timeout 60m -count=2 ./internal/bench/...
 
 # lint fails on any file gofmt would rewrite, then prefers golangci-lint
@@ -127,18 +132,20 @@ smoke-serving:
 # dispatch loop, with pre-bound ops (the trace tier) and with every
 # instruction through execute() (the block tier), must run allocation-free
 # once warm, and so must naming a trap cause (every trap feeds the flight
-# recorder); so must the device view's shared-window resolution (a
-# SharedPA hit and a 16-byte GuestMem.ReadInto, one descriptor read), a
+# recorder); so must the device view's shared-window copies (a SharedPA
+# hit, a 16-byte GuestMem.ReadInto, one descriptor read, and 512-byte
+# ReadInto and WriteBytes through a page's cached host bytes), a
 # stage-2 walk fault taken by value (every MMIO exit and demand fault), one
 # warm MMIO exit round trip (SM resume, guest, exit, hypervisor emulation),
 # one demand fault on an already-materialized frame, a store's
 # lock-free code-page check once code pages are registered (every store
 # pays it), and the TLB's Insert, Lookup, Peek, TouchN and four flushes
-# (every world switch flushes twice). The suite runs
+# (every world switch flushes twice). Booting a 512 MiB RAM must allocate
+# at most 8 KiB (its page directory, TestNewPhysMemoryAllocs). The suite runs
 # these anyway; the dedicated target gives CI a cheap job whose failure
 # names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestTLBAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over

@@ -42,38 +42,57 @@ func (g *GuestMem) Window() (base, size uint64, ok bool) {
 // resolve maps one GPA to a host physical address, faulting mappings in
 // the way the host kernel pins pages for emulation. n is the access
 // length, reported in the typed out-of-window rejection.
-func (g *GuestMem) resolve(gpa uint64, n int) (uint64, error) {
+//
+// On a CVM's window resolve also returns the live host bytes of the
+// backing page, which the caller copies through directly; the window's
+// shadow caches them on the page's first copy. A backing PA outside RAM
+// has no host bytes (nil), so its copies take PhysMemory's own path and
+// error, as do all of a normal VM's.
+func (g *GuestMem) resolve(gpa uint64, n int) (*[isa.PageSize]byte, uint64, error) {
 	if g.VM.Confidential {
 		off := gpa - sm.SharedBase
 		if off >= sharedWindowSize {
 			// Typed: the virtio transport maps this onto DEVICE_NEEDS_RESET
 			// and the rejected-DMA counter. This is the architectural "CVM
 			// driver posted a private buffer address" failure.
-			return 0, &virtio.OutOfWindowError{GPA: gpa, Len: n}
+			return nil, 0, &virtio.OutOfWindowError{GPA: gpa, Len: n}
 		}
-		if pa, ok := g.VM.shared.lookup(off); ok {
-			return pa, nil
+		e := g.VM.shared.entry(off)
+		if e != nil {
+			if host := e.host.Load(); host != nil {
+				return host, e.pa.Load()&^sharedValid | off&(isa.PageSize-1), nil
+			}
 		}
-		pa, err := g.K.MapShared(g.H, g.VM, gpa)
-		if err != nil {
-			return 0, err
+		pa, ok := g.VM.shared.lookup(off)
+		if !ok {
+			base, err := g.K.MapShared(g.H, g.VM, gpa)
+			if err != nil {
+				return nil, 0, err
+			}
+			pa = base + gpa&(isa.PageSize-1)
+			e = g.VM.shared.entry(off)
 		}
-		return pa + gpa&(isa.PageSize-1), nil
+		page := g.K.M.RAM.PageSlice(pa)
+		if page == nil {
+			return nil, pa, nil
+		}
+		e.host.CompareAndSwap(nil, (*[isa.PageSize]byte)(page))
+		return e.host.Load(), pa, nil
 	}
 	b := g.K.builder()
 	pte, level, err := b.Lookup(g.VM.hgatpRoot, gpa, true)
 	if err != nil {
 		// Host-side touch of a not-yet-faulted guest page: map it now.
 		if ferr := g.K.normalStage2Fault(g.H, g.VM, gpa); ferr != nil {
-			return 0, ferr
+			return nil, 0, ferr
 		}
 		pte, level, err = b.Lookup(g.VM.hgatpRoot, gpa, true)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 	}
 	mask := (uint64(1) << uint(isa.PageShift+9*level)) - 1
-	return (pte>>isa.PTEPPNShift)<<isa.PageShift | gpa&mask, nil
+	return nil, (pte>>isa.PTEPPNShift)<<isa.PageShift | gpa&mask, nil
 }
 
 // ReadBytes implements virtio.MemIO, page-fragment by page-fragment.
@@ -91,15 +110,18 @@ func (g *GuestMem) ReadBytes(gpa uint64, n int) ([]byte, error) {
 // the two never moves a fingerprint.
 func (g *GuestMem) ReadInto(gpa uint64, out []byte) error {
 	for len(out) > 0 {
-		pa, err := g.resolve(gpa, len(out))
+		host, pa, err := g.resolve(gpa, len(out))
 		if err != nil {
 			return err
 		}
-		chunk := isa.PageSize - int(gpa&(isa.PageSize-1))
+		po := int(gpa & (isa.PageSize - 1))
+		chunk := isa.PageSize - po
 		if chunk > len(out) {
 			chunk = len(out)
 		}
-		if err := g.K.M.RAM.ReadInto(pa, out[:chunk]); err != nil {
+		if host != nil {
+			copy(out[:chunk], host[po:])
+		} else if err := g.K.M.RAM.ReadInto(pa, out[:chunk]); err != nil {
 			return err
 		}
 		out = out[chunk:]
@@ -109,18 +131,25 @@ func (g *GuestMem) ReadInto(gpa uint64, out []byte) error {
 	return nil
 }
 
-// WriteBytes implements virtio.MemIO.
+// WriteBytes implements virtio.MemIO. A copy through a CVM window
+// page's host bytes first notifies the RAM's code-page watchers, in the
+// order PhysMemory.Write keeps, so a decoding of the page is dropped
+// before the new bytes could be fetched.
 func (g *GuestMem) WriteBytes(gpa uint64, b []byte) error {
 	for len(b) > 0 {
-		pa, err := g.resolve(gpa, len(b))
+		host, pa, err := g.resolve(gpa, len(b))
 		if err != nil {
 			return err
 		}
-		chunk := isa.PageSize - int(gpa&(isa.PageSize-1))
+		po := int(gpa & (isa.PageSize - 1))
+		chunk := isa.PageSize - po
 		if chunk > len(b) {
 			chunk = len(b)
 		}
-		if err := g.K.M.RAM.Write(pa, b[:chunk]); err != nil {
+		if host != nil {
+			g.K.M.RAM.NoteWrite(pa, uint64(chunk))
+			copy(host[po:], b[:chunk])
+		} else if err := g.K.M.RAM.Write(pa, b[:chunk]); err != nil {
 			return err
 		}
 		gpa += uint64(chunk)

@@ -12,14 +12,22 @@ import (
 // subtable (§IV.E).
 const sharedWindowSize = 1 << 30
 
-// sharedValid marks a present sharedLeaf entry. Entries hold page-aligned
+// sharedValid marks a present sharedEntry. Entries hold page-aligned
 // PAs, so bit 0 is free to say "mapped" explicitly; a zero entry is
 // absent whatever PA RAM starts at.
 const sharedValid = 1
 
+// sharedEntry shadows one level-0 PTE of the shared subtable: pa is 0 or
+// PA|sharedValid, and host is nil or the live host bytes of that RAM
+// page, published by the device view's first copy through the page.
+type sharedEntry struct {
+	pa   atomic.Uint64
+	host atomic.Pointer[[isa.PageSize]byte]
+}
+
 // sharedLeaf shadows one level-0 table of the shared subtable: one entry
-// per 4 KiB page of a 2 MiB slot, each 0 or PA|sharedValid.
-type sharedLeaf [512]atomic.Uint64
+// per 4 KiB page of a 2 MiB slot.
+type sharedLeaf [512]sharedEntry
 
 // sharedWindow is the device model's lock-free shadow of a CVM's shared
 // subtable, with the subtable's own geometry: a directory with one
@@ -33,27 +41,40 @@ type sharedLeaf [512]atomic.Uint64
 // before it publishes it in the directory, so a reader that sees the
 // leaf sees its first entry too; a reader racing a new entry sees either
 // absent (and falls back to MapShared, which returns the same PA) or the
-// final value.
+// final value. The host bytes follow the same rule: RAM never frees or
+// moves a page, so the bytes cached for a PA stay that PA's bytes, and
+// racing first copies publish the same page (a CAS keeps the first).
 type sharedWindow struct {
 	dir [512]atomic.Pointer[sharedLeaf]
 }
 
-// lookup resolves a window offset the caller has already bounds-checked
-// (off < sharedWindowSize) to the backing PA, page offset included. A nil
-// window (no shared subtable registered) resolves nothing.
-func (w *sharedWindow) lookup(off uint64) (uint64, bool) {
+// entry returns the shadow entry for a window offset the caller has
+// already bounds-checked (off < sharedWindowSize), or nil when its 2 MiB
+// slot has no leaf. A nil window (no shared subtable registered) has no
+// entries.
+func (w *sharedWindow) entry(off uint64) *sharedEntry {
 	if w == nil {
-		return 0, false
+		return nil
 	}
 	leaf := w.dir[off>>21].Load()
 	if leaf == nil {
+		return nil
+	}
+	return &leaf[off>>isa.PageShift&0x1FF]
+}
+
+// lookup resolves a bounds-checked window offset to the backing PA, page
+// offset included.
+func (w *sharedWindow) lookup(off uint64) (uint64, bool) {
+	e := w.entry(off)
+	if e == nil {
 		return 0, false
 	}
-	e := leaf[off>>isa.PageShift&0x1FF].Load()
-	if e&sharedValid == 0 {
+	pa := e.pa.Load()
+	if pa&sharedValid == 0 {
 		return 0, false
 	}
-	return e&^sharedValid | off&(isa.PageSize-1), true
+	return pa&^sharedValid | off&(isa.PageSize-1), true
 }
 
 // store records page-aligned pa for the page at window offset off. The
@@ -63,11 +84,11 @@ func (w *sharedWindow) store(off, pa uint64) {
 	leaf := slot.Load()
 	if leaf == nil {
 		leaf = new(sharedLeaf)
-		leaf[off>>isa.PageShift&0x1FF].Store(pa | sharedValid)
+		leaf[off>>isa.PageShift&0x1FF].pa.Store(pa | sharedValid)
 		slot.Store(leaf)
 		return
 	}
-	leaf[off>>isa.PageShift&0x1FF].Store(pa | sharedValid)
+	leaf[off>>isa.PageShift&0x1FF].pa.Store(pa | sharedValid)
 }
 
 // SharedPA resolves a shared-window GPA to the backing normal frame. It

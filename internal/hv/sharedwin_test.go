@@ -91,8 +91,10 @@ func TestSharedPA(t *testing.T) {
 }
 
 // TestSharedWindowConcurrent races MapShared writers against lock-free
-// SharedPA readers on overlapping pages of one VM. Every caller must see
-// one PA per page. Run it under -race (make race).
+// SharedPA readers and GuestMem copies on overlapping pages of one VM.
+// Every caller must see one PA per page, the first copies into a page
+// must agree on one cached host page (the RAM's own), and every copy
+// must land. Run it under -race (make race, make race-engine).
 func TestSharedWindowConcurrent(t *testing.T) {
 	const workers, pages = 4, 1100 // pages span three 2 MiB slots
 	m := platform.New(workers, ramSize)
@@ -123,9 +125,12 @@ func TestSharedWindowConcurrent(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		h := m.Harts[w]
+		g := k.NewGuestMem(vm, h)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var word [8]byte
+			binary.LittleEndian.PutUint64(word[:], uint64(w+1))
 			for i := 0; i < pages; i++ {
 				// Each worker walks the pages from a different start, so
 				// every page is mapped by one worker while others read it.
@@ -139,6 +144,12 @@ func TestSharedWindowConcurrent(t *testing.T) {
 					return
 				}
 				record(gpa, pa)
+				// Disjoint words per worker: the test races publication,
+				// not the bytes of one word.
+				if err := g.WriteBytes(gpa+64+uint64(w)*8, word[:]); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -150,12 +161,21 @@ func TestSharedWindowConcurrent(t *testing.T) {
 		if got, ok := vm.SharedPA(gpa); !ok || got != pa {
 			t.Errorf("after the race: SharedPA(%#x) = %#x, %v; want %#x", gpa, got, ok, pa)
 		}
+		if host := vm.shared.entry(gpa - sm.SharedBase).host.Load(); host == nil || &host[0] != &k.M.RAM.PageSlice(pa)[0] {
+			t.Errorf("page %#x: cached host bytes are not RAM page %#x", gpa, pa)
+		}
+		for w := 0; w < workers; w++ {
+			if v, _ := k.M.RAM.ReadUint64(pa + 64 + uint64(w)*8); v != uint64(w+1) {
+				t.Errorf("page %#x: worker %d's copy reads back %d", gpa, w, v)
+			}
+		}
 	}
 }
 
 // TestSharedWindowAllocs pins the device view's hot path at zero
-// allocations: a SharedPA hit and a 16-byte GuestMem.ReadInto (one
-// descriptor) on a mapped shared window.
+// allocations: a SharedPA hit, a 16-byte GuestMem.ReadInto (one
+// descriptor) on a mapped shared window, and 512-byte ReadInto and
+// WriteBytes (one payload) through a page's cached host bytes.
 func TestSharedWindowAllocs(t *testing.T) {
 	_, _, k, h := newStack(t, sm.Config{})
 	vm := windowCVM(t, k, h)
@@ -179,6 +199,24 @@ func TestSharedWindowAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("16-byte GuestMem.ReadInto: %v allocs/op, want 0", n)
 	}
+	if e := vm.shared.entry(gpa - sm.SharedBase); e.host.Load() == nil {
+		t.Fatal("GuestMem.ReadInto did not cache the page's host bytes")
+	}
+	payload := make([]byte, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := g.WriteBytes(gpa, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("512-byte GuestMem.WriteBytes: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := g.ReadInto(gpa, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("512-byte GuestMem.ReadInto: %v allocs/op, want 0", n)
+	}
 }
 
 func BenchmarkGuestMemReadInto(b *testing.B) {
@@ -196,6 +234,28 @@ func BenchmarkGuestMemReadInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := g.ReadInto(gpa, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkGuestMemWriteBytes(b *testing.B) {
+	for _, size := range []int{16, 512} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			_, _, k, h := newStack(b, sm.Config{})
+			vm := windowCVM(b, k, h)
+			g := k.NewGuestMem(vm, h)
+			gpa := sm.SharedBase + 0x100
+			buf := make([]byte, size)
+			if err := g.WriteBytes(gpa, buf); err != nil { // maps the page
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := g.WriteBytes(gpa, buf); err != nil {
 					b.Fatal(err)
 				}
 			}

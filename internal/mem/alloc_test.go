@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -213,7 +214,7 @@ func (w *countingWatcher) InvalidateCodePage(pa uint64) {
 	}
 }
 
-// Once any code page is registered, every store pays noteWrite's registry
+// Once any code page is registered, every store pays NoteWrite's registry
 // lookup. It reads one bit per page without a lock and allocates nothing:
 // a store to a non-code page costs zero objects, and so does a store to a
 // code page whose watcher keeps the page registered.
@@ -237,4 +238,19 @@ func TestNoteWriteNonCodeAllocs(t *testing.T) {
 	if w.n[code].Load() == 0 {
 		t.Error("stores to the registered code page reached no watcher")
 	}
+}
+
+// A RAM costs its directory, one pointer per 2 MiB, until it is touched:
+// booting a 512 MiB machine allocates a 2 KiB directory, not a pointer
+// per page. Measured with runtime.MemStats, bound at 8 KiB.
+func TestNewPhysMemoryAllocs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewPhysMemory(allocBase, 512<<20)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<10 {
+		t.Errorf("NewPhysMemory(512 MiB) allocated %d bytes, want at most 8 KiB", got)
+	}
+	runtime.KeepAlive(m)
 }

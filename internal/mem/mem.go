@@ -23,17 +23,42 @@ import (
 // hardware without atomics, and the workloads never do it.
 type pageBuf [isa.PageSize]byte
 
+// Geometry of the page directory: one leaf per 2 MiB of RAM, the span
+// of one stage-2 level-0 table.
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+	leafMask  = leafPages - 1
+)
+
+// pageLeaf backs one 2 MiB span of RAM: a published pointer per 4 KiB
+// page, nil until the page is first touched, and the span's code-page
+// registry bits (one per page, set and cleared under codeMu).
+type pageLeaf struct {
+	pages [leafPages]atomic.Pointer[pageBuf]
+	code  [leafPages / 64]atomic.Uint64
+}
+
 // PhysMemory is a sparse physical address space. Pages are allocated lazily
 // on first touch; reads of untouched pages observe zeros, matching DRAM
 // after platform reset in the simulator's model.
+//
+// Pages are reached through a directory of 2 MiB leaves, each published
+// lazily by the first touch of a page in its span (a write, PageSlice)
+// or a code-page registration there, so a RAM costs one pointer per
+// 2 MiB until it is touched: a 512 MiB machine starts with a 2 KiB
+// directory. First touches race with a CAS at both levels, leaf then
+// page; a loser discards its copy and uses the winner's, so every caller
+// agrees on one leaf and one page per index. Reads and Zero of untouched
+// memory create nothing.
 //
 // PhysMemory performs no protection checks itself: it is the raw DRAM
 // below PMP/IOPMP/MMU. Callers must route accesses through those layers.
 type PhysMemory struct {
 	base    uint64
 	size    uint64
-	pages   []atomic.Pointer[pageBuf] // page index -> backing bytes
-	touched atomic.Int64              // materialized page count
+	dir     []atomic.Pointer[pageLeaf] // page index >> leafShift -> leaf
+	touched atomic.Int64               // materialized page count
 
 	// Code-page registry: pages whose bytes some consumer has decoded and
 	// cached (the hart's fast-path block cache). Writes to a registered
@@ -42,17 +67,16 @@ type PhysMemory struct {
 	// guest image reloads, DMA, and fault injection correct with the block
 	// cache on. Refcounted so multiple harts can share a page.
 	//
-	// The registry is read on every store (noteWrite) and written only on
+	// The registry is read on every store (NoteWrite) and written only on
 	// decode/invalidate, so readers take no lock. Writers serialise on
 	// codeMu, keep the refcounts, and publish a page's registered/free
-	// state in codeBits, one bit per 4 KiB RAM page (a 64th of the size of
-	// pages). The watcher list is copy-on-write behind an atomic pointer.
-	// nCode stays in front as the common-case "no code pages" fast-out.
+	// state in its leaf's code bits (a page with no leaf is not code).
+	// The watcher list is copy-on-write behind an atomic pointer. nCode
+	// stays in front as the common-case "no code pages" fast-out.
 	codeMu    sync.Mutex
-	codePages map[uint64]int  // page index -> refcount (codeMu)
-	codeBits  []atomic.Uint64 // page index -> registered bit
-	nCode     atomic.Int32    // distinct registered pages (fast-out)
-	codeGen   atomic.Uint64   // bumped on every register/unregister
+	codePages map[uint64]int // page index -> refcount (codeMu)
+	nCode     atomic.Int32   // distinct registered pages (fast-out)
+	codeGen   atomic.Uint64  // bumped on every register/unregister
 	watchers  atomic.Pointer[[]CodeWatcher]
 }
 
@@ -66,7 +90,7 @@ type CodeWatcher interface {
 
 // zeroPage backs reads of untouched pages on the scalar fast path.
 // It is never written.
-var zeroPage = make([]byte, isa.PageSize)
+var zeroPage = new(pageBuf)
 
 // NewPhysMemory creates a RAM of size bytes starting at physical address
 // base. Both must be page-aligned.
@@ -76,8 +100,7 @@ func NewPhysMemory(base, size uint64) *PhysMemory {
 	}
 	n := size >> isa.PageShift
 	return &PhysMemory{base: base, size: size,
-		pages:    make([]atomic.Pointer[pageBuf], n),
-		codeBits: make([]atomic.Uint64, (n+63)/64)}
+		dir: make([]atomic.Pointer[pageLeaf], (n+leafMask)>>leafShift)}
 }
 
 // Base returns the first physical address of the RAM.
@@ -92,31 +115,65 @@ func (m *PhysMemory) Contains(addr, n uint64) bool {
 }
 
 func (m *PhysMemory) page(addr uint64, alloc bool) ([]byte, uint64) {
-	idx := (addr - m.base) >> isa.PageShift
-	p := m.pages[idx].Load()
+	p := m.lookup(addr)
 	if p == nil {
 		if !alloc {
 			return nil, addr & (isa.PageSize - 1)
 		}
-		// First touch may race between harts: CAS so both agree on one
-		// backing page. The loser's freshly zeroed buffer is discarded,
-		// which is indistinguishable from having never allocated it.
-		fresh := new(pageBuf)
-		if m.pages[idx].CompareAndSwap(nil, fresh) {
-			m.touched.Add(1)
-			p = fresh
-		} else {
-			p = m.pages[idx].Load()
-		}
+		p = m.materialize((addr - m.base) >> isa.PageShift)
 	}
 	return p[:], addr & (isa.PageSize - 1)
+}
+
+// lookup returns the backing page of addr, which the caller has checked
+// lies in the RAM, or nil if the page is untouched. It creates nothing
+// and is small enough to inline into the scalar accessors.
+func (m *PhysMemory) lookup(addr uint64) *pageBuf {
+	idx := (addr - m.base) >> isa.PageShift
+	if l := m.dir[idx>>leafShift].Load(); l != nil {
+		return l.pages[idx&leafMask].Load()
+	}
+	return nil
+}
+
+// materialize returns page idx's backing bytes, publishing its leaf and
+// then the page on first touch. First touch may race between harts: CAS
+// so all agree on one leaf and one page. A loser's freshly zeroed buffer
+// is discarded, which is indistinguishable from having never allocated
+// it.
+func (m *PhysMemory) materialize(idx uint64) *pageBuf {
+	slot := &m.leaf(idx >> leafShift).pages[idx&leafMask]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	fresh := new(pageBuf)
+	if slot.CompareAndSwap(nil, fresh) {
+		m.touched.Add(1)
+		return fresh
+	}
+	return slot.Load()
+}
+
+// leaf returns directory entry i, publishing an empty leaf if absent.
+func (m *PhysMemory) leaf(i uint64) *pageLeaf {
+	slot := &m.dir[i]
+	if l := slot.Load(); l != nil {
+		return l
+	}
+	fresh := new(pageLeaf)
+	if slot.CompareAndSwap(nil, fresh) {
+		return fresh
+	}
+	return slot.Load()
 }
 
 // PageSlice returns the live backing bytes of the page containing addr,
 // materializing it if untouched. The slice aliases RAM: writes through it
 // are real stores that bypass the code-page write notifications, so only
-// the fast path — which refuses to cache stores to code pages — may write
-// through it. Returns nil when addr is outside the RAM.
+// two writers may use it: the hart's fast path, which refuses to cache
+// stores to code pages, and the hypervisor's device view, which calls
+// NoteWrite for the range before each copy into the page. Returns nil
+// when addr is outside the RAM.
 func (m *PhysMemory) PageSlice(addr uint64) []byte {
 	if !m.Contains(addr, 1) {
 		return nil
@@ -156,18 +213,20 @@ func (m *PhysMemory) codeWatchers() []CodeWatcher {
 // codeIndex returns the page index of addr, with ok=false outside the RAM.
 func (m *PhysMemory) codeIndex(addr uint64) (idx uint64, ok bool) {
 	idx = (addr - m.base) >> isa.PageShift
-	return idx, addr >= m.base && idx < uint64(len(m.pages))
+	return idx, addr >= m.base && idx < m.size>>isa.PageShift
 }
 
-// isCode reads page idx's registered bit without a lock.
+// isCode reads page idx's registered bit without a lock. A page whose
+// leaf was never published has never been registered.
 func (m *PhysMemory) isCode(idx uint64) bool {
-	return m.codeBits[idx/64].Load()&(1<<(idx%64)) != 0
+	l := m.dir[idx>>leafShift].Load()
+	return l != nil && l.code[(idx&leafMask)/64].Load()&(1<<(idx%64)) != 0
 }
 
 // setCode publishes page idx's registered bit. Caller holds codeMu, which
-// serialises every writer of codeBits.
+// serialises every writer of the code bits.
 func (m *PhysMemory) setCode(idx uint64, on bool) {
-	w := &m.codeBits[idx/64]
+	w := &m.leaf(idx >> leafShift).code[(idx&leafMask)/64]
 	if on {
 		w.Store(w.Load() | 1<<(idx%64))
 	} else {
@@ -223,14 +282,15 @@ func (m *PhysMemory) IsCodePage(addr uint64) bool {
 // valid only while it is unchanged.
 func (m *PhysMemory) CodeGen() uint64 { return m.codeGen.Load() }
 
-// noteWrite notifies watchers about registered code pages overlapping a
-// write of n bytes at addr. The atomic empty-registry check keeps the
-// cost of this hook to one predictable load on every store when no
+// NoteWrite notifies watchers about registered code pages overlapping a
+// write of n bytes at addr. Every store into RAM runs it first, and a
+// copy through PageSlice must too. The atomic empty-registry check keeps
+// the cost of this hook to one predictable load on every store when no
 // decoded blocks exist; otherwise each page costs one lock-free bit test.
 // A page registered before the write has its bit set, so the write
 // reaches every watcher. No lock is held while watchers run: they react
 // by unregistering pages, which takes codeMu.
-func (m *PhysMemory) noteWrite(addr, n uint64) {
+func (m *PhysMemory) NoteWrite(addr, n uint64) {
 	if m.nCode.Load() == 0 || n == 0 {
 		return
 	}
@@ -298,7 +358,7 @@ func (m *PhysMemory) Write(addr uint64, data []byte) error {
 	if !m.Contains(addr, n) {
 		return fmt.Errorf("mem: write [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
 	}
-	m.noteWrite(addr, n)
+	m.NoteWrite(addr, n)
 	off := uint64(0)
 	for off < n {
 		p, po := m.page(addr+off, true)
@@ -318,7 +378,7 @@ func (m *PhysMemory) Write(addr uint64, data []byte) error {
 func (m *PhysMemory) ReadUint(addr uint64, width int) (uint64, error) {
 	po := addr & (isa.PageSize - 1)
 	if po+uint64(width) <= isa.PageSize && m.Contains(addr, uint64(width)) {
-		p, _ := m.page(addr, false)
+		p := m.lookup(addr)
 		if p == nil {
 			p = zeroPage // untouched pages read as zero
 		}
@@ -362,8 +422,11 @@ func (m *PhysMemory) WriteUint(addr, val uint64, width int) error {
 	}
 	po := addr & (isa.PageSize - 1)
 	if po+uint64(width) <= isa.PageSize && m.Contains(addr, uint64(width)) {
-		m.noteWrite(addr, uint64(width))
-		p, _ := m.page(addr, true)
+		m.NoteWrite(addr, uint64(width))
+		p := m.lookup(addr)
+		if p == nil {
+			p = m.materialize((addr - m.base) >> isa.PageShift)
+		}
 		switch width {
 		case 1:
 			p[po] = byte(val)
@@ -410,7 +473,7 @@ func (m *PhysMemory) Zero(addr, n uint64) error {
 	if !m.Contains(addr, n) {
 		return fmt.Errorf("mem: zero [%#x,+%d) outside RAM", addr, n)
 	}
-	m.noteWrite(addr, n)
+	m.NoteWrite(addr, n)
 	off := uint64(0)
 	for off < n {
 		p, po := m.page(addr+off, false)
@@ -448,7 +511,7 @@ func (m *PhysMemory) Copy(dst, src, n uint64) error {
 		}
 		return m.Write(dst, b)
 	}
-	m.noteWrite(dst, n)
+	m.NoteWrite(dst, n)
 	for off := uint64(0); off < n; {
 		sp, spo := m.page(src+off, false)
 		dp, dpo := m.page(dst+off, true)
@@ -484,7 +547,7 @@ func (m *PhysMemory) FlipBit(addr uint64, bit uint) error {
 	if !m.Contains(addr, 1) {
 		return fmt.Errorf("mem: flip at %#x outside RAM [%#x,+%#x)", addr, m.base, m.size)
 	}
-	m.noteWrite(addr, 1)
+	m.NoteWrite(addr, 1)
 	p, po := m.page(addr, true)
 	p[po] ^= 1 << bit
 	return nil

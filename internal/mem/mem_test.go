@@ -369,3 +369,113 @@ func TestCodePageRegistryConcurrent(t *testing.T) {
 		t.Errorf("pinned page: %d invalidations for %d stores", got, writers*rounds)
 	}
 }
+
+// leaves counts the published directory leaves.
+func (m *PhysMemory) leaves() int {
+	n := 0
+	for i := range m.dir {
+		if m.dir[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Reads and Zero of untouched RAM observe zeros without publishing a
+// leaf, so a scrub or a probe of memory nobody wrote costs nothing.
+func TestUntouchedAccessCreatesNoLeaf(t *testing.T) {
+	m := newTestRAM()
+	addr := uint64(testBase + 3<<21 + 0x123)
+	if _, err := m.Read(addr, 2*isa.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte{1, 2, 3, 4}
+	if err := m.ReadInto(addr, buf); err != nil || !bytes.Equal(buf, make([]byte, 4)) {
+		t.Fatalf("ReadInto = %v, %v; want zeros", buf, err)
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		if v, err := m.ReadUint(addr, w); err != nil || v != 0 {
+			t.Fatalf("ReadUint width %d = %#x, %v", w, v, err)
+		}
+	}
+	if err := m.Zero(testBase, testSize); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.leaves(); n != 0 {
+		t.Errorf("untouched reads and Zero published %d leaves", n)
+	}
+	if m.TouchedPages() != 0 {
+		t.Errorf("untouched reads and Zero materialized %d pages", m.TouchedPages())
+	}
+	// One write publishes exactly the leaf of its span.
+	if err := m.WriteUint(addr, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.leaves(); n != 1 || m.dir[3].Load() == nil {
+		t.Errorf("after one write: %d leaves, leaf 3 published %v", n, m.dir[3].Load() != nil)
+	}
+}
+
+// Goroutines first-touch pages inside one absent leaf at once, some on
+// pages of their own and all on a few common ones. They must agree on one
+// leaf and one backing page per index, and every page is counted once.
+func TestFirstTouchOneLeafConcurrent(t *testing.T) {
+	const (
+		workers = 4
+		own     = 8 // distinct pages per worker
+		common  = 4 // pages every worker touches
+	)
+	m := newTestRAM()
+	span := uint64(testBase + 5<<21)
+	seenBy := make([][]*byte, workers) // worker -> first byte of each page it saw
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for w := 0; w < workers; w++ {
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			start.Wait()
+			var seen []*byte
+			touch := func(i int) {
+				addr := span + uint64(i)*isa.PageSize
+				// Disjoint words per worker: the test races publication,
+				// not the simulated DRAM bytes.
+				if err := m.WriteUint(addr+uint64(w)*8, uint64(w+1), 8); err != nil {
+					t.Error(err)
+				}
+				seen = append(seen, &m.PageSlice(addr)[0])
+			}
+			for i := 0; i < common; i++ {
+				touch(i)
+			}
+			for i := 0; i < own; i++ {
+				touch(common + w*own + i)
+			}
+			seenBy[w] = seen
+		}(w)
+	}
+	start.Done()
+	done.Wait()
+	if n := m.leaves(); n != 1 {
+		t.Fatalf("%d leaves published, want 1", n)
+	}
+	if want := common + workers*own; m.TouchedPages() != want {
+		t.Errorf("TouchedPages = %d, want %d", m.TouchedPages(), want)
+	}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < common; i++ {
+			if seenBy[w][i] != seenBy[0][i] {
+				t.Errorf("worker %d saw another backing page for common page %d", w, i)
+			}
+		}
+	}
+	// Every worker's store survived on the page all agreed on.
+	for i := 0; i < common; i++ {
+		for w := 0; w < workers; w++ {
+			addr := span + uint64(i)*isa.PageSize + uint64(w)*8
+			if v, _ := m.ReadUint(addr, 8); v != uint64(w+1) {
+				t.Errorf("common page %d word %d = %d, want %d", i, w, v, w+1)
+			}
+		}
+	}
+}

@@ -15,11 +15,12 @@ import (
 // MMIO exit, one demand fault, and the next MMIO exit, whose round trip
 // TestMMIOExitRoundTripAllocs (internal/hv) pins at zero on its own.
 //
-// Measured with runtime.MemStats: 29 objects over 1,000 faults, all
-// amortized growth of three records, which AllocsPerRun's per-run integer
-// average reads as 0: the CVM's mappings map (GPA -> PA, for snapshots),
-// the page cache's retired-block list (one entry per 64 frames) and the
-// CVM's owned frameSet (one word per 64 frames).
+// Measured with runtime.MemStats: 15 objects (9 KB) over 1,000 faults,
+// all amortized growth of three records, which AllocsPerRun's per-run
+// integer average reads as 0: the CVM's private-leaf record (GPA -> PA,
+// for snapshots and audits; one 4 KiB leaf per 2 MiB of GPAs plus its
+// index), the page cache's retired-block list (one entry per 64 frames)
+// and the CVM's owned frameSet (one word per 64 frames).
 func TestDemandFaultAllocs(t *testing.T) {
 	f := newFixture(t, Config{})
 	p := asm.New(PrivateBase)

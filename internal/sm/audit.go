@@ -246,7 +246,7 @@ func (s *SM) auditPageTables() []AuditFinding {
 	for _, id := range s.cvmIDs() {
 		c := s.life.cvms[id]
 		b := &ptw.Builder{Mem: s.ram}
-		for _, gpa := range sortedKeys(c.mappings) {
+		for gpa, want, ok := c.mappings.next(0); ok; gpa, want, ok = c.mappings.next(gpa + isa.PageSize) {
 			pte, level, err := b.Lookup(c.hgatpRoot, gpa, true)
 			if err != nil {
 				out = append(out, AuditFinding{Kind: AuditMappingBroken, CVMID: id,
@@ -254,10 +254,10 @@ func (s *SM) auditPageTables() []AuditFinding {
 				continue
 			}
 			pa := (pte >> isa.PTEPPNShift) << isa.PageShift
-			if level != 0 || pa != c.mappings[gpa] {
+			if level != 0 || pa != want {
 				out = append(out, AuditFinding{Kind: AuditMappingBroken, CVMID: id,
 					Detail: fmt.Sprintf("gpa %#x resolves to %#x (level %d), recorded %#x",
-						gpa, pa, level, c.mappings[gpa])})
+						gpa, pa, level, want)})
 				continue
 			}
 			if !c.owned.has(pa) {
@@ -435,9 +435,9 @@ func (s *SM) MappedFrames(id int) ([]uint64, error) {
 	if err != nil {
 		return nil, wrapErr("mapped-frames", id, err)
 	}
-	pas := make([]uint64, 0, len(c.mappings))
-	for _, gpa := range sortedKeys(c.mappings) {
-		pas = append(pas, c.mappings[gpa])
+	pas := make([]uint64, 0, c.mappings.len())
+	for gpa, pa, ok := c.mappings.next(0); ok; gpa, pa, ok = c.mappings.next(gpa + isa.PageSize) {
+		pas = append(pas, pa)
 	}
 	return pas, nil
 }
@@ -450,14 +450,4 @@ func (s *SM) cvmIDs() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// sortedKeys returns map keys in ascending order.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }

@@ -202,23 +202,23 @@ func TestGuestBufferPastGPASpace(t *testing.T) {
 				p.MV(asm.S6, asm.A0) // SBI error
 			}))
 			c := f.s.life.cvms[f.id]
-			owned, mapped := c.owned.len(), len(c.mappings)
+			owned, mapped := c.owned.len(), c.mappings.len()
 			poolFree, cacheFree := f.s.PoolFreeBlocks(), cacheFreePages(c)
 			if info := f.run(); info.Reason != ExitShutdown {
 				t.Fatalf("reason = %v", info.Reason)
 			}
 			sbiErr := c.vcpus[0].sec.X[asm.S6]
 			if tc.accept {
-				if sbiErr != 0 || c.owned.len() != owned+1 || len(c.mappings) != mapped+1 {
+				if sbiErr != 0 || c.owned.len() != owned+1 || c.mappings.len() != mapped+1 {
 					t.Fatalf("accepted buffer: err %d, owned %d -> %d, mappings %d -> %d",
-						sbiErr, owned, c.owned.len(), mapped, len(c.mappings))
+						sbiErr, owned, c.owned.len(), mapped, c.mappings.len())
 				}
 			} else {
 				if sbiErr != 1 {
 					t.Errorf("SBI error = %d, want 1", sbiErr)
 				}
-				if c.owned.len() != owned || len(c.mappings) != mapped {
-					t.Errorf("owned %d -> %d, mappings %d -> %d", owned, c.owned.len(), mapped, len(c.mappings))
+				if c.owned.len() != owned || c.mappings.len() != mapped {
+					t.Errorf("owned %d -> %d, mappings %d -> %d", owned, c.owned.len(), mapped, c.mappings.len())
 				}
 				if got := f.s.PoolFreeBlocks(); got != poolFree {
 					t.Errorf("PoolFreeBlocks %d -> %d", poolFree, got)
@@ -253,7 +253,7 @@ func TestInstallPageMapFailureReleasesFrame(t *testing.T) {
 	f := newFixture(t, Config{})
 	f.buildCVM(shutdownProgram(func(p *asm.Program) {}))
 	c := f.s.life.cvms[f.id]
-	owned, mapped, free := c.owned.len(), len(c.mappings), cacheFreePages(c)
+	owned, mapped, free := c.owned.len(), c.mappings.len(), cacheFreePages(c)
 	pa, _, err := f.s.alloc.pool.allocPage(&c.tableCache)
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +261,9 @@ func TestInstallPageMapFailureReleasesFrame(t *testing.T) {
 	if err := f.s.installPage(c, ptw.MaxVA(true), pa, nil); err == nil {
 		t.Fatal("installPage above the guest-physical space succeeded")
 	}
-	if c.owned.has(pa) || c.owned.len() != owned || len(c.mappings) != mapped {
+	if c.owned.has(pa) || c.owned.len() != owned || c.mappings.len() != mapped {
 		t.Errorf("owned %d -> %d (frame owned: %v), mappings %d -> %d",
-			owned, c.owned.len(), c.owned.has(pa), mapped, len(c.mappings))
+			owned, c.owned.len(), c.owned.has(pa), mapped, c.mappings.len())
 	}
 	if got := cacheFreePages(c); got != free {
 		t.Errorf("free pages in the CVM's cache blocks %d -> %d", free, got)

@@ -440,20 +440,62 @@ func TestAuditDetectsCrossLayerCorruption(t *testing.T) {
 		t.Fatalf("findings after repair: %v", findings)
 	}
 
-	// Layer 2: stage-2 page-table corruption (leaf PPN bit flip).
+	// Layer 2: stage-2 page-table corruption (leaf PPN bit flip) of the
+	// lowest mapped GPA.
 	c := f.s.life.cvms[id]
-	var anyGPA uint64
-	for gpa := range c.mappings {
-		anyGPA = gpa
-		break
+	gpa, _, ok := c.mappings.next(0)
+	if !ok {
+		t.Fatal("CVM has no private mappings")
 	}
-	b := f.tableWalk(c, anyGPA)
+	b := f.tableWalk(c, gpa)
 	if err := f.m.RAM.FlipBit(b+1, 4); err != nil { // PTE bit 12: PPN low bit
 		t.Fatal(err)
 	}
 	found = f.s.Audit()
 	if !hasKind(found, AuditMappingBroken) {
 		t.Fatalf("page-table corruption not detected: %v", found)
+	}
+}
+
+// A corrupted gate unit is reported against its own compartment, the
+// next crossing into that compartment quarantines it, RepairGatePMP
+// rewrites every unit and reports how many, and the audit then comes
+// back clean while the quarantine stands: repair does not lift it.
+func TestGatePMPCorruptAuditRepair(t *testing.T) {
+	for c := Compartment(0); c < NumCompartments; c++ {
+		t.Run(c.String(), func(t *testing.T) {
+			f := newFixture(t, Config{})
+			f.s.CorruptGatePMP(c, 30)
+			found := f.s.Audit()
+			if len(found) == 0 {
+				t.Fatal("gate-unit corruption not detected")
+			}
+			for _, fd := range found {
+				if fd.Kind != AuditCompartmentPMP || fd.Scope() != c {
+					t.Errorf("finding %v (scope %s), want only %s findings scoped to %s",
+						fd, fd.Scope(), AuditCompartmentPMP, c)
+				}
+			}
+			if err := f.s.GateProbe(f.h, int64(CompHost), int64(c), "probe"); err == nil {
+				t.Fatal("crossing through a corrupt gate unit succeeded")
+			}
+			rec, down := f.s.CompartmentRecordOf(c)
+			if !down {
+				t.Fatal("corrupt gate unit did not quarantine its compartment")
+			}
+			if n := f.s.RepairGatePMP(); n != int(NumCompartments) {
+				t.Errorf("RepairGatePMP = %d, want %d", n, NumCompartments)
+			}
+			if found := f.s.Audit(); len(found) != 0 {
+				t.Errorf("findings after repair: %v", found)
+			}
+			if after, still := f.s.CompartmentRecordOf(c); !still || after != rec {
+				t.Error("repair lifted the quarantine or replaced its record")
+			}
+			if err := f.s.GateProbe(f.h, int64(CompHost), int64(c), "probe"); err == nil {
+				t.Error("repaired but quarantined compartment accepted a crossing")
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	if _, err := c.pt.Unmap(c.hgatpRoot, gpa, true); err != nil {
 		return err
 	}
-	delete(c.mappings, gpa)
+	c.mappings.delete(gpa)
 	// freeFrame scrubs before the frame can ever be handed to anyone else.
 	if err := s.freeFrame(c, pa); err != nil {
 		return err

@@ -116,8 +116,8 @@ type CVM struct {
 	// shared with other confidential VMs").
 	owned frameSet
 	// mappings records the private GPA -> PA leaves the SM installed
-	// (image load + demand paging), for snapshot enumeration.
-	mappings map[uint64]uint64
+	// (image load + demand paging), for snapshot enumeration and audits.
+	mappings gpaMap
 
 	measurer *measurer
 	entryPC  uint64
@@ -601,7 +601,6 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	}
 	c := &CVM{
 		ID:       s.life.nextID,
-		mappings: make(map[uint64]uint64),
 		measurer: meas,
 	}
 	s.life.nextID++
@@ -662,7 +661,7 @@ func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
 		}
 		return err
 	}
-	c.mappings[gpa] = pa
+	c.mappings.set(gpa, pa)
 	return nil
 }
 

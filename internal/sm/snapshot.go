@@ -87,10 +87,10 @@ func (s *SM) Snapshot(h *hart.Hart, id int, destPA, maxLen uint64) (uint64, erro
 	}
 	// Pages go out in ascending GPA order, so a restore rebuilds the same
 	// frame layout on every run.
-	buf = le.AppendUint32(buf, uint32(len(c.mappings)))
-	for _, gpa := range sortedKeys(c.mappings) {
+	buf = le.AppendUint32(buf, uint32(c.mappings.len()))
+	for gpa, pa, ok := c.mappings.next(0); ok; gpa, pa, ok = c.mappings.next(gpa + isa.PageSize) {
 		app64(gpa)
-		page, err := s.ram.Read(c.mappings[gpa], isa.PageSize)
+		page, err := s.ram.Read(pa, isa.PageSize)
 		if err != nil {
 			return 0, err
 		}

@@ -41,12 +41,13 @@
 #                           GuestMem.ReadInto, 512-byte ReadInto and
 #                           WriteBytes), of stage-2 walk faults, of one
 #                           MMIO exit round trip, of one demand fault, of
-#                           a store's code-page check and of the TLB's
-#                           lookups, fills and flushes; and the 8 KiB
+#                           a store's code-page check, of the TLB's
+#                           lookups, fills and flushes and of the virtio-blk
+#                           pump; the thin disk's slab bound; and the 8 KiB
 #                           bound on booting a 512 MiB RAM
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
-#                           then FuzzDecode, FuzzResume and FuzzVirtioChain
-#                           for 30s each
+#                           then FuzzDecode, FuzzResume, FuzzVirtioChain and
+#                           FuzzBlkNotify for 30s each
 
 GO ?= go
 
@@ -139,13 +140,17 @@ smoke-serving:
 # warm MMIO exit round trip (SM resume, guest, exit, hypervisor emulation),
 # one demand fault on an already-materialized frame, a store's
 # lock-free code-page check once code pages are registered (every store
-# pays it), and the TLB's Insert, Lookup, Peek, TouchN and four flushes
-# (every world switch flushes twice). Booting a 512 MiB RAM must allocate
+# pays it), the TLB's Insert, Lookup, Peek, TouchN and four flushes
+# (every world switch flushes twice), and one virtio-blk request through
+# post, doorbell, pump and completion (TestBlkPumpZeroAllocs). On the thin
+# disk, a read of a never-written sector and a rewrite of a written one
+# allocate nothing, and N first writes at most one slab per 64 sectors
+# (TestThinDiskAllocs). Booting a 512 MiB RAM must allocate
 # at most 8 KiB (its page directory, TestNewPhysMemoryAllocs). The suite runs
 # these anyway; the dedicated target gives CI a cheap job whose failure
 # names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestThinDiskAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over
@@ -156,14 +161,18 @@ test-allocs:
 # or MMIO-write exit and requires Check-after-Load to quarantine or apply
 # only the target register; FuzzVirtioChain (30 s) writes a hostile guest's descriptor
 # table and avail ring into a CVM's shared window and requires the pump to
-# fail only with a typed error and to return only in-window segments. A
-# failing input is written under the package's testdata/fuzz directory;
+# fail only with a typed error and to return only in-window segments;
+# FuzzBlkNotify (30 s) adds the request buffers and drives the whole
+# Blk.Notify, which must fail only typed, match a flat-disk reference
+# device byte for byte, and write only into the chains' writable segments
+# and the used ring. A failing input is written under the package's testdata/fuzz directory;
 # check it in and it becomes a permanent seed that plain 'go test' replays.
 fuzz:
 	$(GO) test ./internal/hart -run '^$$' -fuzz '^FuzzLockstep$$' -fuzztime 60s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/sm -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s
 	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzVirtioChain$$' -fuzztime 30s
+	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzBlkNotify$$' -fuzztime 30s
 
 bench:
 	$(GO) run ./cmd/zionbench

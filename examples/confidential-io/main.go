@@ -123,7 +123,10 @@ func main() {
 		}
 		v++
 	}
-	got := blk.Disk()[4*virtio.SectorSize : 4*virtio.SectorSize+512]
+	got := make([]byte, 512)
+	if _, err := blk.ReadAt(got, 4*virtio.SectorSize); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("disk holds the bounced secret: %v\n", bytes.Equal(got, want))
 	fmt.Printf("network echo: sent [1 2 3 4], received %v\n", echoed)
 	fmt.Printf("blk device stats: %d writes, %d reads, %d bytes moved\n",

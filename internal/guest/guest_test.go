@@ -104,7 +104,11 @@ func TestCVMBlkIOThroughInterpretedDriver(t *testing.T) {
 		t.Errorf("blk ops: %d writes %d reads", blk.Writes, blk.Reads)
 	}
 	want := bytes.Repeat([]byte{0x5A}, 512)
-	if !bytes.Equal(blk.Disk()[8*virtio.SectorSize:8*virtio.SectorSize+512], want) {
+	got := make([]byte, 512)
+	if _, err := blk.ReadAt(got, 8*virtio.SectorSize); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
 		t.Error("disk content mismatch")
 	}
 	// Guest-side compare succeeded.

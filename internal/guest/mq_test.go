@@ -107,7 +107,11 @@ func TestCVMBlkMQLockstep(t *testing.T) {
 			t.Fatalf("%s: blk ops %d writes %d reads", e.name, blk.Writes, blk.Reads)
 		}
 		want := bytes.Repeat([]byte{0x6B}, 512)
-		if !bytes.Equal(blk.Disk()[5*virtio.SectorSize:5*virtio.SectorSize+512], want) {
+		got := make([]byte, 512)
+		if _, err := blk.ReadAt(got, 5*virtio.SectorSize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: disk content mismatch", e.name)
 		}
 		if i == 0 {

@@ -86,9 +86,6 @@ func (p *BouncePool) SetTelemetry(sc *telemetry.Scope) {
 // Slots returns the pool capacity.
 func (p *BouncePool) Slots() int { return len(p.inUse) }
 
-// SlotSize returns the fixed slot size in bytes.
-func (p *BouncePool) SlotSize() uint64 { return p.slotSize }
-
 // InUse returns the number of slots currently allocated.
 func (p *BouncePool) InUse() int { return len(p.inUse) - len(p.free) }
 

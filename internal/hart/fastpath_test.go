@@ -238,3 +238,41 @@ func TestFastPathFetchMissCountedOnce(t *testing.T) {
 		t.Fatalf("walks = %d, want 1", h.WalkStats.Walks)
 	}
 }
+
+// The event-horizon bound must count the TLBHit every translated fetch
+// pays, not only a data access's. With a non-zero TLBHit, an S-mode Sv39
+// run of ADDIs must take a timer interrupt at the same instruction,
+// cycle and instret count as the reference interpreter, for deadlines
+// that fall early, mid-page and late.
+func TestHorizonCountsFetchTLBHit(t *testing.T) {
+	p := asm.New(ramBase)
+	for i := 0; i < 300; i++ {
+		p.ADDI(5, 5, 1)
+	}
+	p.ECALL()
+	for tlbHit, deadlines := range map[uint64][]uint64{0: {37, 150, 280}, 7: {37, 500, 1000, 2345}} {
+		for _, deadline := range deadlines {
+			fast, slow, fc, sc := newBatchPair(t)
+			var got [2]Event
+			for i, h := range []*Hart{fast, slow} {
+				c := *h.Cost
+				c.TLBHit = tlbHit
+				h.Cost = &c
+				load(t, h, ramBase, p)
+				enterSv39(t, h)
+				h.SetCSR(isa.CSRMtvec, ramBase+0x2000)
+				h.SetCSR(isa.CSRMie, 1<<isa.IntMTimer)
+				clint := []*fakeCLINT{fc, sc}[i]
+				clint.mtimecmp, clint.armed = h.Cycles+deadline, true
+				_, got[i] = h.Run(clint, 10000)
+			}
+			if got[0] != got[1] || fast.Cycles != slow.Cycles || fast.Instret != slow.Instret {
+				t.Errorf("TLBHit %d, deadline +%d: compiled tier trapped %+v at cycle %d after %d instructions; reference %+v at cycle %d after %d",
+					tlbHit, deadline, got[0].Trap, fast.Cycles, fast.Instret, got[1].Trap, slow.Cycles, slow.Instret)
+			}
+			if got[1].Kind != EvTrap || got[1].Trap.Cause != isa.CauseInterruptBit|isa.IntMTimer {
+				t.Errorf("TLBHit %d, deadline +%d: reference event %+v, want a machine timer interrupt", tlbHit, deadline, got[1])
+			}
+		}
+	}
+}

@@ -57,20 +57,23 @@ const sbMaxWalkSteps = 64
 // sbWorstCycles returns the worst-case simulated cycles one retired
 // (non-trapping) mid-block instruction can charge. Trap paths need no
 // bound: a trap ends the block, so no hoisted boundary check follows it.
+// Every instruction's fetch may charge TLBHit (under translation); a
+// memory op adds one data access per access it makes.
 func sbWorstCycles(c *Costs, op isa.Op) uint64 {
 	// One data access, worst case: TLB hit cycles or a full walk, plus the
 	// memory cost (the fast path charges TLBHit+Mem; the slow path charges
 	// one of TLBHit or Steps*WalkStep, plus Mem).
 	mem := c.TLBHit + sbMaxWalkSteps*c.WalkStep + c.Mem
+	fetch := c.TLBHit
 	switch cls := opTable[op].cls; cls {
 	case clsBranch:
-		return c.Base + c.Branch
+		return fetch + c.Base + c.Branch
 	case clsLoad, clsStore, clsLRSC:
-		return c.retire(cls) + mem
+		return fetch + c.retire(cls) + mem
 	case clsAMO:
-		return c.retire(cls) + 2*mem
+		return fetch + c.retire(cls) + 2*mem
 	default:
-		return c.retire(cls)
+		return fetch + c.retire(cls)
 	}
 }
 

@@ -145,12 +145,6 @@ func (s *Server) Metrics() []byte { return s.current().metrics }
 // Profile returns the latest rendered /profile body (folded stacks).
 func (s *Server) Profile() []byte { return s.current().profile }
 
-// Healthy reports the latest watchdog verdict and the stalled harts.
-func (s *Server) Healthy() (bool, []int) {
-	snap := s.current()
-	return snap.healthy, snap.stalled
-}
-
 // Handler returns the endpoint's HTTP mux:
 //
 //	/metrics        Prometheus text exposition of the registry

@@ -189,17 +189,6 @@ func (u *Unit) entryRange(i int) (lo, hi uint64, ok bool) {
 	return 0, 0, false
 }
 
-// EntryRange exposes the [lo, hi) physical range entry i covers, with
-// ok=false when the entry is off. External auditors (the Secure
-// Monitor's compartment-gate audit) use it to verify a unit's programmed
-// plan without re-deriving the NAPOT/TOR decoding.
-func (u *Unit) EntryRange(i int) (lo, hi uint64, ok bool) {
-	if i < 0 || i >= NumEntries {
-		return 0, 0, false
-	}
-	return u.entryRange(i)
-}
-
 // Check applies the PMP to an access of n bytes at addr. machineMode
 // selects the M-mode rule (no matching entry ⇒ allow; matching locked
 // entry ⇒ enforce). For S/U modes a matching entry's permission bits

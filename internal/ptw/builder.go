@@ -187,6 +187,3 @@ func (b *Builder) ReadRootEntry(root uint64, slot uint64, stage2 bool) (uint64, 
 func RootSlotFor(gpa uint64, stage2 bool) uint64 {
 	return vpn(gpa, Levels-1, stage2)
 }
-
-// SlotSpan returns the bytes of address space one root slot covers (1 GiB).
-func SlotSpan() uint64 { return 1 << (isa.PageShift + 18) }

@@ -132,15 +132,7 @@ func (s *SM) auditLocked() []AuditFinding {
 	out = append(out, s.auditGatePMP()...)
 	s.Stats.AuditRuns++
 	s.Stats.AuditFindings += uint64(len(out))
-	s.lastAudit = out
 	return out
-}
-
-// LastAudit returns the findings of the most recent audit run.
-func (s *SM) LastAudit() []AuditFinding {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastAudit
 }
 
 // auditPMP verifies that every hart still carries the SM's PMP plan:

@@ -343,17 +343,6 @@ func (s *SM) quarantineCompartment(h *hart.Hart, c Compartment, op string, cause
 	return rec
 }
 
-// QuarantineCompartment forcibly quarantines a compartment (operator or
-// auditor policy). Idempotent; returns the surviving record.
-func (s *SM) QuarantineCompartment(h *hart.Hart, c Compartment, cause error) (*CompartmentRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c < 0 || c >= NumCompartments {
-		return nil, wrapErr("quarantine-compartment", 0, ErrBadArgs)
-	}
-	return s.quarantineCompartment(h, c, "operator", cause), nil
-}
-
 // CompartmentDown reports whether compartment c is quarantined.
 func (s *SM) CompartmentDown(c Compartment) bool {
 	s.mu.Lock()

@@ -134,35 +134,12 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)
 }
 
-// Quarantine forcibly quarantines a live CVM (operator/auditor policy:
-// e.g. the invariant auditor found this CVM's page tables corrupted).
-func (s *SM) Quarantine(h *hart.Hart, id int, cause error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.life.cvms[id]
-	if !ok {
-		if _, done := s.life.quarantined[id]; done {
-			return nil // already quarantined: idempotent
-		}
-		return wrapErr("quarantine", id, ErrNotFound)
-	}
-	s.quarantine(h, c, cause, s.originHere(h, CompLifecycle))
-	return nil
-}
-
 // Quarantined returns the diagnostic record of a quarantined CVM.
 func (s *SM) Quarantined(id int) (*QuarantineRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.life.quarantined[id]
 	return rec, ok
-}
-
-// QuarantineCount reports how many CVMs are currently quarantined.
-func (s *SM) QuarantineCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.life.quarantined)
 }
 
 // releaseQuarantine drops the diagnostic record (FnDestroy on a

@@ -241,9 +241,6 @@ type SM struct {
 	// comp is the per-compartment health, gate-PMP, and crossing record.
 	comp [NumCompartments]compartmentState
 
-	// lastAudit caches the most recent invariant-audit findings.
-	lastAudit []AuditFinding
-
 	// tel is the cross-layer telemetry scope (nil = disabled); evTel
 	// carries the "sm.event" diagnostic instants — the shared scope when
 	// one is configured, else a private ring sized by Config.TraceEvents.

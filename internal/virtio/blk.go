@@ -2,7 +2,9 @@ package virtio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 )
 
 // Virtio-blk request types and status codes.
@@ -18,18 +20,20 @@ const (
 	SectorSize = 512
 )
 
-// Blk is a virtio block device over an in-memory disk image. With
-// nqueues > 1 it exposes independent request queues (multi-queue blk per
-// virtio 1.2 semantics: any queue carries any request; per-queue state
-// lets concurrent submitters avoid sharing a ring). Notify drains the
-// rung queue in batches and runs allocation-free once warm.
+// Blk is a virtio block device over a thin-provisioned in-memory disk
+// (thinDisk): a never-written sector reads as zeros and costs no memory.
+// With nqueues > 1 it exposes independent request queues (multi-queue
+// blk per virtio 1.2 semantics: any queue carries any request; per-queue
+// state lets concurrent submitters avoid sharing a ring). Notify drains
+// the rung queue in batches and runs allocation-free once warm.
 type Blk struct {
 	dev     *MMIODev
-	disk    []byte
+	disk    thinDisk
 	nqueues int
 
 	// Reusable scratch for the batched pump.
-	req  []byte     // request header + write payload, gathered per chain
+	hdr  [16]byte   // request header
+	buf  []byte     // write payload, or a read spanning sectors
 	used []UsedElem // completion batch
 	st   [1]byte    // status byte
 
@@ -38,6 +42,9 @@ type Blk struct {
 	BytesR, BytesW  uint64
 	ProcessedChains uint64
 }
+
+// errDiskRange is ReadAt's and WriteAt's answer to an offset off the disk.
+var errDiskRange = errors.New("virtio-blk: access outside the disk")
 
 // NewBlk creates a single-queue block device with the given disk
 // capacity (bytes, rounded down to whole sectors) and wraps it in an
@@ -51,7 +58,7 @@ func NewBlkMQ(base uint64, capacity uint64, mem MemIO, nqueues int) *Blk {
 	if nqueues < 1 {
 		nqueues = 1
 	}
-	b := &Blk{disk: make([]byte, capacity/SectorSize*SectorSize), nqueues: nqueues}
+	b := &Blk{disk: newThinDisk(capacity / SectorSize), nqueues: nqueues}
 	b.dev = NewMMIODev(base, b, mem)
 	return b
 }
@@ -68,13 +75,37 @@ func (b *Blk) NumQueues() int { return b.nqueues }
 // Config implements Backend: capacity in sectors (first 8 config bytes).
 func (b *Blk) Config() []byte {
 	var cfg [8]byte
-	binary.LittleEndian.PutUint64(cfg[:], uint64(len(b.disk)/SectorSize))
+	binary.LittleEndian.PutUint64(cfg[:], b.disk.sectors())
 	return cfg[:]
 }
 
-// Disk exposes the raw image (tests and examples preload filesystem-ish
-// content through it).
-func (b *Blk) Disk() []byte { return b.disk }
+// ReadAt implements io.ReaderAt over the disk image: it reads what lies
+// on the disk and returns io.EOF if p runs past the end.
+func (b *Blk) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errDiskRange
+	}
+	n := 0
+	if size := b.disk.sectors() * SectorSize; uint64(off) < size {
+		n = int(min(uint64(len(p)), size-uint64(off)))
+		b.disk.readAt(p[:n], uint64(off))
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// WriteAt implements io.WriterAt over the disk image (tests preload
+// content through it). A write that does not fit on the disk writes
+// nothing.
+func (b *Blk) WriteAt(p []byte, off int64) (int, error) {
+	if size := b.disk.sectors() * SectorSize; off < 0 || uint64(off) > size || uint64(len(p)) > size-uint64(off) {
+		return 0, errDiskRange
+	}
+	b.disk.writeAt(p, uint64(off))
+	return len(p), nil
+}
 
 // Notify implements Backend: drain the rung queue in batches — one
 // avail-index read and one used-ring publish per batch instead of per
@@ -112,56 +143,77 @@ func (b *Blk) Notify(q int) error {
 	}
 }
 
-// process executes one blk request chain: 16-byte header (readable),
-// data segments, one status byte (writable, last).
-func (b *Blk) process(mem MemIO, ch *Chain) (uint32, error) {
-	rc := int(ch.ReadCap())
-	if cap(b.req) < rc {
-		b.req = make([]byte, rc)
+// inRange reports whether n bytes from sector on lie on the disk. A
+// request also moves at most maxSegLen bytes, so its used length fits
+// the ring's 32 bits.
+func (b *Blk) inRange(sector, n uint64) bool {
+	nsec := b.disk.sectors()
+	return sector < nsec && n <= (nsec-sector)*SectorSize && n <= maxSegLen
+}
+
+// scratch returns n bytes of the reusable buffer; n is a validated
+// request length.
+func (b *Blk) scratch(n uint64) []byte {
+	if uint64(cap(b.buf)) < n {
+		b.buf = make([]byte, n)
 	}
-	hdr := b.req[:rc]
-	if _, err := ch.ReadAllInto(mem, hdr); err != nil {
+	return b.buf[:n]
+}
+
+// process executes one blk request chain: a 16-byte header at the start
+// of the readable bytes, then the data (readable for a write, writable
+// for a read), then one status byte, the last byte of the last writable
+// segment. Lengths are checked against the disk before a byte moves.
+func (b *Blk) process(mem MemIO, ch *Chain) (uint32, error) {
+	rc := ch.ReadCap()
+	if rc < uint64(len(b.hdr)) {
+		return 0, &ChainError{Kind: ChainNoHeader, Head: ch.Head, Index: ch.Head}
+	}
+	if err := ch.Gather(mem, b.hdr[:], 0); err != nil {
 		return 0, err
 	}
-	if len(hdr) < 16 || len(ch.WriteGPA) == 0 {
-		return 0, fmt.Errorf("virtio-blk: malformed request chain")
+	if len(ch.WriteGPA) == 0 || ch.WriteGPA[len(ch.WriteGPA)-1].Len == 0 {
+		return 0, &ChainError{Kind: ChainNoStatus, Head: ch.Head, Index: ch.Head}
 	}
-	typ := binary.LittleEndian.Uint32(hdr[0:4])
-	sector := binary.LittleEndian.Uint64(hdr[8:16])
-	off := sector * SectorSize
+	typ := binary.LittleEndian.Uint32(b.hdr[0:4])
+	sector := binary.LittleEndian.Uint64(b.hdr[8:16])
+	off := sector * SectorSize // meaningful only once inRange holds
 
 	status := byte(BlkSOK)
 	written := uint32(0)
 	switch typ {
 	case BlkTIn:
-		// Read: fill every writable segment except the final status byte.
-		dataCap := ch.WriteCap() - 1
-		if off+uint64(dataCap) > uint64(len(b.disk)) {
+		// Read: fill every writable byte except the final status byte.
+		n := ch.WriteCap() - 1
+		if !b.inRange(sector, n) {
 			status = BlkSIOErr
-		} else {
-			data := b.disk[off : off+uint64(dataCap)]
-			// Scatter into all but the last writable segment byte.
-			w, err := scatterData(mem, ch, data)
-			if err != nil {
-				return 0, err
-			}
-			written = w
-			b.Reads++
-			b.BytesR += uint64(dataCap)
+			break
 		}
+		w, err := scatterData(mem, ch, b.disk.bytes(off, n, b.scratch(n)))
+		if err != nil {
+			return 0, err
+		}
+		written = w
+		b.Reads++
+		b.BytesR += n
 	case BlkTOut:
-		data := hdr[16:]
-		if off+uint64(len(data)) > uint64(len(b.disk)) {
+		n := rc - uint64(len(b.hdr))
+		if !b.inRange(sector, n) {
 			status = BlkSIOErr
-		} else {
-			copy(b.disk[off:], data)
-			b.Writes++
-			b.BytesW += uint64(len(data))
+			break
 		}
+		// Gather the whole payload before touching the disk, so a
+		// request whose gather fails leaves it unchanged.
+		data := b.scratch(n)
+		if err := ch.Gather(mem, data, uint64(len(b.hdr))); err != nil {
+			return 0, err
+		}
+		b.disk.writeAt(data, off)
+		b.Writes++
+		b.BytesW += n
 	default:
 		status = BlkSUnsup
 	}
-	// Status byte goes into the last writable segment's final byte.
 	last := ch.WriteGPA[len(ch.WriteGPA)-1]
 	b.st[0] = status
 	if err := mem.WriteBytes(last.GPA+uint64(last.Len)-1, b.st[:]); err != nil {
@@ -170,21 +222,22 @@ func (b *Blk) process(mem MemIO, ch *Chain) (uint32, error) {
 	return written + 1, nil
 }
 
-// scatterData fills the chain's writable segments with data, reserving
-// the final byte of the final segment for the status.
+// scatterData fills the chain's writable segments with data, in order,
+// reserving the final byte of the final segment for the status. The
+// caller has checked that they hold len(data)+1 bytes.
 func scatterData(mem MemIO, ch *Chain, data []byte) (uint32, error) {
 	written := uint32(0)
 	for i, s := range ch.WriteGPA {
+		if len(data) == 0 {
+			break
+		}
 		capacity := s.Len
 		if i == len(ch.WriteGPA)-1 {
 			capacity-- // status byte
 		}
-		if len(data) == 0 || capacity == 0 {
-			break
-		}
-		n := int(capacity)
-		if n > len(data) {
-			n = len(data)
+		n := min(int(capacity), len(data))
+		if n == 0 {
+			continue
 		}
 		if err := mem.WriteBytes(s.GPA, data[:n]); err != nil {
 			return written, err

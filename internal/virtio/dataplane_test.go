@@ -378,7 +378,7 @@ func TestBlkMultiQueue(t *testing.T) {
 		if _, _, ok, err := drvs[q].PollUsed(); !ok || err != nil {
 			t.Errorf("queue %d completion missing (%v)", q, err)
 		}
-		if got := b.Disk()[uint64(q)*SectorSize]; got != 0xC0+byte(q) {
+		if got := diskBytes(t, b, int64(q)*SectorSize, 1)[0]; got != 0xC0+byte(q) {
 			t.Errorf("sector %d byte = %#x", q, got)
 		}
 	}

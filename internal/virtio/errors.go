@@ -23,6 +23,14 @@ const (
 	// ChainBadAvail: the avail index advertises more chains than the ring
 	// can hold outstanding.
 	ChainBadAvail
+	// ChainNoHeader: a blk request with fewer readable bytes than its
+	// 16-byte header.
+	ChainNoHeader
+	// ChainNoStatus: a blk request whose last writable segment cannot
+	// hold the status byte (no writable segment, or an empty last one).
+	ChainNoStatus
+	// ChainFrameTooLong: a net TX frame longer than netMaxFrame.
+	ChainFrameTooLong
 )
 
 // String names the kind for error text and test failure messages.
@@ -40,20 +48,28 @@ func (k ChainErrorKind) String() string {
 		return "readable segment after writable"
 	case ChainBadAvail:
 		return "avail index ahead of ring capacity"
+	case ChainNoHeader:
+		return "request shorter than its header"
+	case ChainNoStatus:
+		return "no room for the status byte"
+	case ChainFrameTooLong:
+		return "frame longer than the device accepts"
 	}
 	return "unknown chain error"
 }
 
-// maxSegLen caps a single descriptor's length. The largest legitimate
-// segment any driver here posts is well under a megabyte; a length in the
-// gigabytes is a corrupt or hostile descriptor, not a big request.
+// maxSegLen caps a single descriptor's length, and the data one blk
+// request moves. The largest legitimate segment any driver here posts is
+// well under a megabyte; a length in the gigabytes is a corrupt or
+// hostile descriptor, not a big request.
 const maxSegLen = 1 << 30
 
 // ChainError is the typed rejection of a malformed descriptor chain.
 type ChainError struct {
 	Kind ChainErrorKind
 	// Head is the chain's head descriptor index; Index the descriptor at
-	// which validation failed.
+	// which validation failed (Head for the request-level kinds, which a
+	// device finds after the walk).
 	Head  uint16
 	Index uint16
 }

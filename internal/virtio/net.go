@@ -5,6 +5,11 @@ import "fmt"
 // NetHdrLen is the virtio-net header prepended to every frame.
 const NetHdrLen = 12
 
+// netMaxFrame bounds a TX chain's length: the header plus a 64 KiB
+// payload, the largest frame a virtio-net device without offloads
+// carries. A longer chain is refused before any buffer is sized for it.
+const netMaxFrame = NetHdrLen + 64<<10
+
 // Net is a virtio network device. Frames written to a TX queue are
 // delivered to the peer (another Net, or a host-side tap function);
 // frames arriving from the peer land in RX buffers the driver posted.
@@ -111,12 +116,15 @@ func (n *Net) drainTX(pair int) error {
 		completed := 0
 		for i := range chains {
 			ch := &chains[i]
-			fl := int(ch.ReadCap())
-			if cap(n.frame) < fl {
+			fl := ch.ReadCap()
+			if fl > netMaxFrame {
+				return &ChainError{Kind: ChainFrameTooLong, Head: ch.Head, Index: ch.Head}
+			}
+			if uint64(cap(n.frame)) < fl {
 				n.frame = make([]byte, fl)
 			}
 			frame := n.frame[:fl]
-			if _, err := ch.ReadAllInto(mem, frame); err != nil {
+			if err := ch.Gather(mem, frame, 0); err != nil {
 				return err
 			}
 			n.used = append(n.used, UsedElem{Head: ch.Head, Written: 0})
@@ -179,7 +187,7 @@ func (n *Net) flushPending(pair int) error {
 		frame := make([]byte, NetHdrLen+len(pend[0]))
 		copy(frame[NetHdrLen:], pend[0])
 		used := [1]UsedElem{{Head: ch.Head}}
-		delivered := ch.WriteCap() >= uint32(len(frame))
+		delivered := ch.WriteCap() >= uint64(len(frame))
 		if delivered {
 			if used[0].Written, err = ch.WriteAll(mem, frame); err != nil {
 				return err

@@ -1,5 +1,6 @@
 // Package virtio implements the virtio 1.0 split-ring transport and two
-// device back-ends (blk over a RAM disk, net with a loopback peer),
+// device back-ends (blk over a thin-provisioned in-memory disk, net with
+// a loopback peer),
 // together with a virtio-mmio register frontend that plugs into the
 // hypervisor's device model.
 //
@@ -123,26 +124,38 @@ type UsedElem struct {
 	Written uint32
 }
 
-// ReadCap returns the total readable length of the chain.
-func (c *Chain) ReadCap() uint32 {
-	var n uint32
+// ReadCap returns the total readable length of the chain. It sums in 64
+// bits: a chain's segments may add up past 4 GiB.
+func (c *Chain) ReadCap() uint64 {
+	var n uint64
 	for _, s := range c.ReadGPA {
-		n += s.Len
+		n += uint64(s.Len)
 	}
 	return n
 }
 
-// ReadAllInto gathers every readable segment into out (which must be at
-// least ReadCap bytes) and returns the number of bytes copied.
-func (c *Chain) ReadAllInto(m MemIO, out []byte) (int, error) {
-	n := 0
+// Gather fills p with the chain's readable bytes from byte off of the
+// readable stream on, one MemIO read per segment it touches. It fails if
+// the stream ends before p is full.
+func (c *Chain) Gather(m MemIO, p []byte, off uint64) error {
 	for _, s := range c.ReadGPA {
-		if err := m.ReadInto(s.GPA, out[n:n+int(s.Len)]); err != nil {
-			return n, err
+		if len(p) == 0 {
+			return nil
 		}
-		n += int(s.Len)
+		if off >= uint64(s.Len) {
+			off -= uint64(s.Len)
+			continue
+		}
+		n := min(uint64(s.Len)-off, uint64(len(p)))
+		if err := m.ReadInto(s.GPA+off, p[:n]); err != nil {
+			return err
+		}
+		p, off = p[n:], 0
 	}
-	return n, nil
+	if len(p) > 0 {
+		return fmt.Errorf("virtio: gather of %d bytes past the readable segments", len(p))
+	}
+	return nil
 }
 
 // WriteAll scatters data across the writable segments and returns the
@@ -166,11 +179,12 @@ func (c *Chain) WriteAll(m MemIO, data []byte) (uint32, error) {
 	return written, nil
 }
 
-// WriteCap returns the total writable capacity of the chain.
-func (c *Chain) WriteCap() uint32 {
-	var n uint32
+// WriteCap returns the total writable capacity of the chain, summed in
+// 64 bits like ReadCap.
+func (c *Chain) WriteCap() uint64 {
+	var n uint64
 	for _, s := range c.WriteGPA {
-		n += s.Len
+		n += uint64(s.Len)
 	}
 	return n
 }

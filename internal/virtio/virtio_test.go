@@ -60,6 +60,16 @@ func postBlkReq(t *testing.T, drv *DriverView, mem MemIO, l ringLayout,
 	}
 }
 
+// diskBytes reads n bytes of b's disk at off.
+func diskBytes(t *testing.T, b *Blk, off int64, n int) []byte {
+	t.Helper()
+	p := make([]byte, n)
+	if _, err := b.ReadAt(p, off); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestBlkWriteThenRead(t *testing.T) {
 	b, drv, l, mem := newBlkFixture(t, 1<<20)
 	payload := bytes.Repeat([]byte("zion-blk"), 64) // 512 bytes
@@ -73,7 +83,7 @@ func TestBlkWriteThenRead(t *testing.T) {
 	if st[0] != BlkSOK {
 		t.Fatalf("write status = %d", st[0])
 	}
-	if !bytes.Equal(b.Disk()[3*SectorSize:3*SectorSize+512], payload) {
+	if !bytes.Equal(diskBytes(t, b, 3*SectorSize, 512), payload) {
 		t.Error("disk content mismatch")
 	}
 
@@ -303,7 +313,9 @@ func TestBlkScatterGatherRead(t *testing.T) {
 	b, drv, l, mem := newBlkFixture(t, 1<<20)
 	// Seed the disk.
 	payload := bytes.Repeat([]byte{0xAB}, 96)
-	copy(b.Disk()[0:], payload)
+	if _, err := b.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	hdr := make([]byte, 16)
 	binary.LittleEndian.PutUint32(hdr[0:], BlkTIn)

@@ -9,8 +9,9 @@
 #   make lint   - gofmt check, then golangci-lint if installed, else 'go vet'
 #                 with a notice
 #   make check  - tier-2: lint + race detector on the whole module + one
-#                 pass of the pre-bound op loop benchmark (BenchmarkRunOps,
-#                 so it cannot rot) + a smoke
+#                 pass of the pre-bound op loop benchmark (BenchmarkRunOps)
+#                 and of the MMIO exit round trip (BenchmarkMMIOExitRoundTrip),
+#                 so neither can rot + a smoke
 #                 fault-injection campaign (fixed seed, 100 faults) + the
 #                 compartment-compromise campaign + the host benchmark gate
 #                 (also verifies bit-identity; the committed baseline is
@@ -42,8 +43,9 @@
 #                           WriteBytes), of stage-2 walk faults, of one
 #                           MMIO exit round trip, of one demand fault, of
 #                           a store's code-page check, of the TLB's
-#                           lookups, fills and flushes and of the virtio-blk
-#                           pump; the thin disk's slab bound; and the 8 KiB
+#                           lookups, fills and flushes, of the virtio-blk
+#                           pump and of virtio-net RX delivery; the thin
+#                           disk's slab bound; and the 8 KiB
 #                           bound on booting a 512 MiB RAM
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
 #                           then FuzzDecode, FuzzResume, FuzzVirtioChain and
@@ -96,6 +98,7 @@ check: build
 	$(MAKE) race
 	$(GO) test ./...
 	$(GO) test ./internal/hart -run '^$$' -bench BenchmarkRunOps -benchtime 1x
+	$(GO) test ./internal/hv -run '^$$' -bench BenchmarkMMIOExitRoundTrip -benchtime 1x
 	$(MAKE) smoke
 	$(MAKE) smoke-compromise
 	$(MAKE) smoke-monitor
@@ -142,7 +145,9 @@ smoke-serving:
 # lock-free code-page check once code pages are registered (every store
 # pays it), the TLB's Insert, Lookup, Peek, TouchN and four flushes
 # (every world switch flushes twice), and one virtio-blk request through
-# post, doorbell, pump and completion (TestBlkPumpZeroAllocs). On the thin
+# post, doorbell, pump and completion (TestBlkPumpZeroAllocs), and so must
+# one virtio-net RX frame through buffer post, Inject and completion poll
+# (TestNetRXZeroAllocs). On the thin
 # disk, a read of a never-written sector and a rewrite of a written one
 # allocate nothing, and N first writes at most one slab per 64 sectors
 # (TestThinDiskAllocs). Booting a 512 MiB RAM must allocate
@@ -150,7 +155,7 @@ smoke-serving:
 # these anyway; the dedicated target gives CI a cheap job whose failure
 # names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestThinDiskAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestNetRXZeroAllocs|TestThinDiskAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over

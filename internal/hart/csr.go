@@ -264,3 +264,58 @@ func (h *Hart) SetCSR(addr uint16, v uint64) {
 	}
 	h.storeCSR(addr, v)
 }
+
+// CSRList names the registers of a world-switch context that SaveCSRs
+// and LoadCSRs move in one pass. NewCSRList admits only plain registers,
+// whose store is a copy into their own backing register once the value
+// passed the register's WARL rule; the check runs once, when the list is
+// built, not on every world switch.
+type CSRList struct{ addrs []uint16 }
+
+// NewCSRList builds a CSRList. It panics on a register whose store is more
+// than a copy: a view (sstatus, sie, sip, vsie, vsip), mip, misa, mhartid,
+// a PMP register, or a read-only CSR.
+func NewCSRList(addrs ...uint16) CSRList {
+	for _, a := range addrs {
+		if !plainCSR(a) {
+			panic(fmt.Sprintf("hart: CSR %#x is not a plain register", a))
+		}
+	}
+	return CSRList{addrs: append([]uint16(nil), addrs...)}
+}
+
+// plainCSR reports whether a store to addr is a copy into its own backing
+// register once the value passed the register's WARL rule.
+func plainCSR(addr uint16) bool {
+	switch addr {
+	case isa.CSRSstatus, isa.CSRSie, isa.CSRSip, isa.CSRVsie, isa.CSRVsip,
+		isa.CSRMip, isa.CSRMisa, isa.CSRMhartid, isa.CSRPmpcfg0, isa.CSRPmpcfg2:
+		return false
+	}
+	return addr <= 0xFFF && !csrReadOnly(addr) &&
+		(addr < isa.CSRPmpaddr0 || addr > isa.CSRPmpaddr15)
+}
+
+// SaveCSRs copies list's registers into dst, index for index, straight
+// from the CSR file: the firmware half of a world switch saving the
+// context it must put back. dst must hold one value per register.
+func (h *Hart) SaveCSRs(list CSRList, dst []uint64) {
+	dst = dst[:len(list.addrs)]
+	for i, a := range list.addrs {
+		dst[i] = h.csr.regs[a&0xFFF]
+	}
+}
+
+// LoadCSRs stores src[i] into list's register i straight into the CSR
+// file and bumps the translation epoch once, for the whole context. It
+// skips storeCSR's WARL rules, so a value must be one this hart's CSR file
+// already held (read back by SaveCSRs) or a firmware constant storeCSR
+// would store unchanged; every other CSR store still goes through
+// storeCSR or trap entry.
+func (h *Hart) LoadCSRs(list CSRList, src []uint64) {
+	src = src[:len(list.addrs)]
+	for i, a := range list.addrs {
+		h.csr.regs[a&0xFFF] = src[i]
+	}
+	h.mmuGen++
+}

@@ -45,11 +45,12 @@ type Clock interface {
 //  2. sample clock's deadline, clamp it to the quantum deadline, and run
 //     a batch on the fast path (superblock.go), which re-checks the
 //     deadline, clears MTIP and samples interrupts at every boundary the
-//     per-step loop would;
-//  3. when the batch stops without an event (deadline reached, fast-path
-//     miss, or a device access that may have rearmed the timer), set
-//     MTIP iff the timer is armed and Cycles has reached it, then take
-//     one Step.
+//     per-step loop would, and takes a fetch the micro-TLB cannot fill
+//     through Step itself;
+//  3. when the batch stops without an event (deadline reached, a PC or
+//     page the fast path leaves to Step, or a device access that may have
+//     rearmed the timer), set MTIP iff the timer is armed and Cycles has
+//     reached it, then take one Step.
 //
 // The result is bit-identical to refreshing MTIP and calling Step once
 // per instruction: the fast path replays the slow path's accounting and
@@ -129,7 +130,7 @@ func (h *Hart) execute(in *isa.Inst) Event {
 
 	switch in.Op {
 	case isa.OpLRW, isa.OpLRD:
-		v, ti, ok := h.MemAccess(rs1, width, false, 0, raw)
+		v, ti, ok := h.MemAccess(rs1, width, false, 0, in)
 		if !ok {
 			return h.exception(ti)
 		}
@@ -137,7 +138,7 @@ func (h *Hart) execute(in *isa.Inst) Event {
 		h.SetReg(in.Rd, oi.value(v))
 	case isa.OpSCW, isa.OpSCD:
 		if h.resValid && h.resAddr == rs1 {
-			if _, ti, ok := h.MemAccess(rs1, width, true, rs2, raw); !ok {
+			if _, ti, ok := h.MemAccess(rs1, width, true, rs2, in); !ok {
 				return h.exception(ti)
 			}
 			h.SetReg(in.Rd, 0)
@@ -148,7 +149,7 @@ func (h *Hart) execute(in *isa.Inst) Event {
 
 	case isa.OpAMOSWAPW, isa.OpAMOADDW, isa.OpAMOXORW, isa.OpAMOANDW, isa.OpAMOORW,
 		isa.OpAMOSWAPD, isa.OpAMOADDD, isa.OpAMOXORD, isa.OpAMOANDD, isa.OpAMOORD:
-		old, ti, ok := h.MemAccess(rs1, width, false, 0, raw)
+		old, ti, ok := h.MemAccess(rs1, width, false, 0, in)
 		if !ok {
 			return h.exception(ti)
 		}
@@ -165,7 +166,7 @@ func (h *Hart) execute(in *isa.Inst) Event {
 		case isa.OpAMOORW, isa.OpAMOORD:
 			nw = old | rs2
 		}
-		if _, ti, ok := h.MemAccess(rs1, width, true, nw, raw); !ok {
+		if _, ti, ok := h.MemAccess(rs1, width, true, nw, in); !ok {
 			return h.exception(ti)
 		}
 		h.SetReg(in.Rd, oi.value(old))
@@ -234,12 +235,12 @@ func (h *Hart) execute(in *isa.Inst) Event {
 	default: // plain loads and stores
 		va := rs1 + uint64(in.Imm)
 		if oi.cls == clsStore {
-			if _, ti, ok := h.MemAccess(va, width, true, rs2, raw); !ok {
+			if _, ti, ok := h.MemAccess(va, width, true, rs2, in); !ok {
 				return h.exception(ti)
 			}
 			break
 		}
-		v, ti, ok := h.MemAccess(va, width, false, 0, raw)
+		v, ti, ok := h.MemAccess(va, width, false, 0, in)
 		if !ok {
 			return h.exception(ti)
 		}

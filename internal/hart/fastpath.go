@@ -249,9 +249,16 @@ func (ent *mtlbEntry) valid(vaPage uint64, ep *epochs) bool {
 // cached permissions pass the same permsAllow the slow path applies, PMP
 // allowing the access for the whole page within one entry, and the target
 // page fully inside RAM.
+//
+// A fetch entry keeps its decoded page across the refill when the new
+// translation lands on the same physical page: after a world switch's
+// TLB flush the guest's code page is the one it left, and runBatch still
+// checks the page is live before it dispatches from it. A declined fill
+// keeps the page too, with the entry invalid (page nil), for the refill
+// after the slow path's walk.
 func (e *fastPath) fill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access) bool {
 	e.stats.Fills++
-	*ent = mtlbEntry{}
+	*ent = mtlbEntry{paPage: ent.paPage, dp: ent.dp}
 	bare := false
 	tlbIdx := -1
 	var pa uint64
@@ -317,6 +324,10 @@ func (e *fastPath) fill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access) bool
 		e.stats.FillFails++ // MMIO or partial page: bus accesses stay slow
 		return false
 	}
+	dp := ent.dp
+	if ent.paPage != pa {
+		dp = nil
+	}
 	*ent = mtlbEntry{
 		page:   e.mem.PageSlice(pa),
 		vaPage: va >> isa.PageShift,
@@ -324,6 +335,7 @@ func (e *fastPath) fill(h *Hart, ent *mtlbEntry, va uint64, acc ptw.Access) bool
 		ep:     h.epochs(),
 		bare:   bare,
 		tlbIdx: int32(tlbIdx),
+		dp:     dp,
 	}
 	return true
 }

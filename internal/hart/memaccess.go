@@ -41,10 +41,11 @@ func (h *Hart) transOpts() ptw.Opts {
 }
 
 // Translate resolves va for the hart's current mode, charging TLB and
-// page-walk cycles, and returns the final physical address. rawInst is the
-// in-flight instruction (for htinst synthesis on guest-page faults); pass
-// 0 for fetches. ok is false when the access raised the trap ti.
-func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (pa uint64, ti trapInfo, ok bool) {
+// page-walk cycles, and returns the final physical address. in is the
+// in-flight instruction, already decoded (for htinst synthesis on
+// guest-page faults); pass nil for fetches. ok is false when the access
+// raised the trap ti.
+func (h *Hart) Translate(va uint64, acc ptw.Access, in *isa.Inst) (pa uint64, ti trapInfo, ok bool) {
 	opts := h.transOpts()
 	switch h.Mode {
 	case isa.ModeM:
@@ -62,7 +63,7 @@ func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (pa uint64, 
 		}
 		res, pf, ok := h.walker.Lookup(root, va, acc, opts)
 		if !ok {
-			return 0, pageFaultInfo(pf, va, 0), false
+			return 0, pageFaultInfo(pf, va, nil), false
 		}
 		h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
 		h.TLB.Insert(va&^pageMask(res.Level), res.PA&^pageMask(res.Level), res.PTE&isa.PTEFlagMask, res.Level, asid, 0)
@@ -90,7 +91,7 @@ func (h *Hart) Translate(va uint64, acc ptw.Access, rawInst uint32) (pa uint64, 
 		res, pf, ok := h.walker.LookupTwoStage(satpRoot(vsatp), hgatpRoot, va, acc, opts.User)
 		if !ok {
 			h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
-			return 0, pageFaultInfo(pf, va, rawInst), false
+			return 0, pageFaultInfo(pf, va, in), false
 		}
 		h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
 		// Cache the combined VA->PA mapping at the tighter leaf level with
@@ -144,12 +145,12 @@ func pageMask(level int) uint64 {
 
 // pageFaultInfo converts a ptw fault into trap state, synthesizing htinst
 // for guest-page faults caused by loads/stores (the hypervisor's MMIO path).
-func pageFaultInfo(pf ptw.PageFault, va uint64, rawInst uint32) trapInfo {
+func pageFaultInfo(pf ptw.PageFault, va uint64, in *isa.Inst) trapInfo {
 	ti := trapInfo{cause: pf.Cause(), tval: va}
 	if pf.GuestPage {
 		ti.tval2 = pf.Addr >> 2
-		if rawInst != 0 {
-			ti.tinst = isa.TransformedInst(isa.Decode(rawInst))
+		if in != nil {
+			ti.tinst = isa.TransformedInst(*in)
 		}
 	}
 	return ti
@@ -157,8 +158,9 @@ func pageFaultInfo(pf ptw.PageFault, va uint64, rawInst uint32) trapInfo {
 
 // MemAccess performs a data access at va: translation, PMP, then RAM or
 // bus. For writes val is stored; for reads the loaded value is returned.
-// ok is false when the access raised the trap ti.
-func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, rawInst uint32) (v uint64, ti trapInfo, ok bool) {
+// in is the decoded instruction making the access. ok is false when the
+// access raised the trap ti.
+func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, in *isa.Inst) (v uint64, ti trapInfo, ok bool) {
 	if h.fp != nil {
 		if v, ok := h.fp.access(h, va, size, write, val); ok {
 			return v, trapInfo{}, true
@@ -169,7 +171,7 @@ func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, rawInst ui
 	if write {
 		acc, pacc = ptw.AccessWrite, pmp.AccessWrite
 	}
-	pa, ti, ok := h.Translate(va, acc, rawInst)
+	pa, ti, ok := h.Translate(va, acc, in)
 	if !ok {
 		return 0, ti, false
 	}
@@ -205,7 +207,7 @@ func (h *Hart) MemAccess(va uint64, size int, write bool, val uint64, rawInst ui
 // Fetch reads the 32-bit instruction at PC. ok is false when the fetch
 // raised the trap ti.
 func (h *Hart) Fetch() (raw uint32, ti trapInfo, ok bool) {
-	pa, ti, ok := h.Translate(h.PC, ptw.AccessFetch, 0)
+	pa, ti, ok := h.Translate(h.PC, ptw.AccessFetch, nil)
 	if !ok {
 		return 0, ti, false
 	}

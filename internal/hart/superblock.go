@@ -91,12 +91,18 @@ func sbWorstCycles(c *Costs, op isa.Op) uint64 {
 // fallback. After an execute() instruction the loop re-checks the block's
 // premises and goes back to pre-bound ops at the next slot that has one.
 //
+// A fetch the micro-TLB cannot fill (after a world switch's TLB flush,
+// the first fetch of every run) is answered by the reference Step in
+// place: at that boundary the deadline has not been reached and MTIP is
+// clear, exactly what Run's timer refresh would leave, so the batch goes
+// on unless the step trapped or touched a device.
+//
 // It returns the number of Step-equivalents performed and, when ok is
 // true, the terminating event (trap, WFI), which counts as the final
 // step. ok=false means the batch stopped without an event: deadline
-// reached, fast-path miss, budget exhausted, or a device access that may
-// have rearmed the hart's own timer. Run then refreshes MTIP and takes
-// one Step before the next batch.
+// reached, a misaligned PC or write-hot page, budget exhausted, or a
+// device access that may have rearmed the hart's own timer. Run then
+// refreshes MTIP and takes one Step before the next batch.
 func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (uint64, Event, bool) {
 	var n uint64
 	for n < max {
@@ -117,7 +123,18 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 		if ep := h.epochs(); !ent.valid(vaPage, &ep) {
 			e.stats.FetchMisses++
 			if !e.fill(h, ent, pc&^uint64(isa.PageSize-1), ptw.AccessFetch) {
-				return n, Event{}, false
+				// The reference Step answers the fetch here (see above).
+				// After a TLB flush its walk is what lets the next fill
+				// succeed.
+				g0 := h.asyncGen
+				n++
+				if ev := h.Step(); ev.Kind != EvNone {
+					return n, ev, true
+				}
+				if h.asyncGen != g0 {
+					return n, Event{}, false // a device access: fresh timer sample
+				}
+				continue
 			}
 		}
 		dp := ent.dp

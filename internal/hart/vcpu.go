@@ -29,28 +29,32 @@ const guestContextRegs = 31 + 7
 // site knows where and how the guest resumes.
 func (g *GuestContext) Save(h *Hart) {
 	g.X = h.X
-	g.Vsstatus = h.CSR(isa.CSRVsstatus)
-	g.Vsepc = h.CSR(isa.CSRVsepc)
-	g.Vscause = h.CSR(isa.CSRVscause)
-	g.Vstval = h.CSR(isa.CSRVstval)
-	g.Vstvec = h.CSR(isa.CSRVstvec)
-	g.Vsscratch = h.CSR(isa.CSRVsscratch)
-	g.Vsatp = h.CSR(isa.CSRVsatp)
+	r := &h.csr.regs
+	g.Vsstatus = r[isa.CSRVsstatus]
+	g.Vsepc = r[isa.CSRVsepc]
+	g.Vscause = r[isa.CSRVscause]
+	g.Vstval = r[isa.CSRVstval]
+	g.Vstvec = r[isa.CSRVstvec]
+	g.Vsscratch = r[isa.CSRVsscratch]
+	g.Vsatp = r[isa.CSRVsatp]
 	h.Advance(guestContextRegs * h.Cost.RegCopy)
 }
 
 // Load installs g's GPRs (x0 stays zero) and VS CSRs on the hart,
-// charging one register copy each.
+// charging one register copy each. The six plain VS CSRs have no WARL
+// rule and are stored directly; vsatp keeps storeCSR's mode check,
+// because a restored snapshot blob may carry any value there.
 func (g *GuestContext) Load(h *Hart) {
 	h.X = g.X
 	h.X[0] = 0
-	h.SetCSR(isa.CSRVsstatus, g.Vsstatus)
-	h.SetCSR(isa.CSRVsepc, g.Vsepc)
-	h.SetCSR(isa.CSRVscause, g.Vscause)
-	h.SetCSR(isa.CSRVstval, g.Vstval)
-	h.SetCSR(isa.CSRVstvec, g.Vstvec)
-	h.SetCSR(isa.CSRVsscratch, g.Vsscratch)
-	h.SetCSR(isa.CSRVsatp, g.Vsatp)
+	r := &h.csr.regs
+	r[isa.CSRVsstatus] = g.Vsstatus
+	r[isa.CSRVsepc] = g.Vsepc
+	r[isa.CSRVscause] = g.Vscause
+	r[isa.CSRVstval] = g.Vstval
+	r[isa.CSRVstvec] = g.Vstvec
+	r[isa.CSRVsscratch] = g.Vsscratch
+	h.storeCSR(isa.CSRVsatp, g.Vsatp)
 	h.Advance(guestContextRegs * h.Cost.RegCopy)
 }
 
@@ -61,8 +65,10 @@ func (g *GuestContext) Resume(h *Hart) {
 	if g.Mode == isa.ModeVU {
 		mpp = 0
 	}
-	mst := h.CSR(isa.CSRMstatus)
-	h.SetCSR(isa.CSRMstatus, mst&^isa.MstatusMPP|mpp<<isa.MstatusMPPShift|isa.MstatusMPV)
-	h.SetCSR(isa.CSRMepc, g.PC)
+	f := h.csr
+	mst := f.raw(isa.CSRMstatus)
+	f.setRaw(isa.CSRMstatus, mst&^isa.MstatusMPP|mpp<<isa.MstatusMPPShift|isa.MstatusMPV)
+	f.setRaw(isa.CSRMepc, g.PC)
+	h.mmuGen++ // what storeCSR's mstatus case does
 	h.MRet()
 }

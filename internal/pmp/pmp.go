@@ -68,9 +68,14 @@ func (a AccessType) String() string {
 // Unit is one hart's PMP block: 16 config bytes (packed into pmpcfg0/2 on
 // RV64) and 16 address registers.
 type Unit struct {
-	cfg   [NumEntries]uint8
-	addr  [NumEntries]uint64 // raw pmpaddr values (physical address >> 2)
-	stats Stats
+	cfg  [NumEntries]uint8
+	addr [NumEntries]uint64 // raw pmpaddr values (physical address >> 2)
+	// lo and hi cache each entry's entryRange, decoded when its cfg or
+	// address (or, for TOR, its lower neighbour's address) changes, so
+	// check decodes nothing. An entry that is off holds [0, 0), which no
+	// access overlaps.
+	lo, hi [NumEntries]uint64
+	stats  Stats
 	// gen counts reprogrammings (SetCfg/SetAddr/Restore). A cached Probe
 	// verdict is valid only while gen is unchanged.
 	gen uint64
@@ -95,7 +100,11 @@ func (u *Unit) SetCfg(i int, cfg uint8) {
 	if u.cfg[i]&Locked != 0 {
 		return
 	}
+	remode := (u.cfg[i]^cfg)>>aShift&3 != 0
 	u.cfg[i] = cfg
+	if remode { // a permission or lock change keeps the range
+		u.refresh(i)
+	}
 	u.gen++
 }
 
@@ -112,7 +121,20 @@ func (u *Unit) SetAddr(i int, v uint64) {
 		return
 	}
 	u.addr[i] = v
+	u.refresh(i)
+	if i+1 < NumEntries {
+		u.refresh(i + 1) // a TOR neighbour's base moved
+	}
 	u.gen++
+}
+
+// refresh re-decodes entry i's cached range.
+func (u *Unit) refresh(i int) {
+	lo, hi, ok := u.entryRange(i)
+	if !ok {
+		lo, hi = 0, 0
+	}
+	u.lo[i], u.hi[i] = lo, hi
 }
 
 // Gen returns the reprogramming generation (see the field comment).
@@ -223,15 +245,11 @@ func (u *Unit) check(addr, n uint64, acc AccessType, machineMode bool) bool {
 	if n == 0 {
 		n = 1
 	}
+	end := addr + n
 	for i := 0; i < NumEntries; i++ {
-		lo, hi, ok := u.entryRange(i)
-		if !ok {
-			continue
-		}
-		end := addr + n
-		overlaps := addr < hi && end > lo
-		if !overlaps {
-			continue
+		lo, hi := u.lo[i], u.hi[i]
+		if addr >= hi || end <= lo {
+			continue // no overlap (an entry that is off holds [0, 0))
 		}
 		contained := addr >= lo && end <= hi
 		if !contained {
@@ -268,6 +286,9 @@ func (u *Unit) Save() Snapshot { return Snapshot{Cfg: u.cfg, Addr: u.addr} }
 // conceptual reprogramming the SM performs before mret).
 func (u *Unit) Restore(s Snapshot) {
 	u.cfg, u.addr = s.Cfg, s.Addr
+	for i := range u.cfg {
+		u.refresh(i)
+	}
 	u.gen++
 }
 

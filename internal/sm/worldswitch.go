@@ -30,44 +30,47 @@ const cvmMedeleg = uint64(1)<<isa.ExcBreakpoint |
 const cvmMideleg = uint64(1)<<isa.IntVSSoft | uint64(1)<<isa.IntVSTimer |
 	uint64(1)<<isa.IntVSExt
 
-// hvCtx snapshots the Normal-mode CSR context the SM must restore when the
-// hypervisor gets the hart back.
-type hvCtx struct {
-	medeleg, mideleg, hedeleg, hideleg uint64
-	hgatp, hstatus                     uint64
-	stvec, sscratch, satp, sepc        uint64
-	mie                                uint64
-}
-
-var hvCtxCSRs = []uint16{isa.CSRMedeleg, isa.CSRMideleg, isa.CSRHedeleg,
+// hvRegs is the Normal-mode CSR context the SM must restore when the
+// hypervisor gets the hart back, and hvCtx one saved copy of it, index
+// for index. The world switch moves it in one pass each way
+// (Hart.SaveCSRs, Hart.LoadCSRs): every value was produced by this hart's
+// own CSR file, so it needs no WARL rule on the way back.
+var hvRegs = [...]uint16{isa.CSRMedeleg, isa.CSRMideleg, isa.CSRHedeleg,
 	isa.CSRHideleg, isa.CSRHgatp, isa.CSRHstatus, isa.CSRStvec,
 	isa.CSRSscratch, isa.CSRSatp, isa.CSRSepc, isa.CSRMie}
 
+var hvCSRs = hart.NewCSRList(hvRegs[:]...)
+
+type hvCtx [len(hvRegs)]uint64
+
 func (s *SM) saveHVCtx(h *hart.Hart) hvCtx {
-	h.Advance(uint64(len(hvCtxCSRs)) * h.Cost.RegCopy)
-	return hvCtx{
-		medeleg: h.CSR(isa.CSRMedeleg), mideleg: h.CSR(isa.CSRMideleg),
-		hedeleg: h.CSR(isa.CSRHedeleg), hideleg: h.CSR(isa.CSRHideleg),
-		hgatp: h.CSR(isa.CSRHgatp), hstatus: h.CSR(isa.CSRHstatus),
-		stvec: h.CSR(isa.CSRStvec), sscratch: h.CSR(isa.CSRSscratch),
-		satp: h.CSR(isa.CSRSatp), sepc: h.CSR(isa.CSRSepc),
-		mie: h.CSR(isa.CSRMie),
-	}
+	h.Advance(uint64(len(hvRegs)) * h.Cost.RegCopy)
+	var c hvCtx
+	h.SaveCSRs(hvCSRs, c[:])
+	return c
 }
 
-func (s *SM) restoreHVCtx(h *hart.Hart, c hvCtx) {
-	h.SetCSR(isa.CSRMedeleg, c.medeleg)
-	h.SetCSR(isa.CSRMideleg, c.mideleg)
-	h.SetCSR(isa.CSRHedeleg, c.hedeleg)
-	h.SetCSR(isa.CSRHideleg, c.hideleg)
-	h.SetCSR(isa.CSRHgatp, c.hgatp)
-	h.SetCSR(isa.CSRHstatus, c.hstatus)
-	h.SetCSR(isa.CSRStvec, c.stvec)
-	h.SetCSR(isa.CSRSscratch, c.sscratch)
-	h.SetCSR(isa.CSRSatp, c.satp)
-	h.SetCSR(isa.CSRSepc, c.sepc)
-	h.SetCSR(isa.CSRMie, c.mie)
-	h.Advance(uint64(len(hvCtxCSRs)) * h.Cost.RegCopy)
+func (s *SM) restoreHVCtx(h *hart.Hart, c *hvCtx) {
+	h.LoadCSRs(hvCSRs, c[:])
+	h.Advance(uint64(len(hvRegs)) * h.Cost.RegCopy)
+}
+
+// cvmEntryRegs are the CSRs enterCVM installs (§IV.A): CVM-mode trap
+// delegation, the machine timer as the only M-level interrupt, and the
+// stage-2 root. Their values are SM constants storeCSR stores unchanged
+// (TestCVMEntryCSRsAreWARLFixedPoints), plus hgatp's Sv39 root.
+var cvmEntryRegs = [...]uint16{isa.CSRMedeleg, isa.CSRHedeleg,
+	isa.CSRMideleg, isa.CSRHideleg, isa.CSRMie, isa.CSRHgatp}
+
+var cvmEntryCSRs = hart.NewCSRList(cvmEntryRegs[:]...)
+
+// cvmEntryValues returns the values enterCVM installs for c, index for
+// index with cvmEntryRegs.
+func cvmEntryValues(c *CVM) [len(cvmEntryRegs)]uint64 {
+	return [...]uint64{cvmMedeleg, cvmMedeleg, cvmMideleg, cvmMideleg,
+		uint64(1) << isa.IntMTimer,
+		uint64(isa.SatpModeSv39)<<isa.SatpModeShift |
+			uint64(c.vmid)<<isa.HgatpVMIDShift | c.hgatpRoot>>isa.PageShift}
 }
 
 // setPoolPMP flips the secure-pool PMP entries between Normal-mode
@@ -159,7 +162,7 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	info, exitStart := s.runLoop(h, c, v)
 	s.mu.Lock()
 	s.tel.AttrSwitch(h.ID, exitStart, c.ID, telemetry.AttrSMExit)
-	s.exitCVM(h, c, v, ctx, info)
+	s.exitCVM(h, c, v, &ctx, info)
 	h.Advance(h.Cost.TrapReturn)
 	s.Stats.Exit.Observe(h.Cycles - exitStart)
 	s.trace(h.Cycles, EvExit, c.ID, uint64(info.Reason), info.Reason.String())
@@ -196,18 +199,11 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 		h.Advance(h.Cost.SecHVHopEntry)
 	}
 
-	// Trap delegation control (§IV.A).
-	h.SetCSR(isa.CSRMedeleg, cvmMedeleg)
-	h.SetCSR(isa.CSRHedeleg, cvmMedeleg)
-	h.SetCSR(isa.CSRMideleg, cvmMideleg)
-	h.SetCSR(isa.CSRHideleg, cvmMideleg)
-	h.SetCSR(isa.CSRMie, uint64(1)<<isa.IntMTimer)
-	h.Advance(5 * h.Cost.CSRAccess)
-
-	// Stage-2 root and VMID.
-	h.SetCSR(isa.CSRHgatp, uint64(isa.SatpModeSv39)<<isa.SatpModeShift|
-		uint64(c.vmid)<<isa.HgatpVMIDShift|c.hgatpRoot>>isa.PageShift)
-	h.Advance(h.Cost.CSRAccess)
+	// Trap delegation control (§IV.A), then the stage-2 root and VMID:
+	// one CSR access each.
+	vals := cvmEntryValues(c)
+	h.LoadCSRs(cvmEntryCSRs, vals[:])
+	h.Advance(uint64(len(vals)) * h.Cost.CSRAccess)
 
 	// Open the secure pool for this hart.
 	s.setPoolPMP(h, true)
@@ -260,7 +256,7 @@ func (s *SM) armTimer(h *hart.Hart, v *VCPU) {
 }
 
 // exitCVM performs the Normal-mode half of the world switch.
-func (s *SM) exitCVM(h *hart.Hart, c *CVM, v *VCPU, ctx hvCtx, info ExitInfo) {
+func (s *SM) exitCVM(h *hart.Hart, c *CVM, v *VCPU, ctx *hvCtx, info ExitInfo) {
 	s.Stats.Exits++
 	h.Advance(h.Cost.CVMExitPad)
 	if s.cfg.LongPath {
@@ -290,7 +286,7 @@ func (s *SM) exitCVM(h *hart.Hart, c *CVM, v *VCPU, ctx hvCtx, info ExitInfo) {
 	h.Advance(h.Cost.TLBFlushAll)
 	s.tel.AttrPop(h.ID, h.Cycles, prev)
 	h.Mode = isa.ModeS
-	h.PC = ctx.sepc
+	h.PC = h.CSR(isa.CSRSepc) // restored above
 }
 
 // publishExit writes the exit parameters the hypervisor needs into the

@@ -71,9 +71,6 @@ type Stats struct {
 	FlushedEnt uint64
 }
 
-// Lookups is the total translation attempts.
-func (s Stats) Lookups() uint64 { return s.Hits + s.Misses }
-
 // TLB is a set-associative cache of leaf translations.
 type TLB struct {
 	tags  []tag     // sets × ways

@@ -25,8 +25,9 @@ type Net struct {
 		deliverTo(pair int, frame []byte) error
 	}
 
-	// pending holds frames awaiting RX buffers, one backlog per pair.
-	pending [][][]byte
+	// rx holds each pair's RX backlog: frames awaiting buffers, and the
+	// buffers and scratch frame delivery reuses.
+	rx []rxBacklog
 
 	// frame is the reusable TX gather buffer; the payload slice handed
 	// to Tap/peer aliases it and is valid only for the duration of the
@@ -61,7 +62,7 @@ func NewNetMQ(base uint64, mem MemIO, pairs int) *Net {
 	if pairs < 1 {
 		pairs = 1
 	}
-	n := &Net{pairs: pairs, pending: make([][][]byte, pairs)}
+	n := &Net{pairs: pairs, rx: make([]rxBacklog, pairs)}
 	n.dev = NewMMIODev(base, n, mem)
 	return n
 }
@@ -158,11 +159,66 @@ func (n *Net) Inject(payload []byte) error { return n.deliverTo(0, payload) }
 // InjectTo queues a frame toward the guest on a specific queue pair.
 func (n *Net) InjectTo(pair int, payload []byte) error { return n.deliverTo(pair, payload) }
 
+// rxBacklog is one pair's RX side. Once warm it allocates nothing: a
+// queued payload is copied into a buffer taken from spare, and a frame
+// leaving the backlog, delivered or dropped, returns its buffer there
+// (up to rxSpareMax buffers; a longer backlog's extra buffers are freed).
+type rxBacklog struct {
+	frames [][]byte // frames[head:] await RX buffers, oldest first
+	head   int
+	spare  [][]byte
+	// frame is the scratch header+payload handed to the posted chain.
+	frame []byte
+}
+
+// push queues a copy of payload.
+func (b *rxBacklog) push(payload []byte) {
+	var buf []byte
+	if k := len(b.spare); k > 0 {
+		buf, b.spare = b.spare[k-1][:0], b.spare[:k-1]
+	}
+	if b.head > 0 && len(b.frames) == cap(b.frames) {
+		// Full, with retired slots at the front: slide the backlog down
+		// instead of growing it.
+		live := copy(b.frames, b.frames[b.head:])
+		clear(b.frames[live:])
+		b.frames, b.head = b.frames[:live], 0
+	}
+	b.frames = append(b.frames, append(buf, payload...))
+}
+
+// rxSpareMax bounds the buffers a pair keeps for reuse.
+const rxSpareMax = 64
+
+// pop retires the oldest queued frame and recycles its buffer.
+func (b *rxBacklog) pop() {
+	if len(b.spare) < rxSpareMax {
+		b.spare = append(b.spare, b.frames[b.head])
+	}
+	b.frames[b.head] = nil
+	if b.head++; b.head == len(b.frames) {
+		b.frames, b.head = b.frames[:0], 0
+	}
+}
+
+// wire returns the frame a posted RX chain receives for payload: a zeroed
+// virtio-net header, then the payload, in the pair's scratch buffer.
+func (b *rxBacklog) wire(payload []byte) []byte {
+	need := NetHdrLen + len(payload)
+	if cap(b.frame) < need {
+		b.frame = make([]byte, need)
+	}
+	f := b.frame[:need]
+	clear(f[:NetHdrLen])
+	copy(f[NetHdrLen:], payload)
+	return f
+}
+
 func (n *Net) deliverTo(pair int, payload []byte) error {
 	if pair < 0 || pair >= n.pairs {
 		pair = 0
 	}
-	n.pending[pair] = append(n.pending[pair], append([]byte(nil), payload...))
+	n.rx[pair].push(payload)
 	return n.flushPending(pair)
 }
 
@@ -172,10 +228,9 @@ func (n *Net) deliverTo(pair int, payload []byte) error {
 func (n *Net) flushPending(pair int) error {
 	queue := n.dev.Queue(2*pair + NetRXQ)
 	mem := n.dev.Mem()
-	pend := n.pending[pair]
-	defer func() { n.pending[pair] = pend }()
+	b := &n.rx[pair]
 	completed := 0
-	for len(pend) > 0 {
+	for b.head < len(b.frames) {
 		chains, err := queue.PopBatch(mem, 1)
 		if err != nil {
 			return err
@@ -184,12 +239,11 @@ func (n *Net) flushPending(pair int) error {
 			break // no buffers; frames stay pending
 		}
 		ch := &chains[0]
-		frame := make([]byte, NetHdrLen+len(pend[0]))
-		copy(frame[NetHdrLen:], pend[0])
+		payload := b.frames[b.head]
 		used := [1]UsedElem{{Head: ch.Head}}
-		delivered := ch.WriteCap() >= uint64(len(frame))
+		delivered := ch.WriteCap() >= uint64(NetHdrLen+len(payload))
 		if delivered {
-			if used[0].Written, err = ch.WriteAll(mem, frame); err != nil {
+			if used[0].Written, err = ch.WriteAll(mem, b.wire(payload)); err != nil {
 				return err
 			}
 		} else {
@@ -200,10 +254,10 @@ func (n *Net) flushPending(pair int) error {
 		}
 		if delivered {
 			n.RxFrames++
-			n.RxBytes += uint64(len(pend[0]))
+			n.RxBytes += uint64(len(payload))
 			completed++
 		}
-		pend = pend[1:]
+		b.pop()
 	}
 	n.dev.Completed(completed)
 	return nil

@@ -9,9 +9,10 @@
 #   make lint   - gofmt check, then golangci-lint if installed, else 'go vet'
 #                 with a notice
 #   make check  - tier-2: lint + race detector on the whole module + one
-#                 pass of the pre-bound op loop benchmark (BenchmarkRunOps)
-#                 and of the MMIO exit round trip (BenchmarkMMIOExitRoundTrip),
-#                 so neither can rot + a smoke
+#                 pass of the pre-bound op loop benchmark (BenchmarkRunOps),
+#                 of the MMIO exit round trip (BenchmarkMMIOExitRoundTrip)
+#                 and of demand faults on reused frames
+#                 (BenchmarkDemandFault), so none can rot + a smoke
 #                 fault-injection campaign (fixed seed, 100 faults) + the
 #                 compartment-compromise campaign + the host benchmark gate
 #                 (also verifies bit-identity; the committed baseline is
@@ -99,6 +100,7 @@ check: build
 	$(GO) test ./...
 	$(GO) test ./internal/hart -run '^$$' -bench BenchmarkRunOps -benchtime 1x
 	$(GO) test ./internal/hv -run '^$$' -bench BenchmarkMMIOExitRoundTrip -benchtime 1x
+	$(GO) test ./internal/sm -run '^$$' -bench BenchmarkDemandFault -benchtime 1x
 	$(MAKE) smoke
 	$(MAKE) smoke-compromise
 	$(MAKE) smoke-monitor
@@ -141,7 +143,8 @@ smoke-serving:
 # ReadInto and WriteBytes through a page's cached host bytes), a
 # stage-2 walk fault taken by value (every MMIO exit and demand fault), one
 # warm MMIO exit round trip (SM resume, guest, exit, hypervisor emulation),
-# one demand fault on an already-materialized frame, a store's
+# one demand fault on an already-materialized frame (on a fresh frame
+# and on a frame a destroy scrubbed and marked clean), a store's
 # lock-free code-page check once code pages are registered (every store
 # pays it), the TLB's Insert, Lookup, Peek, TouchN and four flushes
 # (every world switch flushes twice), and one virtio-blk request through

@@ -182,6 +182,17 @@ func TestTraceSlotSize(t *testing.T) {
 	}
 }
 
+// A hart's fastPath (34,288 bytes, most of it three micro-TLB arrays and
+// two local dispatch-length histograms) is one heap object in Go's
+// 40 KiB size class. Growing it past the class moves the
+// span it lives in, and with it the heap placement the compiled loop's
+// host throughput is sensitive to.
+func TestFastPathSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(fastPath{}); got > 40<<10 {
+		t.Fatalf("fastPath is %d bytes, past the 40 KiB size class", got)
+	}
+}
+
 // BenchmarkRunOps times the pre-bound op loop on the trace tier: a hot
 // loop of the TraceCompileCost mix (ADDI, LD, SD, MUL, XOR and a taken
 // BNE back to the top), so every dispatch is a six-op run that ends in a

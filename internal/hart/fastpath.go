@@ -83,6 +83,9 @@ type decodedPage struct {
 type FastPathStats struct {
 	FetchHits   uint64 // instructions issued from a decoded page
 	FetchMisses uint64 // fetch micro-TLB misses (entry invalid or absent)
+	// Data misses and fills count a declined miss once per (page,
+	// access, translation context): a repeat that slotMiss answers from
+	// the entry's declined stamp is not counted again.
 	ReadHits    uint64
 	ReadMisses  uint64
 	WriteHits   uint64
@@ -407,12 +410,26 @@ func (e *fastPath) slot(ep *epochs, va, size uint64, write bool) (*mtlbEntry, []
 	return ent, ent.page[off:]
 }
 
+// declinedTag marks a data entry whose fill was declined: the entry keeps
+// page nil and is stamped with the declined page's vaPage|declinedTag and
+// the context the fill ran under. No VA page number has the bit, so the
+// stamp never passes slot's hit check.
+const declinedTag = 1 << 63
+
 // slotMiss is slot's out-of-line half. It returns nil when the access must
 // take the slow path: a page-straddling access, a miss that can't fill, or
 // a store into a decoded code page (the slow path's mem.WriteUint
 // triggers the block invalidation those need). On a miss it counts the
 // miss and fills the entry; for a store it refreshes the entry's cached
 // code-page verdict.
+//
+// A declined fill is tried once. fill reads only the TLB, the PMP, the
+// CSRs and the privilege mode, all covered by the context it ran under,
+// so it answers the same until that context moves: a miss on a page
+// whose entry carries the declined stamp for the current context goes to
+// the slow path uncounted, without a second fill. Without it, one access
+// that misses is declined twice, by the trace loop and again by
+// execute's access.
 func (e *fastPath) slotMiss(h *Hart, ep *epochs, va, size uint64, write bool) (*mtlbEntry, []byte) {
 	off := va & (isa.PageSize - 1)
 	if off+size > isa.PageSize {
@@ -424,12 +441,16 @@ func (e *fastPath) slotMiss(h *Hart, ep *epochs, va, size uint64, write bool) (*
 		ent, acc = &e.write[vaPage&mtlbMask], ptw.AccessWrite
 	}
 	if !ent.valid(vaPage, ep) {
+		if ent.vaPage == vaPage|declinedTag && ent.ep == *ep {
+			return nil, nil
+		}
 		if write {
 			e.stats.WriteMisses++
 		} else {
 			e.stats.ReadMisses++
 		}
 		if !e.fill(h, ent, va&^uint64(isa.PageSize-1), acc) {
+			ent.vaPage, ent.ep = vaPage|declinedTag, *ep
 			return nil, nil
 		}
 	}

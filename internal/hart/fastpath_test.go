@@ -5,6 +5,7 @@ import (
 
 	"zion/internal/asm"
 	"zion/internal/isa"
+	"zion/internal/ptw"
 )
 
 // stepN retires n instructions through Run, one per call, failing on any
@@ -274,5 +275,47 @@ func TestHorizonCountsFetchTLBHit(t *testing.T) {
 				t.Errorf("TLBHit %d, deadline +%d: reference event %+v, want a machine timer interrupt", tlbHit, deadline, got[1])
 			}
 		}
+	}
+}
+
+// A data access the fast path cannot serve is tried once. The store
+// misses the write micro-TLB and its fill fails, because the simulated
+// TLB holds no entry for the data page yet; the trace loop declines it,
+// and execute's access, under the same translation context, goes to the
+// walk without a second fill or a second miss. The walk's TLB insert
+// moves the context, so the next store to the page misses, fills and
+// hits.
+func TestFastPathDataMissFilledOnce(t *testing.T) {
+	const data = ramBase + 0x10000
+	p := asm.New(ramBase)
+	p.LI(5, data)
+	p.SD(0, 5, 0)
+	p.SD(0, 5, 8)
+	p.ECALL()
+	h := newHart(t)
+	load(t, h, ramBase, p)
+	enterSv39With(t, h, ramBase, func(b *ptw.Builder, root uint64) error {
+		if err := b.Map(root, ramBase, ramBase, pteRWXAD, 0, false); err != nil {
+			return err
+		}
+		return b.Map(root, data, data, pteRWXAD, 0, false)
+	})
+	before := h.FastPathStats()
+	if ev := runFast(t, h, 100); ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallS {
+		t.Fatalf("event %+v, want the ecall", ev)
+	}
+	st := h.FastPathStats()
+	fetchFills := st.FetchMisses - before.FetchMisses
+	if got := st.WriteMisses - before.WriteMisses; got != 2 {
+		t.Errorf("write misses = %d, want 2", got)
+	}
+	if got := st.WriteHits - before.WriteHits; got != 1 {
+		t.Errorf("write hits = %d, want 1", got)
+	}
+	if got := st.Fills - before.Fills - fetchFills; got != 2 {
+		t.Errorf("data fills = %d, want 2 (one declined, one after the walk)", got)
+	}
+	if h.WalkStats.Walks != 2 {
+		t.Errorf("walks = %d, want 2 (code page, data page)", h.WalkStats.Walks)
 	}
 }

@@ -6,6 +6,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -350,6 +351,27 @@ func (m *PhysMemory) ReadInto(addr uint64, out []byte) error {
 		off += chunk
 	}
 	return nil
+}
+
+// IsZero reports whether every byte of [addr, addr+n) reads zero. An
+// untouched page reads zero and is not materialized by the check.
+func (m *PhysMemory) IsZero(addr, n uint64) (bool, error) {
+	if !m.Contains(addr, n) {
+		return false, fmt.Errorf("mem: read [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
+	}
+	off := uint64(0)
+	for off < n {
+		p, po := m.page(addr+off, false)
+		chunk := isa.PageSize - po
+		if chunk > n-off {
+			chunk = n - off
+		}
+		if p != nil && !bytes.Equal(p[po:po+chunk], zeroPage[:chunk]) {
+			return false, nil
+		}
+		off += chunk
+	}
+	return true, nil
 }
 
 // Write copies data into RAM at addr.

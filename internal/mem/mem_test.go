@@ -479,3 +479,28 @@ func TestFirstTouchOneLeafConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// IsZero reads untouched pages as zero without materializing them, and
+// finds a single set bit anywhere in a range that spans pages.
+func TestIsZero(t *testing.T) {
+	m := newTestRAM()
+	if z, err := m.IsZero(testBase, 3*isa.PageSize); err != nil || !z {
+		t.Fatalf("untouched RAM: IsZero = %v, %v", z, err)
+	}
+	if n := m.TouchedPages(); n != 0 {
+		t.Fatalf("IsZero materialized %d pages", n)
+	}
+	at := uint64(testBase + isa.PageSize + 4093)
+	if err := m.FlipBit(at, 5); err != nil {
+		t.Fatal(err)
+	}
+	if z, _ := m.IsZero(testBase+100, 2*isa.PageSize); z {
+		t.Error("range holding a flipped bit reads zero")
+	}
+	if z, _ := m.IsZero(at+1, isa.PageSize); !z {
+		t.Error("range past the flipped bit does not read zero")
+	}
+	if _, err := m.IsZero(testBase+testSize-8, 16); err == nil {
+		t.Error("range escaping RAM accepted")
+	}
+}

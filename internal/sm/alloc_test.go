@@ -10,10 +10,13 @@ import (
 // TestDemandFaultAllocs pins the host cost of the E3 path: once warm, a
 // demand fault on a frame whose RAM page is already materialized — the
 // guest's store takes a stage-2 walk fault, the SM allocates a frame from
-// the vCPU's page cache, zero-fills and maps it, and the store retries —
-// allocates nothing. Each round is one RunVCPU: the resume from the last
-// MMIO exit, one demand fault, and the next MMIO exit, whose round trip
-// TestMMIOExitRoundTripAllocs (internal/hv) pins at zero on its own.
+// the vCPU's page cache, zero-fills it unless it is clean, maps it, and
+// the store retries — allocates nothing. Each round is one RunVCPU: the
+// resume from the last MMIO exit, one demand fault, and the next MMIO
+// exit, whose round trip TestMMIOExitRoundTripAllocs (internal/hv) pins
+// at zero on its own. The first CVM faults on frames never owned before;
+// the second, built after the first is destroyed, on the frames its
+// destroy scrubbed and marked clean.
 //
 // Measured with runtime.MemStats: 15 objects (9 KB) over 1,000 faults,
 // all amortized growth of three records, which AllocsPerRun's per-run
@@ -38,7 +41,6 @@ func TestDemandFaultAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.buildCVM(p)
 	faults := func() uint64 { return f.s.Stats.FaultStage[StageCache] + f.s.Stats.FaultStage[StageBlock] }
 	round := func() {
 		before := faults()
@@ -49,10 +51,19 @@ func TestDemandFaultAllocs(t *testing.T) {
 			t.Fatalf("%d demand faults in one round, want 1", n)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		round()
-	}
-	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-		t.Errorf("demand fault allocates %v objects, want 0", allocs)
+	for _, cvm := range []string{"fresh frames", "scrubbed frames"} {
+		f.buildCVM(p)
+		for i := 0; i < 4; i++ {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+			t.Errorf("demand fault on %s allocates %v objects, want 0", cvm, allocs)
+		}
+		if _, err := f.s.HVCall(f.h, FnDestroy, uint64(f.id)); err != nil {
+			t.Fatal(err)
+		}
+		if cleanFrames(f.s) == 0 {
+			t.Fatalf("destroying the CVM on %s left no clean frame", cvm)
+		}
 	}
 }

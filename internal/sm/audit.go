@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"zion/internal/isa"
@@ -52,6 +53,9 @@ const (
 	// AuditCompartmentPMP: a monitor compartment's gate PMP unit no longer
 	// matches its boundary plan (entry 0 NAPOT R/W over its own window).
 	AuditCompartmentPMP
+	// AuditCleanFrame: a page marked clean (installPage will hand it out
+	// without zeroing it) is allocated, or does not read zero.
+	AuditCleanFrame
 )
 
 // String implements fmt.Stringer.
@@ -77,6 +81,8 @@ func (k AuditKind) String() string {
 		return "pool-leak"
 	case AuditCompartmentPMP:
 		return "compartment-pmp"
+	case AuditCleanFrame:
+		return "clean-frame"
 	}
 	return fmt.Sprintf("audit(%d)", int(k))
 }
@@ -97,7 +103,7 @@ func (f AuditFinding) Scope() Compartment {
 	switch f.Kind {
 	case AuditCompartmentPMP:
 		return f.Compartment
-	case AuditPMPPlan, AuditBlockAccounting, AuditIOPMPWindow, AuditPoolLeak:
+	case AuditPMPPlan, AuditBlockAccounting, AuditIOPMPWindow, AuditPoolLeak, AuditCleanFrame:
 		return CompAlloc
 	}
 	// Ownership sets and page-table trees are CVM lifecycle state.
@@ -129,6 +135,7 @@ func (s *SM) auditLocked() []AuditFinding {
 	out = append(out, s.auditPageTables()...)
 	out = append(out, s.auditIOPMP()...)
 	out = append(out, s.auditPoolLeak()...)
+	out = append(out, s.auditCleanFrames()...)
 	out = append(out, s.auditGatePMP()...)
 	s.Stats.AuditRuns++
 	s.Stats.AuditFindings += uint64(len(out))
@@ -352,6 +359,46 @@ func (s *SM) auditPoolLeak() []AuditFinding {
 			"free %d + held %d != total %d blocks", s.alloc.pool.nfree, held, s.alloc.pool.ntotal)}}
 	}
 	return nil
+}
+
+// auditCleanFrames checks the promise behind every clean bit, in free-list
+// blocks and in blocks live CVMs hold: the page is free and reads zero,
+// so handing it out unzeroed leaks nothing. Only pages marked clean are
+// read.
+func (s *SM) auditCleanFrames() []AuditFinding {
+	var out []AuditFinding
+	check := func(b *block, cvm int) {
+		for rest := b.clean; rest != 0; rest &= rest - 1 {
+			i := bits.TrailingZeros64(rest)
+			pa := b.base + uint64(i)*isa.PageSize
+			if b.used&(1<<i) != 0 {
+				out = append(out, AuditFinding{Kind: AuditCleanFrame, CVMID: cvm,
+					Detail: fmt.Sprintf("page %#x marked clean while allocated", pa)})
+				continue
+			}
+			if zero, err := s.ram.IsZero(pa, isa.PageSize); err != nil || !zero {
+				out = append(out, AuditFinding{Kind: AuditCleanFrame, CVMID: cvm,
+					Detail: fmt.Sprintf("free page %#x marked clean does not read zero", pa)})
+			}
+		}
+	}
+	// The ring walk is bounded like verify's: a corrupted list must not
+	// loop the auditor.
+	pool := &s.alloc.pool
+	for b, n := pool.head, 0; b != nil && n < pool.ntotal; n++ {
+		check(b, 0)
+		if b = b.next; b == pool.head {
+			break
+		}
+	}
+	for _, id := range s.cvmIDs() {
+		for _, cache := range s.life.cvms[id].pageCaches() {
+			for _, b := range cache.blocks() {
+				check(b, id)
+			}
+		}
+	}
+	return out
 }
 
 // auditGatePMP verifies every compartment's gate unit against the

@@ -254,11 +254,11 @@ func TestInstallPageMapFailureReleasesFrame(t *testing.T) {
 	f.buildCVM(shutdownProgram(func(p *asm.Program) {}))
 	c := f.s.life.cvms[f.id]
 	owned, mapped, free := c.owned.len(), c.mappings.len(), cacheFreePages(c)
-	pa, _, err := f.s.alloc.pool.allocPage(&c.tableCache)
+	pa, _, _, err := f.s.alloc.pool.allocPage(&c.tableCache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.s.installPage(c, ptw.MaxVA(true), pa, nil); err == nil {
+	if err := f.s.installPage(c, ptw.MaxVA(true), pa, false, nil); err == nil {
 		t.Fatal("installPage above the guest-physical space succeeded")
 	}
 	if c.owned.has(pa) || c.owned.len() != owned || c.mappings.len() != mapped {

@@ -52,6 +52,16 @@ func (s *frameSet) add(pa uint64) {
 	}
 }
 
+// word returns the 64 membership bits of the frames from pa, which must
+// be aligned to 64 frames: bit i is the frame at pa + i*PageSize.
+func (s *frameSet) word(pa uint64) uint64 {
+	w, _ := frameWord(pa)
+	if w < s.base || w-s.base >= uint64(len(s.words)) {
+		return 0
+	}
+	return s.words[w-s.base]
+}
+
 // remove drops the frame holding pa; a non-member is ignored.
 func (s *frameSet) remove(pa uint64) {
 	if !s.has(pa) {

@@ -62,7 +62,7 @@ func (s *SM) relinquishPage(h *hart.Hart, c *CVM, gpa uint64) error {
 	}
 	c.mappings.delete(gpa)
 	// freeFrame scrubs before the frame can ever be handed to anyone else.
-	if err := s.freeFrame(c, pa); err != nil {
+	if err := s.freeFrame(c, pa, !c.runsBeside(h)); err != nil {
 		return err
 	}
 	// The unmapped translation may be cached.

@@ -115,15 +115,19 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 	}
 	// Scrub before the pool can hand any frame to another CVM. A frame
 	// that cannot be zeroed (RAM escape — itself a fault-injection
-	// scenario) is still released: the pool hands out pages zero-filled
-	// on allocation, so stale secrets cannot leak through the allocator.
+	// scenario) is still released, but leaves the owned set first, so it
+	// comes back without a clean bit: the pool zero-fills every frame not
+	// marked clean on allocation, so stale secrets cannot leak through
+	// the allocator.
 	for pa, ok := c.owned.next(0); ok; pa, ok = c.owned.next(pa + isa.PageSize) {
 		if err := s.ram.Zero(pa, isa.PageSize); err == nil {
 			rec.PagesFreed++
+		} else {
+			c.owned.remove(pa)
 		}
 		h.Advance(uint64(isa.PageSize/64) * h.Cost.CacheLineCopy / 2)
 	}
-	s.releaseCaches(c)
+	s.releaseCaches(h, c)
 	c.state = stQuarantined
 	delete(s.life.cvms, c.ID)
 	s.life.quarantined[c.ID] = rec

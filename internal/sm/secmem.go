@@ -32,43 +32,59 @@ type block struct {
 	prev, next *block
 	// used marks allocated pages within the block: bit i is page i.
 	used uint64
-	free int
+	// clean marks free pages the SM zeroed after their last owner, with
+	// no hart left able to store into them, and that nobody has
+	// allocated since: installPage need not zero them again. A bit is set
+	// only by a successful scrub and cleared by every allocation.
+	clean uint64
+	free  int
 }
 
-// allocPage takes the lowest free page.
-func (b *block) allocPage() (uint64, bool) {
+// allocPage takes the lowest free page and reports whether it is clean.
+func (b *block) allocPage() (pa uint64, clean, ok bool) {
 	i := bits.TrailingZeros64(^b.used)
 	if b.free == 0 || i == BlockPages {
-		return 0, false
+		return 0, false, false
 	}
-	b.used |= 1 << i
+	bit := uint64(1) << i
+	clean = b.clean&bit != 0
+	b.used |= bit
+	b.clean &^= bit
 	b.free--
-	return b.base + uint64(i)*isa.PageSize, true
+	return b.base + uint64(i)*isa.PageSize, clean, true
 }
 
 // allocRun allocates n contiguous pages aligned to n*PageSize (page-table
-// roots need a 16 KiB-aligned run of 4).
-func (b *block) allocRun(n int) (uint64, bool) {
+// roots need a 16 KiB-aligned run of 4) and reports whether every page of
+// the run is clean.
+func (b *block) allocRun(n int) (pa uint64, clean, ok bool) {
 	if b.free < n {
-		return 0, false
+		return 0, false, false
 	}
 	run := uint64(1)<<n - 1
 	for i := 0; i+n <= BlockPages; i += n {
 		if m := run << i; b.used&m == 0 {
+			clean = b.clean&m == m
 			b.used |= m
+			b.clean &^= m
 			b.free -= n
-			return b.base + uint64(i)*isa.PageSize, true
+			return b.base + uint64(i)*isa.PageSize, clean, true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }
 
-func (b *block) freePage(pa uint64) error {
+// freePage frees pa, marking it clean when the caller scrubbed it and no
+// hart can still store into it.
+func (b *block) freePage(pa uint64, clean bool) error {
 	i := (pa - b.base) / isa.PageSize
 	if i >= BlockPages || b.used&(1<<i) == 0 {
 		return fmt.Errorf("sm: double free or bad page %#x in block %#x", pa, b.base)
 	}
 	b.used &^= 1 << i
+	if clean {
+		b.clean |= 1 << i
+	}
 	b.free++
 	return nil
 }
@@ -235,7 +251,9 @@ func (p *securePool) salvage() string {
 	cur := p.head
 	for {
 		if cur.free != BlockPages || cur.used != 0 {
-			cur.used = 0
+			// A corrupted block's clean bits are not trusted either: its
+			// pages go back to zero-on-allocate.
+			cur.used, cur.clean = 0, 0
 			cur.free = BlockPages
 			blocksFixed++
 		}
@@ -277,12 +295,13 @@ const (
 	StageExpand AllocStage = 3 // pool exhausted; hypervisor must expand
 )
 
-// allocPage implements the three-stage allocation of Figure 2. On
+// allocPage implements the three-stage allocation of Figure 2 and
+// reports whether the page is clean (still zero from the SM's scrub). On
 // ErrPoolEmpty the caller drives expansion and retries.
-func (p *securePool) allocPage(c *pageCache) (uint64, AllocStage, error) {
+func (p *securePool) allocPage(c *pageCache) (pa uint64, clean bool, stage AllocStage, err error) {
 	if c.current != nil {
-		if pa, ok := c.current.allocPage(); ok {
-			return pa, StageCache, nil
+		if pa, clean, ok := c.current.allocPage(); ok {
+			return pa, clean, StageCache, nil
 		}
 		// Cache block exhausted: retire it and fall through.
 		c.retired = append(c.retired, c.current)
@@ -290,41 +309,49 @@ func (p *securePool) allocPage(c *pageCache) (uint64, AllocStage, error) {
 	}
 	b, err := p.takeHead()
 	if err != nil {
-		return 0, StageExpand, err
+		return 0, false, StageExpand, err
 	}
 	c.current = b
-	pa, _ := b.allocPage()
-	return pa, StageBlock, nil
+	pa, clean, _ = b.allocPage()
+	return pa, clean, StageBlock, nil
 }
 
 // allocRun allocates n contiguous, n*PageSize-aligned pages for page-table
-// roots, trying the cache first.
-func (p *securePool) allocRun(c *pageCache, n int) (uint64, error) {
+// roots, trying the cache first, and reports whether the whole run is
+// clean.
+func (p *securePool) allocRun(c *pageCache, n int) (uint64, bool, error) {
 	if c.current != nil {
-		if pa, ok := c.current.allocRun(n); ok {
-			return pa, nil
+		if pa, clean, ok := c.current.allocRun(n); ok {
+			return pa, clean, nil
 		}
 	}
 	b, err := p.takeHead()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if c.current != nil {
 		c.retired = append(c.retired, c.current)
 	}
 	c.current = b
-	pa, ok := b.allocRun(n)
+	pa, clean, ok := b.allocRun(n)
 	if !ok {
-		return 0, fmt.Errorf("sm: fresh block cannot satisfy %d-page run", n)
+		return 0, false, fmt.Errorf("sm: fresh block cannot satisfy %d-page run", n)
 	}
-	return pa, nil
+	return pa, clean, nil
 }
 
 // releaseAll frees every page the cache ever allocated and returns the
-// blocks to the pool (CVM teardown; pages must be scrubbed by the caller
-// first).
-func (p *securePool) releaseAll(c *pageCache) {
+// blocks to the pool (CVM teardown). The caller has scrubbed the frames
+// in scrubbed, and no hart can still store into them: their pages come
+// back clean. Every other page the cache allocated comes back without a
+// clean bit, so the next owner's installPage zeroes it; a nil scrubbed
+// marks none. A block is 64 aligned frames, so its frames are exactly
+// one frameSet word.
+func (p *securePool) releaseAll(c *pageCache, scrubbed *frameSet) {
 	give := func(b *block) {
+		if scrubbed != nil {
+			b.clean |= b.used & scrubbed.word(b.base)
+		}
 		b.used = 0
 		b.free = BlockPages
 		p.giveBack(b)

@@ -69,36 +69,36 @@ func TestAllocationStages(t *testing.T) {
 	c := &pageCache{}
 
 	// First allocation: no cache block yet -> stage 2.
-	_, stage, err := p.allocPage(c)
+	_, _, stage, err := p.allocPage(c)
 	if err != nil || stage != StageBlock {
 		t.Fatalf("first alloc: stage=%v err=%v", stage, err)
 	}
 	// Next BlockPages-1 allocations: stage 1.
 	for i := 0; i < BlockPages-1; i++ {
-		_, stage, err := p.allocPage(c)
+		_, _, stage, err := p.allocPage(c)
 		if err != nil || stage != StageCache {
 			t.Fatalf("alloc %d: stage=%v err=%v", i, stage, err)
 		}
 	}
 	// Block exhausted: next is stage 2 again.
-	_, stage, err = p.allocPage(c)
+	_, _, stage, err = p.allocPage(c)
 	if err != nil || stage != StageBlock {
 		t.Fatalf("block rollover: stage=%v err=%v", stage, err)
 	}
 	// Drain the second block, then the pool is empty: stage 3.
 	for i := 0; i < BlockPages-1; i++ {
-		if _, _, err := p.allocPage(c); err != nil {
+		if _, _, _, err := p.allocPage(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, stage, err := p.allocPage(c); !errors.Is(err, ErrPoolEmpty) || stage != StageExpand {
+	if _, _, stage, err := p.allocPage(c); !errors.Is(err, ErrPoolEmpty) || stage != StageExpand {
 		t.Fatalf("exhaustion: stage=%v err=%v", stage, err)
 	}
 	// Expansion resolves it.
 	if err := p.register(smBase+16*BlockSize, BlockSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, stage, err := p.allocPage(c); err != nil || stage != StageBlock {
+	if _, _, stage, err := p.allocPage(c); err != nil || stage != StageBlock {
 		t.Fatalf("post-expansion: stage=%v err=%v", stage, err)
 	}
 }
@@ -106,13 +106,13 @@ func TestAllocationStages(t *testing.T) {
 func TestAddressOrderedAllocation(t *testing.T) {
 	p := newPool(t, 4)
 	c := &pageCache{}
-	pa1, _, _ := p.allocPage(c)
+	pa1, _, _, _ := p.allocPage(c)
 	if pa1 != smBase {
 		t.Errorf("first page at %#x, want head of list %#x", pa1, uint64(smBase))
 	}
 	// Blocks are taken from the head in address order.
 	c2 := &pageCache{}
-	pa2, _, _ := p.allocPage(c2)
+	pa2, _, _, _ := p.allocPage(c2)
 	if pa2 != smBase+BlockSize {
 		t.Errorf("second cache's block at %#x, want %#x", pa2, uint64(smBase+BlockSize))
 	}
@@ -122,20 +122,20 @@ func TestReleaseAllReturnsBlocks(t *testing.T) {
 	p := newPool(t, 4)
 	c := &pageCache{}
 	for i := 0; i < BlockPages+5; i++ { // spans two blocks
-		if _, _, err := p.allocPage(c); err != nil {
+		if _, _, _, err := p.allocPage(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if p.FreeBlocks() != 2 {
 		t.Fatalf("free = %d, want 2", p.FreeBlocks())
 	}
-	p.releaseAll(c)
+	p.releaseAll(c, nil)
 	if p.FreeBlocks() != 4 {
 		t.Errorf("free after release = %d, want 4", p.FreeBlocks())
 	}
 	// Released blocks are reusable.
 	c2 := &pageCache{}
-	if _, _, err := p.allocPage(c2); err != nil {
+	if _, _, _, err := p.allocPage(c2); err != nil {
 		t.Errorf("alloc after release: %v", err)
 	}
 }
@@ -144,10 +144,10 @@ func TestAllocRunAlignment(t *testing.T) {
 	p := newPool(t, 2)
 	c := &pageCache{}
 	// Misalign the cache by taking one page first.
-	if _, _, err := p.allocPage(c); err != nil {
+	if _, _, _, err := p.allocPage(c); err != nil {
 		t.Fatal(err)
 	}
-	root, err := p.allocRun(c, 4)
+	root, _, err := p.allocRun(c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestAllocRunAlignment(t *testing.T) {
 	// Runs and pages never overlap.
 	pages := map[uint64]bool{root: true, root + 4096: true, root + 8192: true, root + 12288: true}
 	for i := 0; i < 32; i++ {
-		pa, _, err := p.allocPage(c)
+		pa, _, _, err := p.allocPage(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +170,14 @@ func TestAllocRunAlignment(t *testing.T) {
 
 func TestFreePageErrors(t *testing.T) {
 	b := &block{base: smBase, free: BlockPages}
-	pa, _ := b.allocPage()
-	if err := b.freePage(pa); err != nil {
+	pa, _, _ := b.allocPage()
+	if err := b.freePage(pa, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.freePage(pa); err == nil {
+	if err := b.freePage(pa, true); err == nil {
 		t.Error("double free accepted")
 	}
-	if err := b.freePage(smBase + BlockSize); err == nil {
+	if err := b.freePage(smBase+BlockSize, true); err == nil {
 		t.Error("foreign page accepted")
 	}
 }
@@ -194,7 +194,7 @@ func TestNoDoubleAllocationProperty(t *testing.T) {
 		seen := map[uint64]bool{}
 		for _, op := range ops {
 			c := caches[int(op)%len(caches)]
-			pa, _, err := p.allocPage(c)
+			pa, _, _, err := p.allocPage(c)
 			if errors.Is(err, ErrPoolEmpty) {
 				return true // clean exhaustion is fine
 			}
@@ -225,11 +225,11 @@ func TestReleaseConservationProperty(t *testing.T) {
 			c := &pageCache{}
 			n := (r*37)%200 + 1
 			for i := 0; i < n; i++ {
-				if _, _, err := p.allocPage(c); err != nil {
+				if _, _, _, err := p.allocPage(c); err != nil {
 					break
 				}
 			}
-			p.releaseAll(c)
+			p.releaseAll(c, nil)
 			if p.FreeBlocks() != total {
 				return false
 			}
@@ -242,10 +242,11 @@ func TestReleaseConservationProperty(t *testing.T) {
 }
 
 // poolModel is the reference for the block bitmaps: one [BlockPages]bool
-// per block, the address-ordered free list, and each cache's current and
-// retired blocks, all by block index.
+// per block for used and one for clean, the address-ordered free list,
+// and each cache's current and retired blocks, all by block index.
 type poolModel struct {
 	used    [][BlockPages]bool
+	clean   [][BlockPages]bool
 	free    []int
 	list    []int // free blocks, ascending; the head is list[0]
 	current []int // per cache; -1 for none
@@ -253,8 +254,13 @@ type poolModel struct {
 }
 
 func newPoolModel(blocks, caches int) *poolModel {
-	m := &poolModel{used: make([][BlockPages]bool, blocks), free: make([]int, blocks),
-		current: make([]int, caches), retired: make([][]int, caches)}
+	m := &poolModel{
+		used:    make([][BlockPages]bool, blocks),
+		clean:   make([][BlockPages]bool, blocks),
+		free:    make([]int, blocks),
+		current: make([]int, caches),
+		retired: make([][]int, caches),
+	}
 	for i := range m.free {
 		m.free[i] = BlockPages
 		m.list = append(m.list, i)
@@ -269,18 +275,21 @@ func (m *poolModel) pa(blk, page int) uint64 {
 	return smBase + uint64(blk)*BlockSize + uint64(page)*isa.PageSize
 }
 
-// take marks pages [i, i+n) of blk used if they are all free.
-func (m *poolModel) take(blk, i, n int) bool {
+// take marks pages [i, i+n) of blk used and not clean if they are all
+// free, and reports whether they all were clean.
+func (m *poolModel) take(blk, i, n int) (clean, ok bool) {
 	for j := i; j < i+n; j++ {
 		if m.used[blk][j] {
-			return false
+			return false, false
 		}
 	}
+	clean = true
 	for j := i; j < i+n; j++ {
-		m.used[blk][j] = true
+		clean = clean && m.clean[blk][j]
+		m.used[blk][j], m.clean[blk][j] = true, false
 	}
 	m.free[blk] -= n
-	return true
+	return clean, true
 }
 
 func (m *poolModel) takeHead() (int, bool) {
@@ -292,11 +301,11 @@ func (m *poolModel) takeHead() (int, bool) {
 	return h, true
 }
 
-func (m *poolModel) allocPage(c int) (uint64, bool) {
+func (m *poolModel) allocPage(c int) (pa uint64, clean, ok bool) {
 	if cur := m.current[c]; cur >= 0 {
 		for i := 0; i < BlockPages; i++ {
-			if m.take(cur, i, 1) {
-				return m.pa(cur, i), true
+			if clean, ok := m.take(cur, i, 1); ok {
+				return m.pa(cur, i), clean, true
 			}
 		}
 		m.retired[c] = append(m.retired[c], cur)
@@ -304,38 +313,45 @@ func (m *poolModel) allocPage(c int) (uint64, bool) {
 	}
 	h, ok := m.takeHead()
 	if !ok {
-		return 0, false
+		return 0, false, false
 	}
 	m.current[c] = h
-	m.take(h, 0, 1)
-	return m.pa(h, 0), true
+	clean, _ = m.take(h, 0, 1)
+	return m.pa(h, 0), clean, true
 }
 
-func (m *poolModel) allocRun(c, n int) (uint64, bool) {
+func (m *poolModel) allocRun(c, n int) (pa uint64, clean, ok bool) {
 	if cur := m.current[c]; cur >= 0 {
 		for i := 0; i+n <= BlockPages; i += n {
-			if m.take(cur, i, n) {
-				return m.pa(cur, i), true
+			if clean, ok := m.take(cur, i, n); ok {
+				return m.pa(cur, i), clean, true
 			}
 		}
 	}
 	h, ok := m.takeHead()
 	if !ok {
-		return 0, false
+		return 0, false, false
 	}
 	if cur := m.current[c]; cur >= 0 {
 		m.retired[c] = append(m.retired[c], cur)
 	}
 	m.current[c] = h
-	m.take(h, 0, n)
-	return m.pa(h, 0), true
+	clean, _ = m.take(h, 0, n)
+	return m.pa(h, 0), clean, true
 }
 
-func (m *poolModel) releaseAll(c int) {
+// releaseAll gives back cache c's blocks; every used page in scrubbed
+// comes back clean.
+func (m *poolModel) releaseAll(c int, scrubbed map[uint64]bool) {
 	give := append(m.retired[c], m.current[c])
 	for _, b := range give {
 		if b < 0 {
 			continue
+		}
+		for i, u := range m.used[b] {
+			if u && scrubbed[m.pa(b, i)] {
+				m.clean[b][i] = true
+			}
 		}
 		m.used[b] = [BlockPages]bool{}
 		m.free[b] = BlockPages
@@ -367,7 +383,9 @@ func blocksOf(p *securePool, caches []*pageCache) map[uint64]*block {
 // The one-word block bitmaps behave exactly like a [BlockPages]bool
 // model under random allocPage / allocRun(4) / freePage / releaseAll
 // sequences: the same PAs in the same lowest-free-first order, the same
-// free counters, and a clean verify after every operation.
+// clean verdicts, free counters and clean bits, and a clean verify after
+// every operation. Frees and releases mark a random subset clean, as the
+// SM does when a scrub fails or a vCPU runs on another hart.
 func TestBitmapMatchesModel(t *testing.T) {
 	const nblocks, ncaches, nops = 4, 3, 20000
 	p := newPool(t, nblocks)
@@ -381,10 +399,11 @@ func TestBitmapMatchesModel(t *testing.T) {
 		c := caches[ci]
 		switch k := rng.Intn(50); {
 		case k < 28:
-			want, ok := m.allocPage(ci)
-			pa, _, err := p.allocPage(c)
-			if ok != (err == nil) || (ok && pa != want) {
-				t.Fatalf("op %d allocPage: pa %#x err %v, model %#x ok %v", op, pa, err, want, ok)
+			want, wantClean, ok := m.allocPage(ci)
+			pa, clean, _, err := p.allocPage(c)
+			if ok != (err == nil) || (ok && (pa != want || clean != wantClean)) {
+				t.Fatalf("op %d allocPage: pa %#x clean %v err %v, model %#x %v ok %v",
+					op, pa, clean, err, want, wantClean, ok)
 			}
 			if ok {
 				owned[ci] = append(owned[ci], pa)
@@ -392,10 +411,11 @@ func TestBitmapMatchesModel(t *testing.T) {
 				exhausted++
 			}
 		case k < 36:
-			want, ok := m.allocRun(ci, 4)
-			pa, err := p.allocRun(c, 4)
-			if ok != (err == nil) || (ok && pa != want) {
-				t.Fatalf("op %d allocRun: pa %#x err %v, model %#x ok %v", op, pa, err, want, ok)
+			want, wantClean, ok := m.allocRun(ci, 4)
+			pa, clean, err := p.allocRun(c, 4)
+			if ok != (err == nil) || (ok && (pa != want || clean != wantClean)) {
+				t.Fatalf("op %d allocRun: pa %#x clean %v err %v, model %#x %v ok %v",
+					op, pa, clean, err, want, wantClean, ok)
 			}
 			for j := uint64(0); ok && j < 4; j++ {
 				owned[ci] = append(owned[ci], pa+j*isa.PageSize)
@@ -406,20 +426,30 @@ func TestBitmapMatchesModel(t *testing.T) {
 			}
 			i := rng.Intn(len(owned[ci]))
 			pa := owned[ci][i]
-			if err := c.ownerOf(pa).freePage(pa); err != nil {
+			settled := rng.Intn(2) == 0
+			if err := c.ownerOf(pa).freePage(pa, settled); err != nil {
 				t.Fatalf("op %d freePage %#x: %v", op, pa, err)
 			}
 			blk, page := int((pa-smBase)/BlockSize), int(pa%BlockSize/isa.PageSize)
 			m.used[blk][page] = false
+			m.clean[blk][page] = settled
 			m.free[blk]++
 			owned[ci] = append(owned[ci][:i], owned[ci][i+1:]...)
 			freed++
-			if err := c.ownerOf(pa).freePage(pa); err == nil {
+			if err := c.ownerOf(pa).freePage(pa, true); err == nil {
 				t.Fatalf("op %d: double free of %#x accepted", op, pa)
 			}
 		default:
-			m.releaseAll(ci)
-			p.releaseAll(c)
+			var scrubbed frameSet
+			model := map[uint64]bool{}
+			for _, pa := range owned[ci] {
+				if rng.Intn(4) != 0 {
+					scrubbed.add(pa)
+					model[pa] = true
+				}
+			}
+			m.releaseAll(ci, model)
+			p.releaseAll(c, &scrubbed)
 			owned[ci] = nil
 		}
 
@@ -444,6 +474,9 @@ func TestBitmapMatchesModel(t *testing.T) {
 			for i, u := range m.used[bi] {
 				if got := b.used&(1<<i) != 0; got != u {
 					t.Fatalf("op %d block %d page %d: used %v, model %v", op, bi, i, got, u)
+				}
+				if got := b.clean&(1<<i) != 0; got != m.clean[bi][i] {
+					t.Fatalf("op %d block %d page %d: clean %v, model %v", op, bi, i, got, m.clean[bi][i])
 				}
 			}
 		}

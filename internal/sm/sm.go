@@ -603,7 +603,7 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	s.life.nextID++
 	c.vmid = uint16(c.ID & 0x3FFF)
 	c.pt = ptw.Builder{Mem: s.ram, Alloc: func() (uint64, error) {
-		pa, _, err := s.alloc.pool.allocPage(&c.tableCache)
+		pa, _, _, err := s.alloc.pool.allocPage(&c.tableCache)
 		if err != nil {
 			return 0, err
 		}
@@ -636,24 +636,28 @@ func (e fillError) Unwrap() error { return e.error }
 
 // installPage is the one path by which a CVM gains a private frame
 // (§IV.C): pa, just allocated from one of the CVM's page caches, is
-// recorded as owned, filled — zeroed when src is nil, else a copy of the
-// page src — mapped at gpa with the private leaf flags, and recorded in
-// the CVM's mappings. Callers keep their own cache, gate and charges.
-// When the map fails, the frame is scrubbed and returned to its cache
-// block, so no owned entry outlives the failed install.
-func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
+// recorded as owned, filled — zeroed when src is nil, unless the
+// allocator reported it clean (zeroed by the SM's own scrub and
+// untouched since), else a copy of the page src — mapped at gpa with the
+// private leaf flags, and recorded in the CVM's mappings. Callers keep
+// their own cache, gate and charges. When the map fails, the frame is
+// scrubbed and returned to its cache block, so no owned entry outlives
+// the failed install.
+func (s *SM) installPage(c *CVM, gpa, pa uint64, clean bool, src []byte) error {
 	c.owned.add(pa)
 	var err error
-	if src == nil {
-		err = s.ram.Zero(pa, isa.PageSize)
-	} else {
+	switch {
+	case src != nil:
 		err = s.ram.Write(pa, src)
+	case !clean:
+		err = s.ram.Zero(pa, isa.PageSize)
 	}
 	if err != nil {
 		return fillError{err}
 	}
 	if err := c.pt.Map(c.hgatpRoot, gpa, pa, privateLeaf, 0, true); err != nil {
-		if ferr := s.freeFrame(c, pa); ferr != nil {
+		// The frame was never mapped, so no hart can store into it.
+		if ferr := s.freeFrame(c, pa, true); ferr != nil {
 			return errors.Join(err, ferr)
 		}
 		return err
@@ -664,15 +668,16 @@ func (s *SM) installPage(c *CVM, gpa, pa uint64, src []byte) error {
 
 // freeFrame scrubs an owned frame the CVM no longer maps, drops it from
 // the owned set and frees it in whichever of the CVM's cache blocks
-// carries it.
-func (s *SM) freeFrame(c *CVM, pa uint64) error {
+// carries it. The frame comes back clean only when settled is true: no
+// hart but the caller's can still hold a translation to it.
+func (s *SM) freeFrame(c *CVM, pa uint64, settled bool) error {
 	if err := s.ram.Zero(pa, isa.PageSize); err != nil {
 		return err
 	}
 	c.owned.remove(pa)
 	for _, cache := range c.pageCaches() {
 		if blk := cache.ownerOf(pa); blk != nil {
-			return blk.freePage(pa)
+			return blk.freePage(pa, settled)
 		}
 	}
 	return ErrNotFound
@@ -705,11 +710,11 @@ func (s *SM) loadPage(h *hart.Hart, id int, gpa, srcPA uint64) error {
 	// (page grab, image copy, stage-2 map): the table builder's internal
 	// frame allocations ride the same admission.
 	if err := s.gate(h, CompLifecycle, CompAlloc, "load-page", func() error {
-		pa, _, err := s.alloc.pool.allocPage(&c.tableCache)
+		pa, _, _, err := s.alloc.pool.allocPage(&c.tableCache)
 		if err != nil {
 			return err
 		}
-		return s.installPage(c, gpa, pa, data)
+		return s.installPage(c, gpa, pa, false, data)
 	}); err != nil {
 		return err
 	}
@@ -782,9 +787,12 @@ func (s *SM) destroy(h *hart.Hart, id int) error {
 	}
 	// Give-backs ride a forced allocator crossing: audited, salvage-aware,
 	// never denied — a quarantined allocator still accepts returned blocks
-	// so teardown and leak accounting survive the compromise.
+	// so teardown and leak accounting survive the compromise. Every owned
+	// frame was scrubbed, so they all come back clean, unless a vCPU still
+	// runs on another hart: its stale translations may store into them
+	// until the shootdown below lands there.
 	_ = s.gateForce(h, CompLifecycle, CompAlloc, "release-frames", func() error {
-		s.releaseCaches(c)
+		s.releaseCaches(h, c)
 		return nil
 	})
 	c.state = stDead
@@ -807,11 +815,31 @@ func (c *CVM) pageCaches() []*pageCache {
 }
 
 // releaseCaches returns every block of the CVM's page caches to the pool
-// (teardown; the caller has scrubbed the frames).
-func (s *SM) releaseCaches(c *CVM) {
-	for _, pc := range c.pageCaches() {
-		s.alloc.pool.releaseAll(pc)
+// (teardown). The caller has scrubbed every frame left in c.owned, and
+// those come back clean, unless a vCPU of c runs on a hart other than h:
+// that hart's translations to the frames die only when the shootdown
+// reaches it, at its next quantum barrier under the parallel engine, so
+// then no frame comes back clean and each keeps its zero-fill on
+// allocation.
+func (s *SM) releaseCaches(h *hart.Hart, c *CVM) {
+	scrubbed := &c.owned
+	if c.runsBeside(h) {
+		scrubbed = nil
 	}
+	for _, pc := range c.pageCaches() {
+		s.alloc.pool.releaseAll(pc, scrubbed)
+	}
+}
+
+// runsBeside reports whether a vCPU of c is inside RunVCPU's run on a
+// hart other than h.
+func (c *CVM) runsBeside(h *hart.Hart) bool {
+	for _, v := range c.vcpus {
+		if v.on != nil && v.on != h {
+			return true
+		}
+	}
+	return false
 }
 
 // shootdownVMID flushes vmid's cached translations on every hart,

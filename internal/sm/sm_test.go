@@ -27,11 +27,11 @@ type fixture struct {
 	m  *platform.Machine
 	s  *SM
 	h  *hart.Hart
-	t  *testing.T
+	t  testing.TB
 	id int // CVM id after build
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	m := platform.New(1, ramSize)
 	s, err := New(m, cfg)

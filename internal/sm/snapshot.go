@@ -225,12 +225,12 @@ func (s *SM) Restore(h *hart.Hart, srcPA, length uint64) (int, error) {
 	if gerr := s.gate(h, CompLifecycle, CompAlloc, "restore-pages", func() error {
 		for i := 0; i < npages; i++ {
 			gpa := rd64()
-			pa, _, aerr := s.alloc.pool.allocPage(&c.tableCache)
+			pa, _, _, aerr := s.alloc.pool.allocPage(&c.tableCache)
 			if aerr != nil {
 				_ = s.destroy(h, c.ID)
 				return aerr
 			}
-			if ierr := s.installPage(c, gpa, pa, buf[off:off+isa.PageSize]); ierr != nil {
+			if ierr := s.installPage(c, gpa, pa, false, buf[off:off+isa.PageSize]); ierr != nil {
 				return ierr
 			}
 			off += isa.PageSize

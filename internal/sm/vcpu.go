@@ -98,4 +98,8 @@ type VCPU struct {
 
 	// memCache is this vCPU's page cache (§IV.D stage 1).
 	memCache pageCache
+
+	// on is the hart running this vCPU, set and cleared under s.mu around
+	// RunVCPU's run loop; nil when the vCPU is not on a hart.
+	on *hart.Hart
 }

@@ -129,6 +129,12 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 		return ExitInfo{}, wrapErr("run", cvmID, ErrNotFound)
 	}
 	v := c.vcpus[vcpuID]
+	if v.on != nil {
+		// One vCPU runs on one hart at a time: a second run would share
+		// its protected register state.
+		s.mu.Unlock()
+		return ExitInfo{}, wrapErr("run", cvmID, ErrBadState)
+	}
 	// Entry latency is measured from the hypervisor's ecall (§V.B), so
 	// Check-after-Load state loading counts toward it.
 	entryStart := h.Cycles - h.Cost.TrapEntry - h.Cost.SMDispatch
@@ -158,9 +164,11 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	s.tel.Span(h.ID, "sm", "ws.entry", entryStart, h.Cycles, c.ID, uint64(vcpuID))
 	s.tel.AttrSwitch(h.ID, h.Cycles, c.ID, telemetry.AttrGuest)
 	h.Flight.Record(h.Cycles, telemetry.FlightWorldEnter, c.ID, uint64(vcpuID), 0, "")
+	v.on = h
 	s.mu.Unlock()
 	info, exitStart := s.runLoop(h, c, v)
 	s.mu.Lock()
+	v.on = nil
 	s.tel.AttrSwitch(h.ID, exitStart, c.ID, telemetry.AttrSMExit)
 	s.exitCVM(h, c, v, &ctx, info)
 	h.Advance(h.Cost.TrapReturn)
@@ -538,10 +546,11 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64, t hart.Trap) 
 	// can no longer be served, so it is quarantined (fatal per-CVM, typed)
 	// while CVMs that never demand-page keep running untouched.
 	var pa uint64
+	var clean bool
 	var stage AllocStage
 	err := s.gate(h, CompSwitch, CompAlloc, "demand-page", func() error {
 		var aerr error
-		pa, stage, aerr = s.alloc.pool.allocPage(&v.memCache)
+		pa, clean, stage, aerr = s.alloc.pool.allocPage(&v.memCache)
 		return aerr
 	})
 	if errors.Is(err, ErrCompartment) {
@@ -574,7 +583,7 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64, t hart.Trap) 
 	// map failure here means the SM's own view of secure memory is corrupt
 	// (bit-flipped page table, frame outside RAM): fatal for this CVM,
 	// quarantined by RunVCPU after the world switch unwinds.
-	if err := s.installPage(c, pageGPA, pa, nil); err != nil {
+	if err := s.installPage(c, pageGPA, pa, clean, nil); err != nil {
 		var fe fillError
 		if errors.As(err, &fe) {
 			return s.failDemandPage(h, c, v, CodeMemory, CompAlloc,
@@ -745,11 +754,11 @@ func (s *SM) copyToGuest(c *CVM, gpa uint64, data []byte) error {
 		if err != nil {
 			// The guest handed us a not-yet-touched buffer: demand-map it
 			// exactly as a stage-2 fault would.
-			pa, _, aerr := s.alloc.pool.allocPage(&c.tableCache)
+			pa, clean, _, aerr := s.alloc.pool.allocPage(&c.tableCache)
 			if aerr != nil {
 				return aerr
 			}
-			if ierr := s.installPage(c, (gpa+off)&^uint64(isa.PageSize-1), pa, nil); ierr != nil {
+			if ierr := s.installPage(c, (gpa+off)&^uint64(isa.PageSize-1), pa, clean, nil); ierr != nil {
 				return ierr
 			}
 			res, err = w.Walk(c.hgatpRoot, gpa+off, ptw.AccessWrite, ptw.Opts{Stage2: true})

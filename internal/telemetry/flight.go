@@ -67,8 +67,10 @@ const DefaultFlightDepth = 64
 // FlightRing is one hart's bounded event ring. Unlike the telemetry
 // Scope, the flight recorder is always on: recording is cheap (events are
 // rare — never per instruction) and touches no simulated state, so
-// bit-identity of runs holds by construction. The mutex exists only so a
-// monitor goroutine can snapshot a ring while its hart keeps running.
+// bit-identity of runs holds by construction. The mutex orders a ring's
+// writers — its own hart, a peer hart recording a quarantine whose fault
+// originated here, the parallel engine recording a barrier — with a
+// monitor goroutine snapshotting the ring while its hart keeps running.
 type FlightRing struct {
 	hart int
 	buf  []FlightEvent
@@ -85,8 +87,12 @@ func (r *FlightRing) Record(cycle uint64, kind FlightKind, cvm int, a, b uint64,
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = FlightEvent{Cycle: cycle, Hart: r.hart, Kind: kind, CVM: cvm, A: a, B: b, Note: note}
-	r.next = (r.next + 1) % len(r.buf)
+	i := r.next
+	r.buf[i] = FlightEvent{Cycle: cycle, Hart: r.hart, Kind: kind, CVM: cvm, A: a, B: b, Note: note}
+	if i++; i == len(r.buf) {
+		i = 0
+	}
+	r.next = i
 	r.n++
 	r.mu.Unlock()
 }

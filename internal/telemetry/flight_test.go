@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -93,5 +94,60 @@ func TestFlightDeterministicRender(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Error("identical event sequences rendered differently")
+	}
+}
+
+// TestFlightConcurrentSnapshot: a ring takes records from two goroutines
+// (a hart's own events, and a quarantine recorded on its ring by a peer)
+// while a monitor snapshots it. Every snapshot holds whole events, Len
+// never goes back, and no record is lost. Run it under -race.
+func TestFlightConcurrentSnapshot(t *testing.T) {
+	const writers, per, depth = 2, 5000, 16
+	r := NewFlightRecorder(1, depth).Ring(0)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c := uint64(w*per + i)
+				r.Record(c, FlightTrap, w, c, ^c, "n")
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last uint64
+	for snapshots := 0; ; snapshots++ {
+		select {
+		case <-done:
+			if got := r.Len(); got != writers*per {
+				t.Fatalf("Len = %d after %d records", got, writers*per)
+			}
+			if got := len(r.Tail(0)); got != depth {
+				t.Fatalf("retained %d events, want %d", got, depth)
+			}
+			return
+		default:
+		}
+		n := r.Len()
+		if n < last {
+			t.Fatalf("Len went back from %d to %d", last, n)
+		}
+		last = n
+		for _, e := range r.Tail(0) {
+			if e.A != e.Cycle || e.B != ^e.Cycle || e.CVM != int(e.Cycle/per) || e.Note != "n" {
+				t.Fatalf("snapshot %d holds a torn event %+v", snapshots, e)
+			}
+		}
+	}
+}
+
+// BenchmarkFlightRecord times one event into a wrapped ring: the cost
+// every trap, world switch and gate crossing pays.
+func BenchmarkFlightRecord(b *testing.B) {
+	r := NewFlightRecorder(1, DefaultFlightDepth).Ring(0)
+	for i := 0; i < b.N; i++ {
+		r.Record(uint64(i), FlightGate, NoCVM, 1, 2, "gate")
 	}
 }

@@ -143,6 +143,8 @@ smoke-serving:
 # ReadInto and WriteBytes through a page's cached host bytes), a
 # stage-2 walk fault taken by value (every MMIO exit and demand fault), one
 # warm MMIO exit round trip (SM resume, guest, exit, hypervisor emulation),
+# one warm quantum expiry and re-entry for a CVM and for a normal VM
+# (TestTimerExitRoundTripAllocs),
 # one demand fault on an already-materialized frame (on a fresh frame
 # and on a frame a destroy scrubbed and marked clean), a store's
 # lock-free code-page check once code pages are registered (every store
@@ -158,16 +160,18 @@ smoke-serving:
 # these anyway; the dedicated target gives CI a cheap job whose failure
 # names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestNetRXZeroAllocs|TestThinDiskAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestTimerExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestNetRXZeroAllocs|TestThinDiskAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over
 # fuzzer-chosen instruction words; FuzzDecode (30 s) requires isa.Decode
 # never to panic and every valid word to survive re-encoding through the
 # isa.Encode* helpers field for field; FuzzResume (30 s) puts fuzzer-chosen
-# values in every hypervisor-writable shared-vCPU field after an MMIO-read
-# or MMIO-write exit and requires Check-after-Load to quarantine or apply
-# only the target register; FuzzVirtioChain (30 s) writes a hostile guest's descriptor
+# values in every hypervisor-writable shared-vCPU field after an MMIO-read,
+# MMIO-write or quantum-expiry exit and requires Check-after-Load to
+# quarantine, apply only the target register, or (after a quantum expiry)
+# resume the guest at the interrupted PC with every register unchanged;
+# FuzzVirtioChain (30 s) writes a hostile guest's descriptor
 # table and avail ring into a CVM's shared window and requires the pump to
 # fail only with a typed error and to return only in-window segments;
 # FuzzBlkNotify (30 s) adds the request buffers and drives the whole

@@ -61,3 +61,38 @@ func BenchmarkMMIOExitRoundTrip(b *testing.B) {
 		roundTrip()
 	}
 }
+
+// TestTimerExitRoundTripAllocs pins the quantum-expiry path for both VM
+// kinds: once warm, one run that ends at the quantum (the guest-timer arm
+// at entry, the machine-timer trap, the exit) and its re-entry allocate
+// nothing.
+func TestTimerExitRoundTripAllocs(t *testing.T) {
+	_, _, k, h := newStack(t, sm.Config{SchedQuantum: 10_000})
+	k.SchedQuantum = 10_000
+	p := asm.New(GuestRAMBase)
+	p.Label("spin")
+	p.ADDI(asm.T1, asm.T1, 1)
+	p.J("spin")
+	img := p.MustAssemble()
+	cvm, err := k.CreateCVM(h, "cvm", img, GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nvm, err := k.CreateNormalVM("normal", img, GuestRAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range []*VM{cvm, nvm} {
+		roundTrip := func() {
+			if exit, err := k.RunVCPU(h, vm, 0); err != nil || exit.Reason != sm.ExitTimer {
+				t.Fatalf("%s: exit = %v, %v; want timer", vm.Name, exit.Reason, err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			roundTrip()
+		}
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("%s: quantum expiry round trip allocates %v objects, want 0", vm.Name, allocs)
+		}
+	}
+}

@@ -142,7 +142,8 @@ func New(m *platform.Machine, monitor *sm.SM, normBase, normSize uint64) *Hyperv
 
 // setupDelegation programs the boot-time (Normal mode) trap delegation the
 // way OpenSBI + KVM do: guest faults, guest SBI calls and the supervisor
-// interrupt lines are handled in HS-mode.
+// interrupt lines are handled in HS-mode, and the VS interrupt lines are
+// delegated on to the guest, so an injected hvip bit vectors into it.
 func (k *Hypervisor) setupDelegation(h *hart.Hart) {
 	medeleg := uint64(1)<<isa.ExcInstAddrMisaligned |
 		uint64(1)<<isa.ExcIllegalInst |
@@ -163,7 +164,7 @@ func (k *Hypervisor) setupDelegation(h *hart.Hart) {
 		1<<isa.IntVSSoft|1<<isa.IntVSTimer|1<<isa.IntVSExt)
 	h.SetCSR(isa.CSRMie, uint64(1)<<isa.IntMTimer)
 	h.SetCSR(isa.CSRHedeleg, 0)
-	h.SetCSR(isa.CSRHideleg, 0)
+	h.SetCSR(isa.CSRHideleg, uint64(1)<<isa.IntVSSoft|1<<isa.IntVSTimer|1<<isa.IntVSExt)
 }
 
 // builder returns a stage-2 builder over normal memory for normal VMs and

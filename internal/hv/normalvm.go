@@ -66,14 +66,7 @@ func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInf
 	// from before the register copy.
 	h.SetCSR(isa.CSRHgatp, uint64(isa.SatpModeSv39)<<isa.SatpModeShift|
 		uint64(vm.vmid)<<isa.HgatpVMIDShift|vm.hgatpRoot>>isa.PageShift)
-	if k.SchedQuantum > 0 {
-		k.M.CLINT.SetTimer(h.ID, h.Cycles+k.SchedQuantum)
-	}
-	if v.TimerDeadline != 0 {
-		if dl, ok := k.M.CLINT.NextDeadline(h.ID); !ok || v.TimerDeadline < dl {
-			k.M.CLINT.SetTimer(h.ID, v.TimerDeadline)
-		}
-	}
+	v.StartQuantum(h, k.M.CLINT, k.SchedQuantum, 0)
 	v.Load(h)
 	v.Resume(h)
 
@@ -104,15 +97,7 @@ func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInf
 				// firmware injects a virtual supervisor timer and the
 				// guest keeps running; otherwise the quantum expired.
 				if t.Cause == isa.CauseInterruptBit|isa.IntMTimer {
-					if v.TimerDeadline != 0 && h.Cycles >= v.TimerDeadline {
-						v.TimerDeadline = 0
-						h.SetCSR(isa.CSRHvip, h.CSR(isa.CSRHvip)|1<<isa.IntVSTimer)
-						if k.SchedQuantum > 0 {
-							k.M.CLINT.SetTimer(h.ID, h.Cycles+k.SchedQuantum)
-						} else {
-							k.M.CLINT.DisarmTimer(h.ID)
-						}
-						h.MRet()
+					if v.TimerTrap(h, k.M.CLINT, 0, 0) {
 						continue
 					}
 					v.PC = h.CSR(isa.CSRMepc)
@@ -172,12 +157,6 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext
 			return sm.ExitInfo{Reason: sm.ExitShutdown, Data: v.X[10], Data2: v.X[11]}, true, nil
 		}
 		return sm.ExitInfo{}, false, nil
-
-	case isa.CauseInterruptBit | isa.IntSTimer:
-		v.PC = h.CSR(isa.CSRSepc)
-		v.Save(h)
-		vm.countExit("timer")
-		return sm.ExitInfo{Reason: sm.ExitTimer}, true, nil
 	}
 	v.PC = h.CSR(isa.CSRSepc)
 	v.Save(h)
@@ -233,11 +212,7 @@ func (k *Hypervisor) handleGuestSBI(h *hart.Hart, vm *VM, v *hart.GuestContext) 
 		resume()
 		return false, nil
 	case sm.EIDTime:
-		v.TimerDeadline = a0
-		h.SetCSR(isa.CSRHvip, h.CSR(isa.CSRHvip)&^uint64(1<<isa.IntVSTimer))
-		if dl, ok := k.M.CLINT.NextDeadline(h.ID); !ok || a0 < dl {
-			k.M.CLINT.SetTimer(h.ID, a0)
-		}
+		v.SetTimer(h, k.M.CLINT, a0, 0)
 		h.SetReg(10, 0)
 		resume()
 		return false, nil

@@ -106,8 +106,9 @@ func (c *CLINT) Access(hartID int, off uint64, size int, write bool, val uint64)
 // MSIP reports hart i's software-interrupt doorbell.
 func (c *CLINT) MSIP(i int) bool { return c.harts[i].msip.Load() != 0 }
 
-// SetTimer arms hart i's comparator directly (used by the Go-implemented
-// SM/hypervisor, which on hardware would use the SBI TIME extension).
+// SetTimer arms hart i's comparator directly: the guest-timer rule both
+// VM kinds share programs it through hart.TimerClock (on hardware, the
+// firmware's side of the SBI TIME extension).
 func (c *CLINT) SetTimer(i int, deadline uint64) {
 	hs := &c.harts[i]
 	hs.mu.Lock()

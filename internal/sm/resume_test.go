@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zion/internal/asm"
+	"zion/internal/hart"
 )
 
 // Check-after-Load at the shared-vCPU trust boundary: the hypervisor owns
@@ -99,23 +100,76 @@ func TestCheckAfterLoadFullWidth(t *testing.T) {
 	}
 }
 
+// toTimerExit builds a fresh CVM on f whose guest counts in s4 forever
+// and runs it to its first quantum expiry.
+func (f *fixture) toTimerExit() {
+	f.t.Helper()
+	p := asm.New(PrivateBase)
+	p.Label("spin")
+	p.ADDI(asm.S4, asm.S4, 1)
+	p.J("spin")
+	f.buildCVM(p)
+	if info := f.run(); info.Reason != ExitTimer {
+		f.t.Fatalf("exit = %+v, want a quantum expiry", info)
+	}
+}
+
+// boundaryProbe is a StepHook that records the guest's registers and PC
+// at instruction boundaries: the latest boundary until armed, then the
+// first boundary after arming.
+type boundaryProbe struct {
+	armed, taken bool
+	x            [32]uint64
+	pc           uint64
+}
+
+func (p *boundaryProbe) hook(h *hart.Hart, _ int) {
+	if !p.taken {
+		p.x, p.pc, p.taken = h.X, h.PC, p.armed
+	}
+}
+
 // FuzzResume puts fuzzer-chosen values in every hypervisor-writable
-// shared-vCPU field after an MMIO-read or, with write, an MMIO-write exit.
-// Each argument is XORed into the word the SM published, so all zeros is
-// the honest hypervisor and every 64-bit value is reachable. Oracle:
-// either the resume fails with ErrTampered and the CVM is quarantined, or
-// every revalidated field was intact, the PC advanced only past the
-// trailing ecall, and the secure registers are unchanged except, for a
-// read, the target register, which holds the emulated data.
+// shared-vCPU field after an exit: kind%3 is 0 for an MMIO read, 1 for an
+// MMIO write and 2 for a quantum expiry. Each value is XORed into the word
+// the SM published, so all zeros is the honest hypervisor and every 64-bit
+// value is reachable. Oracle after an MMIO exit: when a revalidated field
+// (reason, target, seq, width) changed, the resume fails with ErrTampered
+// and the CVM is quarantined; otherwise the PC advanced only past the
+// trailing ecall and the secure registers are unchanged except, for a
+// read, the target register, which holds the emulated data. A quantum
+// expiry asks the hypervisor nothing: the SM may refuse a changed shared
+// vCPU with ErrTampered and quarantine, never an unchanged one, and
+// otherwise the guest's first instruction on resume is the interrupted
+// one, with every register unchanged.
 func FuzzResume(f *testing.F) {
-	f.Add(false, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
-	f.Add(false, uint64(0), uint64(0x1234), uint64(1), uint64(0), ^uint64(0), uint64(0), uint64(0))
-	f.Add(false, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(1)<<63, uint64(0))
-	f.Add(true, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
-	f.Add(true, uint64(0), uint64(0), uint64(0), uint64(asm.S4), uint64(0), uint64(0), uint64(0))
-	f.Fuzz(func(t *testing.T, write bool, reason, htval, htinst, target, data, seq, width uint64) {
-		fx := newFixture(t, Config{})
-		before, pc := fx.toMMIOExit(write)
+	f.Add(uint8(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(0), uint64(0), uint64(0x1234), uint64(1), uint64(0), ^uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(1)<<63, uint64(0))
+	f.Add(uint8(1), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(1), uint64(0), uint64(0), uint64(0), uint64(asm.S4), uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(2), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, kind uint8, reason, htval, htinst, target, data, seq, width uint64) {
+		kind %= 3
+		write := kind == 1
+		var (
+			probe      boundaryProbe
+			fx         *fixture
+			before     [32]uint64
+			pc         uint64
+			wantReason = ExitShutdown
+		)
+		if kind == 2 {
+			// The last boundary the guest reached is where the quantum
+			// interrupted it.
+			fx = newFixture(t, Config{SchedQuantum: 5_000, StepHook: probe.hook})
+			fx.toTimerExit()
+			before, pc, probe.armed = probe.x, probe.pc, true
+			wantReason = ExitTimer
+		} else {
+			fx = newFixture(t, Config{})
+			before, pc = fx.toMMIOExit(write)
+		}
 		fx.xorShared(ShvExitReason, reason)
 		fx.xorShared(ShvHtval, htval)
 		fx.xorShared(ShvHtinst, htinst)
@@ -124,12 +178,23 @@ func FuzzResume(f *testing.F) {
 		fx.xorShared(ShvSeq, seq)
 		fx.xorShared(ShvWidth, width)
 		info, err := fx.s.RunVCPU(fx.h, fx.id, 0)
-		if reason|target|seq|width != 0 {
+		tampered := reason|target|seq|width != 0
+		if kind == 2 {
+			tampered = errors.Is(err, ErrTampered) && reason|htval|htinst|target|data|seq|width != 0
+		}
+		if tampered {
 			fx.wantQuarantined(err, "tampered resume")
 			return
 		}
-		if err != nil || info.Reason != ExitShutdown {
+		if err != nil || info.Reason != wantReason {
 			t.Fatalf("honest resume: reason %v, err %v", info.Reason, err)
+		}
+		if kind == 2 {
+			if !probe.taken || probe.pc != pc || probe.x != before {
+				t.Fatalf("resume after quantum expiry: ran=%v pc %#x (want %#x)\n got %x\nwant %x",
+					probe.taken, probe.pc, pc, probe.x, before)
+			}
+			return
 		}
 		want := before
 		if !write {

@@ -26,10 +26,10 @@ import (
 //
 //	magic u64 | cvmEntryPC u64 | measurement [32] |
 //	nvcpus u32 | vcpu records... | npages u32 | (gpa u64, page [4096])...
-const snapMagic = 0x5A494F4E534E4150 // "ZIONSNAP"
+const snapMagic = 0x5A494F4E534E5032 // "ZIONSNP2": vCPU records carry hvip
 
 // vcpuRecordLen is the serialized size of one secure vCPU.
-const vcpuRecordLen = 32*8 + 8 + 1 + 8*8
+const vcpuRecordLen = 32*8 + 8 + 1 + 9*8
 
 // sealKey derives the AEAD key from the platform key.
 func (s *SM) sealKey() []byte {
@@ -81,7 +81,7 @@ func (s *SM) Snapshot(h *hart.Hart, id int, destPA, maxLen uint64) (uint64, erro
 		buf = append(buf, byte(v.sec.Mode))
 		for _, csr := range []uint64{v.sec.Vsstatus, v.sec.Vsepc, v.sec.Vscause,
 			v.sec.Vstval, v.sec.Vstvec, v.sec.Vsscratch, v.sec.Vsatp,
-			v.sec.TimerDeadline} {
+			v.sec.TimerDeadline, v.sec.Hvip} {
 			app64(csr)
 		}
 	}
@@ -217,6 +217,7 @@ func (s *SM) Restore(h *hart.Hart, srcPA, length uint64) (int, error) {
 		v.sec.Vsscratch = rd64()
 		v.sec.Vsatp = rd64()
 		v.sec.TimerDeadline = rd64()
+		v.sec.Hvip = rd64()
 		c.vcpus = append(c.vcpus, v)
 	}
 	npages := int(le.Uint32(buf[off:]))

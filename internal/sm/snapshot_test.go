@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zion/internal/asm"
+	"zion/internal/isa"
 	"zion/internal/platform"
 )
 
@@ -75,6 +76,68 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	v := f.s.life.cvms[newID].vcpus[0]
 	if v.sec.X[asm.S2] != 80_000 {
 		t.Errorf("counter = %d, want 80000 (state lost across seal/restore)", v.sec.X[asm.S2])
+	}
+}
+
+// TestSnapshotKeepsPendingTimerInterrupt: a guest whose own deadline
+// passed with interrupts masked has an injected VSTIP pending when it is
+// suspended; sealing and restoring must keep it, so the guest takes the
+// interrupt once it unmasks.
+func TestSnapshotKeepsPendingTimerInterrupt(t *testing.T) {
+	f := newFixture(t, Config{SchedQuantum: 15_000})
+	p := shutdownProgram(func(p *asm.Program) {
+		p.LA(asm.T0, "handler")
+		p.CSRRW(asm.Zero, isa.CSRStvec, asm.T0)
+		p.LI(asm.T1, 1<<isa.IntSTimer)
+		p.CSRRS(asm.Zero, isa.CSRSie, asm.T1)
+		p.CSRR(asm.A0, isa.CSRTime)
+		p.LI(asm.T2, 2_000)
+		p.ADD(asm.A0, asm.A0, asm.T2)
+		p.LI(asm.A7, EIDTime)
+		p.ECALL()
+		p.LI(asm.T1, 20_000)
+		p.Label("spin")
+		p.ADDI(asm.T1, asm.T1, -1)
+		p.BNE(asm.T1, asm.Zero, "spin")
+		p.LI(asm.T1, int64(isa.MstatusSIE))
+		p.CSRRS(asm.Zero, isa.CSRSstatus, asm.T1)
+		p.NOP()
+		p.MV(asm.A1, asm.S8)
+		p.LI(asm.A0, 0)
+	})
+	p.Label("handler")
+	p.ADDI(asm.S8, asm.S8, 1)
+	p.CSRRW(asm.Zero, isa.CSRSie, asm.Zero)
+	p.SRET()
+	f.buildCVM(p)
+	if info := f.run(); info.Reason != ExitTimer {
+		t.Fatalf("first run: %v, want a quantum expiry", info.Reason)
+	}
+	if hvip := f.s.life.cvms[f.id].vcpus[0].sec.Hvip; hvip&(1<<isa.IntVSTimer) == 0 {
+		t.Fatalf("hvip = %#x after the deadline passed, want VSTIP pending", hvip)
+	}
+	if _, err := f.s.HVCall(f.h, FnSuspend, uint64(f.id)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := f.s.Snapshot(f.h, f.id, snapBufPA, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.s.HVCall(f.h, FnDestroy, uint64(f.id)); err != nil {
+		t.Fatal(err)
+	}
+	if f.id, err = f.s.Restore(f.h, snapBufPA, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.s.AttachSharedVCPU(f.id, 0, sharedPA); err != nil {
+		t.Fatal(err)
+	}
+	info := f.run()
+	for info.Reason == ExitTimer {
+		info = f.run()
+	}
+	if info.Reason != ExitShutdown || info.Data2 != 1 {
+		t.Fatalf("after restore: %v, handler ran %d times, want shutdown after 1", info.Reason, info.Data2)
 	}
 }
 

@@ -233,9 +233,9 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 	// Restore the protected register file.
 	v.sec.Load(h)
 
-	// Arm the machine timer for the earlier of the scheduler quantum and
-	// the guest's own deadline.
-	s.armTimer(h, v)
+	// This run's quantum starts now; the timer arms for the earlier of
+	// its end and the guest's own deadline.
+	v.sec.StartQuantum(h, s.machine.CLINT, s.cfg.SchedQuantum, h.Cost.Mem)
 
 	// Stage-2 mappings changed ownership views; flush and return to guest.
 	prev := s.tel.AttrPush(h.ID, h.Cycles, telemetry.AttrTLB)
@@ -244,23 +244,6 @@ func (s *SM) enterCVM(h *hart.Hart, c *CVM, v *VCPU) {
 	s.tel.AttrPop(h.ID, h.Cycles, prev)
 
 	v.sec.Resume(h)
-}
-
-// armTimer programs the CLINT comparator for this run.
-func (s *SM) armTimer(h *hart.Hart, v *VCPU) {
-	deadline := uint64(0)
-	if s.cfg.SchedQuantum > 0 {
-		deadline = h.Cycles + s.cfg.SchedQuantum
-	}
-	if v.sec.TimerDeadline != 0 && (deadline == 0 || v.sec.TimerDeadline < deadline) {
-		deadline = v.sec.TimerDeadline
-	}
-	if deadline != 0 {
-		s.machine.CLINT.SetTimer(h.ID, deadline)
-	} else {
-		s.machine.CLINT.DisarmTimer(h.ID)
-	}
-	h.Advance(h.Cost.Mem)
 }
 
 // exitCVM performs the Normal-mode half of the world switch.
@@ -463,7 +446,13 @@ func (s *SM) handleCVMTrap(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap) (ExitInfo
 	h.Advance(h.Cost.SMDispatch)
 	switch {
 	case t.Cause == isa.CauseInterruptBit|isa.IntMTimer:
-		return s.handleTimer(h, c, v)
+		if v.sec.TimerTrap(h, s.machine.CLINT, h.Cost.Mem, h.Cost.CSRAccess) {
+			return ExitInfo{}, false // the guest's deadline: injected
+		}
+		// Scheduler quantum: leave mepc pointing at the interrupted
+		// instruction; the guest resumes exactly there next run.
+		v.sec.PC = h.CSR(isa.CSRMepc)
+		return ExitInfo{Reason: ExitTimer}, true
 
 	case t.Cause&isa.CauseInterruptBit != 0:
 		// Unexpected machine-level interrupt (spurious software interrupt,
@@ -490,24 +479,6 @@ func (s *SM) handleCVMTrap(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap) (ExitInfo
 	// guest (undelegated exceptions indicate a guest or protocol bug).
 	v.sec.PC = h.CSR(isa.CSRMepc)
 	return ExitInfo{Reason: ExitError}, true
-}
-
-// handleTimer distinguishes the guest's own deadline (inject a virtual
-// timer interrupt and keep running) from the scheduler quantum (exit).
-func (s *SM) handleTimer(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, bool) {
-	now := h.Cycles
-	if v.sec.TimerDeadline != 0 && now >= v.sec.TimerDeadline {
-		v.sec.TimerDeadline = 0
-		h.SetCSR(isa.CSRHvip, h.CSR(isa.CSRHvip)|1<<isa.IntVSTimer)
-		h.Advance(h.Cost.CSRAccess)
-		s.armTimer(h, v)
-		h.MRet()
-		return ExitInfo{}, false
-	}
-	// Scheduler quantum: leave mepc pointing at the interrupted
-	// instruction; the guest resumes exactly there next run.
-	v.sec.PC = h.CSR(isa.CSRMepc)
-	return ExitInfo{Reason: ExitTimer}, true
 }
 
 // handleGuestPageFault implements §IV.C/§IV.D: private-window faults are
@@ -664,9 +635,7 @@ func (s *SM) handleGuestSBI(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, bool) {
 		resume(0, 0)
 		return ExitInfo{}, false
 	case EIDTime:
-		v.sec.TimerDeadline = a0
-		h.SetCSR(isa.CSRHvip, h.CSR(isa.CSRHvip)&^uint64(1<<isa.IntVSTimer))
-		s.armTimer(h, v)
+		v.sec.SetTimer(h, s.machine.CLINT, a0, h.Cost.Mem)
 		resume(0, 0)
 		return ExitInfo{}, false
 	case EIDReset:

@@ -9,7 +9,8 @@
 #   make lint   - gofmt check, then golangci-lint if installed, else 'go vet'
 #                 with a notice
 #   make check  - tier-2: lint + race detector on the whole module + one
-#                 pass of the pre-bound op loop benchmark (BenchmarkRunOps),
+#                 pass of the pre-bound op loop benchmark, unarmed and under
+#                 an armed deadline (BenchmarkRunOps, BenchmarkRunOpsArmed),
 #                 of the MMIO exit round trip (BenchmarkMMIOExitRoundTrip)
 #                 and of demand faults on reused frames
 #                 (BenchmarkDemandFault), so none can rot + a smoke
@@ -135,8 +136,9 @@ smoke-serving:
 	$(GO) run ./cmd/zionbench -e serving -servrequests 20000 -servhist serving_hist.json
 
 # test-allocs is the hot-loop allocation gate: Hart.Run over the one
-# dispatch loop, with pre-bound ops (the trace tier) and with every
-# instruction through execute() (the block tier), must run allocation-free
+# dispatch loop, with pre-bound ops (the trace tier), with every
+# instruction through execute() (the block tier) and over a loop whose
+# side exits chain under an armed deadline, must run allocation-free
 # once warm, and so must naming a trap cause (every trap feeds the flight
 # recorder); so must the device view's shared-window copies (a SharedPA
 # hit, a 16-byte GuestMem.ReadInto, one descriptor read, and 512-byte

@@ -92,10 +92,12 @@ func FlushTelemetry() {
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/block_builds", h.ID)).Set(fs.BlockBuilds)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/block_invals", h.ID)).Set(fs.BlockInvals)
 			// Dispatch counters: superblock effectiveness, how often the
-			// event horizon forced single-step pacing, and how much of the
-			// work pre-bound ops retired.
+			// event horizon forced single-step pacing, how often a side
+			// exit chained to a same-page target, and how much of the work
+			// pre-bound ops retired.
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/hits", h.ID)).Set(fs.SBHits)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/horizon_cutoffs", h.ID)).Set(fs.HorizonCutoffs)
+			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/sb/chains", h.ID)).Set(fs.Chains)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/ops", h.ID)).Set(fs.TCOps)
 			e.Tel.Gauge(fmt.Sprintf("hart%d/fp/tc/bailouts", h.ID)).Set(fs.TCBailouts)
 		}

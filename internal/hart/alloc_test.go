@@ -17,8 +17,7 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	clk := &fakeCLINT{h: h}
 
 	// An infinite loop of straight-line ALU and memory work: long blocks
-	// separated by one JAL boundary, no traps (TrapCount is a map and its
-	// growth would show up as allocations — correctly — so keep it out).
+	// separated by one JAL boundary.
 	p := asm.New(ramBase)
 	p.LIU(20, ramBase+dataOff)
 	p.LI(5, 1)
@@ -62,5 +61,30 @@ func TestRunBatchSuperblockZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("armed superblock dispatch allocates %.1f allocs/op, want 0", allocs)
+	}
+
+	// A tight loop on the trace tier chains every taken branch inside the
+	// dispatch loop; with a live deadline each chain pays the horizon check.
+	h = newHart(t)
+	clk = &fakeCLINT{h: h}
+	p = asm.New(ramBase)
+	tightLoop(p, 0)
+	load(t, h, ramBase, p)
+	if n, _ := h.Run(clk, 20000); n == 0 {
+		t.Fatal("loop warm-up made no progress")
+	}
+	clk.mtimecmp, clk.armed = h.Cycles+isa.PageSize, true
+	chains := h.FastPathStats().Chains
+	allocs = testing.AllocsPerRun(50, func() {
+		clk.mtimecmp += 1 << 20
+		if n, _ := h.Run(clk, 4096); n != 4096 {
+			t.Fatalf("armed loop stalled at %d steps (pc=%#x)", n, h.PC)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("armed chained dispatch allocates %.1f allocs/op, want 0", allocs)
+	}
+	if h.FastPathStats().Chains == chains {
+		t.Fatal("the armed loop never chained")
 	}
 }

@@ -195,10 +195,21 @@ func TestFastPathSizeClass(t *testing.T) {
 
 // BenchmarkRunOps times the pre-bound op loop on the trace tier: a hot
 // loop of the TraceCompileCost mix (ADDI, LD, SD, MUL, XOR and a taken
-// BNE back to the top), so every dispatch is a six-op run that ends in a
-// side exit. It reports host nanoseconds per retired instruction; the
-// loop must not allocate (TestTraceDispatchAllocs pins that).
+// BNE back to the top), so every run of pre-bound ops is six ops long and
+// ends in a side exit that chains to the loop head. It reports host
+// nanoseconds per retired instruction; the loop must not allocate
+// (TestTraceDispatchAllocs pins that).
 func BenchmarkRunOps(b *testing.B) {
+	benchRunOps(b, noTimer{})
+}
+
+// BenchmarkRunOpsArmed is BenchmarkRunOps under a deadline that never
+// fires, so every block entry and every chain pays its horizon check.
+func BenchmarkRunOpsArmed(b *testing.B) {
+	benchRunOps(b, &fakeCLINT{mtimecmp: 1 << 62, armed: true})
+}
+
+func benchRunOps(b *testing.B, clk Clock) {
 	h := New(0, mem.NewPhysMemory(ramBase, ramSize), nil)
 	p := asm.New(ramBase)
 	p.LIU(2, ramBase+dataOff)
@@ -220,14 +231,14 @@ func BenchmarkRunOps(b *testing.B) {
 	h.PC = ramBase
 
 	const steps = 1 << 16
-	h.Run(noTimer{}, steps) // decode the page, fill the micro-TLB entries
-	if st := h.FastPathStats(); st.TCOps == 0 {
-		b.Fatalf("trace tier not engaged: %+v", st)
+	h.Run(clk, steps) // decode the page, fill the micro-TLB entries
+	if st := h.FastPathStats(); st.TCOps == 0 || st.Chains == 0 {
+		b.Fatalf("trace tier or chaining not engaged: %+v", st)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n, ev := h.Run(noTimer{}, steps); n != steps {
+		if n, ev := h.Run(clk, steps); n != steps {
 			b.Fatalf("run stopped after %d steps: %+v", n, ev)
 		}
 	}

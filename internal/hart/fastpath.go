@@ -62,9 +62,11 @@ type decodedPage struct {
 	//	             always leaves the line, CSR access, privileged op,
 	//	             invalid encoding) or the end of the page.
 	//	sbWorst[i] — worst-case simulated cycles of that run excluding
-	//	             its final instruction: exactly the cycles that can
-	//	             accrue before the last per-instruction boundary
-	//	             check a per-step engine would have performed.
+	//	             its final instruction, with no page walk: the
+	//	             cycles that can accrue before the last
+	//	             per-instruction boundary check a per-step engine
+	//	             would have performed, exact for pre-bound ops (an
+	//	             execute() instruction that walks is re-checked).
 	//
 	// Conditional branches are NOT boundaries: they stay mid-line and the
 	// dispatch loop detects a taken branch as a side exit (PC left the
@@ -98,6 +100,7 @@ type FastPathStats struct {
 	// Superblock dispatch (superblock.go).
 	SBHits         uint64 // multi-instruction superblock entries dispatched
 	HorizonCutoffs uint64 // block entries degraded to single-step because the worst-case cycle bound crossed the event horizon
+	Chains         uint64 // side exits of pre-bound runs that went on at a same-page target without leaving the dispatch loop
 
 	// Pre-bound ops (trace.go).
 	TCOps      uint64 // instructions retired by pre-bound ops

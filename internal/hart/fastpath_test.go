@@ -1,6 +1,7 @@
 package hart
 
 import (
+	"fmt"
 	"testing"
 
 	"zion/internal/asm"
@@ -254,7 +255,6 @@ func TestHorizonCountsFetchTLBHit(t *testing.T) {
 	for tlbHit, deadlines := range map[uint64][]uint64{0: {37, 150, 280}, 7: {37, 500, 1000, 2345}} {
 		for _, deadline := range deadlines {
 			fast, slow, fc, sc := newBatchPair(t)
-			var got [2]Event
 			for i, h := range []*Hart{fast, slow} {
 				c := *h.Cost
 				c.TLBHit = tlbHit
@@ -265,14 +265,10 @@ func TestHorizonCountsFetchTLBHit(t *testing.T) {
 				h.SetCSR(isa.CSRMie, 1<<isa.IntMTimer)
 				clint := []*fakeCLINT{fc, sc}[i]
 				clint.mtimecmp, clint.armed = h.Cycles+deadline, true
-				_, got[i] = h.Run(clint, 10000)
 			}
-			if got[0] != got[1] || fast.Cycles != slow.Cycles || fast.Instret != slow.Instret {
-				t.Errorf("TLBHit %d, deadline +%d: compiled tier trapped %+v at cycle %d after %d instructions; reference %+v at cycle %d after %d",
-					tlbHit, deadline, got[0].Trap, fast.Cycles, fast.Instret, got[1].Trap, slow.Cycles, slow.Instret)
-			}
-			if got[1].Kind != EvTrap || got[1].Trap.Cause != isa.CauseInterruptBit|isa.IntMTimer {
-				t.Errorf("TLBHit %d, deadline +%d: reference event %+v, want a machine timer interrupt", tlbHit, deadline, got[1])
+			tag := fmt.Sprintf("TLBHit %d, deadline +%d", tlbHit, deadline)
+			if ev := sameFirstEvent(t, tag, fast, slow, fc, sc); ev.Kind != EvTrap || ev.Trap.Cause != timerInterrupt {
+				t.Errorf("%s: event %+v, want a machine timer interrupt", tag, ev)
 			}
 		}
 	}

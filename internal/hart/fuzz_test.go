@@ -274,8 +274,8 @@ func sameState(t *testing.T, here at, fast, slow *Hart, accounting bool) {
 	if fast.WalkStats != slow.WalkStats {
 		t.Fatalf("%v: walk stats fast=%+v slow=%+v", here, fast.WalkStats, slow.WalkStats)
 	}
-	if !reflect.DeepEqual(fast.TrapCount, slow.TrapCount) {
-		t.Fatalf("%v: trap counts fast=%v slow=%v", here, fast.TrapCount, slow.TrapCount)
+	if fast.traps != slow.traps {
+		t.Fatalf("%v: trap counts fast=%+v slow=%+v", here, fast.TrapMix(), slow.TrapMix())
 	}
 	for _, r := range [][2]uint64{{ramBase, isa.PageSize}, {ramBase + dataOff, 2 * isa.PageSize}} {
 		fb, err1 := fast.Mem.Read(r[0], r[1])

@@ -16,8 +16,6 @@ package hart
 import (
 	"fmt"
 
-	"sort"
-
 	"zion/internal/isa"
 	"zion/internal/mem"
 	"zion/internal/pmp"
@@ -107,8 +105,6 @@ type Hart struct {
 	resValid bool
 	resAddr  uint64
 
-	// Stats for the harness.
-	TrapCount map[uint64]uint64
 	// WalkStats counts page-table walk activity (telemetry).
 	WalkStats ptw.WalkStats
 
@@ -142,21 +138,29 @@ type Hart struct {
 	// have been delivered and execution may continue.
 	QuantumDeadline uint64
 	Yield           func(idle bool) bool
+
+	// traps counts trap entries by [interrupt bit][cause code] (TrapCount,
+	// TrapMix): an indexed increment per TakeTrap, where a map would hash
+	// and assign.
+	traps [2][trapCodes]uint64
 }
+
+// trapCodes bounds the cause codes traps counts; every code the hart
+// raises (isa.Exc*, isa.Int*) is below it.
+const trapCodes = 64
 
 // New creates a hart wired to the given RAM and bus.
 func New(id int, ram *mem.PhysMemory, bus Bus) *Hart {
 	h := &Hart{
-		ID:        id,
-		Mode:      isa.ModeM,
-		PMP:       pmp.New(),
-		TLB:       tlb.NewDefault(),
-		Mem:       ram,
-		Bus:       bus,
-		Cost:      DefaultCosts(),
-		csr:       newCSRFile(uint64(id)),
-		TrapCount: make(map[uint64]uint64),
-		mmuGen:    1, // never 0: an empty micro-TLB entry must match no context
+		ID:     id,
+		Mode:   isa.ModeM,
+		PMP:    pmp.New(),
+		TLB:    tlb.NewDefault(),
+		Mem:    ram,
+		Bus:    bus,
+		Cost:   DefaultCosts(),
+		csr:    newCSRFile(uint64(id)),
+		mmuGen: 1, // never 0: an empty micro-TLB entry must match no context
 	}
 	h.walker = ptw.Walker{Mem: ram, Stats: &h.WalkStats}
 	h.fp = newFastPath(h)
@@ -308,7 +312,7 @@ func (h *Hart) TakeTrap(ti trapInfo) Trap {
 	from := h.Mode
 	target := h.trapTarget(ti.cause, from)
 	h.Cycles += h.Cost.TrapEntry
-	h.TrapCount[ti.cause]++
+	h.traps[ti.cause>>63][ti.cause&(trapCodes-1)]++
 	if h.Tel != nil {
 		h.Tel.Instant(h.ID, "hart", "trap", h.Cycles, telemetry.NoCVM,
 			ti.cause, isa.CauseName(ti.cause))
@@ -510,14 +514,23 @@ type TrapStat struct {
 	Count uint64
 }
 
-// TrapMix returns the trap counts sorted by cause number. TrapCount is a
-// map; every renderer and summer must go through this accessor so output
-// is deterministic across runs.
+// TrapCount returns how many traps with the given cause (interrupt bit
+// included) the hart has taken.
+func (h *Hart) TrapCount(cause uint64) uint64 {
+	return h.traps[cause>>63][cause&(trapCodes-1)]
+}
+
+// TrapMix returns the nonzero trap counts sorted by cause number:
+// exceptions by code, then interrupts by code.
 func (h *Hart) TrapMix() []TrapStat {
-	out := make([]TrapStat, 0, len(h.TrapCount))
-	for cause, n := range h.TrapCount {
-		out = append(out, TrapStat{Cause: cause, Name: isa.CauseName(cause), Count: n})
+	out := []TrapStat{}
+	for bit, codes := range h.traps {
+		for code, n := range codes {
+			if n != 0 {
+				cause := uint64(bit)<<63 | uint64(code)
+				out = append(out, TrapStat{Cause: cause, Name: isa.CauseName(cause), Count: n})
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cause < out[j].Cause })
 	return out
 }

@@ -1,6 +1,7 @@
 package hart
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -544,14 +545,32 @@ func TestMModeEcallStaysInM(t *testing.T) {
 	}
 }
 
+// TrapCount keeps an exception and the interrupt with the same code
+// apart, and TrapMix lists the nonzero counts by cause number.
 func TestTrapCountTracking(t *testing.T) {
 	h := newHart(t)
 	p := asm.New(ramBase)
 	p.ECALL()
 	load(t, h, ramBase, p)
 	run(t, h, 5)
-	if h.TrapCount[isa.ExcEcallM] != 1 {
-		t.Errorf("TrapCount = %v", h.TrapCount)
+	timer := isa.CauseInterruptBit | isa.IntMTimer
+	h.TakeTrap(trapInfo{cause: timer})
+	h.TakeTrap(trapInfo{cause: timer})
+	if got := h.TrapCount(isa.ExcEcallM); got != 1 {
+		t.Errorf("TrapCount(ecall-m) = %d, want 1", got)
+	}
+	if got := h.TrapCount(timer); got != 2 {
+		t.Errorf("TrapCount(machine timer) = %d, want 2", got)
+	}
+	if got := h.TrapCount(isa.IntMTimer); got != 0 {
+		t.Errorf("TrapCount(exception %d) = %d, want 0 (the interrupt's count leaked into it)", isa.IntMTimer, got)
+	}
+	want := []TrapStat{
+		{Cause: isa.ExcEcallM, Name: isa.CauseName(isa.ExcEcallM), Count: 1},
+		{Cause: timer, Name: isa.CauseName(timer), Count: 2},
+	}
+	if got := h.TrapMix(); !reflect.DeepEqual(got, want) {
+		t.Errorf("TrapMix = %+v, want %+v", got, want)
 	}
 }
 

@@ -30,13 +30,38 @@ import (
 //     fresh deadline sample.
 //  3. The timer itself fires only when h.Cycles reaches the deadline.
 //     sbWorst bounds the cycles every instruction of the run except the
-//     last can consume; per-step engines check the deadline before each
-//     instruction, so if Cycles+sbWorst < deadline at entry, every one of
-//     those hoisted checks would have passed. The run's final instruction
-//     may overshoot the deadline — exactly as a single instruction may
-//     under per-step execution — and the outer loop catches that at the
-//     next boundary. When the bound crosses the deadline the entry is
-//     degraded to single-step pacing (HorizonCutoffs) instead.
+//     last can consume when it retires through a pre-bound op: its fetch
+//     (TLBHit), its retire cost, and for a memory op one data-side TLB hit
+//     and Mem per access. A pre-bound op never walks — its slot refill only
+//     Peeks the TLB, and a miss retires nothing and stops the run — so for
+//     those ops the bound is exact. Per-step engines check the deadline
+//     before each instruction, so if Cycles+sbWorst < deadline at entry,
+//     every one of those hoisted checks would have passed. Only an
+//     instruction that retires through execute() can charge more (a page
+//     walk), so after each one the loop re-checks Cycles+sbWorst of the
+//     rest of the run against the deadline and returns to the outer loop
+//     when it crosses; by induction every hoisted check still holds. (A
+//     walk also inserts into the TLB, so today the TLB-generation premise
+//     re-check sends it back to the outer loop too; the horizon re-check
+//     keeps this argument from depending on that.) The
+//     run's final instruction may overshoot the deadline — exactly as a
+//     single instruction may under per-step execution — and the outer
+//     loop catches that at the next boundary. When the bound crosses the
+//     deadline at entry, the entry is degraded to single-step pacing
+//     (HorizonCutoffs) instead.
+//  4. A side exit of a run of pre-bound ops (taken branch, JAL, JALR) may
+//     continue at its target without returning to the outer loop
+//     (Chains). The outer loop's boundary work cannot answer differently
+//     there: pre-bound ops leave PendingInterrupt's inputs, MTIP, the
+//     bus, the TLB and the translation epochs alone, so the interrupt
+//     sample, the MTIP clear and the fetch entry's validity still stand.
+//     What remains is checked at the chain: the target is 4-byte aligned,
+//     on the same page (the same fetch entry and decoded page), its slot
+//     has a pre-bound op, Cycles+sbWorst of its run is below the deadline
+//     (so the deadline check, and every hoisted check of that run, passes
+//     as in point 3), Step budget remains, and the page is still live (a
+//     peer hart's store may have invalidated it; the outer loop would
+//     notice at the next block entry, and so does the chain).
 //
 // Bit-identity with per-instruction execution is preserved the way the
 // whole fast path preserves it: execute() and the pre-bound ops run the
@@ -47,23 +72,16 @@ import (
 // whole-page PMP verdict, stable translation epochs — is the page-span/
 // perm summary for every instruction in it.
 
-// sbMaxWalkSteps bounds the PTE fetches of one translation, including a
-// full two-stage walk where every stage-1 step needs its own stage-2
-// resolution (3 levels × (3+1) plus the final stage-2 walk is well under
-// 20); 64 is deliberately loose — an over-estimate only costs horizon
-// headroom, never correctness.
-const sbMaxWalkSteps = 64
-
-// sbWorstCycles returns the worst-case simulated cycles one retired
-// (non-trapping) mid-block instruction can charge. Trap paths need no
-// bound: a trap ends the block, so no hoisted boundary check follows it.
-// Every instruction's fetch may charge TLBHit (under translation); a
-// memory op adds one data access per access it makes.
+// sbWorstCycles returns the worst-case simulated cycles one mid-block
+// instruction can charge when it retires through a pre-bound op. Trap paths
+// need no bound: a trap ends the block, so no hoisted boundary check
+// follows it. An instruction that retires through execute() may charge
+// more (a page walk); the dispatch loop re-checks the horizon after each
+// one (point 3 above). Every instruction's fetch may charge TLBHit (under
+// translation); a memory op adds one data-side TLB hit and Mem per access
+// it makes.
 func sbWorstCycles(c *Costs, op isa.Op) uint64 {
-	// One data access, worst case: TLB hit cycles or a full walk, plus the
-	// memory cost (the fast path charges TLBHit+Mem; the slow path charges
-	// one of TLBHit or Steps*WalkStep, plus Mem).
-	mem := c.TLBHit + sbMaxWalkSteps*c.WalkStep + c.Mem
+	mem := c.TLBHit + c.Mem
 	fetch := c.TLBHit
 	switch cls := opTable[op].cls; cls {
 	case clsBranch:
@@ -89,7 +107,9 @@ func sbWorstCycles(c *Costs, op isa.Op) uint64 {
 // either starts a run of pre-bound ops (runOps, trace.go), when its slot
 // has one and the trace tier is on, or retires through execute(), the one
 // fallback. After an execute() instruction the loop re-checks the block's
-// premises and goes back to pre-bound ops at the next slot that has one.
+// premises and the horizon and goes back to pre-bound ops at the next slot
+// that has one. A run's side exit to a same-page target chains to the
+// block there (point 4) instead of returning to the outer loop.
 //
 // A fetch the micro-TLB cannot fill (after a world switch's TLB flush,
 // the first fetch of every run) is answered by the reference Step in
@@ -184,11 +204,31 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 			if ops != nil && ops[idx+i].oi != nil {
 				// Pre-bound ops never touch the bus, the TLB or this
 				// decoded page, so the block's premises still hold when
-				// they stop; a side exit (taken branch/jump) ends the run.
+				// they stop.
 				k := e.runOps(h, dp, idx+i, blen-i, ent)
 				i += k
 				traced += k
-				if want += 4 * k; h.PC != want || i == blen {
+				if want += 4 * k; h.PC != want {
+					// A side exit (taken branch/jump) chains to the block
+					// at its target (point 4 above) or ends the dispatch.
+					t := (h.PC & (isa.PageSize - 1)) >> 2
+					if n+i >= max || h.PC&3 != 0 || h.PC>>isa.PageShift != vaPage ||
+						ops[t].oi == nil || armed && h.Cycles+dp.sbWorst[t] >= deadline || !dp.live.Load() {
+						break
+					}
+					if e.sbHist != nil && i > traced {
+						e.sbLen.Observe(i - traced)
+					}
+					e.stats.FetchHits += i
+					n += i
+					e.stats.Chains++
+					idx, i, traced, want = t, 0, 0, h.PC
+					if blen = min(uint64(dp.sbLen[idx]), max-n); blen > 1 {
+						e.stats.SBHits++
+					}
+					continue
+				}
+				if i == blen {
 					break
 				}
 			}
@@ -214,10 +254,13 @@ func (e *fastPath) runBatch(h *Hart, deadline uint64, armed bool, max uint64) (u
 			// Premise re-checks before the block goes on: a device access
 			// may have changed asynchronous-event state, a store may have
 			// invalidated this decoded page (self-modifying code inside the
-			// executing block), and a data-side walk may have inserted
-			// into — and thereby evicted from — the TLB, changing fetch
-			// accounting.
-			if h.asyncGen != g0 || !dp.live.Load() || !bare && h.TLB.Gen() != tgen {
+			// executing block), a data-side walk may have inserted into —
+			// and thereby evicted from — the TLB, changing fetch
+			// accounting, and the instruction may have charged more than
+			// its share of sbWorst (a walk), so the rest of the run must
+			// still end before the deadline.
+			if h.asyncGen != g0 || !dp.live.Load() || !bare && h.TLB.Gen() != tgen ||
+				armed && h.Cycles+dp.sbWorst[idx+i] >= deadline {
 				break
 			}
 		}

@@ -43,10 +43,15 @@ import (
 // loop (superblock.go) retires that instruction through execute(), so
 // every hard case takes the path the other tiers take.
 //
-// The event-horizon interrupt proof carries over unchanged: runs of
-// pre-bound ops only happen inside a superblock that already passed the
-// Cycles+sbWorst < deadline check, they charge exactly the cycles
-// execute() would, and they never extend past the block.
+// The event-horizon interrupt proof (superblock.go) bounds pre-bound ops
+// exactly: sbWorst charges each its fetch, its retire cost and one
+// data-side TLB hit per access, and a pre-bound op never walks. A run of
+// pre-bound ops only starts where Cycles+sbWorst < deadline held for the
+// rest of its block — at the block's entry, at the chain that reached it,
+// or at the horizon re-check after the execute() instruction before it —
+// it charges exactly the cycles execute() would, and it never extends past
+// the block. runOps stops at a side exit; the dispatch loop decides
+// whether to chain to the target.
 //
 // Dispatch is allocation-free: the slots live inline in the decoded page,
 // and runOps performs no allocation (TestTraceDispatchAllocs pins this to

@@ -17,8 +17,7 @@ import (
 
 // traceAllocProgram is the straight-line workload shared by the trace-tier
 // host tests: long blocks of ALU and memory work separated by one JAL
-// boundary, no traps (TrapCount is a map and its growth would — correctly —
-// show up as allocations, so keep it out).
+// boundary.
 func traceAllocProgram() *asm.Program {
 	p := asm.New(ramBase)
 	p.LIU(20, ramBase+dataOff)

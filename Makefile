@@ -11,8 +11,9 @@
 #   make check  - tier-2: lint + race detector on the whole module + one
 #                 pass of the pre-bound op loop benchmark, unarmed and under
 #                 an armed deadline (BenchmarkRunOps, BenchmarkRunOpsArmed),
-#                 of the MMIO exit round trip (BenchmarkMMIOExitRoundTrip)
-#                 and of demand faults on reused frames
+#                 of the MMIO exit round trip (BenchmarkMMIOExitRoundTrip),
+#                 of a benchmark round's boot (BenchmarkBoot) and of
+#                 demand faults on reused frames
 #                 (BenchmarkDemandFault), so none can rot + a smoke
 #                 fault-injection campaign (fixed seed, 100 faults) + the
 #                 compartment-compromise campaign + the host benchmark gate
@@ -47,10 +48,13 @@
 #                           a store's code-page check, of the TLB's
 #                           lookups, fills and flushes, of the virtio-blk
 #                           pump and of virtio-net RX delivery; the thin
-#                           disk's slab bound; and the 8 KiB
-#                           bound on booting a 512 MiB RAM
+#                           disk's slab bound; the 8 KiB
+#                           bound on booting a 512 MiB RAM; and the
+#                           two-allocation bound on registering a
+#                           secure pool region
 #   make fuzz             - run the native fuzz targets: FuzzLockstep for 60s,
-#                           then FuzzDecode, FuzzResume, FuzzVirtioChain and
+#                           then FuzzDecode, FuzzResume (MMIO, quantum-expiry
+#                           and pool-empty exits), FuzzVirtioChain and
 #                           FuzzBlkNotify for 30s each
 
 GO ?= go
@@ -101,6 +105,7 @@ check: build
 	$(GO) test ./...
 	$(GO) test ./internal/hart -run '^$$' -bench BenchmarkRunOps -benchtime 1x
 	$(GO) test ./internal/hv -run '^$$' -bench BenchmarkMMIOExitRoundTrip -benchtime 1x
+	$(GO) test ./internal/hv -run '^$$' -bench BenchmarkBoot -benchtime 1x
 	$(GO) test ./internal/sm -run '^$$' -bench BenchmarkDemandFault -benchtime 1x
 	$(MAKE) smoke
 	$(MAKE) smoke-compromise
@@ -158,11 +163,13 @@ smoke-serving:
 # disk, a read of a never-written sector and a rewrite of a written one
 # allocate nothing, and N first writes at most one slab per 64 sectors
 # (TestThinDiskAllocs). Booting a 512 MiB RAM must allocate
-# at most 8 KiB (its page directory, TestNewPhysMemoryAllocs). The suite runs
+# at most 8 KiB (its page directory, TestNewPhysMemoryAllocs), and
+# registering a 64 MiB or 1 GiB secure pool region at most twice (the
+# region record and one array of its blocks, TestRegisterPoolAllocs). The suite runs
 # these anyway; the dedicated target gives CI a cheap job whose failure
 # names the regression directly.
 test-allocs:
-	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestTimerExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestNetRXZeroAllocs|TestThinDiskAllocs' -count=1 -v
+	$(GO) test ./internal/hart ./internal/isa ./internal/ptw ./internal/hv ./internal/sm ./internal/mem ./internal/tlb ./internal/virtio -run 'TestRunBatchSuperblockZeroAllocs|TestTraceDispatchAllocs|TestCauseName|TestWalkFaultReasonAllocs|TestSharedWindowAllocs|TestMMIOExitRoundTripAllocs|TestTimerExitRoundTripAllocs|TestDemandFaultAllocs|TestNoteWriteNonCodeAllocs|TestNewPhysMemoryAllocs|TestTLBAllocs|TestBlkPumpZeroAllocs|TestNetRXZeroAllocs|TestThinDiskAllocs|TestRegisterPoolAllocs' -count=1 -v
 
 # fuzz runs the native fuzz targets for a bounded time each. FuzzLockstep
 # (60 s) compares Hart.Run on the trace tier against Step alone over
@@ -170,9 +177,11 @@ test-allocs:
 # never to panic and every valid word to survive re-encoding through the
 # isa.Encode* helpers field for field; FuzzResume (30 s) puts fuzzer-chosen
 # values in every hypervisor-writable shared-vCPU field after an MMIO-read,
-# MMIO-write or quantum-expiry exit and requires Check-after-Load to
-# quarantine, apply only the target register, or (after a quantum expiry)
-# resume the guest at the interrupted PC with every register unchanged;
+# MMIO-write, quantum-expiry or pool-empty exit (the last answered with a
+# run-time FnRegisterPool, as the hypervisor does) and requires
+# Check-after-Load to quarantine, apply only the target register, or
+# (after a quantum expiry or pool-empty exit) resume the guest at the
+# interrupted PC with every register unchanged and the auditor clean;
 # FuzzVirtioChain (30 s) writes a hostile guest's descriptor
 # table and avail ring into a CVM's shared window and requires the pump to
 # fail only with a typed error and to return only in-window segments;

@@ -253,3 +253,118 @@ func TestChainBudget(t *testing.T) {
 		t.Errorf("fetch hits/misses %d/%d, block tier %d/%d", st.FetchHits, st.FetchMisses, bst.FetchHits, bst.FetchMisses)
 	}
 }
+
+// A mid-block walk that re-inserts the executing page's own translation
+// must end the block: later fetches hit the new TLB entry, so fetch
+// accounting must re-resolve it (runBatch's TLB-generation re-check after
+// an execute() instruction). With LRU replacement one access cannot evict
+// the entry its own fetch just touched, so the test re-inserts instead:
+// the code runs in a 2 MiB superpage whose leaf lacks D, so a store to
+// another 4 KiB page of it hits the cached entry, fails its permission
+// check and walks, and the walk inserts the page again, with D, into way 0
+// of the same level-1 set. The reference then touches way 0 on every
+// fetch; fetch accounting left on the old way would age the new entry
+// instead, a later miss in the set would evict it, and the second store
+// would walk where the reference hits.
+func TestMidBlockWalkRefetchesOwnPage(t *testing.T) {
+	const (
+		codeVA  = ramBase          // level-1 set 0
+		proVA   = ramBase + 2<<20  // level-1 set 1
+		aliasPA = ramBase + 4<<20  // what every set-0 alias maps to
+		dataVA  = codeVA + 0x10000 // in the code superpage, off the code page
+		pteRWXA = pteRWXAD &^ isa.PTEDirty
+	)
+	alias := func(k int) uint64 { return codeVA + uint64(k)*32<<20 } // level-1 set 0
+
+	// The prologue fills ways 0-2 of set 0 with aliases 1-3, then jumps
+	// to the code superpage, whose fetch walk fills way 3.
+	pro := asm.New(proVA)
+	for k := 1; k <= 3; k++ {
+		pro.LIU(20, alias(k))
+		pro.LD(6, 20, 0)
+	}
+	pro.LIU(21, alias(2))
+	pro.LIU(22, alias(3))
+	pro.LIU(23, alias(4))
+	pro.LIU(24, dataVA)
+	pro.LIU(25, codeVA)
+	pro.JALR(0, 25, 0)
+
+	// One straight-line block.
+	p := asm.New(codeVA)
+	addis := func(n int) {
+		for i := 0; i < n; i++ {
+			p.ADDI(5, 5, 1)
+		}
+	}
+	addis(8)
+	p.SD(5, 24, 0) // walks: the cached leaf lacks D; re-inserts the page into way 0
+	addis(8)
+	p.LD(6, 21, 0) // aliases 2 and 3 hit: ways 1 and 2 are younger than
+	p.LD(6, 22, 0) // the old entry in way 3, older than the fetches
+	addis(4)
+	p.LD(6, 23, 0) // alias 4 misses and evicts the set's LRU way
+	addis(4)
+	p.SD(5, 24, 8) // hits the page's D entry on the reference
+	p.ECALL()
+
+	run := func(h *Hart, c Clock) Event {
+		load(t, h, proVA, pro)
+		load(t, h, codeVA, p)
+		enterSv39With(t, h, proVA, func(b *ptw.Builder, root uint64) error {
+			if err := b.Map(root, codeVA, codeVA, pteRWXA, 1, false); err != nil {
+				return err
+			}
+			if err := b.Map(root, proVA, proVA, pteRWXAD, 1, false); err != nil {
+				return err
+			}
+			for k := 1; k <= 4; k++ {
+				if err := b.Map(root, alias(k), aliasPA, pteRWXAD, 1, false); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		for {
+			if _, ev := h.Run(c, 1000); ev.Kind != EvNone {
+				return ev
+			}
+		}
+	}
+
+	ref, _, rc, _ := newBatchPair(t)
+	ref.DisableFastPath()
+	if ev := run(ref, rc); ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallS {
+		t.Fatalf("reference: %+v, want the ecall", ev)
+	}
+	var fetches [2]FastPathStats
+	for i, traces := range []bool{false, true} {
+		fast, _, fc, _ := newBatchPair(t)
+		fast.SetTraces(traces)
+		ev := run(fast, fc)
+		if ev.Kind != EvTrap || ev.Trap.Cause != isa.ExcEcallS || fast.PC != ref.PC {
+			t.Fatalf("traces %v: %+v at pc %#x, want the ecall at %#x", traces, ev, fast.PC, ref.PC)
+		}
+		if fast.Cycles != ref.Cycles || fast.Instret != ref.Instret {
+			t.Errorf("traces %v: %d cycles, %d instructions; reference %d, %d",
+				traces, fast.Cycles, fast.Instret, ref.Cycles, ref.Instret)
+		}
+		if fs, rs := fast.TLB.Stats(), ref.TLB.Stats(); fs != rs {
+			t.Errorf("traces %v: TLB stats %+v, reference %+v", traces, fs, rs)
+		}
+		if fast.WalkStats != ref.WalkStats {
+			t.Errorf("traces %v: walks %+v, reference %+v", traces, fast.WalkStats, ref.WalkStats)
+		}
+		// Every walk inserts into the TLB, so the fetch after it must
+		// re-resolve its page: at least one fetch miss per walk.
+		fetches[i] = fast.FastPathStats()
+		if st := fetches[i]; st.FetchHits == 0 || st.FetchMisses < ref.WalkStats.Walks {
+			t.Errorf("traces %v: %d fetch hits, %d fetch misses for %d walks",
+				traces, st.FetchHits, st.FetchMisses, ref.WalkStats.Walks)
+		}
+	}
+	if b, tr := fetches[0], fetches[1]; b.FetchHits != tr.FetchHits || b.FetchMisses != tr.FetchMisses {
+		t.Errorf("fetch hits/misses: block tier %d/%d, trace tier %d/%d",
+			b.FetchHits, b.FetchMisses, tr.FetchHits, tr.FetchMisses)
+	}
+}

@@ -50,11 +50,14 @@ func (k *Hypervisor) CreateCVM(h *hart.Hart, name string, image []byte, entry ui
 		if n > isa.PageSize {
 			n = isa.PageSize
 		}
-		if err := k.M.RAM.Zero(staging, isa.PageSize); err != nil {
-			return nil, err
-		}
 		if err := k.M.RAM.Write(staging, image[off:off+n]); err != nil {
 			return nil, err
+		}
+		// Only a short final chunk leaves earlier bytes in the page.
+		if n < isa.PageSize {
+			if err := k.M.RAM.Zero(staging+n, isa.PageSize-n); err != nil {
+				return nil, err
+			}
 		}
 		if _, err := k.SM.HVCall(h, sm.FnLoadPage, id64, GuestRAMBase+off, staging); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 )
 
 // measurer accumulates the launch measurement of a confidential VM:
@@ -14,26 +15,30 @@ type measurer struct {
 	sum    []byte
 	sealed bool
 	chain  [32]byte
+	// h is the one SHA-256 state every extension resets and reuses, and
+	// word the scratch for the little-endian GPA it hashes.
+	h    hash.Hash
+	word [8]byte
 }
 
 func newMeasurer() *measurer {
-	m := &measurer{}
+	m := &measurer{h: sha256.New()}
 	m.chain = sha256.Sum256([]byte("zion-launch-measurement-v1"))
 	return m
 }
 
-// extendPage folds one image page into the measurement.
+// extendPage folds one image page into the measurement: chain becomes
+// SHA-256(chain || gpa as 8 little-endian bytes || data).
 func (m *measurer) extendPage(gpa uint64, data []byte) {
 	if m.sealed {
 		return
 	}
-	h := sha256.New()
-	h.Write(m.chain[:])
-	var g [8]byte
-	binary.LittleEndian.PutUint64(g[:], gpa)
-	h.Write(g[:])
-	h.Write(data)
-	copy(m.chain[:], h.Sum(nil))
+	binary.LittleEndian.PutUint64(m.word[:], gpa)
+	m.h.Reset()
+	m.h.Write(m.chain[:])
+	m.h.Write(m.word[:])
+	m.h.Write(data)
+	m.h.Sum(m.chain[:0]) // chain has room for the sum: no allocation
 }
 
 // extendEntry folds the boot entry point into the measurement.

@@ -249,6 +249,9 @@ type SM struct {
 
 	// Stats observable by the harness.
 	Stats Stats
+
+	// loadBuf is loadPage's copy of the staging page, used under mu.
+	loadBuf *[isa.PageSize]byte
 }
 
 // lifecycleState is the CVM table and quarantine records — owned by
@@ -316,6 +319,7 @@ func New(m *platform.Machine, cfg Config) (*SM, error) {
 		machine: m,
 		ram:     m.RAM,
 		cfg:     cfg,
+		loadBuf: new([isa.PageSize]byte),
 		life: lifecycleState{
 			cvms:        make(map[int]*CVM),
 			quarantined: make(map[int]*QuarantineRecord),
@@ -702,8 +706,8 @@ func (s *SM) loadPage(h *hart.Hart, id int, gpa, srcPA uint64) error {
 	if s.alloc.pool.contains(srcPA, isa.PageSize) {
 		return ErrNotNormal // image source must come from normal memory
 	}
-	data, err := s.ram.Read(srcPA, isa.PageSize)
-	if err != nil {
+	data := s.loadBuf[:]
+	if err := s.ram.ReadInto(srcPA, data); err != nil {
 		return err
 	}
 	// One allocator crossing admits the whole allocation transaction

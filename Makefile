@@ -30,9 +30,9 @@
 #                           BENCH_host_short.json, a row misses its floor, or
 #                           a ratio row regresses >20%
 #   make race-engine      - race detector x2 on the parallel engine, the
-#                           simulated RAM and the hypervisor's shared
-#                           window (at -cpu 1,2,4) and the bench harness
-#                           (the multi-core CI race lane)
+#                           simulated RAM, the hypervisor's shared window
+#                           and the telemetry rings (at -cpu 1,2,4) and
+#                           the bench harness (the multi-core CI race lane)
 #   make smoke-monitor    - run a guest with the live monitor endpoint armed and
 #                           self-scrape /metrics, /healthz and /profile
 #   make smoke-serving    - short sustained-serving run (deterministic rerun
@@ -81,9 +81,12 @@ race: build
 # show up. The engine also runs at GOMAXPROCS 1, 2 and 4, so harts that
 # finish or post in the same epoch meet in both orders; so do the lock-free
 # publications of RAM leaves and pages (internal/mem) and of shared-window
-# entries and their cached host pages (internal/hv).
+# entries and their cached host pages (internal/hv). So does the record
+# ring the flight recorder and the tracer share (internal/telemetry): hart
+# goroutines, the engine at a barrier and a peer hart's quarantine write it
+# while a monitor reads it.
 race-engine:
-	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/... ./internal/mem ./internal/hv
+	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/... ./internal/mem ./internal/hv ./internal/telemetry
 	$(GO) test -race -timeout 60m -count=2 ./internal/bench/...
 
 # lint fails on any file gofmt would rewrite, then prefers golangci-lint

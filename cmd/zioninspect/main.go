@@ -1,10 +1,11 @@
 // Command zioninspect boots the platform, runs a short confidential
 // workload, and dumps the security-relevant machine state: the PMP plan
 // in both worlds, secure-pool occupancy, the CVM's stage-2 layout,
-// TLB statistics and the Secure Monitor's event counters — a debugging
-// view of everything ZION's isolation is built from. It always runs the
-// cross-layer invariant auditor last and exits non-zero on any finding,
-// so it doubles as a scriptable post-run integrity check.
+// TLB statistics, the Secure Monitor's event counters and each hart's
+// flight-recorder ring — a debugging view of everything ZION's isolation
+// is built from. It always runs the cross-layer invariant auditor last
+// and exits non-zero on any finding, so it doubles as a scriptable
+// post-run integrity check.
 package main
 
 import (
@@ -19,12 +20,10 @@ import (
 )
 
 func main() {
-	trace := flag.Int("trace", 16, "SM trace events to capture and print (0 = off)")
-	flight := flag.Bool("flight", false, "dump each hart's flight-recorder ring (recent traps, gates, world switches)")
 	metrics := flag.Bool("metrics", false, "dump the telemetry metrics registry after the probe run")
 	flag.Parse()
 
-	cfg := zion.Config{TraceEvents: *trace}
+	var cfg zion.Config
 	if *metrics {
 		cfg.Telemetry = telemetry.New(telemetry.Config{})
 	}
@@ -94,12 +93,8 @@ func main() {
 	fmt.Printf("  hits=%d misses=%d flushes=%d entries-flushed=%d\n",
 		ts.Hits, ts.Misses, ts.Flushes, ts.FlushedEnt)
 
-	if *trace > 0 {
-		fmt.Println("\n=== SM event trace (oldest first) ===")
-		for _, e := range sys.Monitor.Trace() {
-			fmt.Println(" ", e)
-		}
-	}
+	fmt.Println("\n=== Flight recorder (oldest first) ===")
+	sys.Machine.Flight.Dump(os.Stdout)
 
 	fmt.Println("\n=== Probe CVM ===")
 	fmt.Printf("  measurement: %x\n", meas)
@@ -109,10 +104,6 @@ func main() {
 		fmt.Printf("    cause %2d %-24s %d\n", ts.Cause, ts.Name, ts.Count)
 	}
 
-	if *flight {
-		fmt.Println("\n=== Flight recorder (oldest first) ===")
-		sys.Machine.Flight.Dump(os.Stdout)
-	}
 	if *metrics {
 		sys.FlushTelemetry()
 		fmt.Println("\n=== Telemetry metrics ===")

@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"zion/internal/platform"
 	"zion/internal/telemetry"
 	"zion/internal/workloads"
 )
@@ -270,5 +272,93 @@ func TestMicroRowsReportPercentiles(t *testing.T) {
 	}
 	if r.EntrySharedDist.Min > r.EntrySharedDist.P50 || r.EntrySharedDist.P99 > r.EntrySharedDist.Max {
 		t.Errorf("distribution out of order: %+v", r.EntrySharedDist)
+	}
+}
+
+// TestParallelEventsStayOnTheirHart: two aes CVMs run on two harts under
+// the parallel engine with telemetry armed. Each CVM's "sm" records sit on
+// the trace stream of the hart that ran it (found from its ws.entry
+// spans), its world switches sit on that hart's flight ring, and two runs
+// in Ordered mode export byte-identical Chrome traces. Free-running mode
+// hands out CVM ids in the order the host schedules the two creations
+// (TestConcurrentCVMCreation races them on purpose), so its exports may
+// swap the ids between runs.
+func TestParallelEventsStayOnTheirHart(t *testing.T) {
+	var k workloads.Kernel
+	for _, c := range workloads.RV8() {
+		if c.Name == "aes" {
+			k = c
+		}
+	}
+	run := func(ordered bool) []byte {
+		sink := telemetry.New(telemetry.Config{})
+		SetTelemetry(sink)
+		defer SetTelemetry(nil)
+		if _, _, err := RunWorkloadCopies(k, 4, 2, &platform.EngineConfig{Quantum: 4096, Ordered: ordered}); err != nil {
+			t.Fatal(err)
+		}
+		envs := Envs()
+		if len(envs) != 1 {
+			t.Fatalf("%d environments armed, want 1", len(envs))
+		}
+		e := envs[0]
+		FlushTelemetry()
+
+		recs := sink.Tracer.Snapshot()
+		hartOf := map[int32]int32{}
+		for _, r := range recs {
+			if r.Cat != "sm" || r.Name != "ws.entry" {
+				continue
+			}
+			if h, ok := hartOf[r.CVM]; ok && h != r.TID {
+				t.Fatalf("cvm %d entered on harts %d and %d", r.CVM, h, r.TID)
+			}
+			hartOf[r.CVM] = r.TID
+		}
+		var harts []int32
+		for _, h := range hartOf {
+			harts = append(harts, h)
+		}
+		if len(harts) != 2 || harts[0] == harts[1] {
+			t.Fatalf("ws.entry spans place the CVMs on harts %v, want two CVMs on two harts", hartOf)
+		}
+		for _, r := range recs {
+			if !strings.HasPrefix(r.Cat, "sm") || r.CVM == telemetry.NoCVM {
+				continue
+			}
+			if want := hartOf[r.CVM]; r.TID != want {
+				t.Errorf("%s/%s of cvm %d at cycle %d is on tid %d, the cvm ran on hart %d",
+					r.Cat, r.Name, r.CVM, r.Cycle, r.TID, want)
+			}
+		}
+
+		switches := map[int32]int{}
+		for i := 0; i < e.M.Flight.Harts(); i++ {
+			for _, ev := range e.M.Flight.Tail(i, 0) {
+				if ev.Kind != telemetry.FlightWorldEnter && ev.Kind != telemetry.FlightWorldExit {
+					continue
+				}
+				switches[int32(ev.CVM)]++
+				if want := hartOf[int32(ev.CVM)]; int32(i) != want || ev.Hart != i {
+					t.Errorf("%v of cvm %d is on hart %d's flight ring, the cvm ran on hart %d",
+						ev.Kind, ev.CVM, i, want)
+				}
+			}
+		}
+		for cvm := range hartOf {
+			if switches[cvm] == 0 {
+				t.Errorf("no world switch of cvm %d on any flight ring", cvm)
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := sink.ExportChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	run(false)
+	if a, b := run(true), run(true); !bytes.Equal(a, b) {
+		t.Errorf("two Ordered runs exported different traces (%d vs %d bytes)", len(a), len(b))
 	}
 }

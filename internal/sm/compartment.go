@@ -276,11 +276,12 @@ func (s *SM) gateForce(h *hart.Hart, from, to Compartment, op string, fn func() 
 }
 
 // compVerify is the per-compartment state integrity self-check run on
-// every gate crossing. Cheap by construction: the allocator verifies its
-// free-list ring and counters, attestation verifies the platform key
-// against its boot-time digest; lifecycle and the world switch hold
-// map/slice state whose corruption surfaces through the cross-layer
-// auditor instead.
+// every gate crossing. It is not cheap: CompAlloc walks the whole
+// free-list ring and checks its counters, O(free blocks) per crossing,
+// and CompAttest hashes the platform key with SHA-256 on every crossing
+// to compare it with its boot-time digest. Lifecycle and the world
+// switch hold map/slice state whose corruption surfaces through the
+// cross-layer auditor instead.
 func (s *SM) compVerify(c Compartment) error {
 	switch c {
 	case CompAlloc:
@@ -327,6 +328,7 @@ func (s *SM) quarantineCompartment(h *hart.Hart, c Compartment, op string, cause
 	}
 	s.machine.Flight.Ring(fhart).Record(rec.Cycle, telemetry.FlightQuarantine,
 		telemetry.NoCVM, uint64(c), 0, fnote)
+	s.tel.Instant(fhart, "sm", "quarantine", rec.Cycle, telemetry.NoCVM, uint64(c), fnote)
 	rec.Flight = s.machine.Flight.RenderTail(fhart, flightTailLen)
 	if c == CompAlloc {
 		// The allocator's free list is authoritative shared state: repair
@@ -338,7 +340,6 @@ func (s *SM) quarantineCompartment(h *hart.Hart, c Compartment, op string, cause
 	cs.down = true
 	cs.record = rec
 	s.Stats.CompartmentQuarantines++
-	s.trace(rec.Cycle, EvViolation, 0, uint64(c), fnote)
 	s.tel.Counter("sm/compartment_quarantines").Inc()
 	return rec
 }

@@ -106,6 +106,7 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 	}
 	s.machine.Flight.Ring(fhart).Record(rec.Cycle, telemetry.FlightQuarantine,
 		c.ID, uint64(origin.comp), 0, note)
+	s.tel.Instant(fhart, "sm", "quarantine", rec.Cycle, c.ID, uint64(origin.comp), note)
 	rec.Flight = s.machine.Flight.RenderTail(fhart, flightTailLen)
 	if c.measurer != nil && c.measurer.sealed {
 		rec.Measurement = append([]byte(nil), c.measurer.value()...)
@@ -132,7 +133,6 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 	delete(s.life.cvms, c.ID)
 	s.life.quarantined[c.ID] = rec
 	s.Stats.Quarantines++
-	s.trace(h.Cycles, EvViolation, c.ID, 0, note)
 	s.tel.Counter("sm/quarantines").Inc()
 	// The dead VMID's cached translations are flushed on every hart.
 	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)

@@ -172,10 +172,6 @@ type Config struct {
 	// LongPath inserts the secure-hypervisor hop of conventional CVM
 	// architectures on both halves of the world switch (§V.B.2 baseline).
 	LongPath bool
-	// TraceEvents sizes the SM's diagnostic event ring (0 = tracing off).
-	// With Telemetry set, SM events go to the shared ring and TraceEvents
-	// is ignored; alone, it buys a private ring of that capacity.
-	TraceEvents int
 	// Telemetry attaches the SM to a shared cross-layer telemetry scope:
 	// spans for world switches and HVCalls, per-CVM cycle attribution, and
 	// registry metrics. Nil disables all of it at one nil-check per site.
@@ -241,11 +237,8 @@ type SM struct {
 	// comp is the per-compartment health, gate-PMP, and crossing record.
 	comp [NumCompartments]compartmentState
 
-	// tel is the cross-layer telemetry scope (nil = disabled); evTel
-	// carries the "sm.event" diagnostic instants — the shared scope when
-	// one is configured, else a private ring sized by Config.TraceEvents.
-	tel   *telemetry.Scope
-	evTel *telemetry.Scope
+	// tel is the cross-layer telemetry scope (nil = disabled).
+	tel *telemetry.Scope
 
 	// Stats observable by the harness.
 	Stats Stats
@@ -337,14 +330,8 @@ func New(m *platform.Machine, cfg Config) (*SM, error) {
 	s.Stats.Entry = telemetry.NewHistogram()
 	s.Stats.Exit = telemetry.NewHistogram()
 	s.tel = cfg.Telemetry
-	switch {
-	case cfg.Telemetry != nil:
-		s.evTel = cfg.Telemetry
-		s.tel.RegisterHistogram("sm/ws_entry_cycles", s.Stats.Entry)
-		s.tel.RegisterHistogram("sm/ws_exit_cycles", s.Stats.Exit)
-	case cfg.TraceEvents > 0:
-		s.evTel = telemetry.New(telemetry.Config{TraceEvents: cfg.TraceEvents}).Scope()
-	}
+	s.tel.RegisterHistogram("sm/ws_entry_cycles", s.Stats.Entry)
+	s.tel.RegisterHistogram("sm/ws_exit_cycles", s.Stats.Exit)
 	for _, h := range m.Harts {
 		if err := s.programBasePMP(h); err != nil {
 			return nil, err
@@ -625,7 +612,6 @@ func (s *SM) createCVM(h *hart.Hart) (uint64, error) {
 	c.hgatpRoot = root
 	s.life.cvms[c.ID] = c
 	h.Advance(4 * h.Cost.Mem)
-	s.trace(h.Cycles, EvLifecycle, c.ID, 0, "create")
 	return uint64(c.ID), nil
 }
 
@@ -750,7 +736,6 @@ func (s *SM) finalize(h *hart.Hart, id int, entryPC uint64) error {
 	}
 	c.entryPC = entryPC
 	c.state = stRunnable
-	s.trace(0, EvLifecycle, c.ID, entryPC, "finalize")
 	return nil
 }
 
@@ -801,7 +786,6 @@ func (s *SM) destroy(h *hart.Hart, id int) error {
 	})
 	c.state = stDead
 	delete(s.life.cvms, id)
-	s.trace(h.Cycles, EvLifecycle, id, 0, "destroy")
 	// Stage-2 translations for this VMID die with it.
 	s.shootdownVMID(h, c.vmid, h.Cost.TLBFlushAll)
 	return nil

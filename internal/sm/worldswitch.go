@@ -147,7 +147,6 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	if v.pending.valid {
 		if err := s.resumeFromExit(h, c, v); err != nil {
 			s.Stats.TamperDetected++
-			s.trace(h.Cycles, EvViolation, c.ID, 0, err.Error())
 			s.tel.Counter("sm/tamper_detected").Inc()
 			err = wrapErr("run", c.ID, err)
 			s.quarantine(h, c, err, s.originHere(h, CompSwitch))
@@ -160,7 +159,6 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	ctx := s.saveHVCtx(h)
 	s.enterCVM(h, c, v)
 	s.Stats.Entry.Observe(h.Cycles - entryStart)
-	s.trace(h.Cycles, EvEntry, c.ID, uint64(vcpuID), "")
 	s.tel.Span(h.ID, "sm", "ws.entry", entryStart, h.Cycles, c.ID, uint64(vcpuID))
 	s.tel.AttrSwitch(h.ID, h.Cycles, c.ID, telemetry.AttrGuest)
 	h.Flight.Record(h.Cycles, telemetry.FlightWorldEnter, c.ID, uint64(vcpuID), 0, "")
@@ -173,7 +171,6 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	s.exitCVM(h, c, v, &ctx, info)
 	h.Advance(h.Cost.TrapReturn)
 	s.Stats.Exit.Observe(h.Cycles - exitStart)
-	s.trace(h.Cycles, EvExit, c.ID, uint64(info.Reason), info.Reason.String())
 	s.tel.Span(h.ID, "sm", "ws.exit", exitStart, h.Cycles, c.ID, uint64(info.Reason))
 	s.tel.AttrSwitch(h.ID, h.Cycles, telemetry.NoCVM, telemetry.AttrHost)
 	h.Flight.Record(h.Cycles, telemetry.FlightWorldExit, c.ID, uint64(info.Reason), 0,
@@ -489,7 +486,7 @@ func (s *SM) handleGuestPageFault(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap) (E
 	gpa := t.Tval2 << 2
 	switch {
 	case gpa >= PrivateBase:
-		return s.demandPage(h, c, v, gpa, t)
+		return s.demandPage(h, c, v, gpa)
 	case gpa >= SharedBase:
 		// Hypervisor-managed window (§IV.E): the hypervisor updates its
 		// own subtable (no SM synchronization) and the guest *retries*
@@ -508,7 +505,7 @@ func (s *SM) handleGuestPageFault(h *hart.Hart, c *CVM, v *VCPU, t hart.Trap) (E
 
 // demandPage allocates and maps one private page (Figure 2's three-stage
 // flow); stage 3 exits to the hypervisor for pool expansion.
-func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64, t hart.Trap) (ExitInfo, bool) {
+func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64) (ExitInfo, bool) {
 	faultStart := h.Cycles - h.Cost.TrapEntry - h.Cost.SMDispatch
 	h.Advance(h.Cost.SMFaultBase)
 	pageGPA := gpa &^ uint64(isa.PageSize-1)
@@ -543,7 +540,6 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64, t hart.Trap) 
 		return ExitInfo{Reason: ExitPoolEmpty, GPA: pageGPA}, true
 	}
 	s.Stats.FaultStage[stage]++
-	s.trace(h.Cycles, EvFault, c.ID, uint64(stage), causeNote(t.Cause))
 	switch stage {
 	case StageCache:
 		h.Advance(h.Cost.SMAllocCache)
@@ -619,7 +615,7 @@ func (s *SM) handleGuestSBI(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, bool) {
 	eid := h.Reg(17) // a7
 	fid := h.Reg(16) // a6
 	a0, a1 := h.Reg(10), h.Reg(11)
-	s.trace(h.Cycles, EvSBI, c.ID, eid, "")
+	s.tel.Instant(h.ID, "sm", "sbi", h.Cycles, c.ID, eid, "")
 	s.tel.Counter("sm/sbi_calls").Inc()
 
 	resume := func(ret uint64, errv uint64) {

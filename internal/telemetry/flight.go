@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sync"
 )
 
 // FlightKind classifies a flight-recorder event. The taxonomy is the set
@@ -67,16 +66,13 @@ const DefaultFlightDepth = 64
 // FlightRing is one hart's bounded event ring. Unlike the telemetry
 // Scope, the flight recorder is always on: recording is cheap (events are
 // rare — never per instruction) and touches no simulated state, so
-// bit-identity of runs holds by construction. The mutex orders a ring's
-// writers — its own hart, a peer hart recording a quarantine whose fault
-// originated here, the parallel engine recording a barrier — with a
-// monitor goroutine snapshotting the ring while its hart keeps running.
+// bit-identity of runs holds by construction. Its writers are its own
+// hart, a peer hart recording a quarantine whose fault originated here,
+// and the parallel engine recording a barrier; a monitor goroutine may
+// snapshot it while its hart keeps running.
 type FlightRing struct {
 	hart int
-	buf  []FlightEvent
-	next int    // next write slot
-	n    uint64 // total events ever recorded
-	mu   sync.Mutex
+	ring[FlightEvent]
 }
 
 // Record appends an event to the ring, evicting the oldest when full.
@@ -86,15 +82,7 @@ func (r *FlightRing) Record(cycle uint64, kind FlightKind, cvm int, a, b uint64,
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	i := r.next
-	r.buf[i] = FlightEvent{Cycle: cycle, Hart: r.hart, Kind: kind, CVM: cvm, A: a, B: b, Note: note}
-	if i++; i == len(r.buf) {
-		i = 0
-	}
-	r.next = i
-	r.n++
-	r.mu.Unlock()
+	r.put(FlightEvent{Cycle: cycle, Hart: r.hart, Kind: kind, CVM: cvm, A: a, B: b, Note: note})
 }
 
 // Tail returns the most recent k events, oldest first. k <= 0 returns the
@@ -103,24 +91,7 @@ func (r *FlightRing) Tail(k int) []FlightEvent {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	have := int(r.n)
-	if r.n > uint64(len(r.buf)) {
-		have = len(r.buf)
-	}
-	if k <= 0 || k > have {
-		k = have
-	}
-	out := make([]FlightEvent, 0, k)
-	start := r.next - k
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < k; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out
+	return r.tail(k)
 }
 
 // Len returns the total number of events ever recorded on this ring.
@@ -128,9 +99,7 @@ func (r *FlightRing) Len() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
+	return r.total()
 }
 
 // FlightRecorder is the machine-wide black box: one bounded ring per
@@ -148,7 +117,7 @@ func NewFlightRecorder(nharts, depth int) *FlightRecorder {
 	}
 	f := &FlightRecorder{rings: make([]*FlightRing, nharts)}
 	for i := range f.rings {
-		f.rings[i] = &FlightRing{hart: i, buf: make([]FlightEvent, depth)}
+		f.rings[i] = &FlightRing{hart: i, ring: ring[FlightEvent]{buf: make([]FlightEvent, depth)}}
 	}
 	return f
 }

@@ -127,25 +127,6 @@ func (sc *Scope) Instant(tid int, cat, name string, cycle uint64, cvm int, arg u
 		Kind: RecInstant, Cat: cat, Name: name, CVM: int32(cvm), Arg: arg, Note: note})
 }
 
-// Events returns this scope's ring records oldest-first, filtered by
-// category (empty cat matches all).
-func (sc *Scope) Events(cat string) []Rec {
-	if sc == nil {
-		return nil
-	}
-	var out []Rec
-	for _, r := range sc.sink.Tracer.Snapshot() {
-		if r.PID != sc.pid {
-			continue
-		}
-		if cat != "" && r.Cat != cat {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // Counter returns a registry counter namespaced to this scope's sink.
 func (sc *Scope) Counter(name string) *Counter {
 	if sc == nil {

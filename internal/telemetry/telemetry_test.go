@@ -126,7 +126,7 @@ func TestNilScopeSafe(t *testing.T) {
 	_ = sc.AttrPush(0, 100, AttrPMP)
 	sc.AttrPop(0, 100, AttrHost)
 	sc.AttrFlush(0, 100)
-	if sc.PID() != -1 || sc.Sink() != nil || sc.Events("") != nil {
+	if sc.PID() != -1 || sc.Sink() != nil {
 		t.Errorf("nil scope accessors must return zero values")
 	}
 	var s *Sink
@@ -196,11 +196,15 @@ func TestScopePIDIsolation(t *testing.T) {
 	a.Instant(0, "x", "ea", 1, NoCVM, 0, "")
 	b.Instant(0, "x", "eb", 2, NoCVM, 0, "")
 	b.Instant(0, "y", "other", 3, NoCVM, 0, "")
-	if evs := a.Events(""); len(evs) != 1 || evs[0].Name != "ea" {
-		t.Errorf("scope a sees %+v", evs)
+	names := map[int32][]string{}
+	for _, r := range s.Tracer.Snapshot() {
+		names[r.PID] = append(names[r.PID], r.Name)
 	}
-	if evs := b.Events("x"); len(evs) != 1 || evs[0].Name != "eb" {
-		t.Errorf("scope b cat-filtered sees %+v", evs)
+	if got := names[a.PID()]; len(got) != 1 || got[0] != "ea" {
+		t.Errorf("scope a recorded %q", got)
+	}
+	if got := names[b.PID()]; len(got) != 2 || got[0] != "eb" || got[1] != "other" {
+		t.Errorf("scope b recorded %q", got)
 	}
 }
 

@@ -29,48 +29,11 @@ type Rec struct {
 	PID   int32  // scope id (one simulated machine boot)
 	TID   int32  // hart id
 	Kind  RecKind
-	Cat   string // taxonomy: "sm", "sm.event", "hv", "hart"
+	Cat   string // taxonomy: "sm", "hv", "hart"
 	Name  string
 	CVM   int32  // owning confidential VM, or NoCVM
 	Arg   uint64 // category-specific argument (stage, EID, exit reason…)
 	Note  string // free-form annotation (error text, cause name)
-}
-
-// traceShard is one (PID, TID) stream's bounded ring. Sharding keeps the
-// parallel engine's hart goroutines from serializing on a single tracer
-// mutex, and — more importantly — keeps eviction deterministic: a global
-// ring's drop set would depend on the cross-hart interleaving, while a
-// per-stream ring drops the same records no matter how the host schedules
-// the goroutines.
-type traceShard struct {
-	mu      sync.Mutex
-	buf     []Rec
-	next    int
-	full    bool
-	dropped uint64
-}
-
-func (s *traceShard) record(r Rec) {
-	s.mu.Lock()
-	if s.full {
-		s.dropped++
-	}
-	s.buf[s.next] = r
-	s.next = (s.next + 1) % len(s.buf)
-	if s.next == 0 {
-		s.full = true
-	}
-	s.mu.Unlock()
-}
-
-func (s *traceShard) snapshot() []Rec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Rec
-	if s.full {
-		out = append(out, s.buf[s.next:]...)
-	}
-	return append(out, s.buf[:s.next]...)
 }
 
 // Tracer is a set of bounded rings of trace records, one per (PID, TID)
@@ -78,10 +41,16 @@ func (s *traceShard) snapshot() []Rec {
 // fills it evicts that stream's oldest record; Dropped() reports how many
 // were lost in total. All methods are safe for concurrent use from
 // multiple hart goroutines; a nil Tracer ignores every call.
+//
+// Sharding by stream keeps the parallel engine's hart goroutines from
+// serializing on a single tracer mutex, and keeps eviction deterministic:
+// a global ring's drop set would depend on the cross-hart interleaving,
+// while a per-stream ring drops the same records no matter how the host
+// schedules the goroutines.
 type Tracer struct {
 	cap    int
 	mu     sync.RWMutex
-	shards map[uint64]*traceShard
+	shards map[uint64]*ring[Rec]
 }
 
 // NewTracer returns a tracer holding up to capacity records per stream.
@@ -89,14 +58,14 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Tracer{cap: capacity, shards: make(map[uint64]*traceShard)}
+	return &Tracer{cap: capacity, shards: make(map[uint64]*ring[Rec])}
 }
 
 func shardKey(pid, tid int32) uint64 {
 	return uint64(uint32(pid))<<32 | uint64(uint32(tid))
 }
 
-func (t *Tracer) shard(pid, tid int32) *traceShard {
+func (t *Tracer) shard(pid, tid int32) *ring[Rec] {
 	key := shardKey(pid, tid)
 	t.mu.RLock()
 	s := t.shards[key]
@@ -107,7 +76,7 @@ func (t *Tracer) shard(pid, tid int32) *traceShard {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s = t.shards[key]; s == nil {
-		s = &traceShard{buf: make([]Rec, t.cap)}
+		s = &ring[Rec]{buf: make([]Rec, t.cap)}
 		t.shards[key] = s
 	}
 	return s
@@ -119,7 +88,7 @@ func (t *Tracer) Record(r Rec) {
 	if t == nil {
 		return
 	}
-	t.shard(r.PID, r.TID).record(r)
+	t.shard(r.PID, r.TID).put(r)
 }
 
 // Snapshot returns the merged ring contents ordered by (Cycle, PID, TID),
@@ -138,7 +107,7 @@ func (t *Tracer) Snapshot() []Rec {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var out []Rec
 	for _, k := range keys {
-		out = append(out, t.shards[k].snapshot()...)
+		out = append(out, t.shards[k].tail(0)...)
 	}
 	t.mu.RUnlock()
 	sort.SliceStable(out, func(i, j int) bool {
@@ -157,37 +126,29 @@ func (t *Tracer) Snapshot() []Rec {
 // Dropped reports how many records were evicted by ring overflow, summed
 // across streams.
 func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var n uint64
-	for _, s := range t.shards {
-		s.mu.Lock()
-		n += s.dropped
-		s.mu.Unlock()
-	}
-	return n
+	total, held := t.counts()
+	return total - held
 }
 
 // Len reports how many records the rings currently hold, summed across
 // streams.
 func (t *Tracer) Len() int {
+	_, held := t.counts()
+	return int(held)
+}
+
+// counts sums, across streams, the records ever recorded and the records
+// still held.
+func (t *Tracer) counts() (total, held uint64) {
 	if t == nil {
-		return 0
+		return 0, 0
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
 	for _, s := range t.shards {
-		s.mu.Lock()
-		if s.full {
-			n += len(s.buf)
-		} else {
-			n += s.next
-		}
-		s.mu.Unlock()
+		n := s.total()
+		total += n
+		held += min(n, uint64(t.cap))
 	}
-	return n
+	return total, held
 }

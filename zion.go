@@ -50,9 +50,6 @@ type Config struct {
 	// ValidateSharedOnEntry enables the §IV.E hardening that revalidates
 	// the hypervisor's shared subtable on every CVM entry.
 	ValidateSharedOnEntry bool
-	// TraceEvents sizes the Secure Monitor's diagnostic event ring
-	// (0 = tracing off); read it back with Monitor.Trace().
-	TraceEvents int
 	// Telemetry, when set, wires the whole stack (SM, hypervisor, harts)
 	// to a shared telemetry sink; the System's scope is returned by
 	// Telemetry(). See docs/OBSERVABILITY.md.
@@ -129,7 +126,6 @@ func NewSystem(cfg Config) (*System, error) {
 	monitor, err := sm.New(m, sm.Config{
 		SchedQuantum:          cfg.SchedQuantum,
 		ValidateSharedOnEntry: cfg.ValidateSharedOnEntry,
-		TraceEvents:           cfg.TraceEvents,
 		Telemetry:             sc,
 	})
 	if err != nil {

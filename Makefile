@@ -30,9 +30,10 @@
 #                           BENCH_host_short.json, a row misses its floor, or
 #                           a ratio row regresses >20%
 #   make race-engine      - race detector x2 on the parallel engine, the
-#                           simulated RAM, the hypervisor's shared window
-#                           and the telemetry rings (at -cpu 1,2,4) and
-#                           the bench harness (the multi-core CI race lane)
+#                           simulated RAM, the hypervisor's shared window,
+#                           the telemetry rings and the SM's monitor lock
+#                           (at -cpu 1,2,4) and the bench harness (the
+#                           multi-core CI race lane)
 #   make smoke-monitor    - run a guest with the live monitor endpoint armed and
 #                           self-scrape /metrics, /healthz and /profile
 #   make smoke-serving    - short sustained-serving run (deterministic rerun
@@ -84,9 +85,12 @@ race: build
 # entries and their cached host pages (internal/hv). So does the record
 # ring the flight recorder and the tracer share (internal/telemetry): hart
 # goroutines, the engine at a barrier and a peer hart's quarantine write it
-# while a monitor reads it.
+# while a monitor reads it. So does the SM's monitor lock (internal/sm): a
+# run that a monitor service ends keeps the lock from that service into
+# its exit half, and TestPeerRunningDestroyLeavesFramesDirty runs two
+# harts against it.
 race-engine:
-	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/... ./internal/mem ./internal/hv ./internal/telemetry
+	$(GO) test -race -timeout 30m -count=2 -cpu 1,2,4 ./internal/platform/... ./internal/mem ./internal/hv ./internal/telemetry ./internal/sm
 	$(GO) test -race -timeout 60m -count=2 ./internal/bench/...
 
 # lint fails on any file gofmt would rewrite, then prefers golangci-lint

@@ -122,6 +122,10 @@ type Hart struct {
 	// Recording is rare (traps, world switches — never per instruction)
 	// and touches no simulated state, so it cannot perturb bit-identity.
 	Flight *telemetry.FlightRing
+	// CVM is the id of the confidential VM whose world the hart is in,
+	// telemetry.NoCVM outside one: the SM sets it at world enter and
+	// clears it at exit, so a FlightTrap names the CVM it was taken in.
+	CVM int
 
 	// Parallel-engine hooks (internal/platform engine). When the quantum
 	// barrier is active, Yield is non-nil and QuantumDeadline is the cycle
@@ -161,6 +165,7 @@ func New(id int, ram *mem.PhysMemory, bus Bus) *Hart {
 		Cost:   DefaultCosts(),
 		csr:    newCSRFile(uint64(id)),
 		mmuGen: 1, // never 0: an empty micro-TLB entry must match no context
+		CVM:    telemetry.NoCVM,
 	}
 	h.walker = ptw.Walker{Mem: ram, Stats: &h.WalkStats}
 	h.fp = newFastPath(h)
@@ -317,7 +322,7 @@ func (h *Hart) TakeTrap(ti trapInfo) Trap {
 		h.Tel.Instant(h.ID, "hart", "trap", h.Cycles, telemetry.NoCVM,
 			ti.cause, isa.CauseName(ti.cause))
 	}
-	h.Flight.Record(h.Cycles, telemetry.FlightTrap, telemetry.NoCVM,
+	h.Flight.Record(h.Cycles, telemetry.FlightTrap, h.CVM,
 		ti.cause, h.PC, isa.CauseName(ti.cause))
 
 	t := Trap{Cause: ti.cause, Tval: ti.tval, Tval2: ti.tval2, Tinst: ti.tinst,

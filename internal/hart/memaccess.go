@@ -88,7 +88,8 @@ func (h *Hart) Translate(va uint64, acc ptw.Access, in *isa.Inst) (pa uint64, ti
 			h.Cycles += h.Cost.TLBHit
 			return ppn<<uint(isa.PageShift+9*level) | va&pageMask(level), trapInfo{}, true
 		}
-		res, pf, ok := h.walker.LookupTwoStage(satpRoot(vsatp), hgatpRoot, va, acc, opts.User)
+		var res ptw.TwoStageResult
+		pf, ok := h.walker.LookupTwoStage(&res, satpRoot(vsatp), hgatpRoot, va, acc, opts.User)
 		if !ok {
 			h.Cycles += uint64(res.Steps) * h.Cost.WalkStep
 			return 0, pageFaultInfo(pf, va, in), false

@@ -183,41 +183,56 @@ func (k *Hypervisor) RunCVM(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInfo, erro
 	if !vm.Confidential {
 		return sm.ExitInfo{}, fmt.Errorf("hv: VM %q is not confidential", vm.Name)
 	}
+	var tally exitTally
+	defer vm.foldExits(&tally)
 	for {
 		info, err := k.SM.RunVCPU(h, vm.CVMID, vcpuID)
 		if err != nil {
 			return info, err
 		}
-		switch info.Reason {
-		case sm.ExitShutdown, sm.ExitTimer, sm.ExitError:
-			vm.countExit(info.Reason.String())
-			return info, nil
-
-		case sm.ExitMMIORead, sm.ExitMMIOWrite:
-			vm.countExit("mmio")
-			if err := k.emulateCVMMMIO(h, vm, vcpuID, info); err != nil {
-				return info, err
-			}
-			// Loop: re-enter the guest with the answer in the shared vCPU.
-
-		case sm.ExitSharedFault:
-			vm.countExit("sharedfault")
-			if _, err := k.MapShared(h, vm, info.GPA); err != nil {
-				return info, err
-			}
-
-		case sm.ExitPoolEmpty:
-			vm.countExit("poolempty")
-			k.Tel.Counter("hv/pool_expansions").Inc()
-			h.Advance(h.Cost.HVExpandAssist)
-			if err := k.RegisterSecurePool(h, 4<<20); err != nil {
-				return info, fmt.Errorf("hv: pool expansion failed: %w", err)
-			}
-
-		default:
-			return info, fmt.Errorf("hv: unexpected CVM exit %v", info.Reason)
+		if done, err := k.serveCVMExit(h, vm, vcpuID, info, &tally); done || err != nil {
+			return info, err
 		}
 	}
+}
+
+// serveCVMExit counts one confidential exit in t and services it. done
+// means the run ends with this exit: shutdown, quantum expiry or a guest
+// error, which the caller reports.
+func (k *Hypervisor) serveCVMExit(h *hart.Hart, vm *VM, vcpuID int, info sm.ExitInfo,
+	t *exitTally) (done bool, err error) {
+	switch info.Reason {
+	case sm.ExitShutdown:
+		t[exitShutdown]++
+		return true, nil
+	case sm.ExitTimer:
+		t[exitTimer]++
+		return true, nil
+	case sm.ExitError:
+		t[exitError]++
+		return true, nil
+
+	case sm.ExitMMIORead, sm.ExitMMIOWrite:
+		t[exitMMIO]++
+		// The answer goes back in the shared vCPU; the next run re-enters
+		// the guest with it.
+		return false, k.emulateCVMMMIO(h, vm, vcpuID, info)
+
+	case sm.ExitSharedFault:
+		t[exitSharedFault]++
+		_, err := k.MapShared(h, vm, info.GPA)
+		return false, err
+
+	case sm.ExitPoolEmpty:
+		t[exitPoolEmpty]++
+		k.Tel.Counter("hv/pool_expansions").Inc()
+		h.Advance(h.Cost.HVExpandAssist)
+		if err := k.RegisterSecurePool(h, 4<<20); err != nil {
+			return false, fmt.Errorf("hv: pool expansion failed: %w", err)
+		}
+		return false, nil
+	}
+	return false, fmt.Errorf("hv: unexpected CVM exit %v", info.Reason)
 }
 
 // emulateCVMMMIO completes a confidential MMIO access: the device model

@@ -10,8 +10,9 @@ import (
 // newMMIOExitRoundTrip builds a CVM that loads from a stub MMIO device in
 // a loop and returns one warm round trip of the E1 path: the SM resumes
 // the vCPU from the previous exit (Check-after-Load), runs the guest to
-// its next MMIO load, publishes the exit, and the hypervisor emulates the
-// device and answers through the shared vCPU.
+// its next MMIO load, publishes the exit, and the hypervisor counts the
+// exit in its run's tally, emulates the device and answers through the
+// shared vCPU, as one iteration of RunCVM's loop does.
 func newMMIOExitRoundTrip(tb testing.TB) func() {
 	_, _, k, h := newStack(tb, sm.Config{})
 	const devBase = 0x1000_0000
@@ -25,14 +26,14 @@ func newMMIOExitRoundTrip(tb testing.TB) func() {
 		tb.Fatal(err)
 	}
 	k.AttachDevice(vm, &fakeDevice{base: devBase, val: 7})
+	var tally exitTally
 	roundTrip := func() {
 		info, err := k.SM.RunVCPU(h, vm.CVMID, 0)
 		if err != nil || info.Reason != sm.ExitMMIORead {
 			tb.Fatalf("exit = %v, %v; want mmio-read", info.Reason, err)
 		}
-		vm.countExit("mmio")
-		if err := k.emulateCVMMMIO(h, vm, 0, info); err != nil {
-			tb.Fatal(err)
+		if done, err := k.serveCVMExit(h, vm, 0, info, &tally); done || err != nil {
+			tb.Fatalf("serve = %v, %v; want the run to go on", done, err)
 		}
 	}
 	for i := 0; i < 4; i++ {

@@ -90,7 +90,9 @@ type VM struct {
 
 	// statMu guards Exits and serializes the MapShared writers: vCPUs of
 	// the same VM may exit and fault concurrently on different harts
-	// under the parallel engine. SharedPA readers never take it.
+	// under the parallel engine. SharedPA readers never take it. Exits
+	// counts exits per reason; each run folds its own tallies in when it
+	// returns (foldExits), so it is exact between runs.
 	statMu sync.Mutex
 	Exits  map[string]uint64
 }
@@ -210,14 +212,44 @@ func (k *Hypervisor) RunVCPU(h *hart.Hart, vm *VM, vcpu int) (sm.ExitInfo, error
 	return k.runNormalVCPU(h, vm, vcpu)
 }
 
-// countExit tallies an exit reason.
-func (vm *VM) countExit(kind string) {
+// exitKind indexes one run's exit tallies (exitTally); exitNames holds
+// the VM.Exits key of each kind.
+type exitKind uint8
+
+const (
+	exitMMIO exitKind = iota
+	exitSharedFault
+	exitPoolEmpty
+	exitS2Fault
+	exitTimer
+	exitShutdown
+	exitError
+	numExitKinds
+)
+
+var exitNames = [numExitKinds]string{"mmio", "sharedfault", "poolempty", "s2fault",
+	"timer", "shutdown", "error"}
+
+// exitTally counts one run's exits by kind in plain memory: a run adds to
+// it per exit and folds it into VM.Exits once, when it returns.
+type exitTally [numExitKinds]uint64
+
+// foldExits adds a run's tallies to VM.Exits under statMu. A kind the run
+// never took adds no key, so the map holds exactly the kinds seen.
+func (vm *VM) foldExits(t *exitTally) {
+	if *t == (exitTally{}) {
+		return
+	}
 	vm.statMu.Lock()
 	defer vm.statMu.Unlock()
 	if vm.Exits == nil {
 		vm.Exits = make(map[string]uint64)
 	}
-	vm.Exits[kind]++
+	for k, n := range t {
+		if n != 0 {
+			vm.Exits[exitNames[k]] += n
+		}
+	}
 }
 
 // GuestRAMBase is where both normal and confidential guests see their RAM

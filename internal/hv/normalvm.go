@@ -70,6 +70,8 @@ func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInf
 	v.Load(h)
 	v.Resume(h)
 
+	var tally exitTally
+	defer vm.foldExits(&tally)
 	for {
 		_, ev := h.Run(k.M.CLINT, ^uint64(0))
 		switch ev.Kind {
@@ -88,7 +90,7 @@ func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInf
 			case isa.ModeVS:
 				continue // guest handles its own delegated traps
 			case isa.ModeS:
-				exit, done, err := k.handleNormalExit(h, vm, v, t)
+				exit, done, err := k.handleNormalExit(h, vm, v, t, &tally)
 				if err != nil || done {
 					return exit, err
 				}
@@ -102,7 +104,7 @@ func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInf
 					}
 					v.PC = h.CSR(isa.CSRMepc)
 					v.Save(h)
-					vm.countExit("timer")
+					tally[exitTimer]++
 					return sm.ExitInfo{Reason: sm.ExitTimer}, nil
 				}
 				return sm.ExitInfo{Reason: sm.ExitError},
@@ -112,14 +114,16 @@ func (k *Hypervisor) runNormalVCPU(h *hart.Hart, vm *VM, vcpuID int) (sm.ExitInf
 	}
 }
 
-// handleNormalExit services one HS-mode trap from a normal guest.
-func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext, t hart.Trap) (sm.ExitInfo, bool, error) {
+// handleNormalExit services one HS-mode trap from a normal guest and
+// counts it in tally.
+func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext, t hart.Trap,
+	tally *exitTally) (sm.ExitInfo, bool, error) {
 	h.Advance(h.Cost.HVExitHandle)
 	switch t.Cause {
 	case isa.ExcLoadGuestPageFault, isa.ExcStoreGuestPageFault, isa.ExcInstGuestPageFault:
 		gpa := t.Tval2 << 2
 		if dev, off, ok := vm.deviceAt(gpa); ok {
-			vm.countExit("mmio")
+			tally[exitMMIO]++
 			if err := k.emulateMMIO(h, dev, off, t); err != nil {
 				return sm.ExitInfo{Reason: sm.ExitError}, true, err
 			}
@@ -128,7 +132,7 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext
 			return sm.ExitInfo{}, false, nil
 		}
 		if gpa >= GuestRAMBase {
-			vm.countExit("s2fault")
+			tally[exitS2Fault]++
 			start := h.Cycles - h.Cost.TrapEntry - h.Cost.HVExitHandle
 			if err := k.normalStage2Fault(h, vm, gpa); err != nil {
 				return sm.ExitInfo{Reason: sm.ExitError}, true, err
@@ -153,7 +157,7 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext
 			return sm.ExitInfo{Reason: sm.ExitError}, true, err
 		}
 		if done {
-			vm.countExit("shutdown")
+			tally[exitShutdown]++
 			return sm.ExitInfo{Reason: sm.ExitShutdown, Data: v.X[10], Data2: v.X[11]}, true, nil
 		}
 		return sm.ExitInfo{}, false, nil

@@ -305,11 +305,17 @@ func (m *PhysMemory) NoteWrite(addr, n uint64) {
 	}
 }
 
+// RangeError is the error an op ("read" or "write") of n bytes at addr
+// reports when the range escapes the RAM.
+func (m *PhysMemory) RangeError(op string, addr, n uint64) error {
+	return fmt.Errorf("mem: %s [%#x,+%d) outside RAM [%#x,+%#x)", op, addr, n, m.base, m.size)
+}
+
 // Read copies n bytes starting at addr into a fresh slice. It reports an
 // error if the range escapes the RAM.
 func (m *PhysMemory) Read(addr, n uint64) ([]byte, error) {
 	if !m.Contains(addr, n) {
-		return nil, fmt.Errorf("mem: read [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
+		return nil, m.RangeError("read", addr, n)
 	}
 	out := make([]byte, n)
 	off := uint64(0)
@@ -334,7 +340,7 @@ func (m *PhysMemory) Read(addr, n uint64) ([]byte, error) {
 func (m *PhysMemory) ReadInto(addr uint64, out []byte) error {
 	n := uint64(len(out))
 	if !m.Contains(addr, n) {
-		return fmt.Errorf("mem: read [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
+		return m.RangeError("read", addr, n)
 	}
 	off := uint64(0)
 	for off < n {
@@ -357,7 +363,7 @@ func (m *PhysMemory) ReadInto(addr uint64, out []byte) error {
 // untouched page reads zero and is not materialized by the check.
 func (m *PhysMemory) IsZero(addr, n uint64) (bool, error) {
 	if !m.Contains(addr, n) {
-		return false, fmt.Errorf("mem: read [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
+		return false, m.RangeError("read", addr, n)
 	}
 	off := uint64(0)
 	for off < n {
@@ -378,7 +384,7 @@ func (m *PhysMemory) IsZero(addr, n uint64) (bool, error) {
 func (m *PhysMemory) Write(addr uint64, data []byte) error {
 	n := uint64(len(data))
 	if !m.Contains(addr, n) {
-		return fmt.Errorf("mem: write [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
+		return m.RangeError("write", addr, n)
 	}
 	m.NoteWrite(addr, n)
 	off := uint64(0)
@@ -517,10 +523,10 @@ func (m *PhysMemory) Zero(addr, n uint64) error {
 // without staging the whole range through an allocated buffer.
 func (m *PhysMemory) Copy(dst, src, n uint64) error {
 	if !m.Contains(src, n) {
-		return fmt.Errorf("mem: read [%#x,+%d) outside RAM [%#x,+%#x)", src, n, m.base, m.size)
+		return m.RangeError("read", src, n)
 	}
 	if !m.Contains(dst, n) {
-		return fmt.Errorf("mem: write [%#x,+%d) outside RAM [%#x,+%#x)", dst, n, m.base, m.size)
+		return m.RangeError("write", dst, n)
 	}
 	if n == 0 || dst == src {
 		return nil

@@ -117,9 +117,15 @@ func (c *CLINT) SetTimer(i int, deadline uint64) {
 	hs.armed.Store(true)
 }
 
-// DisarmTimer cancels hart i's timer.
+// DisarmTimer cancels hart i's timer. A run with neither a quantum nor a
+// guest deadline disarms at every entry, mostly a timer that is already
+// disarmed; that case returns without the lock, and an arm racing with
+// it simply takes effect after this disarm.
 func (c *CLINT) DisarmTimer(i int) {
 	hs := &c.harts[i]
+	if !hs.armed.Load() {
+		return
+	}
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
 	hs.armed.Store(false)

@@ -15,16 +15,74 @@ import (
 // Levels in an Sv39 tree. Level 2 is the root, level 0 the 4 KiB leaf.
 const Levels = 3
 
-// Per-level fault reasons, fixed text so that a walk fault (every stage-2
-// miss: each MMIO exit and each demand fault) formats nothing.
-var (
-	invalidPTEReason = [Levels]string{
-		"invalid PTE at level 0", "invalid PTE at level 1", "invalid PTE at level 2",
-	}
-	misalignedSuperpageReason = [Levels]string{
-		"misaligned superpage at level 0", "misaligned superpage at level 1", "misaligned superpage at level 2",
-	}
+// FaultReason says why a walk faulted: an index into faultText, so a walk
+// fault (every stage-2 miss: each MMIO exit and each demand fault) carries
+// one byte of reason and formats nothing until Error is called.
+type FaultReason uint8
+
+// Walk fault reasons. The per-level ones are consecutive, level 0 first.
+const (
+	faultNone FaultReason = iota
+	faultRange
+	faultRangeSv39
+	faultInvalidPTE // + level
+	_
+	_
+	faultReservedWR
+	faultReserved
+	faultNonLeaf
+	faultMisaligned // + level
+	_
+	_
+	faultMisalignedNested
+	faultS2NoUser
+	faultUserToSuper
+	faultSuperToUser
+	faultNotReadable
+	faultNotWritable
+	faultNotExecutable
+	faultADClear
+	faultPTEFetchEscape
+	faultADUpdateEscape
+	faultNestedFetchEscape
+	faultPastLevel0
+	numFaultReasons
 )
+
+var faultText = [numFaultReasons]string{
+	faultNone:              "",
+	faultRange:             "address exceeds translated range",
+	faultRangeSv39:         "address exceeds Sv39 range",
+	faultInvalidPTE:        "invalid PTE at level 0",
+	faultInvalidPTE + 1:    "invalid PTE at level 1",
+	faultInvalidPTE + 2:    "invalid PTE at level 2",
+	faultReservedWR:        "reserved PTE encoding (W without R)",
+	faultReserved:          "reserved PTE encoding",
+	faultNonLeaf:           "non-leaf PTE at level 0",
+	faultMisaligned:        "misaligned superpage at level 0",
+	faultMisaligned + 1:    "misaligned superpage at level 1",
+	faultMisaligned + 2:    "misaligned superpage at level 2",
+	faultMisalignedNested:  "misaligned superpage",
+	faultS2NoUser:          "stage-2 leaf without U bit",
+	faultUserToSuper:       "user access to supervisor page",
+	faultSuperToUser:       "supervisor access to user page without SUM",
+	faultNotReadable:       "page not readable",
+	faultNotWritable:       "page not writable",
+	faultNotExecutable:     "page not executable",
+	faultADClear:           "A/D bit clear",
+	faultPTEFetchEscape:    "PTE fetch escaped RAM",
+	faultADUpdateEscape:    "A/D update escaped RAM",
+	faultNestedFetchEscape: "nested PTE fetch escaped RAM",
+	faultPastLevel0:        "walk ran past level 0",
+}
+
+// String implements fmt.Stringer.
+func (r FaultReason) String() string {
+	if r < numFaultReasons {
+		return faultText[r]
+	}
+	return fmt.Sprintf("fault reason %d", uint8(r))
+}
 
 // Access mirrors the three translation access kinds.
 type Access uint8
@@ -51,12 +109,16 @@ func (a Access) String() string {
 
 // PageFault describes a failed translation. GuestPage marks a stage-2
 // (G-stage) fault, which maps to the *guest-page-fault* trap causes the
-// hypervisor extension defines.
+// hypervisor extension defines. When a PTE access of Walk or Lookup
+// escaped RAM, the fault also records the PTE address and the memory, and
+// Error rebuilds the memory's own error text from them.
 type PageFault struct {
 	Addr      uint64 // faulting VA (stage-1) or GPA (stage-2)
+	PTEAddr   uint64 // the escaped PTE access (faultPTEFetchEscape, faultADUpdateEscape)
+	ram       *mem.PhysMemory
 	Access    Access
 	GuestPage bool
-	Reason    string
+	Reason    FaultReason
 }
 
 // Error implements error.
@@ -65,7 +127,15 @@ func (f *PageFault) Error() string {
 	if f.GuestPage {
 		stage = "guest-page"
 	}
-	return fmt.Sprintf("ptw: %s fault on %v at %#x: %s", stage, f.Access, f.Addr, f.Reason)
+	reason := f.Reason.String()
+	if f.ram != nil {
+		op := "read"
+		if f.Reason == faultADUpdateEscape {
+			op = "write"
+		}
+		reason += ": " + f.ram.RangeError(op, f.PTEAddr, 8).Error()
+	}
+	return fmt.Sprintf("ptw: %s fault on %v at %#x: %s", stage, f.Access, f.Addr, reason)
 }
 
 // Cause returns the RISC-V trap cause for the fault.
@@ -171,24 +241,27 @@ func (w *Walker) Walk(rootPA, va uint64, acc Access, opts Opts) (Result, error) 
 // Lookup is Walk with the fault returned by value: ok is false when the
 // walk faulted, and f describes why. Nothing is allocated, so the trap
 // path (every MMIO exit and demand fault) can take walk faults for free.
+// A fault reports no steps: its PTE fetches are not charged.
 func (w *Walker) Lookup(rootPA, va uint64, acc Access, opts Opts) (res Result, f PageFault, ok bool) {
-	res, f, ok = w.walk(rootPA, va, acc, opts)
-	if w.Stats != nil {
-		w.Stats.Walks++
-		w.Stats.Steps += uint64(res.Steps)
-		if !ok {
-			w.Stats.Faults++
-		}
-	}
+	f, ok = w.lookup(&res, rootPA, va, acc, opts)
 	return res, f, ok
 }
 
-func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, PageFault, bool) {
-	fault := func(reason string) (Result, PageFault, bool) {
-		return Result{}, PageFault{Addr: va, Access: acc, GuestPage: opts.Stage2, Reason: reason}, false
+// lookup is Lookup with the result written to *res, which a fault leaves
+// untouched: a caller that walks into a field of its own result copies no
+// Result back.
+func (w *Walker) lookup(res *Result, rootPA, va uint64, acc Access, opts Opts) (PageFault, bool) {
+	fault := func(reason FaultReason) (PageFault, bool) {
+		w.count(0, false)
+		return PageFault{Addr: va, Access: acc, GuestPage: opts.Stage2, Reason: reason}, false
+	}
+	escape := func(reason FaultReason, pteAddr uint64) (PageFault, bool) {
+		w.count(0, false)
+		return PageFault{Addr: va, PTEAddr: pteAddr, ram: w.Mem, Access: acc,
+			GuestPage: opts.Stage2, Reason: reason}, false
 	}
 	if va >= MaxVA(opts.Stage2) {
-		return fault("address exceeds translated range")
+		return fault(faultRange)
 	}
 	tablePA := rootPA
 	steps := 0
@@ -197,20 +270,20 @@ func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, PageFau
 		pteAddr := tablePA + idx*8
 		pte, err := w.Mem.ReadUint64(pteAddr)
 		if err != nil {
-			return fault("PTE fetch escaped RAM: " + err.Error())
+			return escape(faultPTEFetchEscape, pteAddr)
 		}
 		steps++
 		if pte&isa.PTEValid == 0 {
-			return fault(invalidPTEReason[level])
+			return fault(faultInvalidPTE + FaultReason(level))
 		}
 		r, ww, x := pte&isa.PTERead != 0, pte&isa.PTEWrite != 0, pte&isa.PTEExec != 0
 		if ww && !r {
-			return fault("reserved PTE encoding (W without R)")
+			return fault(faultReservedWR)
 		}
 		if !r && !ww && !x {
 			// Pointer to next level.
 			if level == 0 {
-				return fault("non-leaf PTE at level 0")
+				return fault(faultNonLeaf)
 			}
 			tablePA = (pte >> isa.PTEPPNShift) << isa.PageShift
 			continue
@@ -218,10 +291,10 @@ func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, PageFau
 		// Leaf.
 		ppn := (pte >> isa.PTEPPNShift) << isa.PageShift
 		if level > 0 && ppn&pageOffsetMask(level) != 0 {
-			return fault(misalignedSuperpageReason[level])
+			return fault(faultMisaligned + FaultReason(level))
 		}
-		if err := checkLeafPerms(pte, acc, opts); err != "" {
-			return fault(err)
+		if reason := checkLeafPerms(pte, acc, opts); reason != faultNone {
+			return fault(reason)
 		}
 		// A/D maintenance.
 		need := isa.PTEAccess
@@ -230,49 +303,63 @@ func (w *Walker) walk(rootPA, va uint64, acc Access, opts Opts) (Result, PageFau
 		}
 		if pte&need != need {
 			if opts.NoAD {
-				return fault("A/D bit clear")
+				return fault(faultADClear)
 			}
 			pte |= need
 			if err := w.Mem.WriteUint64(pteAddr, pte); err != nil {
-				return fault("A/D update escaped RAM: " + err.Error())
+				return escape(faultADUpdateEscape, pteAddr)
 			}
 		}
 		pa := ppn | va&pageOffsetMask(level)
-		return Result{PA: pa, PTE: pte, PTEAddr: pteAddr, Level: level, Steps: steps}, PageFault{}, true
+		w.count(steps, true)
+		*res = Result{PA: pa, PTE: pte, PTEAddr: pteAddr, Level: level, Steps: steps}
+		return PageFault{}, true
 	}
-	return fault("walk ran past level 0") // unreachable
+	return fault(faultPastLevel0) // unreachable
 }
 
-func checkLeafPerms(pte uint64, acc Access, opts Opts) string {
+// count adds one walk of steps PTE fetches to the walker's stats.
+func (w *Walker) count(steps int, ok bool) {
+	if w.Stats == nil {
+		return
+	}
+	w.Stats.Walks++
+	w.Stats.Steps += uint64(steps)
+	if !ok {
+		w.Stats.Faults++
+	}
+}
+
+func checkLeafPerms(pte uint64, acc Access, opts Opts) FaultReason {
 	user := pte&isa.PTEUser != 0
 	if opts.Stage2 {
 		// All G-stage leaves must be marked user-accessible, per spec.
 		if !user {
-			return "stage-2 leaf without U bit"
+			return faultS2NoUser
 		}
 	} else if opts.User && !user {
-		return "user access to supervisor page"
+		return faultUserToSuper
 	} else if !opts.User && user && !opts.SUM {
-		return "supervisor access to user page without SUM"
+		return faultSuperToUser
 	}
 	switch acc {
 	case AccessRead:
 		if pte&isa.PTERead == 0 {
 			if opts.MXR && pte&isa.PTEExec != 0 {
-				return ""
+				return faultNone
 			}
-			return "page not readable"
+			return faultNotReadable
 		}
 	case AccessWrite:
 		if pte&isa.PTEWrite == 0 {
-			return "page not writable"
+			return faultNotWritable
 		}
 	case AccessFetch:
 		if pte&isa.PTEExec == 0 {
-			return "page not executable"
+			return faultNotExecutable
 		}
 	}
-	return ""
+	return faultNone
 }
 
 // TwoStageResult describes a nested VS-mode translation.
@@ -294,25 +381,25 @@ type TwoStageResult struct {
 // fault whose Addr is the GPA — exactly the value hardware reports in
 // htval (shifted right by 2). A failed walk returns a *PageFault.
 func (w *Walker) TranslateTwoStage(vsatpRoot, hgatpRoot, va uint64, acc Access, user bool) (TwoStageResult, error) {
-	out, f, ok := w.LookupTwoStage(vsatpRoot, hgatpRoot, va, acc, user)
-	if !ok {
+	var out TwoStageResult
+	if f, ok := w.LookupTwoStage(&out, vsatpRoot, hgatpRoot, va, acc, user); !ok {
 		return out, &f
 	}
 	return out, nil
 }
 
-// LookupTwoStage is TranslateTwoStage with the fault returned by value,
-// as Lookup is to Walk. On a fault the result's Steps still counts every
-// PTE fetch the walk performed.
-func (w *Walker) LookupTwoStage(vsatpRoot, hgatpRoot, va uint64, acc Access, user bool) (TwoStageResult, PageFault, bool) {
-	out := TwoStageResult{}
+// LookupTwoStage is TranslateTwoStage with the result written to *out and
+// the fault returned by value, as Lookup is to Walk. On a fault out's
+// Steps still counts the PTE fetches of the stage-1 walk.
+func (w *Walker) LookupTwoStage(out *TwoStageResult, vsatpRoot, hgatpRoot, va uint64, acc Access, user bool) (PageFault, bool) {
+	*out = TwoStageResult{}
 	gpa := va
 	if vsatpRoot != 0 {
 		// Nested stage-1 walk: translate each PTE address through stage 2.
 		res, steps, f, ok := w.walkStage1Nested(vsatpRoot, hgatpRoot, va, acc, user)
 		out.Steps += steps
 		if !ok {
-			return out, f, false
+			return f, false
 		}
 		out.Stage1Leaf = res
 		gpa = res.PA
@@ -320,25 +407,24 @@ func (w *Walker) LookupTwoStage(vsatpRoot, hgatpRoot, va uint64, acc Access, use
 	out.GPA = gpa
 	// Implicit accesses for stage-1 PTE fetches are reads; the final
 	// access uses the original access type.
-	s2, f, ok := w.Lookup(hgatpRoot, gpa, acc, Opts{Stage2: true})
-	out.Steps += s2.Steps
+	f, ok := w.lookup(&out.Stage2Leaf, hgatpRoot, gpa, acc, Opts{Stage2: true})
 	if !ok {
-		return out, f, false
+		return f, false
 	}
-	out.Stage2Leaf = s2
-	out.PA = s2.PA
-	return out, PageFault{}, true
+	out.Steps += out.Stage2Leaf.Steps
+	out.PA = out.Stage2Leaf.PA
+	return PageFault{}, true
 }
 
 // walkStage1Nested is Walk specialised for the VS stage-1 tree, where each
 // PTE fetch address is a GPA needing its own G-stage walk.
 func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, user bool) (Result, int, PageFault, bool) {
 	steps := 0
-	fault := func(reason string) (Result, int, PageFault, bool) {
+	fault := func(reason FaultReason) (Result, int, PageFault, bool) {
 		return Result{}, steps, PageFault{Addr: va, Access: acc, GuestPage: false, Reason: reason}, false
 	}
 	if va >= MaxVA(false) {
-		return fault("address exceeds Sv39 range")
+		return fault(faultRangeSv39)
 	}
 	tableGPA := rootGPA
 	opts := Opts{User: user}
@@ -353,29 +439,29 @@ func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, use
 		}
 		pte, err := w.Mem.ReadUint64(g.PA)
 		if err != nil {
-			return fault("nested PTE fetch escaped RAM")
+			return fault(faultNestedFetchEscape)
 		}
 		steps++
 		if pte&isa.PTEValid == 0 {
-			return fault(invalidPTEReason[level])
+			return fault(faultInvalidPTE + FaultReason(level))
 		}
 		r, ww, x := pte&isa.PTERead != 0, pte&isa.PTEWrite != 0, pte&isa.PTEExec != 0
 		if ww && !r {
-			return fault("reserved PTE encoding")
+			return fault(faultReserved)
 		}
 		if !r && !ww && !x {
 			if level == 0 {
-				return fault("non-leaf PTE at level 0")
+				return fault(faultNonLeaf)
 			}
 			tableGPA = (pte >> isa.PTEPPNShift) << isa.PageShift
 			continue
 		}
 		ppn := (pte >> isa.PTEPPNShift) << isa.PageShift
 		if level > 0 && ppn&pageOffsetMask(level) != 0 {
-			return fault("misaligned superpage")
+			return fault(faultMisalignedNested)
 		}
-		if msg := checkLeafPerms(pte, acc, opts); msg != "" {
-			return fault(msg)
+		if reason := checkLeafPerms(pte, acc, opts); reason != faultNone {
+			return fault(reason)
 		}
 		need := isa.PTEAccess
 		if acc == AccessWrite {
@@ -390,11 +476,11 @@ func (w *Walker) walkStage1Nested(rootGPA, hgatpRoot, va uint64, acc Access, use
 				return Result{}, steps, gf, false
 			}
 			if err := w.Mem.WriteUint64(gw.PA, pte); err != nil {
-				return fault("A/D update escaped RAM")
+				return fault(faultADUpdateEscape)
 			}
 		}
 		pa := ppn | va&pageOffsetMask(level)
 		return Result{PA: pa, PTE: pte, PTEAddr: g.PA, Level: level, Steps: steps}, steps, PageFault{}, true
 	}
-	return fault("walk ran past level 0")
+	return fault(faultPastLevel0)
 }

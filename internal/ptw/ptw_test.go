@@ -2,7 +2,7 @@ package ptw
 
 import (
 	"errors"
-	"strings"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -181,7 +181,7 @@ func TestMisalignedSuperpageFaults(t *testing.T) {
 	if !errors.As(err, &pf) {
 		t.Fatalf("misaligned superpage must fault, got %v", err)
 	}
-	if pf.Reason != "misaligned superpage at level 1" {
+	if pf.Reason.String() != "misaligned superpage at level 1" {
 		t.Errorf("Reason = %q", pf.Reason)
 	}
 }
@@ -480,12 +480,42 @@ func TestMapParameterValidation(t *testing.T) {
 }
 
 func TestFaultErrorString(t *testing.T) {
-	pf := &PageFault{Addr: 0x1234, Access: AccessWrite, GuestPage: true, Reason: "x"}
-	if !strings.Contains(pf.Error(), "guest-page") || !strings.Contains(pf.Error(), "0x1234") {
-		t.Errorf("Error() = %q", pf.Error())
+	pf := &PageFault{Addr: 0x1234, Access: AccessWrite, GuestPage: true, Reason: faultNotWritable}
+	if got, want := pf.Error(), "ptw: guest-page fault on write at 0x1234: page not writable"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
+	if FaultReason(200).String() != "fault reason 200" {
+		t.Errorf("out-of-range reason = %q", FaultReason(200).String())
+	}
+	for r := faultRange; r < numFaultReasons; r++ {
+		if r.String() == "" {
+			t.Errorf("reason %d has no text", r)
+		}
 	}
 	if AccessRead.String() != "read" || AccessWrite.String() != "write" || AccessFetch.String() != "fetch" || Access(9).String() != "?" {
 		t.Error("Access.String mismatch")
+	}
+}
+
+// A PTE fetch that escapes RAM keeps the memory's own error text in the
+// fault's, rebuilt from the PTE address; Lookup returns the same fault.
+func TestWalkEscapeErrorText(t *testing.T) {
+	ram, _, w := newEnv(t)
+	root := ram.Base() + ram.Size() // the whole root table lies past RAM
+	const gpa = 0x8000_0000
+	_, err := w.Walk(root, gpa, AccessRead, Opts{Stage2: true})
+	pte := root + vpn(gpa, Levels-1, true)*8
+	want := fmt.Sprintf("ptw: guest-page fault on read at %#x: PTE fetch escaped RAM: "+
+		"mem: read [%#x,+8) outside RAM [%#x,+%#x)", gpa, pte, ram.Base(), ram.Size())
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	var pf *PageFault
+	if !errors.As(err, &pf) || pf.Reason != faultPTEFetchEscape || pf.PTEAddr != pte {
+		t.Fatalf("fault = %+v", pf)
+	}
+	if _, f, ok := w.Lookup(root, gpa, AccessRead, Opts{Stage2: true}); ok || f != *pf {
+		t.Errorf("Lookup = %+v, %v; want %+v, false", f, ok, *pf)
 	}
 }
 
@@ -518,7 +548,7 @@ func TestWalkFaultReasonAllocs(t *testing.T) {
 		if !errors.As(err, &pf) || !pf.GuestPage {
 			t.Fatalf("gpa %#x: err = %v, want guest-page fault", gpa, err)
 		}
-		if pf.Reason != want[level] {
+		if pf.Reason.String() != want[level] {
 			t.Errorf("gpa %#x: Reason = %q, want %q", gpa, pf.Reason, want[level])
 		}
 		if _, f, ok := w.Lookup(root, gpa, AccessRead, Opts{Stage2: true}); ok || f != *pf {
@@ -540,14 +570,15 @@ func TestWalkFaultReasonAllocs(t *testing.T) {
 	if !errors.As(err, &pf) || pf.GuestPage {
 		t.Fatalf("nested walk: err = %v, want stage-1 fault", err)
 	}
-	if pf.Reason != "invalid PTE at level 2" {
+	if pf.Reason.String() != "invalid PTE at level 2" {
 		t.Errorf("nested walk: Reason = %q", pf.Reason)
 	}
-	if _, f, ok := w.LookupTwoStage(vsRoot, root, 0x10_0000, AccessRead, false); ok || f != *pf {
+	var out TwoStageResult
+	if f, ok := w.LookupTwoStage(&out, vsRoot, root, 0x10_0000, AccessRead, false); ok || f != *pf {
 		t.Errorf("nested LookupTwoStage = %+v, %v; want %+v, false", f, ok, *pf)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		_, _, _ = w.LookupTwoStage(vsRoot, root, 0x10_0000, AccessRead, false)
+		_, _ = w.LookupTwoStage(&out, vsRoot, root, 0x10_0000, AccessRead, false)
 	})
 	if allocs != 0 {
 		t.Errorf("nested walk fault allocates %v objects, want 0", allocs)

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,5 +155,39 @@ func TestViolationTraced(t *testing.T) {
 		inst[0].CVM != int32(f.id) || inst[0].Note != notes[0] {
 		t.Errorf("sm/quarantine instants = %+v, want one on hart %d for cvm %d with note %q",
 			inst, f.h.ID, f.id, notes[0])
+	}
+}
+
+// TestMMIOExitFlightTailNamesCVM: the trap that ends a run is recorded
+// with the CVM it was taken in, so an MMIO exit's flight tail names the
+// CVM three times, and a trap outside any CVM names none.
+func TestMMIOExitFlightTailNamesCVM(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.buildCVM(shutdownProgram(func(p *asm.Program) {
+		p.LI(asm.T0, 0x1000_0000)
+		p.LD(asm.S4, asm.T0, 0)
+	}))
+	if info := f.run(); info.Reason != ExitMMIORead {
+		t.Fatalf("exit = %v, want mmio-read", info.Reason)
+	}
+	tail := f.m.Flight.RenderTail(0, 3)
+	cvm := fmt.Sprintf("cvm=%-3d", f.id)
+	for i, kind := range []string{"world-enter", "trap", "world-exit"} {
+		if i >= len(tail) || !strings.Contains(tail[i], kind+" ") || !strings.Contains(tail[i], cvm) {
+			t.Fatalf("flight tail:\n%s\nwant world-enter, trap, world-exit, each with %s",
+				strings.Join(tail, "\n"), cvm)
+		}
+	}
+	if f.h.CVM != telemetry.NoCVM {
+		t.Errorf("hart tagged with CVM %d after the exit", f.h.CVM)
+	}
+	// The hypervisor's own trap, outside any CVM, names no CVM.
+	f.h.PC = stagingPA
+	if err := f.m.RAM.Write(stagingPA, asm.New(stagingPA).EBREAK().MustAssemble()); err != nil {
+		t.Fatal(err)
+	}
+	f.h.Step()
+	if last := f.m.Flight.Tail(0, 1)[0]; last.Kind != telemetry.FlightTrap || last.CVM != telemetry.NoCVM {
+		t.Errorf("trap outside a CVM recorded as %v", last)
 	}
 }

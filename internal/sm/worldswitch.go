@@ -162,11 +162,10 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	s.tel.Span(h.ID, "sm", "ws.entry", entryStart, h.Cycles, c.ID, uint64(vcpuID))
 	s.tel.AttrSwitch(h.ID, h.Cycles, c.ID, telemetry.AttrGuest)
 	h.Flight.Record(h.Cycles, telemetry.FlightWorldEnter, c.ID, uint64(vcpuID), 0, "")
-	v.on = h
+	v.on, h.CVM = h, c.ID
 	s.mu.Unlock()
-	info, exitStart := s.runLoop(h, c, v)
-	s.mu.Lock()
-	v.on = nil
+	info, exitStart := s.runLoop(h, c, v) // returns with s.mu held
+	v.on, h.CVM = nil, telemetry.NoCVM
 	s.tel.AttrSwitch(h.ID, exitStart, c.ID, telemetry.AttrSMExit)
 	s.exitCVM(h, c, v, &ctx, info)
 	h.Advance(h.Cost.TrapReturn)
@@ -364,6 +363,10 @@ func (s *SM) resumeFromExit(h *hart.Hart, c *CVM, v *VCPU) error {
 // vector into the guest architecturally and interpretation continues.
 // The second return value is the cycle count at which the terminating
 // event began (for §V.B exit-latency accounting).
+//
+// runLoop is entered without s.mu and returns with it held on every path,
+// so a run that a monitor service ends goes straight from that service
+// into RunVCPU's exit half in one lock section.
 func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 	for {
 		budget := ^uint64(0)
@@ -380,6 +383,7 @@ func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 			// A running CVM is never idle, so global halt is impossible
 			// here; exit defensively if it ever happens.
 			v.sec.PC = h.PC
+			s.mu.Lock()
 			return ExitInfo{Reason: ExitTimer}, h.Cycles
 		case hart.EvWFI:
 			if h.IdleUntilTimer(s.machine.CLINT) {
@@ -388,6 +392,7 @@ func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 			// Idle with nothing armed: yield to the hypervisor. The hart
 			// already advanced past the wfi, so its PC is authoritative.
 			v.sec.PC = h.PC
+			s.mu.Lock()
 			return ExitInfo{Reason: ExitTimer}, h.Cycles
 		case hart.EvTrap:
 			t := ev.Trap
@@ -402,7 +407,6 @@ func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 				// monitor entries.
 				s.mu.Lock()
 				info, done := s.handleCVMTrap(h, c, v, t)
-				s.mu.Unlock()
 				if done {
 					if info.Reason == ExitPoolEmpty {
 						// The stage-3 fault handling that ran in the SM
@@ -412,11 +416,13 @@ func (s *SM) runLoop(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, uint64) {
 					}
 					return info, trapStart
 				}
+				s.mu.Unlock()
 				// The trap was serviced in place (MRet): the guest runs again.
 				s.tel.AttrSwitch(h.ID, h.Cycles, c.ID, telemetry.AttrGuest)
 			default:
 				// Nothing may reach HS while in CVM mode.
 				v.sec.PC = t.PC
+				s.mu.Lock()
 				return ExitInfo{Reason: ExitError}, trapStart
 			}
 		}

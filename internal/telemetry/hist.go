@@ -21,11 +21,11 @@ const (
 
 // Histogram is a fixed-bucket cycle histogram. Observations and reads are
 // lock-free (atomic adds plus CAS min/max), so record sites are race-clean
-// and allocation-free. Sum and Count are exact, so Mean() reproduces the
-// raw-sum statistics the histogram replaces bit-for-bit; quantiles are
-// bucket estimates.
+// and allocation-free. An observation adds to the sum and to one bucket
+// only; Count sums the buckets when read. Sum and Count are exact, so
+// Mean() reproduces the raw-sum statistics the histogram replaces
+// bit-for-bit; quantiles are bucket estimates.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	min     atomic.Uint64 // stored as value+1 so 0 means "empty"
 	max     atomic.Uint64
@@ -59,7 +59,6 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketIndex(v)].Add(1)
 	h.updateMin(v)
@@ -132,7 +131,6 @@ func (l *LocalHist) Drain(h *Histogram) {
 		}
 	}
 	if h != nil {
-		h.count.Add(l.count)
 		h.sum.Add(l.sum)
 		h.updateMin(l.min - 1)
 		h.updateMax(l.max)
@@ -162,12 +160,17 @@ func (h *Histogram) Export() []HistBucket {
 	return out
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations: the sum of the buckets, so
+// it costs a pass over them where Observe saves an atomic add.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Sum returns the exact sum of all observations.

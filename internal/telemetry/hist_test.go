@@ -3,8 +3,50 @@ package telemetry
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
+
+// TestHistogramCountFromBuckets: Observe keeps no count of its own, so
+// Count, the buckets' sum, must still be exact under concurrent
+// observers, extremes included, and Mean the exact sum over it.
+func TestHistogramCountFromBuckets(t *testing.T) {
+	h := NewHistogram()
+	const workers, each = 4, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(uint64(w*each + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	var l LocalHist
+	l.Observe(0)
+	l.Observe(1 << 40)
+	l.Drain(h)
+	h.Observe(1 << 50)
+	n := uint64(workers*each + 3)
+	sum := uint64(workers*each*(workers*each-1)/2 + 1<<40 + 1<<50)
+	if h.Count() != n || h.Sum() != sum {
+		t.Fatalf("count/sum = %d/%d, want %d/%d", h.Count(), h.Sum(), n, sum)
+	}
+	if got, want := h.Mean(), float64(sum)/float64(n); got != want {
+		t.Errorf("Mean = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkHistogramObserve times one Observe: the record cost of the
+// world switch's entry and exit latency histograms.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram()
+	for i := 0; i < b.N; i++ {
+		h.Observe(uint64(i & 0xFFF))
+	}
+}
 
 // TestQuantileEmpty: an empty histogram answers 0 for every quantile
 // (and for min/max/mean), never panicking or dividing by zero.

@@ -116,7 +116,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto)")
 	timelineOut := flag.String("timeline", "", "write a plain-text cycle timeline file ('-' = stdout)")
 	metrics := flag.Bool("metrics", false, "dump the telemetry metrics registry after the run")
-	traceCap := flag.Int("tracecap", 0, "trace ring capacity in events (0 = default)")
+	traceCap := flag.Int("tracecap", 0, "depth in events of each hart's event ring on an armed machine, never below the 64-event flight depth (0 = 65536)")
 	cpuprofile := flag.String("cpuprofile", "", "write a Go CPU profile of the simulator itself")
 	memprofile := flag.String("memprofile", "", "write a Go heap profile of the simulator itself")
 	hostbench := flag.String("hostbench", "", "measure the host benchmark ledger and write it as JSON to FILE")

@@ -146,6 +146,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	}
 	m := platform.New(cfg.Harts, cfg.RAMSize)
 	sc := benchSink.Scope()
+	m.SetTelemetry(sc)
 	if sc != nil && cfg.SM.Telemetry == nil {
 		cfg.SM.Telemetry = sc
 	}
@@ -163,8 +164,6 @@ func NewEnv(cfg EnvConfig) *Env {
 	if sc != nil {
 		k.SetTelemetry(sc)
 		for _, hh := range m.Harts {
-			hh.Tel = sc
-			hh.Prof = sc.Profiler(hh.ID) // nil unless the sink armed profiling
 			// Per-tier dispatch-length distributions (no-op on slow-engine
 			// harts; the engine's record sites are nil-guarded when the
 			// plane is dark, preserving zero overhead when disabled).

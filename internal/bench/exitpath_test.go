@@ -22,7 +22,7 @@ type exitPathOutcome struct {
 	Walks             ptw.WalkStats
 	Entries, Exits    uint64
 	EntrySum, ExitSum uint64
-	Flight            []telemetry.FlightEvent
+	Flight            []telemetry.Event
 }
 
 // runExitPath boots a stack with cfg, runs one CVM of image to shutdown,

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"zion/internal/platform"
@@ -276,9 +275,9 @@ func TestMicroRowsReportPercentiles(t *testing.T) {
 }
 
 // TestParallelEventsStayOnTheirHart: two aes CVMs run on two harts under
-// the parallel engine with telemetry armed. Each CVM's "sm" records sit on
-// the trace stream of the hart that ran it (found from its ws.entry
-// spans), its world switches sit on that hart's flight ring, and two runs
+// the parallel engine with telemetry armed. Each CVM's "sm" and "hart"
+// records export on the trace stream of the hart that ran it (found from
+// its ws.entry spans), its world switches sit on that hart's ring, and two runs
 // in Ordered mode export byte-identical Chrome traces. Free-running mode
 // hands out CVM ids in the order the host schedules the two creations
 // (TestConcurrentCVMCreation races them on purpose), so its exports may
@@ -304,16 +303,33 @@ func TestParallelEventsStayOnTheirHart(t *testing.T) {
 		e := envs[0]
 		FlushTelemetry()
 
-		recs := sink.Tracer.Snapshot()
+		var buf bytes.Buffer
+		if err := sink.ExportChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Cat  string `json:"cat"`
+				Ts   uint64 `json:"ts"`
+				TID  int32  `json:"tid"`
+				Args struct {
+					CVM int32 `json:"cvm"`
+				} `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
 		hartOf := map[int32]int32{}
-		for _, r := range recs {
+		for _, r := range f.TraceEvents {
 			if r.Cat != "sm" || r.Name != "ws.entry" {
 				continue
 			}
-			if h, ok := hartOf[r.CVM]; ok && h != r.TID {
-				t.Fatalf("cvm %d entered on harts %d and %d", r.CVM, h, r.TID)
+			if h, ok := hartOf[r.Args.CVM]; ok && h != r.TID {
+				t.Fatalf("cvm %d entered on harts %d and %d", r.Args.CVM, h, r.TID)
 			}
-			hartOf[r.CVM] = r.TID
+			hartOf[r.Args.CVM] = r.TID
 		}
 		var harts []int32
 		for _, h := range hartOf {
@@ -322,24 +338,24 @@ func TestParallelEventsStayOnTheirHart(t *testing.T) {
 		if len(harts) != 2 || harts[0] == harts[1] {
 			t.Fatalf("ws.entry spans place the CVMs on harts %v, want two CVMs on two harts", hartOf)
 		}
-		for _, r := range recs {
-			if !strings.HasPrefix(r.Cat, "sm") || r.CVM == telemetry.NoCVM {
+		for _, r := range f.TraceEvents {
+			if (r.Cat != "sm" && r.Cat != "hart") || r.Args.CVM == telemetry.NoCVM {
 				continue
 			}
-			if want := hartOf[r.CVM]; r.TID != want {
+			if want := hartOf[r.Args.CVM]; r.TID != want {
 				t.Errorf("%s/%s of cvm %d at cycle %d is on tid %d, the cvm ran on hart %d",
-					r.Cat, r.Name, r.CVM, r.Cycle, r.TID, want)
+					r.Cat, r.Name, r.Args.CVM, r.Ts, r.TID, want)
 			}
 		}
 
 		switches := map[int32]int{}
 		for i := 0; i < e.M.Flight.Harts(); i++ {
 			for _, ev := range e.M.Flight.Tail(i, 0) {
-				if ev.Kind != telemetry.FlightWorldEnter && ev.Kind != telemetry.FlightWorldExit {
+				if ev.Kind != telemetry.EvWorldEnter && ev.Kind != telemetry.EvWorldExit {
 					continue
 				}
-				switches[int32(ev.CVM)]++
-				if want := hartOf[int32(ev.CVM)]; int32(i) != want || ev.Hart != i {
+				switches[ev.CVM]++
+				if want := hartOf[ev.CVM]; int32(i) != want {
 					t.Errorf("%v of cvm %d is on hart %d's flight ring, the cvm ran on hart %d",
 						ev.Kind, ev.CVM, i, want)
 				}
@@ -351,10 +367,6 @@ func TestParallelEventsStayOnTheirHart(t *testing.T) {
 			}
 		}
 
-		var buf bytes.Buffer
-		if err := sink.ExportChromeTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
 		return buf.Bytes()
 	}
 	run(false)

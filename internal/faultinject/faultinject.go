@@ -406,7 +406,7 @@ func (in *Injector) drive(id int, want uint64, maxRounds int) (Outcome, error) {
 func (in *Injector) Inject(class Class) (Outcome, error) {
 	// Black-box the injection before it fires, so a quarantine post-mortem
 	// taken downstream shows the fault that caused it in its flight tail.
-	in.m.Flight.Ring(in.h.ID).Record(in.h.Cycles, telemetry.FlightFault,
+	in.m.Flight.Ring(in.h.ID).Record(in.h.Cycles, telemetry.EvFault,
 		telemetry.NoCVM, uint64(class), 0, class.String())
 	switch class {
 	case ClassBitFlip:

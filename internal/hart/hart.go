@@ -108,8 +108,9 @@ type Hart struct {
 	// WalkStats counts page-table walk activity (telemetry).
 	WalkStats ptw.WalkStats
 
-	// Tel, when non-nil, records a cycle-domain instant per architectural
-	// trap. Nil costs one branch per trap.
+	// Tel is the telemetry scope the hart's machine is armed under (nil
+	// when unarmed; platform.Machine.SetTelemetry sets it). The hart
+	// records its traps on Flight either way.
 	Tel *telemetry.Scope
 
 	// Prof, when non-nil, is this hart's cycle-domain sampling profiler:
@@ -118,13 +119,14 @@ type Hart struct {
 	// off — costs one branch per dispatch.
 	Prof *telemetry.HartProfiler
 
-	// Flight, when non-nil, is this hart's always-on black-box ring.
+	// Flight, when non-nil, is this hart's event ring: the always-on
+	// black box and, on an armed machine, the hart's trace stream.
 	// Recording is rare (traps, world switches — never per instruction)
 	// and touches no simulated state, so it cannot perturb bit-identity.
 	Flight *telemetry.FlightRing
 	// CVM is the id of the confidential VM whose world the hart is in,
 	// telemetry.NoCVM outside one: the SM sets it at world enter and
-	// clears it at exit, so a FlightTrap names the CVM it was taken in.
+	// clears it at exit, so a trap record names the CVM it was taken in.
 	CVM int
 
 	// Parallel-engine hooks (internal/platform engine). When the quantum
@@ -318,11 +320,7 @@ func (h *Hart) TakeTrap(ti trapInfo) Trap {
 	target := h.trapTarget(ti.cause, from)
 	h.Cycles += h.Cost.TrapEntry
 	h.traps[ti.cause>>63][ti.cause&(trapCodes-1)]++
-	if h.Tel != nil {
-		h.Tel.Instant(h.ID, "hart", "trap", h.Cycles, telemetry.NoCVM,
-			ti.cause, isa.CauseName(ti.cause))
-	}
-	h.Flight.Record(h.Cycles, telemetry.FlightTrap, h.CVM,
+	h.Flight.Record(h.Cycles, telemetry.EvTrap, h.CVM,
 		ti.cause, h.PC, isa.CauseName(ti.cause))
 
 	t := Trap{Cause: ti.cause, Tval: ti.tval, Tval2: ti.tval2, Tinst: ti.tinst,

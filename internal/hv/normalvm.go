@@ -143,7 +143,7 @@ func (k *Hypervisor) handleNormalExit(h *hart.Hart, vm *VM, v *hart.GuestContext
 			k.S2FaultCount++
 			k.mu.Unlock()
 			k.s2Hist.Observe(h.Cycles - start)
-			k.Tel.Span(h.ID, "hv", "s2fault.normal", start, h.Cycles, telemetry.NoCVM, gpa)
+			h.Flight.Span(telemetry.EvS2FaultNormal, start, h.Cycles, telemetry.NoCVM, gpa, "")
 			return sm.ExitInfo{}, false, nil
 		}
 		v.PC = h.CSR(isa.CSRSepc)

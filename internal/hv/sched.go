@@ -5,6 +5,7 @@ import (
 
 	"zion/internal/hart"
 	"zion/internal/sm"
+	"zion/internal/telemetry"
 )
 
 // Scheduler multiplexes many vCPUs — confidential and normal, mixed —
@@ -69,8 +70,7 @@ func (s *Scheduler) RunAll(h *hart.Hart) ([]VMResult, error) {
 			e.rounds++
 			sliceStart := h.Cycles
 			info, err := s.k.RunVCPU(h, e.vm, e.vcpu)
-			s.k.Tel.Span(h.ID, "hv", "slice."+e.vm.Name, sliceStart, h.Cycles,
-				e.vm.telID(), e.rounds)
+			h.Flight.Span(telemetry.EvSlice, sliceStart, h.Cycles, e.vm.telID(), e.rounds, e.vm.Name)
 			if err != nil {
 				// Graceful degradation: a fatal per-CVM fault (the SM
 				// quarantined the CVM), a recoverable protocol error or a

@@ -71,7 +71,7 @@ func TestEndpoints(t *testing.T) {
 	sc.Counter("sm/gate_calls").Inc()
 	sc.Profiler(0).Sample(0x1000, "HS", telemetry.ProfTierSlow, 64)
 	flight := telemetry.NewFlightRecorder(2, 8)
-	flight.Ring(1).Record(42, telemetry.FlightTrap, telemetry.NoCVM, 2, 0, "ecall")
+	flight.Ring(1).Record(42, telemetry.EvTrap, telemetry.NoCVM, 2, 0, "ecall")
 
 	s := New(sink, flight)
 	s.Update([]HartProgress{{Hart: 0, Cycles: 100}, {Hart: 1, Cycles: 200}})

@@ -313,7 +313,7 @@ func (e *engine) beginEpochLocked() {
 	// flight dumps stay byte-identical.
 	for i, d := range e.done {
 		if !d {
-			e.m.Flight.Ring(i).Record(e.m.Harts[i].Cycles, telemetry.FlightBarrier,
+			e.m.Flight.Ring(i).Record(e.m.Harts[i].Cycles, telemetry.EvBarrier,
 				telemetry.NoCVM, e.gen, 0, "")
 		}
 	}

@@ -64,11 +64,13 @@ type Machine struct {
 	HSHandler TrapHandler // hypervisor (HS-mode)
 	VSHandler TrapHandler // guest kernel's Go half (VS-mode)
 
-	// Flight is the machine's always-on black-box recorder: one bounded
-	// ring of recent high-level events per hart (traps, world switches,
-	// gate crossings, quantum barriers, fault injections). Created at
-	// boot; each hart holds its own ring handle. Recording never touches
-	// simulated state, so it cannot perturb bit-identity.
+	// Flight is the machine's event recorder: one bounded ring of recent
+	// high-level events per hart (traps, world switches, gate crossings,
+	// quantum barriers, fault injections), always on as the black box and,
+	// once SetTelemetry arms the machine, deeper and the source of the
+	// trace export. Created at boot; each hart holds its own ring handle.
+	// Recording never touches simulated state, so it cannot perturb
+	// bit-identity.
 	Flight *telemetry.FlightRecorder
 
 	// engine is non-nil while RunParallel drives the harts on their own
@@ -81,6 +83,22 @@ type Machine struct {
 	// RunParallel (EngineStats accessor). Written after the hart
 	// goroutines join, read from the caller's goroutine only.
 	lastEngine EngineStats
+}
+
+// SetTelemetry arms the machine under sc before it runs: its event rings
+// take the armed-only kinds, deepen to the sink's trace capacity and feed
+// the sink's exports as sc's PID, and every hart records attribution (and
+// profiler samples, if the sink samples) under sc. A nil sc leaves the
+// machine unarmed.
+func (m *Machine) SetTelemetry(sc *telemetry.Scope) {
+	if sc == nil {
+		return
+	}
+	sc.Attach(m.Flight)
+	for _, h := range m.Harts {
+		h.Tel = sc
+		h.Prof = sc.Profiler(h.ID) // nil unless the sink samples
+	}
 }
 
 // New builds a machine with the given hart count and RAM size.

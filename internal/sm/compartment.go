@@ -182,7 +182,7 @@ func (s *SM) gateEnter(h *hart.Hart, from, to Compartment, op string, force bool
 		// Black-box the crossing (A/B are the signed compartment ids;
 		// CompHost = -1 wraps). op is a static string, so recording stays
 		// allocation-free.
-		h.Flight.Record(h.Cycles, telemetry.FlightGate, telemetry.NoCVM,
+		h.Flight.Record(h.Cycles, telemetry.EvGate, telemetry.NoCVM,
 			uint64(int64(from)), uint64(int64(to)), op)
 	}
 	if to < 0 || to >= NumCompartments {
@@ -326,9 +326,8 @@ func (s *SM) quarantineCompartment(h *hart.Hart, c Compartment, op string, cause
 	if fhart < 0 {
 		fhart = 0
 	}
-	s.machine.Flight.Ring(fhart).Record(rec.Cycle, telemetry.FlightQuarantine,
+	s.machine.Flight.Ring(fhart).Record(rec.Cycle, telemetry.EvQuarantine,
 		telemetry.NoCVM, uint64(c), 0, fnote)
-	s.tel.Instant(fhart, "sm", "quarantine", rec.Cycle, telemetry.NoCVM, uint64(c), fnote)
 	rec.Flight = s.machine.Flight.RenderTail(fhart, flightTailLen)
 	if c == CompAlloc {
 		// The allocator's free list is authoritative shared state: repair

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,22 +12,42 @@ import (
 	"zion/internal/telemetry"
 )
 
-// smRecs returns the tracer's "sm" records, oldest first.
-func smRecs(sink *telemetry.Sink) []telemetry.Rec {
-	var out []telemetry.Rec
-	for _, r := range sink.Tracer.Snapshot() {
-		if r.Cat == "sm" {
-			out = append(out, r)
-		}
-	}
-	return out
+// traceEvent is one decoded Chrome trace_event entry.
+type traceEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Ts   uint64  `json:"ts"`
+	Dur  *uint64 `json:"dur"`
+	TID  int32   `json:"tid"`
+	Args struct {
+		CVM  int32  `json:"cvm"`
+		Arg  uint64 `json:"arg"`
+		Note string `json:"note"`
+	} `json:"args"`
 }
 
-// TestEventTraceRecordsLifecycle: every SM event of a run has one home.
-// The always-on flight ring holds a world-enter before each world-exit
-// and the trap of the stage-2 fault between them; armed telemetry holds
-// the lifecycle HVCalls, the fault and the world switches as spans and
-// the guest's SBI call as an "sm"/"sbi" instant.
+// exported decodes the sink's Chrome trace export.
+func exported(t *testing.T, sink *telemetry.Sink) []traceEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sink.ExportChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	return f.TraceEvents
+}
+
+// TestEventTraceRecordsLifecycle: every SM event of a run has one home,
+// the hart's ring. It holds a world-enter before each world-exit and the
+// trap of the stage-2 fault between them; armed, it also holds the
+// lifecycle HVCalls, the fault span and the guest's SBI call, and the
+// trace export names them.
 func TestEventTraceRecordsLifecycle(t *testing.T) {
 	sink := telemetry.New(telemetry.Config{})
 	f := newFixture(t, Config{Telemetry: sink.Scope()})
@@ -43,23 +65,20 @@ func TestEventTraceRecordsLifecycle(t *testing.T) {
 	var entered, exited, faults int
 	inCVM := false
 	for _, e := range f.m.Flight.Tail(0, 0) {
-		if e.String() == "" {
-			t.Error("empty event render")
-		}
 		switch e.Kind {
-		case telemetry.FlightWorldEnter:
+		case telemetry.EvWorldEnter:
 			if inCVM {
 				t.Error("two world-enters without a world-exit between them")
 			}
 			inCVM = true
 			entered++
-		case telemetry.FlightWorldExit:
+		case telemetry.EvWorldExit:
 			if !inCVM {
 				t.Error("world-exit recorded before its world-enter")
 			}
 			inCVM = false
 			exited++
-		case telemetry.FlightTrap:
+		case telemetry.EvTrap:
 			if inCVM && e.A == isa.ExcStoreGuestPageFault {
 				faults++
 			}
@@ -71,8 +90,8 @@ func TestEventTraceRecordsLifecycle(t *testing.T) {
 	}
 
 	names := map[string]int{}
-	for _, r := range smRecs(sink) {
-		if r.CVM == int32(f.id) || strings.HasPrefix(r.Name, "hvcall.") {
+	for _, r := range exported(t, sink) {
+		if r.Cat == "sm" && (r.Args.CVM == int32(f.id) || strings.HasPrefix(r.Name, "hvcall.")) {
 			names[r.Name]++
 		}
 	}
@@ -85,7 +104,7 @@ func TestEventTraceRecordsLifecycle(t *testing.T) {
 
 // TestEventTraceRingWraps: a long preempted run overflows the hart's
 // flight ring, which then holds exactly its depth of the newest events,
-// oldest first.
+// in the order they completed.
 func TestEventTraceRingWraps(t *testing.T) {
 	f := newFixture(t, Config{SchedQuantum: 10_000})
 	f.buildCVM(shutdownProgram(func(p *asm.Program) {
@@ -110,19 +129,19 @@ func TestEventTraceRingWraps(t *testing.T) {
 		t.Fatalf("ring holds %d events, want %d", len(events), telemetry.DefaultFlightDepth)
 	}
 	for i := 1; i < len(events); i++ {
-		if events[i].Cycle < events[i-1].Cycle {
+		if events[i].End() < events[i-1].End() {
 			t.Error("events out of order after wrap")
 		}
 	}
-	if last := events[len(events)-1]; last.Kind != telemetry.FlightWorldExit {
+	if last := events[len(events)-1]; last.Kind != telemetry.EvWorldExit {
 		t.Errorf("newest event is %v, want the final world-exit", last.Kind)
 	}
 }
 
 // TestViolationTraced: a Check-after-Load failure quarantines the CVM,
-// and the decision is recorded once: a flight-ring quarantine event whose
-// note carries the error, and, with telemetry armed, one "sm"/"quarantine"
-// instant with the same note on the same hart.
+// and the decision is recorded once: a quarantine event on the hart's
+// ring whose note carries the error, which the armed trace exports as one
+// "sm"/"quarantine" instant with the same note on the same hart.
 func TestViolationTraced(t *testing.T) {
 	sink := telemetry.New(telemetry.Config{})
 	f := newFixture(t, Config{Telemetry: sink.Scope()})
@@ -138,21 +157,21 @@ func TestViolationTraced(t *testing.T) {
 
 	var notes []string
 	for _, e := range f.m.Flight.Tail(0, 0) {
-		if e.Kind == telemetry.FlightQuarantine && e.CVM == f.id {
+		if e.Kind == telemetry.EvQuarantine && e.CVM == int32(f.id) {
 			notes = append(notes, e.Note)
 		}
 	}
 	if len(notes) != 1 || !strings.Contains(notes[0], "Check-after-Load") {
 		t.Fatalf("flight quarantine notes = %q, want one naming Check-after-Load", notes)
 	}
-	var inst []telemetry.Rec
-	for _, r := range smRecs(sink) {
-		if r.Name == "quarantine" {
+	var inst []traceEvent
+	for _, r := range exported(t, sink) {
+		if r.Cat == "sm" && r.Name == "quarantine" {
 			inst = append(inst, r)
 		}
 	}
-	if len(inst) != 1 || inst[0].Kind != telemetry.RecInstant || inst[0].TID != int32(f.h.ID) ||
-		inst[0].CVM != int32(f.id) || inst[0].Note != notes[0] {
+	if len(inst) != 1 || inst[0].Ph != "i" || inst[0].TID != int32(f.h.ID) ||
+		inst[0].Args.CVM != int32(f.id) || inst[0].Args.Note != notes[0] {
 		t.Errorf("sm/quarantine instants = %+v, want one on hart %d for cvm %d with note %q",
 			inst, f.h.ID, f.id, notes[0])
 	}
@@ -187,7 +206,75 @@ func TestMMIOExitFlightTailNamesCVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.h.Step()
-	if last := f.m.Flight.Tail(0, 1)[0]; last.Kind != telemetry.FlightTrap || last.CVM != telemetry.NoCVM {
+	if last := f.m.Flight.Tail(0, 1)[0]; last.Kind != telemetry.EvTrap || last.CVM != telemetry.NoCVM {
 		t.Errorf("trap outside a CVM recorded as %v", last)
+	}
+}
+
+// TestOneRecordPerEvent: an armed MMIO exit leaves exactly one trap, one
+// world-enter and one world-exit record on the hart's ring, the trap naming
+// the CVM, and the trace export renders those same three records as one
+// "hart"/"trap" instant and one "ws.entry" and one "ws.exit" span of that
+// CVM. Recording an armed hvcall, slice or stage-2 fault allocates nothing.
+func TestOneRecordPerEvent(t *testing.T) {
+	sink := telemetry.New(telemetry.Config{})
+	f := newFixture(t, Config{Telemetry: sink.Scope()})
+	id := f.buildCVM(shutdownProgram(func(p *asm.Program) {
+		p.LI(asm.T0, 0x1000_0000)
+		p.LD(asm.S4, asm.T0, 0)
+	}))
+	if info := f.run(); info.Reason != ExitMMIORead {
+		t.Fatalf("exit = %v, want mmio-read", info.Reason)
+	}
+
+	count := map[telemetry.EventKind]int{}
+	for _, e := range f.m.Flight.Tail(0, 0) {
+		switch e.Kind {
+		case telemetry.EvTrap, telemetry.EvWorldEnter, telemetry.EvWorldExit:
+			count[e.Kind]++
+			if e.CVM != int32(id) {
+				t.Errorf("%v record names cvm %d, want %d", e.Kind, e.CVM, id)
+			}
+		}
+	}
+	for _, k := range []telemetry.EventKind{telemetry.EvTrap, telemetry.EvWorldEnter, telemetry.EvWorldExit} {
+		if count[k] != 1 {
+			t.Errorf("ring holds %d %v records, want 1", count[k], k)
+		}
+	}
+
+	seen := map[string]int{}
+	for _, r := range exported(t, sink) {
+		key := r.Cat + "/" + r.Name + "/" + r.Ph
+		switch key {
+		case "hart/trap/i", "sm/ws.entry/X", "sm/ws.exit/X":
+			seen[key]++
+			if r.Args.CVM != int32(id) || r.TID != int32(f.h.ID) {
+				t.Errorf("%s names cvm %d on tid %d, want cvm %d on %d", key, r.Args.CVM, r.TID, id, f.h.ID)
+			}
+		}
+	}
+	for _, key := range []string{"hart/trap/i", "sm/ws.entry/X", "sm/ws.exit/X"} {
+		if seen[key] != 1 {
+			t.Errorf("export holds %d %s events, want 1", seen[key], key)
+		}
+	}
+
+	// A ring armed at a small depth and already wrapped: every further
+	// record overwrites a slot in place.
+	rec := telemetry.NewFlightRecorder(1, 0)
+	telemetry.New(telemetry.Config{TraceEvents: 128}).Scope().Attach(rec)
+	r := rec.Ring(0)
+	vmName := "tenant"
+	record := func() {
+		r.Span(telemetry.EvHVCall, 1, 2, id, uint64(FnRun), opName(FnRun))
+		r.Span(telemetry.EvSlice, 1, 2, id, 3, vmName)
+		r.Span(telemetry.EvS2Fault, 1, 2, id, uint64(StageCache), "")
+	}
+	for i := 0; i < 128; i++ {
+		record()
+	}
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+		t.Errorf("recording armed hvcall/slice/s2fault events allocates %.1f objects", allocs)
 	}
 }

@@ -104,9 +104,8 @@ func (s *SM) quarantine(h *hart.Hart, c *CVM, cause error, origin faultOrigin) {
 	if cause != nil {
 		note = "quarantine: " + cause.Error()
 	}
-	s.machine.Flight.Ring(fhart).Record(rec.Cycle, telemetry.FlightQuarantine,
+	s.machine.Flight.Ring(fhart).Record(rec.Cycle, telemetry.EvQuarantine,
 		c.ID, uint64(origin.comp), 0, note)
-	s.tel.Instant(fhart, "sm", "quarantine", rec.Cycle, c.ID, uint64(origin.comp), note)
 	rec.Flight = s.machine.Flight.RenderTail(fhart, flightTailLen)
 	if c.measurer != nil && c.measurer.sealed {
 		rec.Measurement = append([]byte(nil), c.measurer.value()...)

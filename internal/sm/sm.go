@@ -474,7 +474,7 @@ func (s *SM) HVCall(h *hart.Hart, fn FuncID, args ...uint64) (uint64, error) {
 		if cvmID != 0 {
 			cvm = cvmID
 		}
-		s.tel.Span(h.ID, "sm", "hvcall."+opName(fn), start, h.Cycles, cvm, uint64(fn))
+		h.Flight.Span(telemetry.EvHVCall, start, h.Cycles, cvm, uint64(fn), opName(fn))
 		s.tel.Counter("sm/hvcalls").Inc()
 		if err != nil {
 			s.tel.Counter("sm/hvcall_errors").Inc()

@@ -43,6 +43,7 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 func newFixturePool(t testing.TB, cfg Config, size uint64) *fixture {
 	t.Helper()
 	m := platform.New(1, ramSize)
+	m.SetTelemetry(cfg.Telemetry)
 	s, err := New(m, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -159,9 +159,8 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	ctx := s.saveHVCtx(h)
 	s.enterCVM(h, c, v)
 	s.Stats.Entry.Observe(h.Cycles - entryStart)
-	s.tel.Span(h.ID, "sm", "ws.entry", entryStart, h.Cycles, c.ID, uint64(vcpuID))
+	h.Flight.Span(telemetry.EvWorldEnter, entryStart, h.Cycles, c.ID, uint64(vcpuID), "")
 	s.tel.AttrSwitch(h.ID, h.Cycles, c.ID, telemetry.AttrGuest)
-	h.Flight.Record(h.Cycles, telemetry.FlightWorldEnter, c.ID, uint64(vcpuID), 0, "")
 	v.on, h.CVM = h, c.ID
 	s.mu.Unlock()
 	info, exitStart := s.runLoop(h, c, v) // returns with s.mu held
@@ -170,10 +169,9 @@ func (s *SM) RunVCPU(h *hart.Hart, cvmID, vcpuID int) (ExitInfo, error) {
 	s.exitCVM(h, c, v, &ctx, info)
 	h.Advance(h.Cost.TrapReturn)
 	s.Stats.Exit.Observe(h.Cycles - exitStart)
-	s.tel.Span(h.ID, "sm", "ws.exit", exitStart, h.Cycles, c.ID, uint64(info.Reason))
-	s.tel.AttrSwitch(h.ID, h.Cycles, telemetry.NoCVM, telemetry.AttrHost)
-	h.Flight.Record(h.Cycles, telemetry.FlightWorldExit, c.ID, uint64(info.Reason), 0,
+	h.Flight.Span(telemetry.EvWorldExit, exitStart, h.Cycles, c.ID, uint64(info.Reason),
 		info.Reason.String())
+	s.tel.AttrSwitch(h.ID, h.Cycles, telemetry.NoCVM, telemetry.AttrHost)
 	// A fatal fault detected inside the run (internal memory escape,
 	// page-table corruption, shared-page publish failure) quarantines the
 	// CVM now that the Normal-mode context is restored. The post-mortem
@@ -540,7 +538,7 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64) (ExitInfo, bo
 		s.Stats.ExpansionRounds++
 		h.Advance(h.Cost.SMExpandPool)
 		s.Stats.FaultCycles[StageExpand] += h.Cycles - faultStart
-		s.tel.Span(h.ID, "sm", "s2fault.expand", faultStart, h.Cycles, c.ID, uint64(StageExpand))
+		h.Flight.Span(telemetry.EvS2FaultExpand, faultStart, h.Cycles, c.ID, uint64(StageExpand), "")
 		s.tel.Counter("sm/s2faults").Inc()
 		v.sec.PC = h.CSR(isa.CSRMepc)
 		return ExitInfo{Reason: ExitPoolEmpty, GPA: pageGPA}, true
@@ -568,7 +566,7 @@ func (s *SM) demandPage(h *hart.Hart, c *CVM, v *VCPU, gpa uint64) (ExitInfo, bo
 	// Retry the faulting instruction (MRet charges the trap return).
 	h.MRet()
 	s.Stats.FaultCycles[stage] += h.Cycles - faultStart
-	s.tel.Span(h.ID, "sm", "s2fault", faultStart, h.Cycles, c.ID, uint64(stage))
+	h.Flight.Span(telemetry.EvS2Fault, faultStart, h.Cycles, c.ID, uint64(stage), "")
 	s.tel.Counter("sm/s2faults").Inc()
 	return ExitInfo{}, false
 }
@@ -621,7 +619,7 @@ func (s *SM) handleGuestSBI(h *hart.Hart, c *CVM, v *VCPU) (ExitInfo, bool) {
 	eid := h.Reg(17) // a7
 	fid := h.Reg(16) // a6
 	a0, a1 := h.Reg(10), h.Reg(11)
-	s.tel.Instant(h.ID, "sm", "sbi", h.Cycles, c.ID, eid, "")
+	h.Flight.Record(h.Cycles, telemetry.EvSBI, c.ID, eid, 0, "")
 	s.tel.Counter("sm/sbi_calls").Inc()
 
 	resume := func(ret uint64, errv uint64) {

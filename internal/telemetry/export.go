@@ -12,10 +12,10 @@ import (
 // one "us", which only relabels the axis. Attribution rows and hart totals
 // ride along in otherData so a trace file is self-contained.
 //
-// Determinism: events are emitted in ring order (insertion order), rows
-// are pre-sorted, and encoding/json serializes struct fields in
-// declaration order — two identical seeded runs produce byte-identical
-// files.
+// Determinism: events are emitted in the armed rings' merged (Cycle, PID,
+// TID) order, rows are pre-sorted, and encoding/json serializes struct
+// fields in declaration order — two identical seeded runs produce
+// byte-identical files.
 
 // chromeEvent is one trace_event entry.
 type chromeEvent struct {
@@ -75,30 +75,30 @@ type chromeTrace struct {
 	OtherData       chromeOtherData `json:"otherData"`
 }
 
-// ExportChromeTrace writes the sink's ring and attribution table as Chrome
-// trace_event JSON. Callers must AttrFlush each live hart first so the
-// attribution rows sum to the hart totals.
+// ExportChromeTrace writes the armed machines' event rings and the
+// attribution table as Chrome trace_event JSON. Callers must AttrFlush
+// each live hart first so the attribution rows sum to the hart totals.
 func (s *Sink) ExportChromeTrace(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	recs := s.Tracer.Snapshot()
+	recs, dropped := s.events()
 	events := make([]chromeEvent, 0, len(recs))
 	for _, r := range recs {
+		cat, name, note := r.trace()
 		ev := chromeEvent{
-			Name: r.Name,
-			Cat:  r.Cat,
+			Name: name,
+			Cat:  cat,
 			Ts:   r.Cycle,
 			PID:  r.PID,
 			TID:  r.TID,
-			Args: chromeEventArgs{CVM: r.CVM, Arg: r.Arg, Note: r.Note},
+			Args: chromeEventArgs{CVM: r.CVM, Arg: r.A, Note: note},
 		}
-		switch r.Kind {
-		case RecSpan:
+		if eventKinds[r.Kind].span {
 			ev.Ph = "X"
 			dur := r.Dur
 			ev.Dur = &dur
-		case RecInstant:
+		} else {
 			ev.Ph = "i"
 			ev.S = "t"
 		}
@@ -126,7 +126,7 @@ func (s *Sink) ExportChromeTrace(w io.Writer) error {
 		DisplayTimeUnit: "ns",
 		OtherData: chromeOtherData{
 			ClockDomain: "simulated-cycles",
-			Dropped:     s.Tracer.Dropped(),
+			Dropped:     dropped,
 			Attribution: crows,
 			HartTotals:  ctotals,
 		},
@@ -134,29 +134,30 @@ func (s *Sink) ExportChromeTrace(w io.Writer) error {
 }
 
 // ExportTimeline writes a plain-text, human-scannable rendering of the
-// ring (oldest-first) followed by the attribution table.
+// armed rings (merged oldest-first) followed by the attribution table.
 func (s *Sink) ExportTimeline(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	for _, r := range s.Tracer.Snapshot() {
+	recs, dropped := s.events()
+	for _, r := range recs {
 		cvm := "-"
 		if r.CVM != NoCVM {
 			cvm = fmt.Sprintf("cvm%d", r.CVM)
 		}
-		switch r.Kind {
-		case RecSpan:
-			fmt.Fprintf(w, "%12d +%-8d p%d/h%d %-8s %-24s %-6s arg=%#x", r.Cycle, r.Dur, r.PID, r.TID, r.Cat, r.Name, cvm, r.Arg)
-		case RecInstant:
-			fmt.Fprintf(w, "%12d %9s p%d/h%d %-8s %-24s %-6s arg=%#x", r.Cycle, "", r.PID, r.TID, r.Cat, r.Name, cvm, r.Arg)
+		cat, name, note := r.trace()
+		if eventKinds[r.Kind].span {
+			fmt.Fprintf(w, "%12d +%-8d p%d/h%d %-8s %-24s %-6s arg=%#x", r.Cycle, r.Dur, r.PID, r.TID, cat, name, cvm, r.A)
+		} else {
+			fmt.Fprintf(w, "%12d %9s p%d/h%d %-8s %-24s %-6s arg=%#x", r.Cycle, "", r.PID, r.TID, cat, name, cvm, r.A)
 		}
-		if r.Note != "" {
-			fmt.Fprintf(w, " %q", r.Note)
+		if note != "" {
+			fmt.Fprintf(w, " %q", note)
 		}
 		fmt.Fprintln(w)
 	}
-	if d := s.Tracer.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d older events dropped by ring overflow)\n", d)
+	if dropped > 0 {
+		fmt.Fprintf(w, "(%d older events dropped by ring overflow)\n", dropped)
 	}
 	rows, totals := s.Attr.Rows()
 	if len(rows) > 0 {

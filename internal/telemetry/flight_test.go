@@ -13,7 +13,7 @@ func TestFlightRingWrap(t *testing.T) {
 	fr := NewFlightRecorder(1, 4)
 	r := fr.Ring(0)
 	for i := 0; i < 10; i++ {
-		r.Record(uint64(i), FlightTrap, NoCVM, uint64(i), 0, "")
+		r.Record(uint64(i), EvTrap, NoCVM, uint64(i), 0, "")
 	}
 	if got := r.Len(); got != 10 {
 		t.Errorf("Len = %d, want 10 (total recorded, not retained)", got)
@@ -37,7 +37,8 @@ func TestFlightRingWrap(t *testing.T) {
 // and dumpers never need a guard.
 func TestFlightNilSafety(t *testing.T) {
 	var r *FlightRing
-	r.Record(1, FlightTrap, NoCVM, 0, 0, "x") // must not panic
+	r.Record(1, EvTrap, NoCVM, 0, 0, "x") // must not panic
+	r.Span(EvWorldEnter, 1, 2, NoCVM, 0, "")
 	if r.Tail(4) != nil || r.Len() != 0 {
 		t.Error("nil ring returned events")
 	}
@@ -57,13 +58,51 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 }
 
+// TestArmingDeepensRing: an unarmed ring drops the armed-only kinds and
+// keeps its depth; arming lets it take them and grow to the sink's trace
+// capacity without losing what it already held, while a dump still shows
+// only the newest DefaultFlightDepth records.
+func TestArmingDeepensRing(t *testing.T) {
+	f := NewFlightRecorder(1, 0)
+	r := f.Ring(0)
+	r.Span(EvS2Fault, 0, 5, 1, 0, "")
+	r.Record(1, EvSBI, 1, 0, 0, "")
+	if r.Len() != 0 {
+		t.Fatalf("unarmed ring took %d armed-only records", r.Len())
+	}
+	for i := 0; i < 2*DefaultFlightDepth; i++ {
+		r.Record(uint64(i), EvTrap, NoCVM, 0, 0, "")
+	}
+	New(Config{TraceEvents: 1000}).Scope().Attach(f)
+	for i := 2 * DefaultFlightDepth; i < 1500; i++ {
+		r.Span(EvHVCall, uint64(i), uint64(i), NoCVM, 0, "run")
+	}
+	tail := r.Tail(0)
+	if len(tail) != 1000 || r.Len() != 1500 {
+		t.Fatalf("armed ring holds %d of %d records, want 1000 of 1500", len(tail), r.Len())
+	}
+	for i, e := range tail {
+		if want := uint64(500 + i); e.Cycle != want {
+			t.Fatalf("tail[%d].Cycle = %d, want %d (oldest-first across growth)", i, e.Cycle, want)
+		}
+	}
+	var buf bytes.Buffer
+	f.Dump(&buf)
+	if lines := strings.Count(buf.String(), "\n"); lines != 1+DefaultFlightDepth {
+		t.Errorf("dump has %d lines, want a header and %d records", lines, DefaultFlightDepth)
+	}
+	if !strings.Contains(buf.String(), "hvcall      cvm=-1  a=0x0 b=0x0 run") {
+		t.Errorf("armed dump lacks the hvcall records:\n%s", buf.String())
+	}
+}
+
 // TestFlightRenderAndDump: rendered tails and dumps carry the event
 // fields in a greppable fixed-layout line, and Dump prefixes per-hart
 // headers.
 func TestFlightRenderAndDump(t *testing.T) {
 	fr := NewFlightRecorder(2, 8)
-	fr.Ring(0).Record(100, FlightWorldEnter, 3, 1, 0, "")
-	fr.Ring(1).Record(200, FlightGate, NoCVM, 2, 5, "demand-page")
+	fr.Ring(0).Span(EvWorldEnter, 90, 100, 3, 1, "")
+	fr.Ring(1).Record(200, EvGate, NoCVM, 2, 5, "demand-page")
 	lines := fr.RenderTail(1, 4)
 	if len(lines) != 1 || !strings.Contains(lines[0], "gate") ||
 		!strings.Contains(lines[0], "demand-page") {
@@ -72,7 +111,7 @@ func TestFlightRenderAndDump(t *testing.T) {
 	var buf bytes.Buffer
 	fr.Dump(&buf)
 	out := buf.String()
-	for _, want := range []string{"# hart 0", "# hart 1", "world-enter", "cvm=3"} {
+	for _, want := range []string{"# hart 0", "# hart 1", "c=100 ", "h0 world-enter cvm=3", "h1 gate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
@@ -86,7 +125,7 @@ func TestFlightDeterministicRender(t *testing.T) {
 	render := func() string {
 		fr := NewFlightRecorder(1, 8)
 		for i := 0; i < 12; i++ {
-			fr.Ring(0).Record(uint64(i*100), FlightKind(i%5), NoCVM, uint64(i), 0, "n")
+			fr.Ring(0).Record(uint64(i*100), EventKind(i%5), NoCVM, uint64(i), 0, "n")
 		}
 		var buf bytes.Buffer
 		fr.Dump(&buf)
@@ -111,7 +150,7 @@ func TestFlightConcurrentSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c := uint64(w*per + i)
-				r.Record(c, FlightTrap, w, c, ^c, "n")
+				r.Record(c, EvTrap, w, c, ^c, "n")
 			}
 		}(w)
 	}
@@ -136,7 +175,7 @@ func TestFlightConcurrentSnapshot(t *testing.T) {
 		}
 		last = n
 		for _, e := range r.Tail(0) {
-			if e.A != e.Cycle || e.B != ^e.Cycle || e.CVM != int(e.Cycle/per) || e.Note != "n" {
+			if e.A != e.Cycle || e.B != ^e.Cycle || e.CVM != int32(e.Cycle/per) || e.Note != "n" {
 				t.Fatalf("snapshot %d holds a torn event %+v", snapshots, e)
 			}
 		}
@@ -148,6 +187,6 @@ func TestFlightConcurrentSnapshot(t *testing.T) {
 func BenchmarkFlightRecord(b *testing.B) {
 	r := NewFlightRecorder(1, DefaultFlightDepth).Ring(0)
 	for i := 0; i < b.N; i++ {
-		r.Record(uint64(i), FlightGate, NoCVM, 1, 2, "gate")
+		r.Record(uint64(i), EvGate, NoCVM, 1, 2, "gate")
 	}
 }

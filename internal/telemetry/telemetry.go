@@ -1,9 +1,10 @@
 // Package telemetry is ZION's unified cross-layer observability
 // subsystem: a typed metrics registry (counters, gauges, fixed-bucket
-// cycle histograms), a span-based tracer that timestamps in the simulated
-// cycle domain (never wall clock, so seeded runs emit byte-identical
-// traces), and per-CVM cycle attribution that splits every hart's cycle
-// counter across architectural-event buckets.
+// cycle histograms), one event ring per hart that timestamps in the
+// simulated cycle domain (never wall clock, so seeded runs emit
+// byte-identical flight dumps and traces), and per-CVM cycle attribution
+// that splits every hart's cycle counter across architectural-event
+// buckets.
 //
 // The package is dependency-free (standard library only) so every layer —
 // hart, SM, hypervisor, page-table walker, benchmark harness — can import
@@ -12,18 +13,21 @@
 // touch happens on the disabled path, which keeps benchmark cycle results
 // bit-identical with tracing off.
 //
-// See docs/OBSERVABILITY.md for the metric namespace, the span taxonomy,
+// See docs/OBSERVABILITY.md for the metric namespace, the event kinds,
 // the attribution-bucket invariant, and a Perfetto walkthrough.
 package telemetry
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
 // Config tunes a Sink.
 type Config struct {
-	// TraceEvents bounds the trace ring (records, not bytes).
+	// TraceEvents is the depth (records, not bytes) each hart's event
+	// ring may grow to once a scope of this sink arms the machine
+	// (Scope.Attach); a ring never shrinks below DefaultFlightDepth.
 	// 0 selects DefaultTraceEvents.
 	TraceEvents int
 
@@ -35,19 +39,23 @@ type Config struct {
 	ProfilePeriod uint64
 }
 
-// DefaultTraceEvents is the trace-ring capacity when Config leaves it 0.
+// DefaultTraceEvents is an armed ring's depth when Config leaves it 0.
 const DefaultTraceEvents = 1 << 16
 
-// Sink owns the shared observability state: one registry, one trace ring,
-// one attribution table. Multiple simulated machine boots (benchmark
-// environments) share a sink; each takes a Scope, whose PID keeps their
-// harts, CVM ids, and cycle domains apart in exports.
+// Sink owns the shared observability state: one registry, one
+// attribution table, and the event rings of the machines its scopes have
+// armed. Multiple simulated machine boots (benchmark environments) share a
+// sink; each takes a Scope, whose PID keeps their harts, CVM ids, and
+// cycle domains apart in exports.
 type Sink struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Attr     *Attribution
 
-	nextPID int32
+	nextPID  int32
+	traceCap int
+
+	mu       sync.Mutex
+	machines []armedMachine
 
 	profPeriod uint64
 	profMu     sync.Mutex
@@ -62,8 +70,8 @@ func New(cfg Config) *Sink {
 	}
 	return &Sink{
 		Registry:   NewRegistry(),
-		Tracer:     NewTracer(cap),
 		Attr:       NewAttribution(),
+		traceCap:   cap,
 		profPeriod: cfg.ProfilePeriod,
 		profilers:  make(map[attrHartKey]*HartProfiler),
 	}
@@ -105,26 +113,62 @@ func (sc *Scope) Sink() *Sink {
 	return sc.sink
 }
 
-// Span records a closed interval [start, end) on hart tid.
-func (sc *Scope) Span(tid int, cat, name string, start, end uint64, cvm int, arg uint64) {
-	if sc == nil {
+// Attach arms one machine's event rings under this scope: each ring
+// records the armed-only kinds and may grow to the sink's TraceEvents, and
+// the sink's exports read the rings as this scope's PID, ring i as TID i.
+// Call it once per machine, before its harts run.
+func (sc *Scope) Attach(f *FlightRecorder) {
+	if sc == nil || f == nil {
 		return
 	}
-	dur := uint64(0)
-	if end > start {
-		dur = end - start
-	}
-	sc.sink.Tracer.Record(Rec{Cycle: start, Dur: dur, PID: sc.pid, TID: int32(tid),
-		Kind: RecSpan, Cat: cat, Name: name, CVM: int32(cvm), Arg: arg})
+	f.arm(sc.sink.traceCap)
+	sc.sink.mu.Lock()
+	sc.sink.machines = append(sc.sink.machines, armedMachine{pid: sc.pid, f: f})
+	sc.sink.mu.Unlock()
 }
 
-// Instant records a point event on hart tid.
-func (sc *Scope) Instant(tid int, cat, name string, cycle uint64, cvm int, arg uint64, note string) {
-	if sc == nil {
-		return
+// armedMachine is one attached machine's recorder and the PID its rings
+// export as.
+type armedMachine struct {
+	pid int32
+	f   *FlightRecorder
+}
+
+// tracedEvent is one ring record placed in its export stream.
+type tracedEvent struct {
+	Event
+	PID, TID int32
+}
+
+// events merges the armed machines' rings ordered by (Cycle, PID, TID),
+// each ring oldest first, and counts the records the rings have evicted.
+// The order is a pure function of the simulated-cycle timestamps, so
+// identical seeded runs produce identical exports regardless of host
+// goroutine scheduling.
+func (s *Sink) events() (out []tracedEvent, dropped uint64) {
+	s.mu.Lock()
+	machines := s.machines
+	s.mu.Unlock()
+	for _, m := range machines {
+		for i, r := range m.f.rings {
+			evs, n := r.snapshot(0)
+			for _, e := range evs {
+				out = append(out, tracedEvent{Event: e, PID: m.pid, TID: int32(i)})
+			}
+			dropped += n - uint64(len(evs))
+		}
 	}
-	sc.sink.Tracer.Record(Rec{Cycle: cycle, PID: sc.pid, TID: int32(tid),
-		Kind: RecInstant, Cat: cat, Name: name, CVM: int32(cvm), Arg: arg, Note: note})
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Cycle != b.Cycle {
+			return a.Cycle < b.Cycle
+		}
+		if a.PID != b.PID {
+			return a.PID < b.PID
+		}
+		return a.TID < b.TID
+	})
+	return out, dropped
 }
 
 // Counter returns a registry counter namespaced to this scope's sink.

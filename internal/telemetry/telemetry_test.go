@@ -91,33 +91,34 @@ func TestBucketGeometry(t *testing.T) {
 	}
 }
 
+// TestTracerRingEviction: an armed ring grows to the sink's trace
+// capacity, then evicts its oldest records; the export holds the newest,
+// oldest first, and counts the evictions.
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(4)
+	s := New(Config{TraceEvents: 4})
+	f := NewFlightRecorder(1, 2)
+	s.Scope().Attach(f)
 	for i := 0; i < 6; i++ {
-		tr.Record(Rec{Cycle: uint64(i), Name: "e"})
+		f.Ring(0).Record(uint64(i), EvTrap, NoCVM, 0, 0, "e")
 	}
-	snap := tr.Snapshot()
+	snap, dropped := s.events()
 	if len(snap) != 4 {
-		t.Fatalf("Snapshot len = %d, want 4", len(snap))
+		t.Fatalf("exported %d records, want 4", len(snap))
 	}
 	for i, r := range snap {
 		if want := uint64(i + 2); r.Cycle != want {
 			t.Errorf("snap[%d].Cycle = %d, want %d (oldest-first)", i, r.Cycle, want)
 		}
 	}
-	if tr.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", tr.Dropped())
-	}
-	if tr.Len() != 4 {
-		t.Errorf("Len = %d, want 4", tr.Len())
+	if dropped != 2 {
+		t.Errorf("dropped = %d, want 2", dropped)
 	}
 }
 
 func TestNilScopeSafe(t *testing.T) {
 	var sc *Scope
 	// Every record-site method must be a no-op on a nil scope.
-	sc.Span(0, "c", "n", 0, 10, NoCVM, 0)
-	sc.Instant(0, "c", "n", 5, NoCVM, 0, "")
+	sc.Attach(NewFlightRecorder(1, 4))
 	sc.Counter("x").Inc()
 	sc.Gauge("x").Set(3)
 	sc.Histogram("x").Observe(9)
@@ -187,23 +188,29 @@ func TestAttributionSumsToTotal(t *testing.T) {
 	}
 }
 
+// TestScopePIDIsolation: two scopes arm two machines; each machine's
+// records export under its own scope's PID and nowhere else.
 func TestScopePIDIsolation(t *testing.T) {
 	s := New(Config{TraceEvents: 16})
 	a, b := s.Scope(), s.Scope()
 	if a.PID() == b.PID() {
 		t.Fatalf("scopes share PID %d", a.PID())
 	}
-	a.Instant(0, "x", "ea", 1, NoCVM, 0, "")
-	b.Instant(0, "x", "eb", 2, NoCVM, 0, "")
-	b.Instant(0, "y", "other", 3, NoCVM, 0, "")
-	names := map[int32][]string{}
-	for _, r := range s.Tracer.Snapshot() {
-		names[r.PID] = append(names[r.PID], r.Name)
+	fa, fb := NewFlightRecorder(1, 4), NewFlightRecorder(1, 4)
+	a.Attach(fa)
+	b.Attach(fb)
+	fa.Ring(0).Record(1, EvTrap, NoCVM, 0, 0, "ea")
+	fb.Ring(0).Record(2, EvTrap, NoCVM, 0, 0, "eb")
+	fb.Ring(0).Record(3, EvGate, NoCVM, 0, 0, "other")
+	notes := map[int32][]string{}
+	recs, _ := s.events()
+	for _, r := range recs {
+		notes[r.PID] = append(notes[r.PID], r.Note)
 	}
-	if got := names[a.PID()]; len(got) != 1 || got[0] != "ea" {
+	if got := notes[a.PID()]; len(got) != 1 || got[0] != "ea" {
 		t.Errorf("scope a recorded %q", got)
 	}
-	if got := names[b.PID()]; len(got) != 2 || got[0] != "eb" || got[1] != "other" {
+	if got := notes[b.PID()]; len(got) != 2 || got[0] != "eb" || got[1] != "other" {
 		t.Errorf("scope b recorded %q", got)
 	}
 }
@@ -237,9 +244,11 @@ type chromeFile struct {
 func TestChromeExportRoundTrip(t *testing.T) {
 	s := New(Config{TraceEvents: 16})
 	sc := s.Scope()
+	rec := NewFlightRecorder(1, 4)
+	sc.Attach(rec)
 	sc.AttrSwitch(0, 10, 2, AttrGuest)
-	sc.Span(0, "sm", "ws.entry", 10, 42, 2, 7)
-	sc.Instant(0, "hart", "trap", 42, 2, 8, "ecall")
+	rec.Ring(0).Span(EvWorldEnter, 10, 42, 2, 7, "")
+	rec.Ring(0).Record(42, EvTrap, 2, 8, 0x80, "ecall")
 	sc.AttrFlush(0, 100)
 
 	var buf bytes.Buffer
@@ -257,10 +266,11 @@ func TestChromeExportRoundTrip(t *testing.T) {
 	if span.Ph != "X" || span.Ts != 10 || span.Dur == nil || *span.Dur != 32 {
 		t.Errorf("span event wrong: %+v", span)
 	}
-	if span.Args.CVM != 2 || span.Args.Arg != 7 {
-		t.Errorf("span args wrong: %+v", span.Args)
+	if span.Cat != "sm" || span.Name != "ws.entry" || span.Args.CVM != 2 || span.Args.Arg != 7 {
+		t.Errorf("span args wrong: %+v", span)
 	}
-	if inst.Ph != "i" || inst.S != "t" || inst.Args.Note != "ecall" {
+	if inst.Cat != "hart" || inst.Name != "trap" || inst.Ph != "i" || inst.S != "t" ||
+		inst.Args.CVM != 2 || inst.Args.Arg != 8 || inst.Args.Note != "ecall" {
 		t.Errorf("instant event wrong: %+v", inst)
 	}
 	if f.OtherData.ClockDomain != "simulated-cycles" {
@@ -293,10 +303,13 @@ func TestExportDeterminism(t *testing.T) {
 	build := func() *Sink {
 		s := New(Config{TraceEvents: 8})
 		sc := s.Scope()
+		f := NewFlightRecorder(2, 4)
+		sc.Attach(f)
 		sc.AttrSwitch(0, 5, 1, AttrSMEntry)
-		sc.Span(0, "sm", "ws.entry", 5, 9, 1, 0)
+		f.Ring(0).Span(EvWorldEnter, 5, 9, 1, 0, "")
 		sc.AttrSwitch(0, 9, 1, AttrGuest)
-		sc.Instant(1, "hart", "trap", 11, NoCVM, 2, "x")
+		f.Ring(1).Record(11, EvTrap, NoCVM, 2, 0, "x")
+		f.Ring(1).Span(EvHVCall, 12, 15, NoCVM, 1, "create-cvm")
 		sc.Counter("sm/hvcalls").Inc()
 		sc.AttrFlush(0, 20)
 		sc.AttrFlush(1, 20)

@@ -123,6 +123,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	m := platform.New(cfg.Harts, cfg.RAMBytes)
 	sc := cfg.Telemetry.Scope()
+	m.SetTelemetry(sc)
 	monitor, err := sm.New(m, sm.Config{
 		SchedQuantum:          cfg.SchedQuantum,
 		ValidateSharedOnEntry: cfg.ValidateSharedOnEntry,
@@ -137,10 +138,6 @@ func NewSystem(cfg Config) (*System, error) {
 	h.Mode = isa.ModeS // the hypervisor drives the platform from HS-mode
 	if sc != nil {
 		k.SetTelemetry(sc)
-		for _, hh := range m.Harts {
-			hh.Tel = sc
-			hh.Prof = sc.Profiler(hh.ID) // nil unless Config.ProfilePeriod armed the sink
-		}
 	}
 	s := &System{Machine: m, Monitor: monitor, Hypervisor: k, hart: h, tel: sc}
 	if err := k.RegisterSecurePool(h, cfg.SecurePoolBytes); err != nil {

@@ -151,7 +151,9 @@ func (h *Hart) readCSR(addr uint16) (uint64, csrErr) {
 func csrReadOnly(addr uint16) bool { return addr>>10 == 3 }
 
 // writeCSR updates a CSR as seen from mode: the privilege check and the
-// VS remap, then storeCSR.
+// VS remap, then storeCSR. A virtualized mode writes only the VS shadows:
+// any other CSR it may name would land in the hart's own register, outside
+// every saved guest context, so that write is ignored.
 func (h *Hart) writeCSR(addr uint16, v uint64) csrErr {
 	if csrReadOnly(addr) {
 		return csrIllegal
@@ -159,8 +161,24 @@ func (h *Hart) writeCSR(addr uint16, v uint64) csrErr {
 	if e := checkPriv(addr, h.Mode); e != csrOK {
 		return e
 	}
-	h.storeCSR(remap(addr, h.Mode.Virtualized()), v)
+	virt := h.Mode.Virtualized()
+	if to := remap(addr, virt); to != addr || !virt {
+		h.storeCSR(to, v)
+	}
 	return csrOK
+}
+
+// GuestWritableCSRs lists, in address order, every CSR address a csrw
+// from VS or VU mode passes the privilege and read-only checks for: the
+// set a guest can name in a write, whatever becomes of it.
+func GuestWritableCSRs() []uint16 {
+	var out []uint16
+	for a := uint16(0); a <= 0xFFF; a++ {
+		if !csrReadOnly(a) && (checkPriv(a, isa.ModeVS) == csrOK || checkPriv(a, isa.ModeVU) == csrOK) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // storeCSR writes v to the (already remapped) register addr under its WARL

@@ -4,7 +4,7 @@ import "zion/internal/isa"
 
 // GuestContext is a vCPU's VS-level register context between runs: the
 // GPRs, the resume PC and privilege mode, the seven VS CSRs, the guest's
-// own timer deadline and its pending VS interrupts. The hypervisor keeps
+// own timer deadline and its VS interrupt enables and pending bits. The hypervisor keeps
 // it for a normal VM's vCPUs; the Secure Monitor keeps it, inside its own
 // footprint, for a confidential VM's (§IV.B). The world switch moves the same registers
 // either way; only who may read the saved copy differs.
@@ -25,6 +25,12 @@ type GuestContext struct {
 	// and StartQuantum installs them in place of the previous guest's.
 	Hvip uint64
 
+	// Vsie is the guest's VS interrupt enables, the VS bits of hie (in
+	// hie's bit positions) that its sie writes set. Like Hvip they follow
+	// the vCPU: Save records them and StartQuantum installs them in place
+	// of the previous guest's.
+	Vsie uint64
+
 	// quantumEnd is the current run's quantum end (absolute cycles; 0 =
 	// no quantum), fixed once by StartQuantum.
 	quantumEnd uint64
@@ -35,13 +41,14 @@ type GuestContext struct {
 const guestContextRegs = 31 + 7
 
 // Save copies the hart's GPRs and VS CSRs into g, charging one register
-// copy each; hvip rides along uncharged, so exit costs are those of the
+// copy each; hvip and vsie ride along uncharged, so exit costs are those of the
 // registers the world switch always moved. PC, Mode and TimerDeadline are
 // the caller's: only the exit site knows where and how the guest resumes.
 func (g *GuestContext) Save(h *Hart) {
 	g.X = h.X
 	r := &h.csr.regs
 	g.Hvip = r[isa.CSRHvip]
+	g.Vsie = r[isa.CSRHie] & vsInterruptMask
 	g.Vsstatus = r[isa.CSRVsstatus]
 	g.Vsepc = r[isa.CSRVsepc]
 	g.Vscause = r[isa.CSRVscause]
@@ -100,14 +107,15 @@ type TimerClock interface {
 const vstip = 1 << isa.IntVSTimer
 
 // StartQuantum fixes this run's quantum end (none when quantum is 0),
-// installs the guest's own hvip in place of the previous guest's and arms
-// the timer.
+// installs the guest's own hvip and VS interrupt enables in place of the
+// previous guest's and arms the timer.
 func (g *GuestContext) StartQuantum(h *Hart, clk TimerClock, quantum, armCost uint64) {
 	g.quantumEnd = 0
 	if quantum > 0 {
 		g.quantumEnd = h.Cycles + quantum
 	}
 	h.csr.setRaw(isa.CSRHvip, g.Hvip)
+	h.csr.setRaw(isa.CSRHie, h.csr.raw(isa.CSRHie)&^vsInterruptMask|g.Vsie)
 	g.arm(h, clk, armCost)
 }
 

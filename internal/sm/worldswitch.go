@@ -31,27 +31,43 @@ const cvmMideleg = uint64(1)<<isa.IntVSSoft | uint64(1)<<isa.IntVSTimer |
 	uint64(1)<<isa.IntVSExt
 
 // hvRegs is the Normal-mode CSR context the SM must restore when the
-// hypervisor gets the hart back, and hvCtx one saved copy of it, index
-// for index. The world switch moves it in one pass each way
+// hypervisor gets the hart back, and hvCtx.regs one saved copy of it,
+// index for index. The world switch moves it in one pass each way
 // (Hart.SaveCSRs, Hart.LoadCSRs): every value was produced by this hart's
 // own CSR file, so it needs no WARL rule on the way back.
 var hvRegs = [...]uint16{isa.CSRMedeleg, isa.CSRMideleg, isa.CSRHedeleg,
 	isa.CSRHideleg, isa.CSRHgatp, isa.CSRHstatus, isa.CSRStvec,
 	isa.CSRSscratch, isa.CSRSatp, isa.CSRSepc, isa.CSRMie}
 
-var hvCSRs = hart.NewCSRList(hvRegs[:]...)
+// hvVSRegs is the VS-level state on the hart when the hypervisor enters a
+// CVM: the seven VS CSRs, hie (which holds the VS interrupt enables) and
+// hvip. The CVM's run replaces all of it with its own GuestContext, so
+// the exit puts the hypervisor's back and no CVM value stays where the
+// hypervisor can read it. It moves uncharged, as a GuestContext's hvip
+// and vsie do, so world-switch costs are those of the registers the
+// switch always moved.
+var hvVSRegs = [...]uint16{isa.CSRVsstatus, isa.CSRVsepc, isa.CSRVscause,
+	isa.CSRVstval, isa.CSRVstvec, isa.CSRVsscratch, isa.CSRVsatp,
+	isa.CSRHie, isa.CSRHvip}
 
-type hvCtx [len(hvRegs)]uint64
+var hvCSRs, hvVSCSRs = hart.NewCSRList(hvRegs[:]...), hart.NewCSRList(hvVSRegs[:]...)
+
+type hvCtx struct {
+	regs [len(hvRegs)]uint64
+	vs   [len(hvVSRegs)]uint64
+}
 
 func (s *SM) saveHVCtx(h *hart.Hart) hvCtx {
 	h.Advance(uint64(len(hvRegs)) * h.Cost.RegCopy)
 	var c hvCtx
-	h.SaveCSRs(hvCSRs, c[:])
+	h.SaveCSRs(hvCSRs, c.regs[:])
+	h.SaveCSRs(hvVSCSRs, c.vs[:])
 	return c
 }
 
 func (s *SM) restoreHVCtx(h *hart.Hart, c *hvCtx) {
-	h.LoadCSRs(hvCSRs, c[:])
+	h.LoadCSRs(hvCSRs, c.regs[:])
+	h.LoadCSRs(hvVSCSRs, c.vs[:])
 	h.Advance(uint64(len(hvRegs)) * h.Cost.RegCopy)
 }
 

@@ -108,9 +108,9 @@ type Hart struct {
 	// WalkStats counts page-table walk activity (telemetry).
 	WalkStats ptw.WalkStats
 
-	// Tel is the telemetry scope the hart's machine is armed under (nil
-	// when unarmed; platform.Machine.SetTelemetry sets it). The hart
-	// records its traps on Flight either way.
+	// Tel is a telemetry scope a caller may hang on the hart; the hart
+	// itself reads it nowhere (it records its traps on Flight, armed or
+	// not), and platform.Machine.SetTelemetry does not set it.
 	Tel *telemetry.Scope
 
 	// Prof, when non-nil, is this hart's cycle-domain sampling profiler:

@@ -4,9 +4,9 @@ import "zion/internal/isa"
 
 // GuestContext is a vCPU's VS-level register context between runs: the
 // GPRs, the resume PC and privilege mode, the seven VS CSRs, the guest's
-// own timer deadline and its VS interrupt enables and pending bits. The hypervisor keeps
-// it for a normal VM's vCPUs; the Secure Monitor keeps it, inside its own
-// footprint, for a confidential VM's (§IV.B). The world switch moves the same registers
+// own timer deadline and its VS interrupt enables and pending bits. The
+// hypervisor keeps it for a normal VM's vCPUs; the Secure Monitor keeps
+// it, inside its own footprint, for a confidential VM's (§IV.B). The world switch moves the same registers
 // either way; only who may read the saved copy differs.
 type GuestContext struct {
 	X    [32]uint64
@@ -41,8 +41,8 @@ type GuestContext struct {
 const guestContextRegs = 31 + 7
 
 // Save copies the hart's GPRs and VS CSRs into g, charging one register
-// copy each; hvip and vsie ride along uncharged, so exit costs are those of the
-// registers the world switch always moved. PC, Mode and TimerDeadline are
+// copy each; hvip and vsie ride along uncharged, so exit costs are those
+// of the registers the world switch always moved. PC, Mode and TimerDeadline are
 // the caller's: only the exit site knows where and how the guest resumes.
 func (g *GuestContext) Save(h *Hart) {
 	g.X = h.X

@@ -87,17 +87,15 @@ type Machine struct {
 
 // SetTelemetry arms the machine under sc before it runs: its event rings
 // take the armed-only kinds, deepen to the sink's trace capacity and feed
-// the sink's exports as sc's PID, and every hart records attribution (and
-// profiler samples, if the sink samples) under sc. A nil sc leaves the
-// machine unarmed.
+// the sink's exports as sc's PID, and every hart gets its sampling
+// profiler if the sink samples. A nil sc leaves the machine unarmed.
 func (m *Machine) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		return
 	}
 	sc.Attach(m.Flight)
 	for _, h := range m.Harts {
-		h.Tel = sc
-		h.Prof = sc.Profiler(h.ID) // nil unless the sink samples
+		h.Prof = sc.Profiler(h.ID)
 	}
 }
 

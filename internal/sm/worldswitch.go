@@ -31,44 +31,39 @@ const cvmMideleg = uint64(1)<<isa.IntVSSoft | uint64(1)<<isa.IntVSTimer |
 	uint64(1)<<isa.IntVSExt
 
 // hvRegs is the Normal-mode CSR context the SM must restore when the
-// hypervisor gets the hart back, and hvCtx.regs one saved copy of it,
-// index for index. The world switch moves it in one pass each way
+// hypervisor gets the hart back, and hvCtx one saved copy of it, index
+// for index. The world switch moves it in one pass each way
 // (Hart.SaveCSRs, Hart.LoadCSRs): every value was produced by this hart's
-// own CSR file, so it needs no WARL rule on the way back.
+// own CSR file, so it needs no WARL rule on the way back. The first
+// hvChargedRegs are the HS/M registers the switch is charged for. The
+// rest is the VS-level state on the hart when the hypervisor enters a
+// CVM — the seven VS CSRs, hie (which holds the VS interrupt enables) and
+// hvip — which the CVM's run replaces with its own GuestContext; putting
+// it back at exit leaves no CVM value where the hypervisor can read it.
+// It moves uncharged, as a GuestContext's hvip and vsie do, so
+// world-switch costs are those of the registers the switch always moved.
 var hvRegs = [...]uint16{isa.CSRMedeleg, isa.CSRMideleg, isa.CSRHedeleg,
 	isa.CSRHideleg, isa.CSRHgatp, isa.CSRHstatus, isa.CSRStvec,
-	isa.CSRSscratch, isa.CSRSatp, isa.CSRSepc, isa.CSRMie}
+	isa.CSRSscratch, isa.CSRSatp, isa.CSRSepc, isa.CSRMie,
+	isa.CSRVsstatus, isa.CSRVsepc, isa.CSRVscause, isa.CSRVstval,
+	isa.CSRVstvec, isa.CSRVsscratch, isa.CSRVsatp, isa.CSRHie, isa.CSRHvip}
 
-// hvVSRegs is the VS-level state on the hart when the hypervisor enters a
-// CVM: the seven VS CSRs, hie (which holds the VS interrupt enables) and
-// hvip. The CVM's run replaces all of it with its own GuestContext, so
-// the exit puts the hypervisor's back and no CVM value stays where the
-// hypervisor can read it. It moves uncharged, as a GuestContext's hvip
-// and vsie do, so world-switch costs are those of the registers the
-// switch always moved.
-var hvVSRegs = [...]uint16{isa.CSRVsstatus, isa.CSRVsepc, isa.CSRVscause,
-	isa.CSRVstval, isa.CSRVstvec, isa.CSRVsscratch, isa.CSRVsatp,
-	isa.CSRHie, isa.CSRHvip}
+const hvChargedRegs = 11
 
-var hvCSRs, hvVSCSRs = hart.NewCSRList(hvRegs[:]...), hart.NewCSRList(hvVSRegs[:]...)
+var hvCSRs = hart.NewCSRList(hvRegs[:]...)
 
-type hvCtx struct {
-	regs [len(hvRegs)]uint64
-	vs   [len(hvVSRegs)]uint64
-}
+type hvCtx [len(hvRegs)]uint64
 
 func (s *SM) saveHVCtx(h *hart.Hart) hvCtx {
-	h.Advance(uint64(len(hvRegs)) * h.Cost.RegCopy)
+	h.Advance(hvChargedRegs * h.Cost.RegCopy)
 	var c hvCtx
-	h.SaveCSRs(hvCSRs, c.regs[:])
-	h.SaveCSRs(hvVSCSRs, c.vs[:])
+	h.SaveCSRs(hvCSRs, c[:])
 	return c
 }
 
 func (s *SM) restoreHVCtx(h *hart.Hart, c *hvCtx) {
-	h.LoadCSRs(hvCSRs, c.regs[:])
-	h.LoadCSRs(hvVSCSRs, c.vs[:])
-	h.Advance(uint64(len(hvRegs)) * h.Cost.RegCopy)
+	h.LoadCSRs(hvCSRs, c[:])
+	h.Advance(hvChargedRegs * h.Cost.RegCopy)
 }
 
 // cvmEntryRegs are the CSRs enterCVM installs (§IV.A): CVM-mode trap

@@ -25,8 +25,9 @@ func TestCVMEntryCSRsAreWARLFixedPoints(t *testing.T) {
 }
 
 // The hypervisor's CSR context survives a confidential run exactly: what
-// the HS-mode software had in every saved register before RunVCPU is what
-// it finds after the exit, and it resumes at its own sepc.
+// the HS-mode software had in every saved register, its VS-level state
+// included, before RunVCPU is what it finds after the exit, and it
+// resumes at its own sepc.
 func TestWorldSwitchRestoresHypervisorCSRs(t *testing.T) {
 	f := newFixture(t, Config{})
 	f.buildCVM(shutdownProgram(func(p *asm.Program) {
@@ -45,6 +46,17 @@ func TestWorldSwitchRestoresHypervisorCSRs(t *testing.T) {
 		isa.CSRSatp:     0,
 		isa.CSRSepc:     stagingPA + 0x4000,
 		isa.CSRMie:      1 << isa.IntSTimer,
+		// The hypervisor's VS-level state, which the CVM's own replaces
+		// for the run.
+		isa.CSRVsstatus:  isa.MstatusSPIE,
+		isa.CSRVsepc:     0x8000_1234,
+		isa.CSRVscause:   5,
+		isa.CSRVstval:    0x77,
+		isa.CSRVstvec:    0x8000_0100,
+		isa.CSRVsscratch: 0x9a9a,
+		isa.CSRVsatp:     0,
+		isa.CSRHie:       1 << isa.IntVSTimer,
+		isa.CSRHvip:      1 << isa.IntVSTimer,
 	}
 	for a, v := range before {
 		f.h.SetCSR(a, v)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Chrome trace_event JSON (the format Perfetto and chrome://tracing load).
@@ -73,6 +74,43 @@ type chromeTrace struct {
 	TraceEvents     []chromeEvent   `json:"traceEvents"`
 	DisplayTimeUnit string          `json:"displayTimeUnit"`
 	OtherData       chromeOtherData `json:"otherData"`
+}
+
+// tracedEvent is one ring record placed in its export stream.
+type tracedEvent struct {
+	Event
+	PID, TID int32
+}
+
+// events merges the armed machines' rings ordered by (Cycle, PID, TID),
+// each ring oldest first, and counts the records the rings have evicted.
+// The order is a pure function of the simulated-cycle timestamps, so
+// identical seeded runs produce identical exports regardless of host
+// goroutine scheduling.
+func (s *Sink) events() (out []tracedEvent, dropped uint64) {
+	s.mu.Lock()
+	machines := s.machines
+	s.mu.Unlock()
+	for _, m := range machines {
+		for i, r := range m.f.rings {
+			evs, n := r.snapshot(0)
+			for _, e := range evs {
+				out = append(out, tracedEvent{Event: e, PID: m.pid, TID: int32(i)})
+			}
+			dropped += n - uint64(len(evs))
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Cycle != b.Cycle {
+			return a.Cycle < b.Cycle
+		}
+		if a.PID != b.PID {
+			return a.PID < b.PID
+		}
+		return a.TID < b.TID
+	})
+	return out, dropped
 }
 
 // ExportChromeTrace writes the armed machines' event rings and the

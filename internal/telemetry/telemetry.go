@@ -8,9 +8,11 @@
 //
 // The package is dependency-free (standard library only) so every layer —
 // hart, SM, hypervisor, page-table walker, benchmark harness — can import
-// it without cycles. Record sites hold a *Scope and pay exactly one
-// nil-check when telemetry is disabled; no allocation, no atomic, no map
-// touch happens on the disabled path, which keeps benchmark cycle results
+// it without cycles. Metric and attribution sites hold a *Scope and pay
+// exactly one nil-check when telemetry is disabled, and an unarmed ring
+// drops an armed-only event before taking its lock; no allocation, no
+// atomic, no map touch happens on the disabled path, and nothing here
+// advances simulated time, which keeps benchmark cycle results
 // bit-identical with tracing off.
 //
 // See docs/OBSERVABILITY.md for the metric namespace, the event kinds,
@@ -19,7 +21,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -132,43 +133,6 @@ func (sc *Scope) Attach(f *FlightRecorder) {
 type armedMachine struct {
 	pid int32
 	f   *FlightRecorder
-}
-
-// tracedEvent is one ring record placed in its export stream.
-type tracedEvent struct {
-	Event
-	PID, TID int32
-}
-
-// events merges the armed machines' rings ordered by (Cycle, PID, TID),
-// each ring oldest first, and counts the records the rings have evicted.
-// The order is a pure function of the simulated-cycle timestamps, so
-// identical seeded runs produce identical exports regardless of host
-// goroutine scheduling.
-func (s *Sink) events() (out []tracedEvent, dropped uint64) {
-	s.mu.Lock()
-	machines := s.machines
-	s.mu.Unlock()
-	for _, m := range machines {
-		for i, r := range m.f.rings {
-			evs, n := r.snapshot(0)
-			for _, e := range evs {
-				out = append(out, tracedEvent{Event: e, PID: m.pid, TID: int32(i)})
-			}
-			dropped += n - uint64(len(evs))
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		return a.TID < b.TID
-	})
-	return out, dropped
 }
 
 // Counter returns a registry counter namespaced to this scope's sink.

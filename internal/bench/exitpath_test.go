@@ -50,7 +50,7 @@ func runExitPath(t *testing.T, cfg EnvConfig, image []byte, device hv.EmuDevice)
 		Exits:    st.Exit.Count(),
 		EntrySum: st.Entry.Sum(),
 		ExitSum:  st.Exit.Sum(),
-		Flight:   e.M.Flight.Tail(e.H.ID, 0),
+		Flight:   e.H.Flight.Tail(0),
 	}
 }
 

@@ -350,7 +350,7 @@ func TestParallelEventsStayOnTheirHart(t *testing.T) {
 
 		switches := map[int32]int{}
 		for i := 0; i < e.M.Flight.Harts(); i++ {
-			for _, ev := range e.M.Flight.Tail(i, 0) {
+			for _, ev := range e.M.Flight.Ring(i).Tail(0) {
 				if ev.Kind != telemetry.EvWorldEnter && ev.Kind != telemetry.EvWorldExit {
 					continue
 				}

@@ -64,7 +64,7 @@ func TestEventTraceRecordsLifecycle(t *testing.T) {
 
 	var entered, exited, faults int
 	inCVM := false
-	for _, e := range f.m.Flight.Tail(0, 0) {
+	for _, e := range f.h.Flight.Tail(0) {
 		switch e.Kind {
 		case telemetry.EvWorldEnter:
 			if inCVM {
@@ -156,7 +156,7 @@ func TestViolationTraced(t *testing.T) {
 	_, _ = f.s.RunVCPU(f.h, f.id, 0)
 
 	var notes []string
-	for _, e := range f.m.Flight.Tail(0, 0) {
+	for _, e := range f.h.Flight.Tail(0) {
 		if e.Kind == telemetry.EvQuarantine && e.CVM == int32(f.id) {
 			notes = append(notes, e.Note)
 		}
@@ -206,7 +206,7 @@ func TestMMIOExitFlightTailNamesCVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.h.Step()
-	if last := f.m.Flight.Tail(0, 1)[0]; last.Kind != telemetry.EvTrap || last.CVM != telemetry.NoCVM {
+	if last := f.h.Flight.Tail(1)[0]; last.Kind != telemetry.EvTrap || last.CVM != telemetry.NoCVM {
 		t.Errorf("trap outside a CVM recorded as %v", last)
 	}
 }
@@ -228,7 +228,7 @@ func TestOneRecordPerEvent(t *testing.T) {
 	}
 
 	count := map[telemetry.EventKind]int{}
-	for _, e := range f.m.Flight.Tail(0, 0) {
+	for _, e := range f.h.Flight.Tail(0) {
 		switch e.Kind {
 		case telemetry.EvTrap, telemetry.EvWorldEnter, telemetry.EvWorldExit:
 			count[e.Kind]++

@@ -72,12 +72,7 @@ var eventKinds = [numEventKinds]struct {
 }
 
 // String returns the kind's flight-dump name.
-func (k EventKind) String() string {
-	if k >= numEventKinds {
-		return "?"
-	}
-	return eventKinds[k].flight
-}
+func (k EventKind) String() string { return eventKinds[k].flight }
 
 // Event is one record of a hart's ring. It holds no hart (the ring implies
 // it), only simulated-cycle timestamps and a static-string note, so
@@ -131,6 +126,7 @@ type FlightRing struct {
 	mu    sync.Mutex
 	buf   []Event
 	next  int    // next write slot
+	held  int    // records buf holds
 	n     uint64 // total records ever put
 	depth int    // len(buf) may grow to this; set by arming
 	armed bool   // records the armed-only kinds; set before the hart runs
@@ -155,11 +151,16 @@ func (r *FlightRing) Span(kind EventKind, start, end uint64, cvm int, a uint64, 
 
 // put appends e. A ring below its depth grows when its write slot reaches
 // the end of the buffer, where the buffer is in oldest-first order, so
-// growing copies nothing out of order.
+// growing copies nothing out of order; a ring that had wrapped before it
+// grew holds fewer records than it has ever taken and than its new
+// length, which is why held is kept apart from n.
 func (r *FlightRing) put(e Event) {
 	r.mu.Lock()
 	i := r.next
 	r.buf[i] = e
+	if r.held < len(r.buf) {
+		r.held++
+	}
 	if i++; i == len(r.buf) {
 		if i < r.depth {
 			r.buf = append(r.buf, make([]Event, min(i, r.depth-i))...)
@@ -187,9 +188,8 @@ func (r *FlightRing) snapshot(k int) ([]Event, uint64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	have := int(min(r.n, uint64(len(r.buf))))
-	if k <= 0 || k > have {
-		k = have
+	if k <= 0 || k > r.held {
+		k = r.held
 	}
 	if k == 0 {
 		return nil, r.n
@@ -259,11 +259,6 @@ func (f *FlightRecorder) Harts() int {
 		return 0
 	}
 	return len(f.rings)
-}
-
-// Tail returns hart i's most recent k events, oldest first.
-func (f *FlightRecorder) Tail(i, k int) []Event {
-	return f.Ring(i).Tail(k)
 }
 
 // RenderTail renders hart i's most recent k events as strings, oldest

@@ -76,6 +76,18 @@ func TestArmingDeepensRing(t *testing.T) {
 	New(Config{TraceEvents: 1000}).Scope().Attach(f)
 	for i := 2 * DefaultFlightDepth; i < 1500; i++ {
 		r.Span(EvHVCall, uint64(i), uint64(i), NoCVM, 0, "run")
+		// The ring grows only when its write slot reaches the end, so
+		// it first overwrites the records it wrapped over, then holds
+		// every later one.
+		held := r.Tail(0)
+		if len(held) < DefaultFlightDepth || held[len(held)-1].Cycle != uint64(i) {
+			t.Fatalf("after record %d the ring holds %d records, newest %+v", i, len(held), held[len(held)-1])
+		}
+		for j := 1; j < len(held); j++ {
+			if held[j].Cycle != held[j-1].Cycle+1 {
+				t.Fatalf("after record %d the ring holds cycles %d then %d", i, held[j-1].Cycle, held[j].Cycle)
+			}
+		}
 	}
 	tail := r.Tail(0)
 	if len(tail) != 1000 || r.Len() != 1500 {
@@ -138,45 +150,55 @@ func TestFlightDeterministicRender(t *testing.T) {
 
 // TestFlightConcurrentSnapshot: a ring takes records from two goroutines
 // (a hart's own events, and a quarantine recorded on its ring by a peer)
-// while a monitor snapshots it. Every snapshot holds whole events, Len
-// never goes back, and no record is lost. Run it under -race.
+// while a monitor snapshots it, at a fixed depth and while an armed ring
+// grows. Every snapshot holds whole events, Len never goes back, and no
+// record is lost. Run it under -race.
 func TestFlightConcurrentSnapshot(t *testing.T) {
 	const writers, per, depth = 2, 5000, 16
-	r := NewFlightRecorder(1, depth).Ring(0)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c := uint64(w*per + i)
-				r.Record(c, EvTrap, w, c, ^c, "n")
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	var last uint64
-	for snapshots := 0; ; snapshots++ {
-		select {
-		case <-done:
-			if got := r.Len(); got != writers*per {
-				t.Fatalf("Len = %d after %d records", got, writers*per)
-			}
-			if got := len(r.Tail(0)); got != depth {
-				t.Fatalf("retained %d events, want %d", got, depth)
-			}
-			return
-		default:
+	for _, armTo := range []int{0, 1000} {
+		f := NewFlightRecorder(1, depth)
+		want := depth
+		if armTo > 0 {
+			New(Config{TraceEvents: armTo}).Scope().Attach(f)
+			want = armTo
 		}
-		n := r.Len()
-		if n < last {
-			t.Fatalf("Len went back from %d to %d", last, n)
+		r := f.Ring(0)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					c := uint64(w*per + i)
+					r.Record(c, EvTrap, w, c, ^c, "n")
+				}
+			}(w)
 		}
-		last = n
-		for _, e := range r.Tail(0) {
-			if e.A != e.Cycle || e.B != ^e.Cycle || e.CVM != int32(e.Cycle/per) || e.Note != "n" {
-				t.Fatalf("snapshot %d holds a torn event %+v", snapshots, e)
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		var last uint64
+	snapshot:
+		for snapshots := 0; ; snapshots++ {
+			select {
+			case <-done:
+				if got := r.Len(); got != writers*per {
+					t.Fatalf("Len = %d after %d records", got, writers*per)
+				}
+				if got := len(r.Tail(0)); got != want {
+					t.Fatalf("retained %d events, want %d", got, want)
+				}
+				break snapshot
+			default:
+			}
+			n := r.Len()
+			if n < last {
+				t.Fatalf("Len went back from %d to %d", last, n)
+			}
+			last = n
+			for _, e := range r.Tail(0) {
+				if e.A != e.Cycle || e.B != ^e.Cycle || e.CVM != int32(e.Cycle/per) || e.Note != "n" {
+					t.Fatalf("snapshot %d holds a torn event %+v", snapshots, e)
+				}
 			}
 		}
 	}

@@ -119,7 +119,7 @@ func (sc *Scope) Sink() *Sink {
 // the sink's exports read the rings as this scope's PID, ring i as TID i.
 // Call it once per machine, before its harts run.
 func (sc *Scope) Attach(f *FlightRecorder) {
-	if sc == nil || f == nil {
+	if sc == nil {
 		return
 	}
 	f.arm(sc.sink.traceCap)

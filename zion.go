@@ -136,9 +136,7 @@ func NewSystem(cfg Config) (*System, error) {
 	k.SchedQuantum = cfg.SchedQuantum
 	h := m.Harts[0]
 	h.Mode = isa.ModeS // the hypervisor drives the platform from HS-mode
-	if sc != nil {
-		k.SetTelemetry(sc)
-	}
+	k.SetTelemetry(sc)
 	s := &System{Machine: m, Monitor: monitor, Hypervisor: k, hart: h, tel: sc}
 	if err := k.RegisterSecurePool(h, cfg.SecurePoolBytes); err != nil {
 		return nil, fmt.Errorf("zion: secure pool registration: %w", err)
